@@ -23,15 +23,18 @@ configuration/validation errors, 3 for numerical or data failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .coupling import (
     DissipativityParams,
@@ -70,9 +73,10 @@ from .processes import (
     OUJump,
     PiecewiseOU,
     StableSubordinatorMeasure,
+    CSV_MAX_VALUES,
     SymmetricStable,
     invariant_exact,
-    langevin_coeffs,
+    sigma_matrix,
     simulate,
 )
 from .rates import LinearPhi, LowerRateParams, PowerPhi
@@ -337,193 +341,213 @@ def _resolve_grid(obj, default_kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# process (de)serialization
+# tagged JSON objects: one schema table, one parse, one serialise
 # ---------------------------------------------------------------------------
 
-
-def _parse_jumps(data: dict):
-    kind = data.get("kind")
-    if kind == "none":
-        _require_keys(data, {"kind"}, set(), "levy.jumps")
-        return NoJumps()
-    if kind == "compound_poisson":
-        _require_keys(data, {"kind", "rate", "atoms", "probs"}, set(), "levy.jumps")
-        dist = DiscreteJumps(atoms=np.asarray(data["atoms"], dtype=float),
-                             probs=np.asarray(data["probs"], dtype=float))
-        return CompoundPoisson(rate=_as_float(data["rate"], "jumps.rate"), jump_dist=dist)
-    if kind == "symmetric_stable":
-        _require_keys(data, {"kind", "alpha"}, {"scale", "structure"}, "levy.jumps")
-        return SymmetricStable(
-            alpha=_as_float(data["alpha"], "jumps.alpha"),
-            scale=_as_float(data.get("scale", 1.0), "jumps.scale"),
-            structure=data.get("structure", "isotropic"),
-        )
-    if kind == "stable_subordinator":
-        _require_keys(data, {"kind", "alpha"}, set(), "levy.jumps")
-        return StableSubordinatorMeasure(alpha=_as_float(data["alpha"], "jumps.alpha"))
-    raise ConfigError(f"unknown jump kind {kind!r}")
+_REQUIRED = object()
 
 
-def _parse_levy(data) -> LevyMeasureSpec:
-    if data is None:
-        data = {}
-    _require_keys(data, set(), {"b_L", "a_L", "jumps"}, "levy")
-    b_l = data.get("b_L")
-    a_l = data.get("a_L")
-    jumps = data.get("jumps")
-    return LevyMeasureSpec(
-        kind=NoJumps() if jumps is None else _parse_jumps(jumps),
-        b_L=None if b_l is None else _vector(b_l, "levy.b_L"),
-        a_L=None if a_l is None else _matrix(a_l, "levy.a_L"),
-    )
+@dataclass(frozen=True)
+class _Key:
+    """One JSON key: ``read(value, label)`` gives the constructor argument and
+    the dotted path ``attr`` (default: the name) reads it back off the object.
+    A key with a ``default`` is optional; JSON ``null`` selects the default."""
+
+    name: str
+    read: object
+    default: object = _REQUIRED
+    attr: str = ""
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A class and its JSON keys, listed in constructor order; ``build``
+    replaces the constructor when the JSON is flatter than the object."""
+
+    cls: type
+    keys: tuple = ()
+    build: object = None
+
+
+def _nested(group: str):
+    return lambda value, label: _from_json(group, value, label)
+
+
+def _as_str(value, label: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{label} must be a string, got {value!r}")
+    return value
+
+
+def _array(value, label: str) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_ALPHA = _Key("alpha", _as_float)
+_SCALE = _Key("scale", _as_float, default=1.0)
+_LEVY = _Key("levy", _nested("levy"), default=LevyMeasureSpec())
+# Q defaults to the identity of the process dimension, which the caller passes
+_Q = _Key("Q", lambda v, label: QuadForm(_array(v, label)), default=None, attr="qf.Q")
+
+# group -> (tag key or None, {tag: entry}); the canonical JSON form of an
+# object lists every key of its entry, optional ones included
+_SCHEMA = {
+    "process": ("family", {
+        "ou_jump": _Entry(OUJump, (_Key("H", _matrix), _LEVY)),
+        "piecewise_ou": _Entry(PiecewiseOU, (
+            _Key("l", _vector),
+            _Key("M", _matrix),
+            _Key("Gamma", _matrix),
+            _Key("v", lambda v, label: ConstantControl(_vector(v, label)), attr="control.v"),
+            _Key("sigma", _matrix, default=None),
+            _LEVY,
+        )),
+        "backward_recurrence": _Entry(BackwardRecurrence, (_ALPHA, _Key("i0", _as_int))),
+        "langevin": _Entry(
+            LangevinTempered, (_ALPHA, _Key("beta", _as_float), _Key("dim", _as_int, default=1))
+        ),
+    }),
+    "levy": (None, {
+        None: _Entry(LevyMeasureSpec, (
+            _Key("jumps", _nested("jumps"), default=NoJumps(), attr="kind"),
+            _Key("b_L", _vector, default=None),
+            _Key("a_L", _matrix, default=None),
+        )),
+    }),
+    "jumps": ("kind", {
+        "none": _Entry(NoJumps),
+        "compound_poisson": _Entry(
+            CompoundPoisson,
+            (
+                _Key("rate", _as_float),
+                _Key("atoms", _array, attr="jump_dist.atoms"),
+                _Key("probs", _array, attr="jump_dist.probs"),
+            ),
+            build=lambda rate, atoms, probs: CompoundPoisson(rate, DiscreteJumps(atoms, probs)),
+        ),
+        "symmetric_stable": _Entry(SymmetricStable, (
+            _ALPHA,
+            _Key("scale", _as_float, default=1.0),
+            _Key("structure", _as_str, default="isotropic"),
+        )),
+        "stable_subordinator": _Entry(StableSubordinatorMeasure, (_ALPHA,)),
+    }),
+    "lyapunov": ("family", {
+        "poly": _Entry(PolyNorm, (_Q, _Key("theta", _as_float))),
+        "poly_plus_one": _Entry(PolyNormPlusOne, (_Q, _Key("theta", _as_float))),
+        "exp": _Entry(ExpNorm, (_Q, _Key("zeta", _as_float))),
+    }),
+    "phi": ("family", {
+        "power": _Entry(
+            PowerPhi, (_Key("kappa", _as_float), _Key("prefactor", _as_float, default=1.0))
+        ),
+        "linear": _Entry(LinearPhi, (_Key("c_hat", _as_float),)),
+    }),
+    "rate": ("kind", {
+        "exponential": _Entry(Exponential, (_Key("gamma", _as_float), _SCALE)),
+        "polynomial": _Entry(Polynomial, (_Key("exponent", _as_float), _SCALE)),
+    }),
+    "distance": ("kind", {
+        "w1d": _Entry(DistanceSpec, build=functools.partial(DistanceSpec, "w1d")),
+        "exact_lp": _Entry(DistanceSpec, build=functools.partial(DistanceSpec, "exact_lp")),
+        "sinkhorn": _Entry(
+            DistanceSpec, (_Key("epsilon", _as_float),), functools.partial(DistanceSpec, "sinkhorn")
+        ),
+    }),
+    "reference": ("kind", {
+        "exact_invariant": _Entry(
+            ReferenceSpec,
+            (_Key("quantile_points", _as_int, default=65536),),
+            functools.partial(ReferenceSpec, "exact_invariant", None),
+        ),
+        "long_run_empirical": _Entry(
+            ReferenceSpec,
+            (_Key("t_burn", _as_float),),
+            functools.partial(ReferenceSpec, "long_run_empirical"),
+        ),
+    }),
+    "lower params": (None, {
+        None: _Entry(LowerRateParams, tuple(
+            _Key(name, _as_float) for name in ("theta", "vartheta", "eps_var", "eps_small", "p")
+        )),
+    }),
+    "subordinator": ("kind", {
+        "stable": _Entry(StableSub, (_ALPHA,)),
+        "gamma": _Entry(GammaSub, (_Key("a", _as_float), _Key("b_hat", _as_float))),
+        "drift_only": _Entry(DriftOnly),
+    }),
+}
+_GROUP_OF = {
+    entry.cls: (group, tag)
+    for group, (_, entries) in _SCHEMA.items()
+    for tag, entry in entries.items()
+}
+
+
+def _from_json(group: str, data, label: str | None = None, **defaults):
+    """Build the object a JSON value of ``group`` describes.
+
+    ``defaults`` override the table's default of an optional key where it
+    depends on context (the identity ``Q`` of the process dimension).
+    """
+    tag_key, entries = _SCHEMA[group]
+    label = label or group
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {type(data).__name__}")
+    if tag_key is not None and tag_key not in data:
+        raise ConfigError(f"{label} must be an object with a {tag_key!r} key")
+    tag = None if tag_key is None else data[tag_key]
+    if tag not in entries:
+        raise ConfigError(f"unknown {label} {tag_key} {tag!r}")
+    entry = entries[tag]
+    required = {key.name for key in entry.keys if key.default is _REQUIRED}
+    optional = {key.name for key in entry.keys} - required
+    if tag_key is not None:
+        required.add(tag_key)
+    _require_keys(data, required, optional, label)
+    args = []
+    for key in entry.keys:
+        value = data.get(key.name)
+        if value is None and key.default is not _REQUIRED:
+            args.append(defaults.get(key.name, key.default))
+        else:
+            args.append(key.read(value, f"{label}.{key.name}"))
+    return (entry.build or entry.cls)(*args)
+
+
+def _to_json(obj) -> dict:
+    """The canonical JSON form of an object in the schema table."""
+    if type(obj) not in _GROUP_OF:
+        raise ConfigError(f"{type(obj).__name__} is not serializable")
+    group, tag = _GROUP_OF[type(obj)]
+    tag_key, entries = _SCHEMA[group]
+    out = {}
+    if tag_key is not None:
+        tag = getattr(obj, tag_key, tag)  # a spec may carry its own kind
+        out[tag_key] = tag
+    for key in entries[tag].keys:
+        try:
+            value = operator.attrgetter(key.attr or key.name)(obj)
+        except AttributeError:
+            raise ConfigError(f"{type(obj).__name__} has no serializable {key.name!r}") from None
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif type(value) in _GROUP_OF:
+            value = _to_json(value)
+        elif callable(value):
+            raise ConfigError(f"{type(obj).__name__}.{key.name} is a function; not serializable")
+        out[key.name] = value
+    return out
 
 
 def parse_process(data: dict):
     """Build a process specification from its JSON form."""
-    if not isinstance(data, dict) or "family" not in data:
-        raise ConfigError("process must be an object with a 'family' key")
-    family = data["family"]
-    if family == "ou_jump":
-        _require_keys(data, {"family", "H"}, {"levy"}, "process")
-        return OUJump(H=_matrix(data["H"], "process.H"), levy=_parse_levy(data.get("levy")))
-    if family == "piecewise_ou":
-        _require_keys(data, {"family", "l", "M", "Gamma", "v"}, {"sigma", "levy"}, "process")
-        sigma = data.get("sigma")
-        return PiecewiseOU(
-            l=_vector(data["l"], "process.l"),
-            M=_matrix(data["M"], "process.M"),
-            Gamma=_matrix(data["Gamma"], "process.Gamma"),
-            control=ConstantControl(_vector(data["v"], "process.v")),
-            sigma=None if sigma is None else _matrix(sigma, "process.sigma"),
-            levy=_parse_levy(data.get("levy")),
-        )
-    if family == "backward_recurrence":
-        _require_keys(data, {"family", "alpha", "i0"}, set(), "process")
-        return BackwardRecurrence(
-            alpha=_as_float(data["alpha"], "process.alpha"),
-            i0=_as_int(data["i0"], "process.i0"),
-        )
-    if family == "langevin":
-        _require_keys(data, {"family", "alpha", "beta"}, {"dim"}, "process")
-        return LangevinTempered(
-            alpha=_as_float(data["alpha"], "process.alpha"),
-            beta=_as_float(data["beta"], "process.beta"),
-            dim=_as_int(data.get("dim", 1), "process.dim"),
-        )
-    raise ConfigError(f"unknown process family {family!r}")
-
-
-def _jumps_to_dict(kind) -> dict:
-    if isinstance(kind, NoJumps):
-        return {"kind": "none"}
-    if isinstance(kind, CompoundPoisson):
-        if not isinstance(kind.jump_dist, DiscreteJumps):
-            raise ConfigError("only discrete compound-Poisson jumps are serializable")
-        return {
-            "kind": "compound_poisson",
-            "rate": kind.rate,
-            "atoms": kind.jump_dist.atoms.tolist(),
-            "probs": kind.jump_dist.probs.tolist(),
-        }
-    if isinstance(kind, SymmetricStable):
-        return {
-            "kind": "symmetric_stable",
-            "alpha": kind.alpha,
-            "scale": kind.scale,
-            "structure": kind.structure,
-        }
-    if isinstance(kind, StableSubordinatorMeasure):
-        return {"kind": "stable_subordinator", "alpha": kind.alpha}
-    raise ConfigError(f"jump kind {type(kind).__name__} is not serializable")
-
-
-def _levy_to_dict(levy: LevyMeasureSpec) -> dict:
-    return {
-        "b_L": None if levy.b_L is None else levy.b_L.tolist(),
-        "a_L": None if levy.a_L is None else levy.a_L.tolist(),
-        "jumps": _jumps_to_dict(levy.kind),
-    }
-
-
-def process_to_dict(spec) -> dict:
-    """The canonical JSON form of a process specification."""
-    if isinstance(spec, OUJump):
-        return {"family": "ou_jump", "H": spec.H.tolist(), "levy": _levy_to_dict(spec.levy)}
-    if isinstance(spec, PiecewiseOU):
-        if not isinstance(spec.control, ConstantControl):
-            raise ConfigError("only constant controls are serializable")
-        if spec.sigma is not None and callable(spec.sigma):
-            raise ConfigError("state-dependent sigma is not serializable")
-        return {
-            "family": "piecewise_ou",
-            "l": spec.l.tolist(),
-            "M": spec.M.tolist(),
-            "Gamma": spec.Gamma.tolist(),
-            "v": spec.control.v.tolist(),
-            "sigma": None if spec.sigma is None else np.asarray(spec.sigma).tolist(),
-            "levy": _levy_to_dict(spec.levy),
-        }
-    if isinstance(spec, BackwardRecurrence):
-        return {"family": "backward_recurrence", "alpha": spec.alpha, "i0": spec.i0}
-    if isinstance(spec, LangevinTempered):
-        return {
-            "family": "langevin",
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "dim": spec.dim,
-        }
-    raise ConfigError(f"process {type(spec).__name__} is not serializable")
+    return _from_json("process", data)
 
 
 # ---------------------------------------------------------------------------
 # experiment config parsing
 # ---------------------------------------------------------------------------
-
-
-def _ou_gaussian_params(spec) -> tuple[float, float] | None:
-    """(|h|, a) when the invariant law is a known scalar centered Gaussian."""
-    if not isinstance(spec, OUJump):
-        return None
-    if spec.H.shape != (1, 1):
-        return None
-    levy = spec.levy
-    if not isinstance(levy.kind, NoJumps) or levy.a_L is None:
-        return None
-    if levy.b_L is not None and np.any(levy.b_L != 0.0):
-        return None
-    h = float(spec.H[0, 0])
-    a = float(levy.a_L[0, 0])
-    if h >= 0 or a <= 0:
-        return None
-    return -h, a
-
-
-def _supports_exact_invariant(spec) -> bool:
-    return isinstance(spec, BackwardRecurrence) or _ou_gaussian_params(spec) is not None
-
-
-def _parse_distance(data) -> DistanceSpec:
-    _require_keys(data, {"kind"}, {"epsilon"}, "distance")
-    eps = data.get("epsilon")
-    return DistanceSpec(kind=data["kind"], epsilon=None if eps is None else _as_float(eps, "epsilon"))
-
-
-def _parse_reference(data) -> ReferenceSpec:
-    _require_keys(data, {"kind"}, {"t_burn", "quantile_points"}, "reference")
-    kind = data.get("kind")
-    if kind == "exact_invariant" and "t_burn" in data and data["t_burn"] is not None:
-        raise ConfigError("exact_invariant takes no t_burn")
-    if kind == "long_run_empirical" and "quantile_points" in data:
-        raise ConfigError("long_run_empirical takes no quantile_points")
-    t_burn = data.get("t_burn")
-    kwargs = {}
-    if "quantile_points" in data:
-        kwargs["quantile_points"] = _as_int(data["quantile_points"], "quantile_points")
-    return ReferenceSpec(
-        kind=kind,
-        t_burn=None if t_burn is None else _as_float(t_burn, "t_burn"),
-        **kwargs,
-    )
 
 
 _EXPERIMENT_REQUIRED = {
@@ -556,12 +580,12 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     seed = _as_int(data["seed"], "seed")
-    distance = _parse_distance(data["distance"])
+    distance = _from_json("distance", data["distance"])
     p = _as_float(data["p"], "p")
     if not p >= 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
-    reference = _parse_reference(data["reference"])
-    if reference.kind == "exact_invariant" and not _supports_exact_invariant(process):
+    reference = _from_json("reference", data["reference"])
+    if reference.kind == "exact_invariant" and process.exact_invariant() is None:
         raise ConfigError(
             "reference 'exact_invariant' requires a process with a known invariant "
             "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
@@ -606,22 +630,15 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The canonical JSON form: parse -> serialize -> parse is the identity."""
-    dist = {"kind": cfg.distance.kind}
-    if cfg.distance.kind == "sinkhorn":
-        dist["epsilon"] = cfg.distance.epsilon
-    if cfg.reference.kind == "exact_invariant":
-        ref = {"kind": "exact_invariant", "quantile_points": cfg.reference.quantile_points}
-    else:
-        ref = {"kind": "long_run_empirical", "t_burn": cfg.reference.t_burn}
     return {
-        "process": process_to_dict(cfg.process),
+        "process": _to_json(cfg.process),
         "x0": list(cfg.x0),
         "t_grid": list(cfg.t_grid),
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,
-        "distance": dist,
+        "distance": _to_json(cfg.distance),
         "p": cfg.p,
-        "reference": ref,
+        "reference": _to_json(cfg.reference),
         "rate_model": cfg.rate_model,
         "outputs": cfg.outputs,
         "bracket": None if cfg.bracket is None else list(cfg.bracket),
@@ -658,28 +675,27 @@ def distance_between(dist: DistanceSpec, mu: EmpiricalMeasure, nu: EmpiricalMeas
     return float(res.cost ** (1.0 / p))
 
 
-def _chain_invariant(spec: BackwardRecurrence) -> EmpiricalMeasure:
-    truncation = 1024
-    while True:
+def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
+    """The chain's tabulated invariant law, doubling ``truncation`` until its
+    tail passes the test of :func:`invariant_exact`, up to ``_MAX_TRUNCATION``."""
+    while truncation <= _MAX_TRUNCATION:
         try:
             return invariant_exact(spec, truncation)
         except ConfigError:
-            if truncation >= _MAX_TRUNCATION:
-                raise
             truncation *= 2
+    raise ConfigError(
+        f"the invariant law needs a truncation above the limit {_MAX_TRUNCATION}"
+    )
 
 
 def _build_reference(cfg: ExperimentConfig) -> EmpiricalMeasure:
     ref = cfg.reference
     if ref.kind == "exact_invariant":
-        if isinstance(cfg.process, BackwardRecurrence):
+        if cfg.process.exact_invariant() == "chain":
             return _chain_invariant(cfg.process)
-        h_abs, a = _ou_gaussian_params(cfg.process)
+        # midpoint quantiles of the centred Gaussian invariant law
         k = ref.quantile_points
-        from scipy import stats
-
-        scale = math.sqrt(a / (2.0 * h_abs))
-        quantiles = stats.norm.ppf((np.arange(k) + 0.5) / k, loc=0.0, scale=scale)
+        quantiles = special.ndtri((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
         return EmpiricalMeasure(points=quantiles[:, None], weights=np.full(k, 1.0 / k))
     burn_grid = np.array([0.0, ref.t_burn])
     batch = simulate(
@@ -832,6 +848,11 @@ def _cmd_simulate(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     grid = _resolve_grid(data["t_grid"], "arithmetic")
     n_paths = _as_int(data["n_paths"], "n_paths")
+    if n_paths * grid.size * spec.dim > CSV_MAX_VALUES:
+        raise ConfigError(
+            f"{n_paths} paths x {grid.size} times x {spec.dim} coordinates exceed the "
+            f"{CSV_MAX_VALUES:,} values a trajectory CSV may hold"
+        )
     max_step = _as_float(data.get("max_step", 0.01), "max_step")
     batch = simulate(
         spec,
@@ -889,47 +910,20 @@ def _cmd_ratefit(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _parse_lyapunov(data: dict, dim: int):
-    _require_keys(data, {"family"}, {"theta", "zeta", "Q"}, "lyapunov")
-    q_mat = np.asarray(data["Q"], dtype=float) if "Q" in data else np.eye(dim)
-    qf = QuadForm(q_mat)
-    family = data["family"]
-    if family == "poly":
-        return PolyNorm(qf, _as_float(data["theta"], "lyapunov.theta"))
-    if family == "poly_plus_one":
-        return PolyNormPlusOne(qf, _as_float(data["theta"], "lyapunov.theta"))
-    if family == "exp":
-        return ExpNorm(qf, _as_float(data["zeta"], "lyapunov.zeta"))
-    raise ConfigError(f"unknown lyapunov family {family!r}")
+def _generator(spec) -> GeneratorSpec:
+    """The generator of a continuous-time spec: drift, ``a = sigma sigma'``, Lévy part."""
+    if spec.discrete_time:
+        raise ConfigError(f"driftcheck needs a continuous-time process, got {type(spec).__name__}")
+    sigma = spec.sigma
 
+    def diffusion(x):
+        s = sigma_matrix(sigma, x)
+        return s @ s.T
 
-def _parse_phi(data: dict):
-    _require_keys(data, {"family"}, {"kappa", "prefactor", "c_hat"}, "phi")
-    family = data["family"]
-    if family == "power":
-        return PowerPhi(
-            kappa=_as_float(data["kappa"], "phi.kappa"),
-            prefactor=_as_float(data.get("prefactor", 1.0), "phi.prefactor"),
-        )
-    if family == "linear":
-        return LinearPhi(c_hat=_as_float(data["c_hat"], "phi.c_hat"))
-    raise ConfigError(f"unknown phi family {family!r}")
-
-
-def _generator_for(spec) -> GeneratorSpec:
-    if isinstance(spec, LangevinTempered):
-        def drift(x):
-            return langevin_coeffs(spec, x)[0]
-
-        def diffusion(x):
-            sig = langevin_coeffs(spec, x)[1]
-            return np.diag(np.atleast_1d(sig) ** 2)
-
-        return GeneratorSpec(b=drift, a=diffusion)
-    if isinstance(spec, OUJump):
-        return GeneratorSpec(b=lambda x: spec.H @ x, a=None, levy=spec.levy)
-    raise ConfigError(
-        f"driftcheck supports the langevin and ou_jump families, got {type(spec).__name__}"
+    return GeneratorSpec(
+        b=lambda x: spec.drift(x[None, :])[0],
+        a=None if sigma is None else diffusion,
+        levy=spec.levy,
     )
 
 
@@ -942,10 +936,9 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
         "driftcheck config",
     )
     spec = parse_process(data["process"])
-    gen = _generator_for(spec)
-    dim = getattr(spec, "dim", None) or spec.H.shape[0]
-    fn = _parse_lyapunov(data["lyapunov"], dim)
-    phi = _parse_phi(data["phi"])
+    gen = _generator(spec)
+    fn = _from_json("lyapunov", data["lyapunov"], Q=QuadForm(np.eye(spec.dim)))
+    phi = _from_json("phi", data["phi"])
     grid_obj = data["grid"]
     if isinstance(grid_obj, dict):
         _require_keys(grid_obj, {"lo", "hi", "points"}, set(), "grid")
@@ -1047,22 +1040,26 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     if not isinstance(spec, BackwardRecurrence):
         raise ConfigError("the lower-bound construction applies to backward_recurrence")
+    s_obj = data["s_grid"]
+    if isinstance(s_obj, dict):
+        _require_keys(s_obj, {"min", "max", "points"}, set(), "s_grid")
+        s_grid = np.geomspace(
+            _as_float(s_obj["min"], "s_grid.min"),
+            _as_float(s_obj["max"], "s_grid.max"),
+            _as_int(s_obj["points"], "s_grid.points"),
+        )
+    else:
+        s_grid = _vector(s_obj, "s_grid")
     trunc = data.get("truncation", "auto")
     if trunc == "auto":
-        pi = _chain_invariant(spec)
+        # the tabulated law must reach the largest level, or its tail there is 0
+        start = 1024
+        while start < np.max(s_grid, initial=0.0) and start <= _MAX_TRUNCATION:
+            start *= 2
+        pi = _chain_invariant(spec, start)
     else:
         pi = invariant_exact(spec, _as_int(trunc, "truncation"))
-    par = data["params"]
-    _require_keys(
-        par, {"theta", "vartheta", "eps_var", "eps_small", "p"}, set(), "lower params"
-    )
-    params = LowerRateParams(
-        theta=_as_float(par["theta"], "theta"),
-        vartheta=_as_float(par["vartheta"], "vartheta"),
-        eps_var=_as_float(par["eps_var"], "eps_var"),
-        eps_small=_as_float(par["eps_small"], "eps_small"),
-        p=_as_float(par["p"], "p"),
-    )
+    params = _from_json("lower params", data["params"])
     theta_v = _as_float(data.get("lyapunov_exponent", params.theta), "lyapunov_exponent")
     lip = _as_float(data.get("lipschitz", 1.0), "lipschitz")
     inst = LowerBoundInstance(
@@ -1074,16 +1071,6 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
         params=params,
         x0=_vector(data["x0"], "x0"),
     )
-    s_obj = data["s_grid"]
-    if isinstance(s_obj, dict):
-        _require_keys(s_obj, {"min", "max", "points"}, set(), "s_grid")
-        s_grid = np.geomspace(
-            _as_float(s_obj["min"], "s_grid.min"),
-            _as_float(s_obj["max"], "s_grid.max"),
-            _as_int(s_obj["points"], "s_grid.points"),
-        )
-    else:
-        s_grid = _vector(s_obj, "s_grid")
     curve = lower_bound_curve(inst, _as_int(data["n_terms"], "n_terms"), s_grid=s_grid)
     curve.to_csv(out / "lower.csv")
     print(
@@ -1098,33 +1085,8 @@ def _cmd_subordinate(data: dict, out: Path, seed) -> int:
     _require_keys(
         data, {"rate", "p", "subordinator", "t", "n_mc", "seed"}, {"b_s"}, "subordinate config"
     )
-    rate_obj = data["rate"]
-    _require_keys(rate_obj, {"kind"}, {"gamma", "exponent", "scale"}, "rate")
-    if rate_obj["kind"] == "exponential":
-        r = Exponential(
-            gamma=_as_float(rate_obj["gamma"], "rate.gamma"),
-            scale=_as_float(rate_obj.get("scale", 1.0), "rate.scale"),
-        )
-    elif rate_obj["kind"] == "polynomial":
-        r = Polynomial(
-            exponent=_as_float(rate_obj["exponent"], "rate.exponent"),
-            scale=_as_float(rate_obj.get("scale", 1.0), "rate.scale"),
-        )
-    else:
-        raise ConfigError(f"unknown rate kind {rate_obj['kind']!r}")
-    sub_obj = data["subordinator"]
-    _require_keys(sub_obj, {"kind"}, {"alpha", "a", "b_hat"}, "subordinator")
-    if sub_obj["kind"] == "stable":
-        kind = StableSub(alpha=_as_float(sub_obj["alpha"], "subordinator.alpha"))
-    elif sub_obj["kind"] == "gamma":
-        kind = GammaSub(
-            a=_as_float(sub_obj["a"], "subordinator.a"),
-            b_hat=_as_float(sub_obj["b_hat"], "subordinator.b_hat"),
-        )
-    elif sub_obj["kind"] == "drift_only":
-        kind = DriftOnly()
-    else:
-        raise ConfigError(f"unknown subordinator kind {sub_obj['kind']!r}")
+    r = _from_json("rate", data["rate"])
+    kind = _from_json("subordinator", data["subordinator"])
     spec = SubordinatorSpec(kind=kind, b_S=_as_float(data.get("b_s", 0.0), "b_s"))
     p = _as_float(data["p"], "p")
     n_mc = _as_int(data["n_mc"], "n_mc")
@@ -1171,12 +1133,6 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to a JSON configuration file")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out-dir", default=".", help="directory for output artifacts")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved for future parallel backends (currently single-threaded)",
-        )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -39,15 +39,7 @@ from .errors import (
     NotDissipativeError,
 )
 from .lyapunov import QuadForm
-from .processes import (
-    ConstantControl,
-    GenericIto,
-    OUJump,
-    PiecewiseOU,
-    TrajectoryBatch,
-    piecewise_drift,
-    simulate,
-)
+from .processes import TrajectoryBatch, sigma_matrix, simulate
 
 __all__ = [
     "CoupledBatch",
@@ -226,31 +218,6 @@ def find_q(M, Gamma, v, search: DiagonalGrid = DiagonalGrid()):
 # ---------------------------------------------------------------------------
 
 
-def _drift_eval(spec, pt: np.ndarray) -> np.ndarray:
-    if isinstance(spec, OUJump):
-        return spec.H @ pt
-    if isinstance(spec, PiecewiseOU):
-        if not isinstance(spec.control, ConstantControl):
-            raise ConfigError("dissipativity evaluation requires a constant control")
-        return piecewise_drift(spec.l, spec.M, spec.Gamma, spec.control.v, pt)
-    if isinstance(spec, GenericIto):
-        if spec.b is None:
-            return np.zeros_like(pt)
-        return np.asarray(spec.b(pt[None, :]), dtype=float)[0]
-    raise ConfigError(f"unsupported spec for dissipativity evaluation: {type(spec).__name__}")
-
-
-def _sigma_matrix(spec, pt: np.ndarray) -> np.ndarray | None:
-    """Diffusion matrix at a point; ``None`` when constant or absent."""
-    sigma = getattr(spec, "sigma", None)
-    if sigma is None or not callable(sigma):
-        return None  # constant sigma has zero difference
-    out = np.asarray(sigma(pt[None, :]), dtype=float)
-    if out.ndim == 3:
-        return out[0]
-    return np.diag(out[0])
-
-
 def dissipativity_lhs(
     spec,
     Q: QuadForm,
@@ -283,9 +250,13 @@ def dissipativity_lhs(
     z = np.asarray(z, dtype=float).ravel()
     if not np.any(z):
         return 0.0
+    if spec.discrete_time:
+        raise ConfigError(
+            f"dissipativity evaluation needs a continuous-time process, got {type(spec).__name__}"
+        )
     qm = Q.Q
     qz = qm @ z
-    db = _drift_eval(spec, x + z) - _drift_eval(spec, x)
+    db = spec.drift((x + z)[None, :])[0] - spec.drift(x[None, :])[0]
 
     j2 = jp = 0.0
     if jump_coeff is not None:
@@ -312,15 +283,13 @@ def dissipativity_lhs(
 
     total = 2.0 * float(db @ qz)
 
-    ds = None
-    sig_far = _sigma_matrix(spec, x + z)
-    if sig_far is not None:
-        ds = sig_far - _sigma_matrix(spec, x)
-    if ds is not None and np.any(ds):
-        total += float(np.trace(qm @ ds @ ds.T))
-        vals, vecs = np.linalg.eigh(qm)
-        sqrt_q = (vecs * np.sqrt(vals)) @ vecs.T
-        total += (p - 2.0) * float(np.linalg.norm(sqrt_q @ ds, 2)) ** 2
+    if callable(spec.sigma):  # a constant sigma has zero difference
+        ds = sigma_matrix(spec.sigma, x + z) - sigma_matrix(spec.sigma, x)
+        if np.any(ds):
+            total += float(np.trace(qm @ ds @ ds.T))
+            vals, vecs = np.linalg.eigh(qm)
+            sqrt_q = (vecs * np.sqrt(vals)) @ vecs.T
+            total += (p - 2.0) * float(np.linalg.norm(sqrt_q @ ds, 2)) ** 2
 
     if j2 > 0.0 or jp > 0.0:
         if p * (p - 1.0) == 0.0:

@@ -25,7 +25,6 @@ and ``t_n`` solves the matching equation
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable
 

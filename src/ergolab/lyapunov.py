@@ -51,7 +51,6 @@ from .processes import (
     DiscreteJumps,
     LevyMeasureSpec,
     NoJumps,
-    SamplerJumps,
     StableSubordinatorMeasure,
     SymmetricStable,
 )
@@ -387,18 +386,9 @@ def _eval_coeff(c, x, default=None):
     return np.asarray(c, dtype=float)
 
 
-def _growth_of(fn) -> Growth:
-    return getattr(fn, "growth", None)
-
-
-def _check_jump_integrability(levy: LevyMeasureSpec, fn, compensation: str) -> None:
-    kind = levy.kind
-    if isinstance(kind, NoJumps):
-        return
-    growth = _growth_of(fn)
-    if isinstance(kind, CompoundPoisson) and isinstance(kind.jump_dist, DiscreteJumps):
-        return  # finite measure, bounded jumps: every growth integrates
-    tc = levy.theta_class()
+def _check_growth(tc, fn) -> None:
+    """The function's declared growth must integrate against moment classes ``tc``."""
+    growth = getattr(fn, "growth", None)
     if growth is None:
         raise IntegrabilityError(
             "cannot verify jump integrability: declare the function's growth class"
@@ -418,14 +408,6 @@ def _check_jump_integrability(levy: LevyMeasureSpec, fn, compensation: str) -> N
             )
     else:
         raise ConfigError(f"unknown growth class {growth!r}")
-    if isinstance(kind, SymmetricStable) and compensation == "none" and kind.alpha >= 1.0:
-        raise IntegrabilityError(
-            "uncompensated stable jump integrals require alpha < 1"
-        )
-    if isinstance(kind, StableSubordinatorMeasure) and compensation == "full":
-        raise IntegrabilityError(
-            "full compensation diverges for one-sided subordinator measures"
-        )
 
 
 def _rng_for_point(seed: int, point_index: int) -> np.random.Generator:
@@ -451,10 +433,7 @@ def _jump_cp_discrete(kind: CompoundPoisson, fn, x, grad, compensation) -> Gener
 
 
 def _jump_cp_sampler(kind, fn, x, grad, compensation, m, rng) -> GeneratorResult:
-    jd = kind.jump_dist
-    ys = np.asarray(jd.sampler(rng, m), dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, None]
+    ys = kind.jump_dist.sample(rng, m)
     vals = np.array([float(fn.value(x + y)) for y in ys]) - float(fn.value(x))
     if compensation == "full":
         vals -= ys @ grad
@@ -509,28 +488,35 @@ def _outer_tail_quad(integrand, max_blocks: int = 200) -> tuple[float, float]:
     return total, err
 
 
-def _quad_symmetric_axis(fn, x, direction, alpha) -> tuple[float, float]:
-    """``int_0^inf [f(x+r d) + f(x-r d) - 2 f(x)] r^{-1-alpha} dr`` by split quadrature."""
+def _split_quad(curvature, difference, alpha) -> tuple[float, float]:
+    """``int_0^inf difference(r) r^{-1-alpha} dr``, split at ``r = 1``.
 
-    def hess_pair(t, r):
-        hp = fn.hess(x + t * r * direction)
-        hm = fn.hess(x - t * r * direction)
-        return float(direction @ (hp + hm) @ direction)
-
+    Below 1 the difference is integrated in Taylor-remainder form,
+    ``r^2 int_0^1 (1-t) curvature(t r) dt``, so nothing cancels near 0.
+    """
     # substitution r = v^{1/(2-alpha)} turns int_0^1 r^{1-alpha} T(r) dr into
     # the smooth integral p * int_0^1 T(v^p) dv, p = 1/(2-alpha)
     p_sub = 1.0 / (2.0 - alpha)
 
     def inner_integrand(v):
         r = v**p_sub
-        t_int, _ = quad(lambda t: (1.0 - t) * hess_pair(t, r), 0.0, 1.0, epsabs=1e-11, epsrel=1e-10)
+        t_int, _ = quad(lambda t: (1.0 - t) * curvature(t * r), 0.0, 1.0, epsabs=1e-11, epsrel=1e-10)
         return p_sub * t_int
 
     i_in, e_in = quad(inner_integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=100)
-    i_out, e_out = _outer_tail_quad(
-        lambda r: _second_diff_axis(fn, x, direction, r) * r ** (-1.0 - alpha)
-    )
+    i_out, e_out = _outer_tail_quad(lambda r: difference(r) * r ** (-1.0 - alpha))
     return i_in + i_out, e_in + e_out
+
+
+def _quad_symmetric_axis(fn, x, direction, alpha) -> tuple[float, float]:
+    """``int_0^inf [f(x+r d) + f(x-r d) - 2 f(x)] r^{-1-alpha} dr`` by split quadrature."""
+
+    def hess_pair(s):
+        hp = fn.hess(x + s * direction)
+        hm = fn.hess(x - s * direction)
+        return float(direction @ (hp + hm) @ direction)
+
+    return _split_quad(hess_pair, lambda r: _second_diff_axis(fn, x, direction, r), alpha)
 
 
 def _jump_stable_1d_axes(kind: SymmetricStable, fn, x) -> GeneratorResult:
@@ -591,48 +577,44 @@ def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad, compensatio
     if e is None:
         raise ConfigError("subordinator jump measures are one-dimensional")
 
-    p_sub = 1.0 / (2.0 - alpha)
-
-    def inner_integrand(v):
-        y = v**p_sub
-        t_int, _ = quad(
-            lambda t: (1.0 - t) * float(fn.hess(x + t * y * e)[0, 0]),
-            0.0,
-            1.0,
-            epsabs=1e-11,
-            epsrel=1e-10,
-        )
-        return p_sub * t_int
-
-    i_in, e_in = quad(inner_integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=100)
-    i_out, e_out = _outer_tail_quad(
-        lambda y: (float(fn.value(x + y * e)) - float(fn.value(x))) * y ** (-1.0 - alpha)
+    integral, err = _split_quad(
+        lambda s: float(fn.hess(x + s * e)[0, 0]),
+        lambda y: float(fn.value(x + y * e)) - float(fn.value(x)),
+        alpha,
     )
-    value = a_const * (i_in + i_out)
+    value = a_const * integral
     if compensation == "none":
         # shift from ball-compensated to raw differences:
         # + grad . int_0^1 y nu(dy) = grad * A / (1 - alpha)
         value += a_const * float(grad[0]) / (1.0 - alpha)
-    return GeneratorResult(value, a_const * (e_in + e_out))
+    return GeneratorResult(value, a_const * err)
 
 
 def _jump_part(gen: GeneratorSpec, fn, x, grad, m, rng) -> GeneratorResult:
+    """The jump integral of ``fn`` at ``x``, after checking it is defined for this kind."""
     kind = gen.levy.kind
     comp = gen.jump_compensation
     if isinstance(kind, NoJumps):
         return GeneratorResult(0.0, 0.0)
-    _check_jump_integrability(gen.levy, fn, comp)
+    if isinstance(kind, CompoundPoisson) and isinstance(kind.jump_dist, DiscreteJumps):
+        # finite measure, bounded jumps: every growth integrates
+        return _jump_cp_discrete(kind, fn, x, grad, comp)
+    _check_growth(kind.theta_class(), fn)
     if isinstance(kind, CompoundPoisson):
-        if isinstance(kind.jump_dist, DiscreteJumps):
-            return _jump_cp_discrete(kind, fn, x, grad, comp)
         return _jump_cp_sampler(kind, fn, x, grad, comp, m, rng)
     if isinstance(kind, SymmetricStable):
+        if comp == "none" and kind.alpha >= 1.0:
+            raise IntegrabilityError("uncompensated stable jump integrals require alpha < 1")
         # for symmetric measures the compensation conventions agree in value
         # wherever defined (the linear term vanishes by symmetry)
         if x.shape[0] == 1 or kind.structure == "independent":
             return _jump_stable_1d_axes(kind, fn, x)
         return _jump_stable_isotropic_mc(kind, fn, x, m, rng)
     if isinstance(kind, StableSubordinatorMeasure):
+        if comp == "full":
+            raise IntegrabilityError(
+                "full compensation diverges for one-sided subordinator measures"
+            )
         return _jump_subordinator(kind, fn, x, grad, comp)
     raise ConfigError(f"unknown jump kind {kind!r}")
 

@@ -5,7 +5,8 @@ The module couples two layers:
 * specification types — immutable descriptions of a driving Lévy process
   (:class:`LevyMeasureSpec`: drift, Gaussian part, jump measure kind) and of a
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
-  :class:`NonlinearSS`, :class:`BackwardRecurrence`, :class:`GenericIto`);
+  :class:`NonlinearSS`, :class:`BackwardRecurrence`, :class:`GenericIto`), each
+  a :class:`ProcessSpec` that states the facts its callers need;
 * numerics — :func:`simulate` (Euler–Maruyama with exact-in-law noise
   increments per step; exact recursion for the discrete-time kinds),
   :func:`sample_stable` (Chambers–Mallows–Stuck), :func:`invariant_exact`
@@ -34,9 +35,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Literal, Union
+from typing import Callable, ClassVar, Literal, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -70,6 +70,7 @@ __all__ = [
     "ou_exact_transition",
     "piecewise_drift",
     "langevin_coeffs",
+    "sigma_matrix",
     "spec_fingerprint",
 ]
 
@@ -80,11 +81,29 @@ _BLOCK_SIZE = 16384
 # ---------------------------------------------------------------------------
 # Lévy measure specifications
 # ---------------------------------------------------------------------------
+#
+# Every jump kind answers ``theta_class()`` (its moment classes) and
+# ``increment(dim, dt, rng, m)`` (exact-in-law jump increments of ``m`` paths
+# over one step of length ``dt``, or None when there are no jumps).
+
+
+@dataclass(frozen=True)
+class ThetaClass:
+    """Moment classes of a jump measure: polynomial supremum and exponential rate."""
+
+    theta_sup: float
+    exp_rate: float | None
 
 
 @dataclass(frozen=True)
 class NoJumps:
     """Empty jump measure."""
+
+    def theta_class(self) -> ThetaClass:
+        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
+
+    def increment(self, dim: int, dt: float, rng, m: int) -> None:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +131,13 @@ class DiscreteJumps:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
+    def theta_class(self) -> ThetaClass:
+        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        picks = rng.choice(self.atoms.shape[0], size=size, p=self.probs)
+        return self.atoms[picks]
+
 
 @dataclass(frozen=True)
 class SamplerJumps:
@@ -133,6 +159,13 @@ class SamplerJumps:
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
 
+    def theta_class(self) -> ThetaClass:
+        return ThetaClass(theta_sup=self.theta_sup, exp_rate=self.exp_rate)
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        jumps = np.asarray(self.sampler(rng, size), dtype=float)
+        return jumps[:, None] if jumps.ndim == 1 else jumps
+
 
 @dataclass(frozen=True)
 class CompoundPoisson:
@@ -144,6 +177,19 @@ class CompoundPoisson:
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"rate must be positive, got {self.rate}")
+
+    def theta_class(self) -> ThetaClass:
+        return self.jump_dist.theta_class()
+
+    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+        counts = rng.poisson(self.rate * dt, m)
+        total = int(counts.sum())
+        inc = np.zeros((m, dim))
+        if total > 0:
+            jumps = self.jump_dist.sample(rng, total)
+            idx = np.repeat(np.arange(m), counts)
+            np.add.at(inc, idx, jumps)
+        return inc
 
 
 @dataclass(frozen=True)
@@ -162,6 +208,18 @@ class SymmetricStable:
         if self.structure not in ("isotropic", "independent"):
             raise ConfigError(f"unknown structure {self.structure!r}")
 
+    def theta_class(self) -> ThetaClass:
+        return ThetaClass(theta_sup=self.alpha, exp_rate=None)
+
+    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+        amp = dt ** (1.0 / self.alpha) * self.scale
+        if dim == 1 or self.structure == "independent":
+            return amp * _cms(self.alpha, 0.0, rng, (m, dim))
+        # isotropic: Gaussian subordinated by a one-sided (alpha/2)-stable factor
+        lam = standard_one_sided_stable(self.alpha / 2.0, rng, (m, 1))
+        z = rng.standard_normal((m, dim))
+        return amp * np.sqrt(2.0 * lam) * z
+
 
 @dataclass(frozen=True)
 class StableSubordinatorMeasure:
@@ -173,16 +231,17 @@ class StableSubordinatorMeasure:
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
 
+    def theta_class(self) -> ThetaClass:
+        return ThetaClass(theta_sup=self.alpha, exp_rate=None)
+
+    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+        if dim != 1:
+            raise ConfigError("subordinator jump measures are one-dimensional")
+        amp = dt ** (1.0 / self.alpha)
+        return amp * standard_one_sided_stable(self.alpha, rng, (m, 1))
+
 
 JumpKind = Union[NoJumps, CompoundPoisson, SymmetricStable, StableSubordinatorMeasure]
-
-
-@dataclass(frozen=True)
-class ThetaClass:
-    """Moment classes of a jump measure: polynomial supremum and exponential rate."""
-
-    theta_sup: float
-    exp_rate: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,19 +267,7 @@ class LevyMeasureSpec:
             object.__setattr__(self, "a_L", a)
 
     def theta_class(self) -> ThetaClass:
-        kind = self.kind
-        if isinstance(kind, NoJumps):
-            return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
-        if isinstance(kind, CompoundPoisson):
-            jd = kind.jump_dist
-            if isinstance(jd, DiscreteJumps):
-                return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
-            return ThetaClass(theta_sup=jd.theta_sup, exp_rate=jd.exp_rate)
-        if isinstance(kind, SymmetricStable):
-            return ThetaClass(theta_sup=kind.alpha, exp_rate=None)
-        if isinstance(kind, StableSubordinatorMeasure):
-            return ThetaClass(theta_sup=kind.alpha, exp_rate=None)
-        raise ConfigError(f"unknown jump kind {kind!r}")
+        return self.kind.theta_class()
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +306,52 @@ class MarkovControl:
             )
 
 
+class ProcessSpec:
+    """Facts every process family gives its callers, so none checks its type.
+
+    ``dim``; ``discrete_time`` (True: integer times, advanced by ``step(x,
+    rng)``); for continuous time ``levy``, a batched ``drift(x)``, ``sigma``
+    (None, a constant matrix or a batched callable) and ``stepper(dts)``,
+    which returns ``advance(x, dt, rng)`` for one substep of the continuous
+    part (Euler–Maruyama unless a family integrates exactly); and
+    ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
+    ``"gaussian"`` (centred, ``invariant_sd()``) or None.
+    """
+
+    discrete_time: ClassVar[bool] = False
+
+    def exact_invariant(self) -> str | None:
+        return None
+
+    def stepper(self, dts):
+        """Euler–Maruyama in the drift, ``sigma`` and the Gaussian Lévy part."""
+        drift, sigma, levy = self.drift, self.sigma, self.levy
+        sqrt_al = None
+        if levy.a_L is not None and np.any(levy.a_L):
+            sqrt_al = _psd_sqrt_matrix(levy.a_L)
+
+        def advance(x, dt, rng):
+            step = drift(x) * dt
+            if levy.b_L is not None:
+                step = step + levy.b_L[None, :] * dt
+            if sigma is not None:
+                z = rng.standard_normal(x.shape)
+                step = step + _sigma_apply(sigma, x, z) * math.sqrt(dt)
+            if sqrt_al is not None:
+                z2 = rng.standard_normal(x.shape)
+                step = step + (z2 @ sqrt_al.T) * math.sqrt(dt)
+            return x + step
+
+        return advance
+
+
 @dataclass(frozen=True)
-class LangevinTempered:
+class LangevinTempered(ProcessSpec):
     """Langevin diffusion with heavy-tailed target ``pi(x) = c |x|^{-1/alpha}``
     outside the unit ball and a C2 radial interior blend; ``sigma = pi^{-beta} I``.
     """
+
+    levy: ClassVar[LevyMeasureSpec] = LevyMeasureSpec()
 
     alpha: float
     beta: float
@@ -282,10 +370,18 @@ class LangevinTempered:
         if self.interior_profile != "c2-blend":
             raise ConfigError(f"unknown interior profile {self.interior_profile!r}")
 
+    def drift(self, x):
+        return langevin_coeffs(self, x)[0]
+
+    def sigma(self, x):
+        return langevin_coeffs(self, x)[1]
+
 
 @dataclass(frozen=True, eq=False)
-class OUJump:
-    """Linear drift ``Hx`` driven by a Lévy process."""
+class OUJump(ProcessSpec):
+    """Linear drift ``Hx`` driven by a Lévy process; the Gaussian part is ``a_L``."""
+
+    sigma: ClassVar[None] = None
 
     H: np.ndarray
     levy: LevyMeasureSpec
@@ -297,9 +393,45 @@ class OUJump:
         h.flags.writeable = False
         object.__setattr__(self, "H", h)
 
+    @property
+    def dim(self) -> int:
+        return self.H.shape[0]
+
+    def drift(self, x):
+        return x @ self.H.T
+
+    def stepper(self, dts):
+        """Exact integration of the linear drift and the Gaussian part per substep."""
+        terms = {dt: _ou_step_terms(self, dt) for dt in dts}
+
+        def advance(x, dt, rng):
+            prop, drift_term, noise_sqrt = terms[dt]
+            x = x @ prop.T + drift_term[None, :]
+            if noise_sqrt is not None:
+                x = x + rng.standard_normal(x.shape) @ noise_sqrt.T
+            return x
+
+        return advance
+
+    def invariant_sd(self) -> float | None:
+        """Standard deviation of the invariant law when it is a centred scalar Gaussian."""
+        levy = self.levy
+        if self.H.shape != (1, 1) or levy.kind != NoJumps() or levy.a_L is None:
+            return None
+        if levy.b_L is not None and np.any(levy.b_L != 0.0):
+            return None
+        h = float(self.H[0, 0])
+        a = float(levy.a_L[0, 0])
+        if h >= 0 or a <= 0:
+            return None
+        return math.sqrt(a / (2.0 * -h))
+
+    def exact_invariant(self) -> str | None:
+        return None if self.invariant_sd() is None else "gaussian"
+
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseOU:
+class PiecewiseOU(ProcessSpec):
     """Piecewise linear drift ``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` plus noise."""
 
     l: np.ndarray
@@ -338,10 +470,19 @@ class PiecewiseOU:
     def dim(self) -> int:
         return self.l.shape[0]
 
+    def drift(self, x):
+        if isinstance(self.control, ConstantControl):
+            return piecewise_drift(self.l, self.M, self.Gamma, self.control.v, x)
+        vx = np.asarray(self.control.fn(x), dtype=float)
+        s = np.clip(x.sum(axis=1), 0.0, None)[:, None]
+        return self.l[None, :] - (x - s * vx) @ self.M.T - s * (vx @ self.Gamma.T)
+
 
 @dataclass(frozen=True)
-class NonlinearSS:
+class NonlinearSS(ProcessSpec):
     """Discrete-time recursion ``X_{k+1} = F(X_k) + W_{k+1}`` with growth metadata."""
+
+    discrete_time: ClassVar[bool] = True
 
     F: Callable[[np.ndarray], np.ndarray]
     noise: Callable[[np.random.Generator, int], np.ndarray]
@@ -358,15 +499,26 @@ class NonlinearSS:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"growth constant {name} must be positive")
 
+    def step(self, x, rng):
+        w = np.asarray(self.noise(rng, x.shape[0]), dtype=float)
+        if w.ndim == 1:
+            w = w[:, None]
+        x = np.asarray(self.F(x), dtype=float) + w
+        _check_blowup(x)
+        return x
+
 
 @dataclass(frozen=True)
-class BackwardRecurrence:
+class BackwardRecurrence(ProcessSpec):
     """Chain on the nonnegative integers: up with probability ``p_i``, else reset to 0.
 
     ``p_0 = 1``; ``p_i = 1/2`` for ``1 <= i < i0``; ``p_i = 1 - (1+alpha)/i``
     for ``i >= i0`` (reset probability ``(1+alpha)/i``), which produces the
     polynomial invariant tail ``pi(i) ~ C i^{-(1+alpha)}``.
     """
+
+    discrete_time: ClassVar[bool] = True
+    dim: ClassVar[int] = 1
 
     alpha: float
     i0: int
@@ -385,9 +537,17 @@ class BackwardRecurrence:
             np.where(i < self.i0, 0.5, 1.0 - (1.0 + self.alpha) / np.maximum(i, 1.0)),
         )
 
+    def step(self, x, rng):
+        p = self.up_prob(x[:, 0])
+        up = rng.uniform(0.0, 1.0, x.shape[0]) < p
+        return np.where(up[:, None], x + 1.0, 0.0)
+
+    def exact_invariant(self) -> str | None:
+        return "chain"
+
 
 @dataclass(frozen=True)
-class GenericIto:
+class GenericIto(ProcessSpec):
     """User-specified drift/diffusion plus a driving Lévy spec."""
 
     b: Callable[[np.ndarray], np.ndarray] | None
@@ -395,10 +555,10 @@ class GenericIto:
     levy: LevyMeasureSpec
     dim: int = 1
 
-
-ProcessSpec = Union[
-    LangevinTempered, OUJump, PiecewiseOU, NonlinearSS, BackwardRecurrence, GenericIto
-]
+    def drift(self, x):
+        if self.b is None:
+            return np.zeros_like(x)
+        return np.asarray(self.b(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +651,11 @@ def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> n
     return math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha) * _cms(alpha, 1.0, rng, size)
 
 
-def _stable_increments(kind: SymmetricStable, dim: int, dt: float, rng, m: int) -> np.ndarray:
-    """Exact-in-law increments of the stable part over one step of length dt."""
-    amp = dt ** (1.0 / kind.alpha) * kind.scale
-    if dim == 1 or kind.structure == "independent":
-        return amp * _cms(kind.alpha, 0.0, rng, (m, dim))
-    # isotropic: Gaussian subordinated by a one-sided (alpha/2)-stable factor
-    lam = standard_one_sided_stable(kind.alpha / 2.0, rng, (m, 1))
-    z = rng.standard_normal((m, dim))
-    return amp * np.sqrt(2.0 * lam) * z
-
-
 # ---------------------------------------------------------------------------
 # Trajectory container
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ERGB"
-_FMT_VERSION = 1
+CSV_MAX_VALUES = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,50 +689,13 @@ class TrajectoryBatch:
         """States of all paths at grid index ``k`` (shape n_paths x dim)."""
         return self.paths[:, k, :]
 
-    def to_binary(self, path) -> None:
-        hash_bytes = self.spec_hash.encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IqQQQQ",
-                    _FMT_VERSION,
-                    int(self.seed),
-                    self.n_paths,
-                    self.times.shape[0],
-                    self.dim,
-                    len(hash_bytes),
-                )
-            )
-            fh.write(hash_bytes)
-            fh.write(self.times.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.paths, dtype="<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "TrajectoryBatch":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ConfigError("not a trajectory file")
-            version, seed, n_paths, n_times, dim, hash_len = struct.unpack(
-                "<IqQQQQ", fh.read(44)
-            )
-            if version != _FMT_VERSION:
-                raise ConfigError(f"unsupported format version {version}")
-            spec_hash = fh.read(hash_len).decode()
-            times = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-            paths = np.frombuffer(fh.read(8 * n_paths * n_times * dim), dtype="<f8")
-        return cls(
-            times=times.copy(),
-            paths=paths.reshape(n_paths, n_times, dim).copy(),
-            spec_hash=spec_hash,
-            seed=seed,
-        )
-
     def to_csv(self, path) -> None:
         import csv as _csv
 
-        if self.paths.size > 2_000_000:
-            raise ConfigError("CSV export is for small batches; use to_binary")
+        if self.paths.size > CSV_MAX_VALUES:
+            raise ConfigError(
+                f"CSV export holds at most {CSV_MAX_VALUES:,} values, got {self.paths.size:,}"
+            )
         with open(path, "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["path", "time"] + [f"x{i + 1}" for i in range(self.dim)])
@@ -611,36 +722,6 @@ def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _jump_increment(levy: LevyMeasureSpec, dim: int, dt: float, rng, m: int) -> np.ndarray | None:
-    kind = levy.kind
-    if isinstance(kind, NoJumps):
-        return None
-    if isinstance(kind, CompoundPoisson):
-        counts = rng.poisson(kind.rate * dt, m)
-        total = int(counts.sum())
-        inc = np.zeros((m, dim))
-        if total > 0:
-            jd = kind.jump_dist
-            if isinstance(jd, DiscreteJumps):
-                picks = rng.choice(jd.atoms.shape[0], size=total, p=jd.probs)
-                jumps = jd.atoms[picks]
-            else:
-                jumps = np.asarray(jd.sampler(rng, total), dtype=float)
-                if jumps.ndim == 1:
-                    jumps = jumps[:, None]
-            idx = np.repeat(np.arange(m), counts)
-            np.add.at(inc, idx, jumps)
-        return inc
-    if isinstance(kind, SymmetricStable):
-        return _stable_increments(kind, dim, dt, rng, m)
-    if isinstance(kind, StableSubordinatorMeasure):
-        if dim != 1:
-            raise ConfigError("subordinator jump measures are one-dimensional")
-        amp = dt ** (1.0 / kind.alpha)
-        return amp * standard_one_sided_stable(kind.alpha, rng, (m, 1))
-    raise ConfigError(f"unknown jump kind {kind!r}")
-
-
 def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Return sigma(x) @ z per path for constant or state-dependent sigma."""
     if callable(sigma):
@@ -651,18 +732,16 @@ def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z @ np.asarray(sigma, dtype=float).T
 
 
-def _spec_dim(spec: ProcessSpec) -> int:
-    if isinstance(spec, LangevinTempered):
-        return spec.dim
-    if isinstance(spec, OUJump):
-        return spec.H.shape[0]
-    if isinstance(spec, PiecewiseOU):
-        return spec.dim
-    if isinstance(spec, (NonlinearSS, GenericIto)):
-        return spec.dim
-    if isinstance(spec, BackwardRecurrence):
-        return 1
-    raise ConfigError(f"unknown process spec {spec!r}")
+def sigma_matrix(sigma, x) -> np.ndarray:
+    """A spec's ``sigma`` at one state ``x`` as an ``(n, n)`` matrix.
+
+    ``sigma`` is a constant matrix or a batched callable returning
+    ``(m, n, n)`` matrices or ``(m, n)`` diagonals.
+    """
+    if not callable(sigma):
+        return np.asarray(sigma, dtype=float)
+    out = np.asarray(sigma(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
+    return out if out.ndim == 2 else np.diag(out)
 
 
 def _check_blowup(x: np.ndarray) -> None:
@@ -671,41 +750,8 @@ def _check_blowup(x: np.ndarray) -> None:
         raise BlowUpError(f"state magnitude {worst:.3e} exceeded the overflow guard 1e12")
 
 
-def _drift_fn(spec: ProcessSpec):
-    if isinstance(spec, OUJump):
-        return lambda x: x @ spec.H.T
-    if isinstance(spec, PiecewiseOU):
-        if isinstance(spec.control, ConstantControl):
-            v = spec.control.v
-            return lambda x: piecewise_drift(spec.l, spec.M, spec.Gamma, v, x)
-
-        def markov_drift(x):
-            vx = np.asarray(spec.control.fn(x), dtype=float)
-            s = np.clip(x.sum(axis=1), 0.0, None)[:, None]
-            return spec.l[None, :] - (x - s * vx) @ spec.M.T - s * (vx @ spec.Gamma.T)
-
-        return markov_drift
-    if isinstance(spec, LangevinTempered):
-        return lambda x: langevin_coeffs(spec, x)[0]
-    if isinstance(spec, GenericIto):
-        if spec.b is None:
-            return lambda x: np.zeros_like(x)
-        return lambda x: np.asarray(spec.b(x), dtype=float)
-    raise ConfigError(f"no drift for {spec!r}")
-
-
-def _sigma_for(spec: ProcessSpec):
-    if isinstance(spec, OUJump):
-        return None
-    if isinstance(spec, (PiecewiseOU, GenericIto)):
-        return spec.sigma
-    if isinstance(spec, LangevinTempered):
-        return lambda x: langevin_coeffs(spec, x)[1]
-    raise ConfigError(f"no diffusion for {spec!r}")
-
-
 def _simulate_discrete(spec, x0, steps_grid, n_paths, seed):
-    dim = _spec_dim(spec)
+    dim = spec.dim
     n_times = len(steps_grid)
     out = np.empty((n_paths, n_times, dim))
     horizon = steps_grid[-1]
@@ -719,16 +765,7 @@ def _simulate_discrete(spec, x0, steps_grid, n_paths, seed):
             out[lo:hi, 0] = x
             save = 1
         for step in range(1, horizon + 1):
-            if isinstance(spec, BackwardRecurrence):
-                p = spec.up_prob(x[:, 0])
-                up = rng.uniform(0.0, 1.0, m) < p
-                x = np.where(up[:, None], x + 1.0, 0.0)
-            else:  # NonlinearSS
-                w = np.asarray(spec.noise(rng, m), dtype=float)
-                if w.ndim == 1:
-                    w = w[:, None]
-                x = np.asarray(spec.F(x), dtype=float) + w
-                _check_blowup(x)
+            x = spec.step(x, rng)
             if save < n_times and step == steps_grid[save]:
                 out[lo:hi, save] = x
                 save += 1
@@ -755,28 +792,17 @@ def _ou_step_terms(spec: OUJump, dt: float):
 
 
 def _simulate_continuous(spec, x0, t_grid, n_paths, seed, max_step):
-    dim = _spec_dim(spec)
+    dim = spec.dim
     n_times = len(t_grid)
     out = np.empty((n_paths, n_times, dim))
-    levy = spec.levy if not isinstance(spec, LangevinTempered) else LevyMeasureSpec()
-    is_ou = isinstance(spec, OUJump)
-    if not is_ou:
-        drift = _drift_fn(spec)
-        sigma = _sigma_for(spec)
-        sqrt_al = None
-        if levy.a_L is not None and np.any(levy.a_L):
-            sqrt_al = _psd_sqrt_matrix(levy.a_L)
+    jumps = spec.levy.kind
     # per-interval substeps, shared across blocks
     plans = []
     for k in range(n_times - 1):
         span = t_grid[k + 1] - t_grid[k]
         n_sub = max(1, int(math.ceil(span / max_step - 1e-12)))
         plans.append((n_sub, span / n_sub))
-    ou_terms = {}
-    if is_ou:
-        for n_sub, dt in plans:
-            if dt not in ou_terms:
-                ou_terms[dt] = _ou_step_terms(spec, dt)
+    advance = spec.stepper({dt for _, dt in plans})
     for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
         hi = min(lo + _BLOCK_SIZE, n_paths)
         m = hi - lo
@@ -785,23 +811,8 @@ def _simulate_continuous(spec, x0, t_grid, n_paths, seed, max_step):
         out[lo:hi, 0] = x
         for k, (n_sub, dt) in enumerate(plans):
             for _ in range(n_sub):
-                if is_ou:
-                    prop, drift_term, noise_sqrt = ou_terms[dt]
-                    x = x @ prop.T + drift_term[None, :]
-                    if noise_sqrt is not None:
-                        x = x + rng.standard_normal((m, dim)) @ noise_sqrt.T
-                else:
-                    step = drift(x) * dt
-                    if levy.b_L is not None:
-                        step = step + levy.b_L[None, :] * dt
-                    if sigma is not None:
-                        z = rng.standard_normal((m, dim))
-                        step = step + _sigma_apply(sigma, x, z) * math.sqrt(dt)
-                    if sqrt_al is not None:
-                        z2 = rng.standard_normal((m, dim))
-                        step = step + (z2 @ sqrt_al.T) * math.sqrt(dt)
-                    x = x + step
-                jump = _jump_increment(levy, dim, dt, rng, m)
+                x = advance(x, dt, rng)
+                jump = jumps.increment(dim, dt, rng, m)
                 if jump is not None:
                     x = x + jump
                 _check_blowup(x)
@@ -830,7 +841,7 @@ def simulate(
         raise ConfigError("t_grid must be a strictly increasing 1-D grid")
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
-    if isinstance(spec, (BackwardRecurrence, NonlinearSS)):
+    if spec.discrete_time:
         steps = np.rint(t).astype(int)
         if np.any(np.abs(t - steps) > 1e-9) or steps[0] < 0:
             raise ConfigError("discrete-time specs require nonnegative integer grid times")

@@ -1,5 +1,6 @@
 """Tests for the experiment driver and command-line interface."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ergolab.cli import (
+    _SCHEMA,
     DistanceSpec,
     ExperimentConfig,
     RateFit,
@@ -259,6 +261,128 @@ def test_config_hash_is_stable_and_seed_sensitive():
     assert config_hash(cfg) != config_hash(other)
 
 
+def _family_config(process, **overrides):
+    cfg = {
+        "process": process,
+        "x0": [0.5],
+        "t_grid": [0.5, 1.0, 2.0, 4.0],
+        "n_paths": 64,
+        "seed": 3,
+        "distance": {"kind": "w1d"},
+        "p": 1.0,
+        "reference": {"kind": "long_run_empirical", "t_burn": 10.0},
+        "rate_model": "exponential",
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+# one config per process family and jump kind, with its config_hash as the
+# hand-written parser and serialiser computed it
+FAMILY_CONFIGS = {
+    "ou_jump-none": (
+        _family_config(
+            {"family": "ou_jump", "H": [[-1.0]],
+             "levy": {"a_L": [[1.0]], "jumps": {"kind": "none"}}},
+            reference={"kind": "exact_invariant", "quantile_points": 128},
+        ),
+        "c72db10a701bf84f",
+    ),
+    "ou_jump-compound_poisson-2d": (
+        _family_config(
+            {"family": "ou_jump", "H": [[-1.0, 0.2], [0.0, -2.0]],
+             "levy": {"jumps": {"kind": "compound_poisson", "rate": 1.5,
+                                "atoms": [[1.0, 0.0], [0.0, -1.0]], "probs": [0.25, 0.75]}}},
+            x0=[0.5, -0.5], distance={"kind": "exact_lp"},
+        ),
+        "f7e75710895f7d4d",
+    ),
+    "ou_jump-symmetric_stable": (
+        _family_config(
+            {"family": "ou_jump", "H": [[-1.0]],
+             "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5, "scale": 0.5,
+                                "structure": "independent"}}},
+        ),
+        "15ccd61d4654c4b9",
+    ),
+    "ou_jump-stable_subordinator": (
+        _family_config(
+            {"family": "ou_jump", "H": [[-2.0]],
+             "levy": {"b_L": [-0.5], "jumps": {"kind": "stable_subordinator", "alpha": 0.5}}},
+        ),
+        "5e7ac254e166f3fb",
+    ),
+    "piecewise_ou": (
+        _family_config(
+            {"family": "piecewise_ou", "l": [0.5, -0.5], "M": [[1.0, 0.0], [-0.5, 1.0]],
+             "Gamma": [[0.5, 0.0], [0.0, 0.25]], "v": [0.6, 0.4],
+             "sigma": [[0.3, 0.0], [0.1, 0.2]], "levy": {"b_L": [0.1, 0.0]}},
+            x0=[1.0, 2.0], distance={"kind": "exact_lp"},
+        ),
+        "6661f5a310d1d4b8",
+    ),
+    "backward_recurrence": (
+        _family_config(
+            {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
+            x0=[0.0], t_grid=[1.0, 10.0, 100.0, 1000.0],
+            reference={"kind": "exact_invariant"}, rate_model="polynomial",
+        ),
+        "142deba25d65a4d8",
+    ),
+    "langevin-2d": (
+        _family_config(
+            {"family": "langevin", "alpha": 0.2, "beta": 0.1, "dim": 2},
+            x0=[1.0, -1.0], distance={"kind": "sinkhorn", "epsilon": 0.05}, p=2.0,
+        ),
+        "5d6477c04b7df4d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CONFIGS))
+def test_config_round_trip_per_family(name):
+    data, pinned_hash = FAMILY_CONFIGS[name]
+    cfg = parse_experiment_config(data)
+    first = config_to_dict(cfg)
+    again = parse_experiment_config(first)
+    assert config_to_dict(again) == first
+    assert config_hash(cfg) == config_hash(again) == pinned_hash
+
+
+def test_schema_keys_follow_constructor_order():
+    # the generic parse passes the keys of an entry positionally
+    for _, entries in _SCHEMA.values():
+        for entry in entries.values():
+            if entry.build is None:
+                names = [f.name for f in dataclasses.fields(entry.cls)]
+                keys = [(key.attr or key.name).split(".")[0] for key in entry.keys]
+                assert names[: len(keys)] == keys, entry.cls.__name__
+
+
+def test_config_to_dict_refuses_specs_json_cannot_hold():
+    from ergolab.processes import GenericIto, LevyMeasureSpec, MarkovControl, PiecewiseOU
+
+    base = parse_experiment_config(_zero_noise_config())
+    pw = base.process
+    markov = PiecewiseOU(pw.l, pw.M, pw.Gamma, MarkovControl(lambda x: np.ones_like(x)),
+                         None, pw.levy)
+    state_sigma = PiecewiseOU(pw.l, pw.M, pw.Gamma, pw.control, lambda x: x, pw.levy)
+    generic = GenericIto(b=None, sigma=None, levy=LevyMeasureSpec())
+    for spec in (markov, state_sigma, generic):
+        with pytest.raises(ConfigError):
+            config_to_dict(dataclasses.replace(base, process=spec))
+
+
+def test_config_schema_names_the_bad_key():
+    bad = _zero_noise_config()
+    bad["process"]["levy"] = {"jumps": {"kind": "symmetric_stable", "alpha": "wide"}}
+    with pytest.raises(ConfigError, match=r"process\.levy\.jumps\.alpha"):
+        parse_experiment_config(bad)
+    bad["process"]["levy"] = {"jumps": {"kind": "stable_subordinator", "alpha": 0.5, "scale": 1}}
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse_experiment_config(bad)
+
+
 # ---------------------------------------------------------------------------
 # distance dispatch
 # ---------------------------------------------------------------------------
@@ -448,6 +572,25 @@ def test_cli_simulate_writes_deterministic_csv(tmp_path):
     assert filecmp.cmp(d1 / "trajectories.csv", d2 / "trajectories.csv", shallow=False)
 
 
+def test_cli_simulate_refuses_csv_cap_before_simulating(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate must not run for a batch the CSV cannot hold")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    cfg = _write(
+        tmp_path / "big.json",
+        {
+            "process": {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}},
+            "x0": [0.0],
+            "t_grid": {"start": 0.0, "stop": 1.0, "points": 1001},
+            "n_paths": 2000,
+            "seed": 1,
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 def test_cli_wdist_seed_override(tmp_path, capsys):
     payload = _ou_config(
         n_paths=300,
@@ -486,6 +629,52 @@ def test_cli_driftcheck(tmp_path, capsys):
     assert "worst margin" in out
     rows = (tmp_path / "driftcheck.csv").read_text().strip().splitlines()
     assert len(rows) == 32
+
+
+def test_cli_driftcheck_piecewise_ou(tmp_path, capsys):
+    # the generator comes from the spec: drift, sigma sigma' and the jumps
+    cfg = _write(
+        tmp_path / "drift.json",
+        {
+            "process": {
+                "family": "piecewise_ou",
+                "l": [0.0],
+                "M": [[1.0]],
+                "Gamma": [[1.0]],
+                "v": [1.0],
+                "sigma": [[0.5]],
+                "levy": {
+                    "jumps": {
+                        "kind": "compound_poisson",
+                        "rate": 1.0,
+                        "atoms": [[1.0], [-1.0]],
+                        "probs": [0.5, 0.5],
+                    }
+                },
+            },
+            "lyapunov": {"family": "poly_plus_one", "theta": 2.0},
+            "phi": {"family": "linear", "c_hat": 1.0},
+            "grid": [-20.0, -5.0, 0.0, 5.0, 20.0],
+            "ball_radius": 3.0,
+        },
+    )
+    assert main(["driftcheck", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert "certified" in capsys.readouterr().out
+    rows = [r.split(",") for r in (tmp_path / "driftcheck.csv").read_text().strip().splitlines()]
+    # L(1 + x^2) = -2x^2 + sigma^2 + rate * E[Y^2] = 1.25 - 2x^2 with chi_Q(x) = |x|
+    # outside the unit ball
+    assert float(rows[5][2]) == pytest.approx(1.25 - 2.0 * 400.0, rel=1e-12)
+    chain = _write(
+        tmp_path / "chain.json",
+        {
+            "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
+            "lyapunov": {"family": "poly_plus_one", "theta": 2.0},
+            "phi": {"family": "linear", "c_hat": 1.0},
+            "grid": [0.0, 1.0],
+            "ball_radius": 3.0,
+        },
+    )
+    assert main(["driftcheck", "--config", chain, "--out-dir", str(tmp_path)]) == 2
 
 
 def test_cli_couple_reports_contraction(tmp_path, capsys):
@@ -556,6 +745,40 @@ def test_cli_lower_bound_curve(tmp_path):
     payload["s_grid"] = {"min": 2.0, "max": 10.0, "points": 5}
     cfg_bad = _write(tmp_path / "lower_bad.json", payload)
     assert main(["lower", "--config", cfg_bad, "--out-dir", str(tmp_path)]) == 3
+
+
+def _lower_config(**overrides):
+    payload = {
+        "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
+        "params": {
+            "theta": 3.95,
+            "vartheta": 2.95,
+            "eps_var": 0.05,
+            "eps_small": 0.45,
+            "p": 1.0,
+        },
+        "c": 1.0,
+        "b": 50.0,
+        "x0": [0.0],
+        "n_terms": 3,
+        "s_grid": {"min": 1e4, "max": 1e5, "points": 200},
+    }
+    payload.update(overrides)
+    return payload
+
+
+def test_cli_lower_auto_truncation_reaches_the_levels(tmp_path):
+    auto, explicit = tmp_path / "auto", tmp_path / "explicit"
+    auto.mkdir(), explicit.mkdir()
+    cfg = _write(tmp_path / "auto.json", _lower_config(truncation="auto"))
+    assert main(["lower", "--config", cfg, "--out-dir", str(auto)]) == 0
+    # levels up to 1e5: the doubling starts at 2^17 = 131072, where the tail test passes
+    cfg = _write(tmp_path / "explicit.json", _lower_config(truncation=131072))
+    assert main(["lower", "--config", cfg, "--out-dir", str(explicit)]) == 0
+    assert (auto / "lower.csv").read_bytes() == (explicit / "lower.csv").read_bytes()
+    # levels beyond 2^22 states would need a larger table than the cap allows
+    cfg = _write(tmp_path / "far.json", _lower_config(s_grid=[1e4, 1e7]))
+    assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
 
 def test_cli_subordinate(tmp_path):

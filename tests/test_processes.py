@@ -24,7 +24,6 @@ from ergolab.processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
-    TrajectoryBatch,
     invariant_exact,
     langevin_coeffs,
     langevin_density,
@@ -67,6 +66,28 @@ def test_theta_class():
     assert cp.theta_sup == math.inf and cp.exp_rate == math.inf
     sub = LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5)).theta_class()
     assert sub.theta_sup == 0.5
+
+
+def test_process_specs_state_their_facts():
+    ou = OUJump(H=[[-2.0]], levy=LevyMeasureSpec(a_L=[[1.0]]))
+    assert (ou.dim, ou.discrete_time, ou.exact_invariant()) == (1, False, "gaussian")
+    assert ou.invariant_sd() == 0.5
+    jumpy = OUJump(H=[[-2.0]], levy=LevyMeasureSpec(kind=SymmetricStable(1.5), a_L=[[1.0]]))
+    assert jumpy.exact_invariant() is None
+    chain = BackwardRecurrence(alpha=3.0, i0=5)
+    assert (chain.dim, chain.discrete_time, chain.exact_invariant()) == (1, True, "chain")
+    lang = LangevinTempered(alpha=0.2, beta=0.1, dim=2)
+    assert (lang.dim, lang.discrete_time, lang.exact_invariant()) == (2, False, None)
+    x = np.array([[2.0, 0.5], [0.1, -0.2]])
+    b, sig = langevin_coeffs(lang, x)
+    assert np.array_equal(lang.drift(x), b) and np.array_equal(lang.sigma(x), sig)
+    pw = PiecewiseOU(
+        l=[1.0, 0.0], M=np.eye(2), Gamma=np.eye(2), control=ConstantControl([0.5, 0.5]),
+        sigma=None, levy=LevyMeasureSpec(),
+    )
+    assert pw.dim == 2
+    assert np.array_equal(pw.drift(x), piecewise_drift(pw.l, pw.M, pw.Gamma, [0.5, 0.5], x))
+    assert np.allclose(ou.drift(np.array([[3.0]])), [[-6.0]])
 
 
 def test_markov_control_requires_local_lipschitz():
@@ -479,23 +500,6 @@ def test_backward_recurrence_occupation_matches_invariant():
     emp = counts / counts.sum()
     tv = 0.5 * np.sum(np.abs(emp[: mu.weights.shape[0]] - mu.weights))
     assert tv < 0.01
-
-
-# ---------------------------------------------------------------------------
-# trajectory container serialization
-# ---------------------------------------------------------------------------
-
-
-def test_trajectory_binary_roundtrip(tmp_path):
-    spec = OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec(a_L=np.array([[1.0]])))
-    batch = simulate(spec, [1.0], [0.0, 0.5, 1.0], n_paths=7, seed=3, max_step=0.1)
-    path = tmp_path / "batch.bin"
-    batch.to_binary(path)
-    loaded = TrajectoryBatch.from_binary(path)
-    assert np.array_equal(loaded.times, batch.times)
-    assert np.array_equal(loaded.paths, batch.paths)
-    assert loaded.spec_hash == batch.spec_hash
-    assert loaded.seed == batch.seed
 
 
 def test_trajectory_csv_export(tmp_path):
