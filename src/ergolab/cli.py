@@ -23,7 +23,6 @@ configuration/validation errors, 3 for numerical or data failures.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -32,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -92,8 +92,11 @@ from .subordination import (
 from .wasserstein import EmpiricalMeasure, sinkhorn_annealed, w_1d, w_exact_lp
 
 __all__ = [
-    "DistanceSpec",
-    "ReferenceSpec",
+    "W1D",
+    "ExactLP",
+    "Sinkhorn",
+    "ExactInvariant",
+    "LongRunEmpirical",
     "ExperimentConfig",
     "RateFit",
     "fit_rate",
@@ -114,73 +117,147 @@ _MAX_TRUNCATION = 2**22
 
 
 @dataclass(frozen=True)
-class DistanceSpec:
-    """Which Wasserstein estimator measures the curve."""
+class W1D:
+    """Exact ``W_p`` between one-dimensional measures (quantile coupling)."""
 
-    kind: str
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("w1d", "exact_lp", "sinkhorn"):
-            raise ConfigError(f"unknown distance kind {self.kind!r}")
-        if self.kind == "sinkhorn":
-            if self.epsilon is None:
-                raise ConfigError("sinkhorn distance requires an epsilon")
-            if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
-                raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        elif self.epsilon is not None:
-            raise ConfigError(f"distance {self.kind!r} takes no epsilon")
+    def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
+        return w_1d(mu, nu, p)
 
 
 @dataclass(frozen=True)
-class ReferenceSpec:
-    """How the reference (target) measure is constructed.
+class ExactLP:
+    """Exact ``W_p`` from the transport linear program."""
 
-    ``exact_invariant`` uses a closed form: the exact truncated invariant law
-    for the backward recurrence chain, or a quantile-midpoint discretization
-    of the invariant Gaussian for a scalar linear diffusion.
-    ``long_run_empirical`` burns an independent simulation to ``t_burn`` and
-    uses its terminal empirical measure.
-    """
+    def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
+        return w_exact_lp(mu, nu, p).distance
 
-    kind: str
-    t_burn: float | None = None
-    quantile_points: int = 65536
+
+@dataclass(frozen=True)
+class Sinkhorn:
+    """Annealed entropic ``W_p`` down to the regularization ``epsilon``."""
+
+    epsilon: float
 
     def __post_init__(self):
-        if self.kind not in ("exact_invariant", "long_run_empirical"):
-            raise ConfigError(f"unknown reference kind {self.kind!r}")
-        if self.kind == "long_run_empirical":
-            if self.t_burn is None:
-                raise ConfigError("long_run_empirical requires t_burn")
-            if not self.t_burn > 0:
-                raise DomainError(f"t_burn must be positive, got {self.t_burn}")
-        else:
-            if self.t_burn is not None:
-                raise ConfigError("exact_invariant takes no t_burn")
-            if not (isinstance(self.quantile_points, int) and self.quantile_points >= 2):
-                raise DomainError(
-                    f"quantile_points must be an integer >= 2, got {self.quantile_points}"
-                )
+        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
+            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+
+    def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
+        res = sinkhorn_annealed(mu, nu, p, self.epsilon, max_iter=20000, tol=2e-4)
+        return float(res.cost ** (1.0 / p))
+
+
+# A reference kind builds the target measure of an experiment, ``measure(cfg)``,
+# and ``redraw(cfg, ref)``, an independent sample of it.  The distance between
+# the two is the noise floor: the value at which a perfectly converged curve
+# bottoms out.
+
+
+@dataclass(frozen=True)
+class ExactInvariant:
+    """The exact invariant law: the chain's tabulated law, or a quantile-midpoint
+    discretization of the invariant Gaussian of a scalar linear diffusion."""
+
+    quantile_points: int = 65536
+    needs_invariant: ClassVar[bool] = True
+
+    def __post_init__(self):
+        if not (isinstance(self.quantile_points, int) and self.quantile_points >= 2):
+            raise DomainError(
+                f"quantile_points must be an integer >= 2, got {self.quantile_points}"
+            )
+
+    def measure(self, cfg: ExperimentConfig) -> EmpiricalMeasure:
+        if cfg.process.exact_invariant() == "chain":
+            return _chain_invariant(cfg.process)
+        # midpoint quantiles of the centred Gaussian invariant law
+        k = self.quantile_points
+        quantiles = special.ndtri((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
+        return EmpiricalMeasure(points=quantiles[:, None], weights=np.full(k, 1.0 / k))
+
+    def redraw(self, cfg: ExperimentConfig, ref: EmpiricalMeasure) -> EmpiricalMeasure:
+        """An ``n_paths``-sample draw from the law itself."""
+        rng = np.random.default_rng(_derive_seed(cfg.seed, "noise-floor"))
+        idx = rng.choice(ref.points.shape[0], size=cfg.n_paths, p=ref.weights)
+        return EmpiricalMeasure.from_samples(ref.points[idx])
+
+
+@dataclass(frozen=True)
+class LongRunEmpirical:
+    """The terminal empirical measure of an independent simulation run to ``t_burn``."""
+
+    t_burn: float
+    needs_invariant: ClassVar[bool] = False
+
+    def __post_init__(self):
+        if not self.t_burn > 0:
+            raise DomainError(f"t_burn must be positive, got {self.t_burn}")
+
+    def measure(self, cfg: ExperimentConfig, tag: str = "reference") -> EmpiricalMeasure:
+        batch = simulate(
+            cfg.process,
+            np.array(cfg.x0),
+            np.array([0.0, self.t_burn]),
+            cfg.n_paths,
+            _derive_seed(cfg.seed, tag),
+            max_step=cfg.max_step,
+        )
+        return EmpiricalMeasure.from_samples(batch.paths[:, -1, :])
+
+    def redraw(self, cfg: ExperimentConfig, ref: EmpiricalMeasure) -> EmpiricalMeasure:
+        """A second long simulation, from its own seed."""
+        return self.measure(cfg, "noise-floor")
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully resolved experiment description (see :func:`parse_experiment_config`)."""
+    """Fully resolved experiment description (see :func:`parse_experiment_config`).
+
+    ``t_grid`` may be given as a list or as a start/stop/points object, whose
+    default spacing follows ``rate_model`` (geometric for a polynomial fit).
+    """
 
     process: object
     x0: tuple
     t_grid: tuple
     n_paths: int
     seed: int
-    distance: DistanceSpec
+    distance: W1D | ExactLP | Sinkhorn
     p: float
-    reference: ReferenceSpec
+    reference: ExactInvariant | LongRunEmpirical
     rate_model: str
     outputs: str | None = None
     bracket: tuple | None = None
     bracket_params: dict | None = None
     max_step: float = 0.01
+
+    def __post_init__(self):
+        if self.rate_model not in ("polynomial", "exponential"):
+            raise ConfigError(f"unknown rate model {self.rate_model!r}")
+        default_kind = "geometric" if self.rate_model == "polynomial" else "arithmetic"
+        t_grid = _resolve_grid(self.t_grid, default_kind)
+        if self.rate_model == "polynomial" and np.any(t_grid <= 0):
+            raise ConfigError("a polynomial rate model requires strictly positive grid times")
+        object.__setattr__(self, "t_grid", tuple(float(v) for v in t_grid))
+        if len(self.x0) != self.process.dim:
+            raise ConfigError(
+                f"x0 has {len(self.x0)} coordinates but the process has dimension "
+                f"{self.process.dim}"
+            )
+        if self.n_paths < 1:
+            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not self.p >= 1.0:
+            raise DomainError(f"p must be >= 1, got {self.p}")
+        if self.reference.needs_invariant and self.process.exact_invariant() is None:
+            raise ConfigError(
+                "reference 'exact_invariant' requires a process with a known invariant "
+                "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
+                "use 'long_run_empirical' instead"
+            )
+        if self.bracket_params is not None and self.bracket is None:
+            raise ConfigError("bracket_params supplied without a bracket")
+        if not self.max_step > 0:
+            raise DomainError(f"max_step must be positive, got {self.max_step}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +292,9 @@ def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit
     if bracket is None and bracket_params is not None:
         raise ConfigError("bracket_params supplied without a bracket")
     if bracket is not None:
-        lo, hi = (float(bracket[0]), float(bracket[1]))
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise DomainError(f"bracket must be an ordered finite pair, got {bracket}")
-        bracket = (lo, hi)
-    t = np.asarray(times, dtype=float).ravel()
-    v = np.asarray(values, dtype=float).ravel()
+        bracket = _bracket(bracket, "bracket")
+    t = _array(times, "times").ravel()
+    v = _array(values, "values").ravel()
     if t.shape != v.shape:
         raise DomainError(f"times and values disagree in length: {t.shape} vs {v.shape}")
     if t.size < 4:
@@ -299,18 +373,34 @@ def _as_float(value, label: str) -> float:
     return float(value)
 
 
+def _array(value, label: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} must hold numbers, got {value!r}") from None
+
+
 def _vector(value, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _array(value, label)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{label} must be a flat non-empty list of numbers")
     return arr
 
 
 def _matrix(value, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _array(value, label)
     if arr.ndim != 2:
         raise ConfigError(f"{label} must be a nested list forming a matrix")
     return arr
+
+
+def _bracket(value, label: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{label} must be a [lower_exponent, upper_exponent] pair")
+    lo, hi = _as_float(value[0], f"{label}[0]"), _as_float(value[1], f"{label}[1]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"{label} must be an ordered finite pair, got {value}")
+    return (lo, hi)
 
 
 def _resolve_grid(obj, default_kind: str) -> np.ndarray:
@@ -379,8 +469,10 @@ def _as_str(value, label: str) -> str:
     return value
 
 
-def _array(value, label: str) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _as_object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label} must be an object")
+    return value
 
 
 _ALPHA = _Key("alpha", _as_float)
@@ -448,23 +540,33 @@ _SCHEMA = {
         "polynomial": _Entry(Polynomial, (_Key("exponent", _as_float), _SCALE)),
     }),
     "distance": ("kind", {
-        "w1d": _Entry(DistanceSpec, build=functools.partial(DistanceSpec, "w1d")),
-        "exact_lp": _Entry(DistanceSpec, build=functools.partial(DistanceSpec, "exact_lp")),
-        "sinkhorn": _Entry(
-            DistanceSpec, (_Key("epsilon", _as_float),), functools.partial(DistanceSpec, "sinkhorn")
-        ),
+        "w1d": _Entry(W1D),
+        "exact_lp": _Entry(ExactLP),
+        "sinkhorn": _Entry(Sinkhorn, (_Key("epsilon", _as_float),)),
     }),
     "reference": ("kind", {
         "exact_invariant": _Entry(
-            ReferenceSpec,
-            (_Key("quantile_points", _as_int, default=65536),),
-            functools.partial(ReferenceSpec, "exact_invariant", None),
+            ExactInvariant, (_Key("quantile_points", _as_int, default=65536),)
         ),
-        "long_run_empirical": _Entry(
-            ReferenceSpec,
-            (_Key("t_burn", _as_float),),
-            functools.partial(ReferenceSpec, "long_run_empirical"),
-        ),
+        "long_run_empirical": _Entry(LongRunEmpirical, (_Key("t_burn", _as_float),)),
+    }),
+    "experiment config": (None, {
+        None: _Entry(ExperimentConfig, (
+            _Key("process", _nested("process")),
+            _Key("x0", lambda v, label: tuple(float(x) for x in _vector(v, label))),
+            # resolved by ExperimentConfig: its default spacing follows rate_model
+            _Key("t_grid", lambda v, label: v),
+            _Key("n_paths", _as_int),
+            _Key("seed", _as_int),
+            _Key("distance", _nested("distance")),
+            _Key("p", _as_float),
+            _Key("reference", _nested("reference")),
+            _Key("rate_model", _as_str),
+            _Key("outputs", _as_str, default=None),
+            _Key("bracket", _bracket, default=None),
+            _Key("bracket_params", _as_object, default=None),
+            _Key("max_step", _as_float, default=0.01),
+        )),
     }),
     "lower params": (None, {
         None: _Entry(LowerRateParams, tuple(
@@ -523,19 +625,18 @@ def _to_json(obj) -> dict:
     tag_key, entries = _SCHEMA[group]
     out = {}
     if tag_key is not None:
-        tag = getattr(obj, tag_key, tag)  # a spec may carry its own kind
         out[tag_key] = tag
     for key in entries[tag].keys:
         try:
             value = operator.attrgetter(key.attr or key.name)(obj)
         except AttributeError:
             raise ConfigError(f"{type(obj).__name__} has no serializable {key.name!r}") from None
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif type(value) in _GROUP_OF:
-            value = _to_json(value)
+        if isinstance(value, (np.ndarray, tuple, list)):
+            value = np.asarray(value).tolist()
         elif callable(value):
             raise ConfigError(f"{type(obj).__name__}.{key.name} is a function; not serializable")
+        elif not isinstance(value, (str, int, float, dict, type(None))):
+            value = _to_json(value)  # refuses a class outside the table
         out[key.name] = value
     return out
 
@@ -550,101 +651,14 @@ def parse_process(data: dict):
 # ---------------------------------------------------------------------------
 
 
-_EXPERIMENT_REQUIRED = {
-    "process",
-    "x0",
-    "t_grid",
-    "n_paths",
-    "seed",
-    "distance",
-    "p",
-    "reference",
-    "rate_model",
-}
-_EXPERIMENT_OPTIONAL = {"outputs", "bracket", "bracket_params", "max_step"}
-
-
 def parse_experiment_config(data: dict) -> ExperimentConfig:
     """Validate a JSON experiment description into an :class:`ExperimentConfig`."""
-    _require_keys(data, _EXPERIMENT_REQUIRED, _EXPERIMENT_OPTIONAL, "experiment config")
-    rate_model = data["rate_model"]
-    if rate_model not in ("polynomial", "exponential"):
-        raise ConfigError(f"unknown rate model {rate_model!r}")
-    process = parse_process(data["process"])
-    x0 = _vector(data["x0"], "x0")
-    default_kind = "geometric" if rate_model == "polynomial" else "arithmetic"
-    t_grid = _resolve_grid(data["t_grid"], default_kind)
-    if rate_model == "polynomial" and np.any(t_grid <= 0):
-        raise ConfigError("a polynomial rate model requires strictly positive grid times")
-    n_paths = _as_int(data["n_paths"], "n_paths")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    seed = _as_int(data["seed"], "seed")
-    distance = _from_json("distance", data["distance"])
-    p = _as_float(data["p"], "p")
-    if not p >= 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    reference = _from_json("reference", data["reference"])
-    if reference.kind == "exact_invariant" and process.exact_invariant() is None:
-        raise ConfigError(
-            "reference 'exact_invariant' requires a process with a known invariant "
-            "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
-            "use 'long_run_empirical' instead"
-        )
-    outputs = data.get("outputs")
-    if outputs is not None and not isinstance(outputs, str):
-        raise ConfigError("outputs must be a directory path string")
-    bracket = data.get("bracket")
-    if bracket is not None:
-        if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
-            raise ConfigError("bracket must be a [lower_exponent, upper_exponent] pair")
-        lo, hi = _as_float(bracket[0], "bracket[0]"), _as_float(bracket[1], "bracket[1]")
-        if not lo <= hi:
-            raise DomainError(f"bracket must be ordered, got {bracket}")
-        bracket = (lo, hi)
-    bracket_params = data.get("bracket_params")
-    if bracket_params is not None:
-        if bracket is None:
-            raise ConfigError("bracket_params supplied without a bracket")
-        if not isinstance(bracket_params, dict):
-            raise ConfigError("bracket_params must be an object")
-    max_step = _as_float(data.get("max_step", 0.01), "max_step")
-    if not max_step > 0:
-        raise DomainError(f"max_step must be positive, got {max_step}")
-    return ExperimentConfig(
-        process=process,
-        x0=tuple(float(v) for v in x0),
-        t_grid=tuple(float(v) for v in t_grid),
-        n_paths=n_paths,
-        seed=seed,
-        distance=distance,
-        p=p,
-        reference=reference,
-        rate_model=rate_model,
-        outputs=outputs,
-        bracket=bracket,
-        bracket_params=bracket_params,
-        max_step=max_step,
-    )
+    return _from_json("experiment config", data)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The canonical JSON form: parse -> serialize -> parse is the identity."""
-    return {
-        "process": _to_json(cfg.process),
-        "x0": list(cfg.x0),
-        "t_grid": list(cfg.t_grid),
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "distance": _to_json(cfg.distance),
-        "p": cfg.p,
-        "reference": _to_json(cfg.reference),
-        "rate_model": cfg.rate_model,
-        "outputs": cfg.outputs,
-        "bracket": None if cfg.bracket is None else list(cfg.bracket),
-        "bracket_params": cfg.bracket_params,
-        "max_step": cfg.max_step,
-    }
+    return _to_json(cfg)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -665,14 +679,9 @@ def _derive_seed(seed: int, tag: str) -> int:
     return int(digest[:16], 16)
 
 
-def distance_between(dist: DistanceSpec, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
-    """Dispatch to the estimator selected by ``dist``."""
-    if dist.kind == "w1d":
-        return w_1d(mu, nu, p)
-    if dist.kind == "exact_lp":
-        return w_exact_lp(mu, nu, p).distance
-    res = sinkhorn_annealed(mu, nu, p, dist.epsilon, max_iter=20000, tol=2e-4)
-    return float(res.cost ** (1.0 / p))
+def distance_between(dist, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
+    """The distance between ``mu`` and ``nu`` by the estimator ``dist`` names."""
+    return dist.distance(mu, nu, p)
 
 
 def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
@@ -686,52 +695,6 @@ def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
     raise ConfigError(
         f"the invariant law needs a truncation above the limit {_MAX_TRUNCATION}"
     )
-
-
-def _build_reference(cfg: ExperimentConfig) -> EmpiricalMeasure:
-    ref = cfg.reference
-    if ref.kind == "exact_invariant":
-        if cfg.process.exact_invariant() == "chain":
-            return _chain_invariant(cfg.process)
-        # midpoint quantiles of the centred Gaussian invariant law
-        k = ref.quantile_points
-        quantiles = special.ndtri((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
-        return EmpiricalMeasure(points=quantiles[:, None], weights=np.full(k, 1.0 / k))
-    burn_grid = np.array([0.0, ref.t_burn])
-    batch = simulate(
-        cfg.process,
-        np.array(cfg.x0),
-        burn_grid,
-        cfg.n_paths,
-        _derive_seed(cfg.seed, "reference"),
-        max_step=cfg.max_step,
-    )
-    return EmpiricalMeasure.from_samples(batch.paths[:, -1, :])
-
-
-def _noise_floor(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> float:
-    """The same-estimator distance between two independent references.
-
-    For a long-run reference this is literally the distance between two
-    independent long simulations; for an exact reference it is the distance
-    between an ``n_paths``-sample redraw of the invariant law and the law
-    itself — the value at which a perfectly converged curve bottoms out.
-    """
-    if cfg.reference.kind == "long_run_empirical":
-        batch = simulate(
-            cfg.process,
-            np.array(cfg.x0),
-            np.array([0.0, cfg.reference.t_burn]),
-            cfg.n_paths,
-            _derive_seed(cfg.seed, "noise-floor"),
-            max_step=cfg.max_step,
-        )
-        other = EmpiricalMeasure.from_samples(batch.paths[:, -1, :])
-    else:
-        rng = np.random.default_rng(_derive_seed(cfg.seed, "noise-floor"))
-        idx = rng.choice(ref.points.shape[0], size=cfg.n_paths, p=ref.weights)
-        other = EmpiricalMeasure.from_samples(ref.points[idx])
-    return distance_between(cfg.distance, other, ref, cfg.p)
 
 
 def _measure_curve(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> np.ndarray:
@@ -756,8 +719,8 @@ def _measure_curve(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> np.ndarray:
 
 
 def _experiment_curve(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    ref = _build_reference(cfg)
-    floor = _noise_floor(cfg, ref)
+    ref = cfg.reference.measure(cfg)
+    floor = distance_between(cfg.distance, cfg.reference.redraw(cfg, ref), ref, cfg.p)
     dists = _measure_curve(cfg, ref)
     return np.array(cfg.t_grid), dists, floor
 
@@ -784,7 +747,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         out = Path(target)
         out.mkdir(parents=True, exist_ok=True)
         _write_distances(out / "distances.csv", times, dists)
-    print(f"noise floor ({cfg.reference.kind}, p={cfg.p:g}) = {floor:.6g}")
+    print(f"noise floor ({_to_json(cfg.reference)['kind']}, p={cfg.p:g}) = {floor:.6g}")
     fit = fit_rate(times, dists, cfg.rate_model, bracket=cfg.bracket, bracket_params=cfg.bracket_params)
     print(
         f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
@@ -877,7 +840,7 @@ def _cmd_wdist(data: dict, out: Path, seed) -> int:
     _write_distances(out / "wdist.csv", times, dists)
     for t, d in zip(times, dists):
         print(f"t = {t:g}: distance = {d:.6g}")
-    print(f"noise floor ({cfg.reference.kind}, p={cfg.p:g}) = {floor:.6g}")
+    print(f"noise floor ({_to_json(cfg.reference)['kind']}, p={cfg.p:g}) = {floor:.6g}")
     return 0
 
 
@@ -885,12 +848,11 @@ def _cmd_ratefit(data: dict, out: Path, seed) -> int:
     _require_keys(
         data, {"times", "values", "model"}, {"bracket", "bracket_params"}, "ratefit config"
     )
-    bracket = data.get("bracket")
     fit = fit_rate(
         data["times"],
         data["values"],
         data["model"],
-        bracket=None if bracket is None else tuple(bracket),
+        bracket=data.get("bracket"),
         bracket_params=data.get("bracket_params"),
     )
     result = {
@@ -928,7 +890,7 @@ def _generator(spec) -> GeneratorSpec:
 
 
 def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed) if "seed" in data or seed is not None else data
+    data = _override_seed(data, seed)
     _require_keys(
         data,
         {"process", "lyapunov", "phi", "grid", "ball_radius"},
@@ -942,13 +904,16 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
     grid_obj = data["grid"]
     if isinstance(grid_obj, dict):
         _require_keys(grid_obj, {"lo", "hi", "points"}, set(), "grid")
+        points = _as_int(grid_obj["points"], "grid.points")
+        if points < 1:
+            raise DomainError(f"grid.points must be >= 1, got {points}")
         grid = np.linspace(
-            _as_float(grid_obj["lo"], "grid.lo"),
-            _as_float(grid_obj["hi"], "grid.hi"),
-            _as_int(grid_obj["points"], "grid.points"),
+            _as_float(grid_obj["lo"], "grid.lo"), _as_float(grid_obj["hi"], "grid.hi"), points
         )
     else:
-        grid = np.asarray(grid_obj, dtype=float)
+        grid = _array(grid_obj, "grid")
+        if grid.size == 0:
+            raise DomainError("grid must hold at least one point")
     report = drift_check(
         gen,
         fn,

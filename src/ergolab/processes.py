@@ -841,6 +841,10 @@ def simulate(
         raise ConfigError("t_grid must be a strictly increasing 1-D grid")
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
+    if np.size(x0) != spec.dim:
+        raise ConfigError(
+            f"x0 has {np.size(x0)} coordinates but the process has dimension {spec.dim}"
+        )
     if spec.discrete_time:
         steps = np.rint(t).astype(int)
         if np.any(np.abs(t - steps) > 1e-9) or steps[0] < 0:

@@ -76,8 +76,25 @@ _BRACKET_CAP = 2.0**64
 _QUAD_RTOL = 1e-10
 
 
+class _Phi:
+    """What every ``phi`` family states: ``value(t)`` and ``big_phi(t)`` for
+    ``t >= 1``, and ``inverse_bracket``, the top of the range ``Phi^{-1}``
+    bisects."""
+
+    def inverse_bracket(self, u: float, tol: float) -> float:
+        """Geometric bracket expansion: the first ``2^k`` with ``Phi(2^k) >= u``."""
+        hi = 2.0
+        while self.big_phi(hi) < u:
+            hi *= 2.0
+            if hi > _BRACKET_CAP:
+                raise ConvergenceError(
+                    f"bracket expansion exceeded 2^64 while inverting Phi at u={u}"
+                )
+        return hi
+
+
 @dataclass(frozen=True)
-class LinearPhi:
+class LinearPhi(_Phi):
     """``phi(t) = c_hat * t`` with ``c_hat > 0`` (exponential regime)."""
 
     c_hat: float
@@ -86,9 +103,15 @@ class LinearPhi:
         if not (self.c_hat > 0.0 and math.isfinite(self.c_hat)):
             raise ConfigError(f"c_hat must be positive and finite, got {self.c_hat}")
 
+    def value(self, t: float) -> float:
+        return self.c_hat * t
+
+    def big_phi(self, t: float) -> float:
+        return math.log(t) / self.c_hat
+
 
 @dataclass(frozen=True)
-class PowerPhi:
+class PowerPhi(_Phi):
     """``phi(t) = prefactor * t^kappa`` with ``kappa in (0,1)``, ``prefactor > 0``."""
 
     kappa: float
@@ -100,9 +123,15 @@ class PowerPhi:
         if not (self.prefactor > 0.0 and math.isfinite(self.prefactor)):
             raise ConfigError(f"prefactor must be positive and finite, got {self.prefactor}")
 
+    def value(self, t: float) -> float:
+        return self.prefactor * t**self.kappa
+
+    def big_phi(self, t: float) -> float:
+        return (t ** (1.0 - self.kappa) - 1.0) / ((1.0 - self.kappa) * self.prefactor)
+
 
 @dataclass(frozen=True)
-class TabulatedPhi:
+class TabulatedPhi(_Phi):
     """Piecewise-linear ``phi`` between strictly increasing nodes ``grid >= 1``.
 
     Positivity, monotonicity, and concavity (nonincreasing difference
@@ -133,6 +162,39 @@ class TabulatedPhi:
             raise ConfigError("phi must be nondecreasing: found a negative slope")
         if any(b > a + 1e-12 for a, b in zip(slopes, slopes[1:])):
             raise ConfigError("phi must be concave: difference quotients increase")
+
+    def value(self, t: float) -> float:
+        if t < self.grid[0] or t > self.grid[-1]:
+            raise DomainError(
+                f"t={t} outside tabulated range [{self.grid[0]}, {self.grid[-1]}]"
+            )
+        return float(np.interp(t, self.grid, self.values))
+
+    def big_phi(self, t: float) -> float:
+        if t > self.grid[-1]:
+            raise DomainError(
+                f"t={t} outside tabulated range [{self.grid[0]}, {self.grid[-1]}]"
+            )
+        if t == 1.0:
+            return 0.0
+        interior = [g for g in self.grid if 1.0 < g < t]
+        val, _ = quad(
+            lambda s: 1.0 / self.value(s),
+            1.0,
+            t,
+            points=interior or None,
+            epsrel=_QUAD_RTOL,
+            epsabs=0.0,
+            limit=200,
+        )
+        return val
+
+    def inverse_bracket(self, u: float, tol: float) -> float:
+        """The last node; ``u`` beyond ``Phi`` there (within ``tol``) is unreachable."""
+        hi = self.grid[-1]
+        if u > self.big_phi(hi) + tol:
+            raise DomainError(f"u={u} exceeds achievable range Phi({hi})")
+        return hi
 
 
 PhiSpec = Union[LinearPhi, PowerPhi, TabulatedPhi]
@@ -185,17 +247,7 @@ def phi_eval(spec: PhiSpec, t: float) -> float:
     t = float(t)
     if t < 1.0:
         raise DomainError(f"phi is defined on [1, oo), got t={t}")
-    if isinstance(spec, LinearPhi):
-        return spec.c_hat * t
-    if isinstance(spec, PowerPhi):
-        return spec.prefactor * t**spec.kappa
-    if isinstance(spec, TabulatedPhi):
-        if t < spec.grid[0] or t > spec.grid[-1]:
-            raise DomainError(
-                f"t={t} outside tabulated range [{spec.grid[0]}, {spec.grid[-1]}]"
-            )
-        return float(np.interp(t, spec.grid, spec.values))
-    raise ConfigError(f"unknown phi spec {spec!r}")
+    return spec.value(t)
 
 
 def big_phi(spec: PhiSpec, t: float) -> float:
@@ -203,29 +255,7 @@ def big_phi(spec: PhiSpec, t: float) -> float:
     t = float(t)
     if t < 1.0:
         raise DomainError(f"Phi is defined on [1, oo), got t={t}")
-    if isinstance(spec, LinearPhi):
-        return math.log(t) / spec.c_hat
-    if isinstance(spec, PowerPhi):
-        return (t ** (1.0 - spec.kappa) - 1.0) / ((1.0 - spec.kappa) * spec.prefactor)
-    if isinstance(spec, TabulatedPhi):
-        if t > spec.grid[-1]:
-            raise DomainError(
-                f"t={t} outside tabulated range [{spec.grid[0]}, {spec.grid[-1]}]"
-            )
-        if t == 1.0:
-            return 0.0
-        interior = [g for g in spec.grid if 1.0 < g < t]
-        val, _ = quad(
-            lambda s: 1.0 / phi_eval(spec, s),
-            1.0,
-            t,
-            points=interior or None,
-            epsrel=_QUAD_RTOL,
-            epsabs=0.0,
-            limit=200,
-        )
-        return val
-    raise ConfigError(f"unknown phi spec {spec!r}")
+    return spec.big_phi(t)
 
 
 def big_phi_inv(spec: PhiSpec, u: float) -> float:
@@ -241,18 +271,7 @@ def big_phi_inv(spec: PhiSpec, u: float) -> float:
     if u == 0.0:
         return 1.0
     tol = _INV_VALUE_TOL * (1.0 + u)
-    if isinstance(spec, TabulatedPhi):
-        hi = spec.grid[-1]
-        if u > big_phi(spec, hi) + tol:
-            raise DomainError(f"u={u} exceeds achievable range Phi({hi})")
-    else:
-        hi = 2.0
-        while big_phi(spec, hi) < u:
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise ConvergenceError(
-                    f"bracket expansion exceeded 2^64 while inverting Phi at u={u}"
-                )
+    hi = spec.inverse_bracket(u, tol)
     lo = 1.0
     for _ in range(400):
         mid = math.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)

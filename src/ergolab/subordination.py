@@ -67,6 +67,16 @@ class StableSub:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"stable subordinator needs alpha in (0, 1), got {self.alpha}")
 
+    def laplace_exponent(self, u):
+        return u**self.alpha
+
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return dt ** (1.0 / self.alpha) * standard_one_sided_stable(self.alpha, rng, n)
+
+    def typical_increment(self, dt: float) -> float:
+        # the mean is infinite; the characteristic scale stands in
+        return dt ** (1.0 / self.alpha)
+
 
 @dataclass(frozen=True)
 class GammaSub:
@@ -79,12 +89,33 @@ class GammaSub:
         if not (self.a > 0 and self.b_hat > 0):
             raise DomainError("gamma subordinator needs a > 0 and b_hat > 0")
 
+    def laplace_exponent(self, u):
+        return self.a * np.log1p(u / self.b_hat)
+
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return rng.gamma(self.a * dt, 1.0 / self.b_hat, n)
+
+    def typical_increment(self, dt: float) -> float:
+        return self.a * dt / self.b_hat
+
 
 @dataclass(frozen=True)
 class DriftOnly:
     """Deterministic clock ``S(t) = b_S t`` (drift supplied by the spec)."""
 
+    def laplace_exponent(self, u):
+        return 0.0
 
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return np.zeros(n)
+
+    def typical_increment(self, dt: float) -> float:
+        return 0.0
+
+
+# a kind states the jump part of its clock: ``laplace_exponent(u)``, an
+# exact-in-law ``increment(dt, rng, n)`` over ``dt > 0``, and the
+# ``typical_increment(dt)`` that a trajectory grid must resolve
 SubordinatorKind = Union[StableSub, GammaSub, DriftOnly]
 
 
@@ -105,14 +136,7 @@ class SubordinatorSpec:
 def laplace_exponent(spec: SubordinatorSpec, u) -> float | np.ndarray:
     """Closed-form ``psi(u)`` with ``E[exp(-u S(t))] = exp(-t psi(u))``."""
     u = np.asarray(u, dtype=float)
-    kind = spec.kind
-    if isinstance(kind, StableSub):
-        jump = u**kind.alpha
-    elif isinstance(kind, GammaSub):
-        jump = kind.a * np.log1p(u / kind.b_hat)
-    else:
-        jump = 0.0
-    out = spec.b_S * u + jump
+    out = spec.b_S * u + spec.kind.laplace_exponent(u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -132,6 +156,9 @@ class Exponential:
         if not (self.gamma > 0 and self.scale > 0):
             raise DomainError("exponential profile needs gamma > 0 and scale > 0")
 
+    def value(self, t: np.ndarray) -> np.ndarray:
+        return self.scale * np.exp(-self.gamma * t)
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -144,6 +171,9 @@ class Polynomial:
         if not (self.exponent > 0 and self.scale > 0):
             raise DomainError("polynomial profile needs exponent > 0 and scale > 0")
 
+    def value(self, t: np.ndarray) -> np.ndarray:
+        return self.scale * (1.0 + t) ** (-self.exponent)
+
 
 @dataclass(frozen=True)
 class Custom:
@@ -155,21 +185,17 @@ class Custom:
         if not callable(self.fn):
             raise ConfigError("custom profile must be callable")
 
+    def value(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(t), dtype=float)
 
+
+# a profile states its ``value(t)`` at an array of times
 RateFunction = Union[Exponential, Polynomial, Custom]
 
 
 def rate_value(r: RateFunction, t) -> float | np.ndarray:
     """Evaluate the profile at scalar or array times."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(r, Exponential):
-        out = r.scale * np.exp(-r.gamma * t)
-    elif isinstance(r, Polynomial):
-        out = r.scale * (1.0 + t) ** (-r.exponent)
-    elif isinstance(r, Custom):
-        out = np.asarray(r.fn(t), dtype=float)
-    else:
-        raise ConfigError(f"unknown rate profile {r!r}")
+    out = r.value(np.asarray(t, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -180,12 +206,9 @@ def rate_value(r: RateFunction, t) -> float | np.ndarray:
 
 def _increment_samples(spec: SubordinatorSpec, dt: float, rng, n: int) -> np.ndarray:
     base = spec.b_S * dt
-    kind = spec.kind
-    if dt == 0.0 or isinstance(kind, DriftOnly):
+    if dt == 0.0:
         return np.full(n, base)
-    if isinstance(kind, GammaSub):
-        return base + rng.gamma(kind.a * dt, 1.0 / kind.b_hat, n)
-    return base + dt ** (1.0 / kind.alpha) * standard_one_sided_stable(kind.alpha, rng, n)
+    return base + spec.kind.increment(dt, rng, n)
 
 
 def sample_subordinator(spec: SubordinatorSpec, t: float, n: int, seed: int) -> np.ndarray:
@@ -274,20 +297,6 @@ class TimeChangedBatch:
     dropped: int
 
 
-def _mean_increment(spec: SubordinatorSpec, dt: float) -> float:
-    """Typical subordinator increment over ``dt``.
-
-    The gamma and drift clocks use the exact mean; the stable subordinator
-    has infinite mean, so its characteristic scale ``dt^{1/alpha}`` stands in.
-    """
-    kind = spec.kind
-    if isinstance(kind, GammaSub):
-        return spec.b_S * dt + kind.a * dt / kind.b_hat
-    if isinstance(kind, StableSub):
-        return spec.b_S * dt + dt ** (1.0 / kind.alpha)
-    return spec.b_S * dt
-
-
 def subordinate_paths(
     batch: TrajectoryBatch, spec: SubordinatorSpec, t_grid, seed: int
 ) -> TimeChangedBatch:
@@ -307,7 +316,8 @@ def subordinate_paths(
     pos = steps[steps > 0]
     if pos.size and times.size > 1:
         inner = float(np.max(np.diff(times)))
-        typical = _mean_increment(spec, float(pos.min()))
+        dt = float(pos.min())
+        typical = spec.b_S * dt + spec.kind.typical_increment(dt)
         if typical > 0 and inner > typical / 10.0 * (1.0 + 1e-9):
             raise ConfigError(
                 f"trajectory grid spacing {inner:.3g} is too coarse: the time "

@@ -12,10 +12,11 @@ import pytest
 
 from ergolab.cli import (
     _SCHEMA,
-    DistanceSpec,
+    ExactLP,
     ExperimentConfig,
     RateFit,
-    ReferenceSpec,
+    Sinkhorn,
+    W1D,
     config_hash,
     config_to_dict,
     distance_between,
@@ -392,14 +393,104 @@ def test_distance_kinds_agree_in_one_dimension():
     rng = np.random.default_rng(12)
     mu = EmpiricalMeasure.from_samples(rng.normal(0.0, 1.0, 30))
     nu = EmpiricalMeasure.from_samples(rng.normal(0.5, 1.3, 30))
-    d_quant = distance_between(DistanceSpec("w1d"), mu, nu, 2.0)
-    d_lp = distance_between(DistanceSpec("exact_lp"), mu, nu, 2.0)
+    d_quant = distance_between(W1D(), mu, nu, 2.0)
+    d_lp = distance_between(ExactLP(), mu, nu, 2.0)
     assert abs(d_quant - d_lp) < 1e-9
     scale = max(np.ptp(mu.points), np.ptp(nu.points))
     d_sink = distance_between(
-        DistanceSpec("sinkhorn", epsilon=1e-3 * scale**2), mu, nu, 2.0
+        Sinkhorn(epsilon=1e-3 * scale**2), mu, nu, 2.0
     )
     assert abs(d_sink - d_lp) / d_lp < 0.02
+
+
+def test_kinds_state_their_facts():
+    from scipy import special
+
+    from ergolab.cli import ExactInvariant, LongRunEmpirical, _derive_seed
+    from ergolab.processes import simulate, standard_one_sided_stable
+    from ergolab.rates import LinearPhi, PowerPhi, TabulatedPhi
+    from ergolab.subordination import (
+        Custom, DriftOnly, Exponential, GammaSub, Polynomial, StableSub,
+    )
+    from ergolab.wasserstein import sinkhorn_annealed, w_1d, w_exact_lp
+
+    # phi families: value, Phi, and the top of the range Phi^-1 bisects
+    lin, power = LinearPhi(c_hat=0.5), PowerPhi(kappa=0.5, prefactor=2.0)
+    tab = TabulatedPhi(grid=(1.0, 2.0, 4.0), values=(1.0, 1.5, 2.0))
+    assert lin.value(3.0) == 0.5 * 3.0 and lin.big_phi(3.0) == math.log(3.0) / 0.5
+    assert power.value(4.0) == 2.0 * 4.0**0.5
+    assert power.big_phi(4.0) == (4.0**0.5 - 1.0) / (0.5 * 2.0)
+    assert tab.value(3.0) == 1.75
+    # int_1^2 ds / (1 + (s - 1)/2) = 2 log(3/2)
+    assert tab.big_phi(2.0) == pytest.approx(2.0 * math.log(1.5), rel=1e-10)
+    assert lin.inverse_bracket(lin.big_phi(5.0), 1e-10) == 8.0  # first 2^k past Phi^-1(u)
+    assert tab.inverse_bracket(tab.big_phi(3.0), 1e-10) == 4.0  # the last node
+    with pytest.raises(DomainError):
+        tab.inverse_bracket(tab.big_phi(4.0) + 1.0, 1e-10)
+
+    # subordinator kinds: Laplace exponent, increment draw, typical increment
+    u, dt = np.array([0.5, 2.0]), 0.25
+    stable, gamma, drift = StableSub(alpha=0.5), GammaSub(a=1.5, b_hat=2.0), DriftOnly()
+    np.testing.assert_array_equal(stable.laplace_exponent(u), u**0.5)
+    np.testing.assert_array_equal(gamma.laplace_exponent(u), 1.5 * np.log1p(u / 2.0))
+    assert drift.laplace_exponent(u) == 0.0
+    np.testing.assert_array_equal(
+        stable.increment(dt, np.random.default_rng(3), 5),
+        dt**2.0 * standard_one_sided_stable(0.5, np.random.default_rng(3), 5),
+    )
+    np.testing.assert_array_equal(
+        gamma.increment(dt, np.random.default_rng(3), 5),
+        np.random.default_rng(3).gamma(1.5 * dt, 1.0 / 2.0, 5),
+    )
+    np.testing.assert_array_equal(drift.increment(dt, np.random.default_rng(3), 5), np.zeros(5))
+    assert stable.typical_increment(dt) == dt**2.0
+    assert gamma.typical_increment(dt) == 1.5 * dt / 2.0
+    assert drift.typical_increment(dt) == 0.0
+
+    # rate profiles
+    t = np.array([0.0, 1.5])
+    np.testing.assert_array_equal(Exponential(gamma=0.7, scale=3.0).value(t), 3.0 * np.exp(-0.7 * t))
+    np.testing.assert_array_equal(Polynomial(exponent=2.0, scale=5.0).value(t), 5.0 * (1.0 + t) ** -2.0)
+    np.testing.assert_array_equal(Custom(fn=lambda s: 1.0 / (1.0 + s)).value(t), 1.0 / (1.0 + t))
+
+    # distance kinds
+    rng = np.random.default_rng(4)
+    mu = EmpiricalMeasure.from_samples(rng.normal(0.0, 1.0, 16))
+    nu = EmpiricalMeasure.from_samples(rng.normal(0.5, 1.0, 16))
+    assert W1D().distance(mu, nu, 2.0) == w_1d(mu, nu, 2.0)
+    assert ExactLP().distance(mu, nu, 2.0) == w_exact_lp(mu, nu, 2.0).distance
+    res = sinkhorn_annealed(mu, nu, 2.0, 0.05, max_iter=20000, tol=2e-4)
+    assert Sinkhorn(epsilon=0.05).distance(mu, nu, 2.0) == float(res.cost ** 0.5)
+
+    # reference kinds: the measure and its independent redraw
+    cfg = parse_experiment_config(
+        _ou_config(n_paths=12, reference={"kind": "exact_invariant", "quantile_points": 64})
+    )
+    assert isinstance(cfg.reference, ExactInvariant) and cfg.reference.needs_invariant
+    ref = cfg.reference.measure(cfg)
+    quantiles = special.ndtri((np.arange(64) + 0.5) / 64) * cfg.process.invariant_sd()
+    np.testing.assert_array_equal(ref.points[:, 0], quantiles)
+    idx = np.random.default_rng(_derive_seed(cfg.seed, "noise-floor")).choice(
+        64, size=12, p=ref.weights
+    )
+    np.testing.assert_array_equal(cfg.reference.redraw(cfg, ref).points, ref.points[idx])
+    cfg = parse_experiment_config(
+        _ou_config(n_paths=12, reference={"kind": "long_run_empirical", "t_burn": 1.0})
+    )
+    assert isinstance(cfg.reference, LongRunEmpirical) and not cfg.reference.needs_invariant
+    ref = cfg.reference.measure(cfg)
+    for got, tag in ((ref, "reference"), (cfg.reference.redraw(cfg, ref), "noise-floor")):
+        seed = _derive_seed(cfg.seed, tag)
+        batch = simulate(cfg.process, np.array(cfg.x0), np.array([0.0, 1.0]), 12, seed,
+                         max_step=cfg.max_step)
+        np.testing.assert_array_equal(got.points, batch.paths[:, -1, :])
+
+
+def test_config_replace_checks_ranges():
+    cfg = parse_experiment_config(_zero_noise_config())
+    for bad in ({"n_paths": 0}, {"p": 0.5}, {"max_step": 0.0}):
+        with pytest.raises(DomainError):
+            dataclasses.replace(cfg, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +631,54 @@ def test_cli_exit_codes(tmp_path):
         },
     )
     assert main(["ratefit", "--config", degenerate, "--out-dir", str(tmp_path)]) == 3
+
+
+_OU_1D = {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}}
+_OU_2D = {"family": "ou_jump", "H": [[-1.0, 0.0], [0.0, -1.0]],
+          "levy": {"a_L": [[1.0, 0.0], [0.0, 1.0]]}}
+_SIMULATE = {"process": _OU_1D, "x0": [1.0], "t_grid": [0.0, 1.0], "n_paths": 4, "seed": 1}
+_COUPLE = {"process": _OU_1D, "x": [1.0], "y": [0.0], "t_grid": [0.0, 1.0], "n_paths": 100,
+           "seed": 1, "p": 2.0, "n_boot": 10}
+_DRIFTCHECK = {
+    "process": {"family": "langevin", "alpha": 0.2, "beta": 0.0, "dim": 1},
+    "lyapunov": {"family": "poly_plus_one", "theta": 1.5},
+    "phi": {"family": "power", "kappa": 0.5},
+    "grid": [5.0, 10.0],
+    "ball_radius": 2.0,
+}
+_RATEFIT = {"times": [1.0, 2.0, 4.0, 8.0], "values": [1.0, 0.25, 0.0625, 0.015625],
+            "model": "polynomial"}
+_SUBORDINATE = {"rate": {"kind": "exponential", "gamma": 1.0}, "p": 1.0,
+                "subordinator": {"kind": "gamma", "a": 1.0, "b_hat": 1.0}, "t": [1.0],
+                "n_mc": 10, "seed": 1}
+
+MALFORMED = {
+    "simulate-x0-text": ("simulate", {**_SIMULATE, "x0": ["a"]}),
+    "simulate-x0-too-long": ("simulate", {**_SIMULATE, "x0": [1.0, 2.0]}),
+    "simulate-x0-too-short": ("simulate", {**_SIMULATE, "process": _OU_2D}),
+    "experiment-x0-too-long": (
+        "experiment",
+        _ou_config(x0=[1.0, 2.0], n_paths=8, reference={"kind": "exact_invariant",
+                                                         "quantile_points": 16}),
+    ),
+    "couple-x-too-long": ("couple", {**_COUPLE, "x": [1.0, 2.0]}),
+    "couple-y-too-short": ("couple", {**_COUPLE, "process": _OU_2D, "x": [1.0, 0.0]}),
+    "subordinate-t-text": ("subordinate", {**_SUBORDINATE, "t": ["x"]}),
+    "driftcheck-grid-text": ("driftcheck", {**_DRIFTCHECK, "grid": ["a"]}),
+    "driftcheck-grid-no-points": (
+        "driftcheck", {**_DRIFTCHECK, "grid": {"lo": 1.0, "hi": 2.0, "points": 0}}
+    ),
+    "ratefit-times-text": ("ratefit", {**_RATEFIT, "times": ["a", 2.0, 4.0, 8.0]}),
+    "ratefit-bracket-short": ("ratefit", {**_RATEFIT, "bracket": [1]}),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_cli_malformed_values_exit_2(name, tmp_path, capsys):
+    command, payload = MALFORMED[name]
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_deterministic_csv(tmp_path):
