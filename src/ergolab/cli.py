@@ -239,11 +239,7 @@ class ExperimentConfig:
         if self.rate_model == "polynomial" and np.any(t_grid <= 0):
             raise ConfigError("a polynomial rate model requires strictly positive grid times")
         object.__setattr__(self, "t_grid", tuple(float(v) for v in t_grid))
-        if len(self.x0) != self.process.dim:
-            raise ConfigError(
-                f"x0 has {len(self.x0)} coordinates but the process has dimension "
-                f"{self.process.dim}"
-            )
+        self.process.check_start(self.x0)
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not self.p >= 1.0:
@@ -914,6 +910,11 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
         grid = _array(grid_obj, "grid")
         if grid.size == 0:
             raise DomainError("grid must hold at least one point")
+    points = grid[:, None] if grid.ndim == 1 else grid
+    if points.ndim != 2 or points.shape[1] != spec.dim:
+        raise ConfigError(
+            f"grid points must have {spec.dim} coordinates, the process dimension"
+        )
     report = drift_check(
         gen,
         fn,
@@ -942,15 +943,6 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     p = _as_float(data["p"], "p")
     run_seed = _as_int(data["seed"], "seed")
-    pairs = synchronous_pair_sim(
-        spec,
-        _vector(data["x"], "x"),
-        _vector(data["y"], "y"),
-        _resolve_grid(data["t_grid"], "arithmetic"),
-        _as_int(data["n_paths"], "n_paths"),
-        run_seed,
-        max_step=_as_float(data.get("max_step", 0.01), "max_step"),
-    )
     params = None
     cert = data.get("certificate")
     if cert is not None:
@@ -959,6 +951,11 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         _require_keys(cert, {"lip_sqrtq_sigma"}, {"Q"}, "certificate")
         if "Q" in cert:
             q = QuadForm(_matrix(cert["Q"], "certificate.Q"))
+            if q.dim != spec.dim:
+                raise ConfigError(
+                    f"certificate.Q is {q.dim} x {q.dim} but the process has dimension "
+                    f"{spec.dim}"
+                )
         else:
             q = find_q(spec.M, spec.Gamma, spec.control.v)
             if isinstance(q, NotFound):
@@ -980,6 +977,15 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
             )
         params = DissipativityParams(q=q, p=p, c_p=c_p)
         print(f"c(p) = {c_p:.6g} at p = {p:g}")
+    pairs = synchronous_pair_sim(
+        spec,
+        _vector(data["x"], "x"),
+        _vector(data["y"], "y"),
+        _resolve_grid(data["t_grid"], "arithmetic"),
+        _as_int(data["n_paths"], "n_paths"),
+        run_seed,
+        max_step=_as_float(data.get("max_step", 0.01), "max_step"),
+    )
     report = contraction_estimate(
         pairs,
         p,
@@ -1005,6 +1011,8 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     if not isinstance(spec, BackwardRecurrence):
         raise ConfigError("the lower-bound construction applies to backward_recurrence")
+    x0 = _vector(data["x0"], "x0")
+    spec.check_start(x0)
     s_obj = data["s_grid"]
     if isinstance(s_obj, dict):
         _require_keys(s_obj, {"min", "max", "points"}, set(), "s_grid")
@@ -1023,7 +1031,12 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
             start *= 2
         pi = _chain_invariant(spec, start)
     else:
-        pi = invariant_exact(spec, _as_int(trunc, "truncation"))
+        truncation = _as_int(trunc, "truncation")
+        if truncation > _MAX_TRUNCATION:
+            raise ConfigError(
+                f"truncation {truncation} exceeds the limit {_MAX_TRUNCATION} of tabulated states"
+            )
+        pi = invariant_exact(spec, truncation)
     params = _from_json("lower params", data["params"])
     theta_v = _as_float(data.get("lyapunov_exponent", params.theta), "lyapunov_exponent")
     lip = _as_float(data.get("lipschitz", 1.0), "lipschitz")
@@ -1034,7 +1047,7 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
         c=_as_float(data["c"], "c"),
         b=_as_float(data["b"], "b"),
         params=params,
-        x0=_vector(data["x0"], "x0"),
+        x0=x0,
     )
     curve = lower_bound_curve(inst, _as_int(data["n_terms"], "n_terms"), s_grid=s_grid)
     curve.to_csv(out / "lower.csv")

@@ -113,13 +113,20 @@ def tail_mass(pi: EmpiricalMeasure, L, s: float) -> float:
 def _tail_on_grid(pi: EmpiricalMeasure, L, grid: np.ndarray) -> np.ndarray:
     """``pi(L > s)`` for every ``s`` in ``grid`` via a sorted suffix sum."""
     vals = np.asarray(_observable(L)(pi.points), dtype=float).ravel()
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    suffix = np.concatenate((np.cumsum(pi.weights[order][::-1])[::-1], [0.0]))
-    return suffix[np.searchsorted(sorted_vals, grid, side="right")]
+    weights = pi.weights
+    # strictly increasing values, as a tabulated law gives, sort to themselves
+    if not np.all(vals[1:] > vals[:-1]):
+        order = np.argsort(vals)
+        vals, weights = vals[order], weights[order]
+    suffix = np.zeros(vals.size + 1)
+    np.cumsum(weights[::-1], out=suffix[-2::-1])
+    return suffix[np.searchsorted(vals, grid, side="right")]
 
 
-def _qualify(inst: LowerBoundInstance, s_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _select(inst: LowerBoundInstance, n_terms: int, s_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The levels :func:`select_sn` returns and their tails ``pi(L > s)``."""
+    if n_terms < 1:
+        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     grid = np.unique(np.asarray(s_grid, dtype=float).ravel())
     if grid.size == 0 or np.any(grid <= 0):
         raise DomainError("s_grid must contain positive levels")
@@ -127,19 +134,6 @@ def _qualify(inst: LowerBoundInstance, s_grid) -> tuple[np.ndarray, np.ndarray, 
     tails = _tail_on_grid(inst.pi, inst.L, grid)
     lhs = (grid / 2.0) ** par.p * tails
     rhs = 2.0**par.p * grid ** (par.p - par.vartheta - par.eps_var - par.eps_small)
-    return grid, lhs, rhs
-
-
-def select_sn(inst: LowerBoundInstance, n_terms: int, s_grid) -> np.ndarray:
-    """Smallest ``n_terms`` grid levels satisfying the tail inequality.
-
-    A level qualifies when ``(s/2)^p pi(L > s) >= 2^p s^{p-vartheta-eps-eps'}``.
-    Raises :class:`InsufficientTailError` (with a diagnostics dict recording
-    the best ratio achieved) when fewer than ``n_terms`` levels qualify.
-    """
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    grid, lhs, rhs = _qualify(inst, s_grid)
     qual = np.flatnonzero(lhs >= rhs)
     if qual.size < n_terms:
         ratio = lhs / rhs
@@ -156,7 +150,18 @@ def select_sn(inst: LowerBoundInstance, n_terms: int, s_grid) -> np.ndarray:
                 "best_s": float(grid[best]),
             },
         )
-    return grid[qual[:n_terms]]
+    chosen = qual[:n_terms]
+    return grid[chosen], tails[chosen]
+
+
+def select_sn(inst: LowerBoundInstance, n_terms: int, s_grid) -> np.ndarray:
+    """Smallest ``n_terms`` grid levels satisfying the tail inequality.
+
+    A level qualifies when ``(s/2)^p pi(L > s) >= 2^p s^{p-vartheta-eps-eps'}``.
+    Raises :class:`InsufficientTailError` (with a diagnostics dict recording
+    the best ratio achieved) when fewer than ``n_terms`` levels qualify.
+    """
+    return _select(inst, n_terms, s_grid)[0]
 
 
 def tn_from_sn(inst: LowerBoundInstance, s: float) -> float:
@@ -213,7 +218,7 @@ def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid=None) -> Lo
     """
     if s_grid is None:
         s_grid = np.geomspace(1.0, 1e8, 1600)
-    s = select_sn(inst, n_terms, s_grid)
+    s, tails = _select(inst, n_terms, s_grid)
     par = inst.params
     v0 = inst.v_at_start()
     delta = par.theta - par.vartheta - par.eps_var - par.eps_small
@@ -223,7 +228,6 @@ def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid=None) -> Lo
             "matched times are negative for the smallest qualifying levels; "
             "start the grid at larger s"
         )
-    tails = _tail_on_grid(inst.pi, inst.L, s)
     first = ((s / 2.0) ** par.p * tails) ** (1.0 / par.p)
     second = ((2.0 ** (par.theta - par.p) / inst.c) * (inst.b * t + v0)) ** (
         1.0 / par.p

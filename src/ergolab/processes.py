@@ -8,7 +8,8 @@ The module couples two layers:
   :class:`NonlinearSS`, :class:`BackwardRecurrence`, :class:`GenericIto`), each
   a :class:`ProcessSpec` that states the facts its callers need;
 * numerics — :func:`simulate` (Euler–Maruyama with exact-in-law noise
-  increments per step; exact recursion for the discrete-time kinds),
+  increments per step; exact recursion for the discrete-time kinds, each
+  advanced by the family's ``stepper``),
   :func:`sample_stable` (Chambers–Mallows–Stuck), :func:`invariant_exact`
   (backward recurrence chain), :func:`ou_exact_transition` (Gaussian marginal
   of a linear SDE), :func:`piecewise_drift`, and :func:`langevin_coeffs`.
@@ -22,6 +23,9 @@ Conventions
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own counter-based
   substream keyed on (master seed, block index).
+* A discrete-time family's ``stepper(x0, steps)`` holds whatever state suits
+  it (``BackwardRecurrence``: an integer index into a table of ``p_i``) and
+  hands back float states only at the grid's step counts.
 * ``OUJump`` integrates the linear drift and the Gaussian part exactly per
   step (the marginal law of the continuous part is exact on the grid); jump
   increments are added at step ends like for every other continuous kind.
@@ -309,16 +313,26 @@ class MarkovControl:
 class ProcessSpec:
     """Facts every process family gives its callers, so none checks its type.
 
-    ``dim``; ``discrete_time`` (True: integer times, advanced by ``step(x,
-    rng)``); for continuous time ``levy``, a batched ``drift(x)``, ``sigma``
-    (None, a constant matrix or a batched callable) and ``stepper(dts)``,
-    which returns ``advance(x, dt, rng)`` for one substep of the continuous
-    part (Euler–Maruyama unless a family integrates exactly); and
+    ``dim``; ``check_start(x0)``, which refuses a start state the process
+    cannot take; ``discrete_time`` (True: integer times); for discrete time
+    ``stepper(x0, steps)``, which returns ``walk(m, rng)``, a generator of
+    the ``(m, dim)`` states of ``m`` paths from ``x0`` at each step count in
+    the increasing list ``steps``; for continuous time ``levy``, a batched
+    ``drift(x)``, ``sigma`` (None, a constant matrix or a batched callable)
+    and ``stepper(dts)``, which returns ``advance(x, dt, rng)`` for one
+    substep of the continuous part (Euler–Maruyama unless a family
+    integrates exactly); and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
     ``"gaussian"`` (centred, ``invariant_sd()``) or None.
     """
 
     discrete_time: ClassVar[bool] = False
+
+    def check_start(self, x0) -> None:
+        if np.size(x0) != self.dim:
+            raise ConfigError(
+                f"x0 has {np.size(x0)} coordinates but the process has dimension {self.dim}"
+            )
 
     def exact_invariant(self) -> str | None:
         return None
@@ -499,13 +513,21 @@ class NonlinearSS(ProcessSpec):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"growth constant {name} must be positive")
 
-    def step(self, x, rng):
-        w = np.asarray(self.noise(rng, x.shape[0]), dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
-        x = np.asarray(self.F(x), dtype=float) + w
-        _check_blowup(x)
-        return x
+    def stepper(self, x0, steps):
+        def walk(m, rng):
+            x = np.broadcast_to(x0, (m, self.dim)).copy()
+            done = 0
+            for stop in steps:
+                for _ in range(stop - done):
+                    w = np.asarray(self.noise(rng, m), dtype=float)
+                    if w.ndim == 1:
+                        w = w[:, None]
+                    x = np.asarray(self.F(x), dtype=float) + w
+                    _check_blowup(x)
+                done = stop
+                yield x
+
+        return walk
 
 
 @dataclass(frozen=True)
@@ -537,10 +559,34 @@ class BackwardRecurrence(ProcessSpec):
             np.where(i < self.i0, 0.5, 1.0 - (1.0 + self.alpha) / np.maximum(i, 1.0)),
         )
 
-    def step(self, x, rng):
-        p = self.up_prob(x[:, 0])
-        up = rng.uniform(0.0, 1.0, x.shape[0]) < p
-        return np.where(up[:, None], x + 1.0, 0.0)
+    def check_start(self, x0) -> None:
+        super().check_start(x0)
+        x = float(np.ravel(x0)[0])
+        if not (0.0 <= x <= 2.0**53 and x == math.floor(x)):
+            raise ConfigError(f"the chain starts at a nonnegative integer state, got x0 = {x!r}")
+
+    def stepper(self, x0, steps):
+        """Integer walk over a table of ``p_i``: index ``k <= n`` is state ``k``
+        (reached after a reset), index ``n + 1 + k`` is state ``x0 + k`` (no
+        reset yet), ``n`` the horizon.  One uniform per path and step."""
+        n = steps[-1]
+        start = int(x0[0])
+        table = self.up_prob(
+            np.concatenate((np.arange(n + 1.0), np.arange(start, start + n + 1.0)))
+        )
+
+        def walk(m, rng):
+            k = np.full(m, n + 1)
+            done = 0
+            for stop in steps:
+                for _ in range(stop - done):
+                    up = rng.random(m) < table[k]
+                    k += 1
+                    k *= up
+                done = stop
+                yield np.where(k > n, k + (start - n - 1), k)[:, None]
+
+        return walk
 
     def exact_invariant(self) -> str | None:
         return "chain"
@@ -751,24 +797,12 @@ def _check_blowup(x: np.ndarray) -> None:
 
 
 def _simulate_discrete(spec, x0, steps_grid, n_paths, seed):
-    dim = spec.dim
-    n_times = len(steps_grid)
-    out = np.empty((n_paths, n_times, dim))
-    horizon = steps_grid[-1]
+    out = np.empty((n_paths, len(steps_grid), spec.dim))
+    walk = spec.stepper(np.asarray(x0, dtype=float).ravel(), steps_grid)
     for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
         hi = min(lo + _BLOCK_SIZE, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, block)
-        x = np.broadcast_to(np.asarray(x0, dtype=float).ravel(), (m, dim)).copy()
-        save = 0
-        if steps_grid[0] == 0:
-            out[lo:hi, 0] = x
-            save = 1
-        for step in range(1, horizon + 1):
-            x = spec.step(x, rng)
-            if save < n_times and step == steps_grid[save]:
-                out[lo:hi, save] = x
-                save += 1
+        for k, x in enumerate(walk(hi - lo, _block_rng(seed, block))):
+            out[lo:hi, k] = x
     return out
 
 
@@ -834,17 +868,14 @@ def simulate(
     substep (substep length at most ``max_step``); ``OUJump`` integrates its
     linear drift and Gaussian part exactly per substep. ``BackwardRecurrence``
     and ``NonlinearSS`` are exact recursions on integer times. The first grid
-    point carries the initial condition.
+    point carries the initial condition, which ``spec.check_start`` vets.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
         raise ConfigError("t_grid must be a strictly increasing 1-D grid")
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
-    if np.size(x0) != spec.dim:
-        raise ConfigError(
-            f"x0 has {np.size(x0)} coordinates but the process has dimension {spec.dim}"
-        )
+    spec.check_start(x0)
     if spec.discrete_time:
         steps = np.rint(t).astype(int)
         if np.any(np.abs(t - steps) > 1e-9) or steps[0] < 0:
@@ -862,11 +893,22 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _recurrence_series(spec: BackwardRecurrence, n_terms: int):
-    """Unnormalized masses u_i = prod_{j=1}^{i-1} p_j for i >= 1 (u_1 = 1)."""
-    idx = np.arange(1, n_terms, dtype=float)
-    p = np.where(idx < spec.i0, 0.5, 1.0 - (1.0 + spec.alpha) / idx)
-    u = np.concatenate([[1.0], np.cumprod(p)])  # u[i-1] corresponds to state i
+    """Unnormalized masses u_i = prod_{j=1}^{i-1} p_j for i >= 1 (u_1 = 1).
+
+    Built in one array, ``u[i-1]`` for state ``i``, and returned read-only:
+    the last series is cached, so truncations that need the same number of
+    terms share it.
+    """
+    u = np.arange(n_terms, dtype=float)
+    p = u[1:]  # p[j-1] = p_j, formed in place from j
+    np.divide(1.0 + spec.alpha, p, out=p)
+    np.subtract(1.0, p, out=p)
+    p[: spec.i0 - 1] = 0.5
+    u[0] = 1.0
+    np.multiply.accumulate(p, out=p)
+    u.flags.writeable = False
     return u
 
 
@@ -905,10 +947,10 @@ def invariant_exact(spec: BackwardRecurrence, truncation: int):
         raise ConfigError(
             f"truncation {truncation} leaves tail mass ~{tail_mass:.2e} > 1e-12"
         )
-    weights = masses / norm
-    weights = weights / weights.sum()
+    masses /= norm
+    masses /= masses.sum()
     points = np.arange(truncation + 1, dtype=float)[:, None]
-    return EmpiricalMeasure(points=points, weights=weights)
+    return EmpiricalMeasure(points=points, weights=masses)
 
 
 def _ou_covariance(h: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:

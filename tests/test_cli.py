@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import subprocess
@@ -17,6 +18,7 @@ from ergolab.cli import (
     RateFit,
     Sinkhorn,
     W1D,
+    _chain_invariant,
     config_hash,
     config_to_dict,
     distance_between,
@@ -30,6 +32,7 @@ from ergolab.errors import (
     DegenerateDataError,
     DomainError,
 )
+from ergolab.processes import BackwardRecurrence, invariant_exact
 from ergolab.wasserstein import EmpiricalMeasure
 
 
@@ -646,6 +649,48 @@ _DRIFTCHECK = {
     "grid": [5.0, 10.0],
     "ball_radius": 2.0,
 }
+_CHAIN = {"family": "backward_recurrence", "alpha": 3.0, "i0": 5}
+
+
+def _chain_config(**overrides):
+    cfg = {
+        "process": _CHAIN,
+        "x0": [0.0],
+        "t_grid": [1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 32.0, 100.0, 316.0, 1000.0],
+        "n_paths": 512,
+        "seed": 11,
+        "distance": {"kind": "w1d"},
+        "p": 1.0,
+        "reference": {"kind": "exact_invariant"},
+        "rate_model": "polynomial",
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def _lower_config(**overrides):
+    payload = {
+        "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
+        "params": {
+            "theta": 3.95,
+            "vartheta": 2.95,
+            "eps_var": 0.05,
+            "eps_small": 0.45,
+            "p": 1.0,
+        },
+        "c": 1.0,
+        "b": 50.0,
+        "x0": [0.0],
+        "n_terms": 3,
+        "s_grid": {"min": 1e4, "max": 1e5, "points": 200},
+    }
+    payload.update(overrides)
+    return payload
+
+
+_PIECEWISE_2D = {"family": "piecewise_ou", "l": [1.0, 1.0], "M": [[1.0, 0.0], [0.0, 1.0]],
+                 "Gamma": [[1.0, 0.0], [0.0, 1.0]], "v": [0.5, 0.5],
+                 "sigma": [[0.5, 0.0], [0.0, 0.5]], "levy": {}}
 _RATEFIT = {"times": [1.0, 2.0, 4.0, 8.0], "values": [1.0, 0.25, 0.0625, 0.015625],
             "model": "polynomial"}
 _SUBORDINATE = {"rate": {"kind": "exponential", "gamma": 1.0}, "p": 1.0,
@@ -670,6 +715,20 @@ MALFORMED = {
     ),
     "ratefit-times-text": ("ratefit", {**_RATEFIT, "times": ["a", 2.0, 4.0, 8.0]}),
     "ratefit-bracket-short": ("ratefit", {**_RATEFIT, "bracket": [1]}),
+    "simulate-chain-x0-negative": ("simulate", {**_SIMULATE, "process": _CHAIN, "x0": [-1.0]}),
+    "experiment-chain-x0-fraction": (
+        "experiment", _chain_config(x0=[2.5], n_paths=64, t_grid=[1.0, 2.0, 4.0, 8.0, 16.0])
+    ),
+    "lower-chain-x0-negative": ("lower", _lower_config(x0=[-1.0])),
+    "driftcheck-grid-1d-on-2d": (
+        "driftcheck",
+        {**_DRIFTCHECK, "process": {"family": "langevin", "alpha": 0.2, "beta": 0.0, "dim": 2}},
+    ),
+    "couple-certificate-q-1x1-on-2d": (
+        "couple",
+        {**_COUPLE, "process": _PIECEWISE_2D, "x": [1.0, 0.0], "y": [0.0, 1.0],
+         "certificate": {"lip_sqrtq_sigma": 0.0, "Q": [[1.0]]}},
+    ),
 }
 
 
@@ -886,26 +945,6 @@ def test_cli_lower_bound_curve(tmp_path):
     assert main(["lower", "--config", cfg_bad, "--out-dir", str(tmp_path)]) == 3
 
 
-def _lower_config(**overrides):
-    payload = {
-        "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
-        "params": {
-            "theta": 3.95,
-            "vartheta": 2.95,
-            "eps_var": 0.05,
-            "eps_small": 0.45,
-            "p": 1.0,
-        },
-        "c": 1.0,
-        "b": 50.0,
-        "x0": [0.0],
-        "n_terms": 3,
-        "s_grid": {"min": 1e4, "max": 1e5, "points": 200},
-    }
-    payload.update(overrides)
-    return payload
-
-
 def test_cli_lower_auto_truncation_reaches_the_levels(tmp_path):
     auto, explicit = tmp_path / "auto", tmp_path / "explicit"
     auto.mkdir(), explicit.mkdir()
@@ -918,6 +957,43 @@ def test_cli_lower_auto_truncation_reaches_the_levels(tmp_path):
     # levels beyond 2^22 states would need a larger table than the cap allows
     cfg = _write(tmp_path / "far.json", _lower_config(s_grid=[1e4, 1e7]))
     assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_lower_refuses_truncation_above_the_cap(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("invariant_exact must not run for a truncation above the cap")
+
+    monkeypatch.setattr("ergolab.cli.invariant_exact", never)
+    cfg = _write(tmp_path / "huge.json", _lower_config(truncation=2**30))
+    assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "lower.csv").exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_chain_outputs_are_pinned(tmp_path):
+    # digests of the artifacts as the float-state recursion and the
+    # per-truncation series computed them
+    cfg = _write(tmp_path / "experiment.json", _chain_config())
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "distances.csv") == (
+        "f11f9c76c9a867af11fc53e28c1527ef7643e8a762461f2b604b6df94688f658"
+    )
+    cfg = _write(tmp_path / "lower.json", _lower_config(truncation=65536))
+    assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "lower.csv") == (
+        "256a5c219fcc36f26c42cd74be055b559e0073a3c4278d2b4645ccd09e364adc"
+    )
+
+
+def test_chain_invariant_doubles_to_the_first_passing_truncation():
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    # 1024, 2048 and 4096 leave too much tail mass for alpha = 3
+    law, direct = _chain_invariant(spec), invariant_exact(spec, 8192)
+    assert np.array_equal(law.points, direct.points)
+    assert np.array_equal(law.weights, direct.weights)
 
 
 def test_cli_subordinate(tmp_path):

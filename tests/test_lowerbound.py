@@ -116,6 +116,20 @@ def test_tail_mass_empirical_fraction():
     assert tail_mass(pi, lambda pts: pts[:, 0], 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_tail_on_grid_same_for_sorted_and_shuffled_support():
+    from ergolab.lowerbound import _tail_on_grid
+
+    pi = invariant_exact(BackwardRecurrence(alpha=3.0, i0=5), truncation=8192)
+    perm = np.random.default_rng(5).permutation(pi.size)
+    shuffled = EmpiricalMeasure(points=pi.points[perm], weights=pi.weights[perm])
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 7.0, 100.0, 8192.0, 9000.0])
+    sorted_tails = _tail_on_grid(pi, _identity_l(), grid)
+    assert np.array_equal(_tail_on_grid(shuffled, _identity_l(), grid), sorted_tails)
+    assert sorted_tails[-2:].tolist() == [0.0, 0.0]
+    for s, got in zip(grid, sorted_tails):
+        assert got == pytest.approx(tail_mass(pi, _identity_l(), s), abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # select_sn
 # ---------------------------------------------------------------------------

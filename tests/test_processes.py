@@ -490,6 +490,54 @@ def test_simulate_backward_recurrence_first_step_up():
     assert np.all(batch.paths[:, 1, 0] == 1.0)  # p_0 = 1
 
 
+@pytest.mark.parametrize(
+    "alpha, i0, x0, seed",
+    [(3.0, 5, 0, 1), (2.0, 4, 0, 12), (1.5, 3, 7, 5), (3.0, 5, 40, 3), (2.5, 8, 3, 99)],
+)
+def test_backward_recurrence_stepper_matches_float_recursion(alpha, i0, x0, seed):
+    # the recursion as a float state: up with probability p_x, else back to 0,
+    # one uniform per path and step from the same block stream
+    from ergolab.processes import _BLOCK_SIZE, _block_rng
+
+    spec = BackwardRecurrence(alpha=alpha, i0=i0)
+    grid = [0, 1, 2, 5, 17, 60, 150]
+    n_paths = _BLOCK_SIZE + 300  # two blocks, the second one short
+    batch = simulate(spec, [float(x0)], grid, n_paths=n_paths, seed=seed)
+    for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
+        hi = min(lo + _BLOCK_SIZE, n_paths)
+        rng = _block_rng(seed, block)
+        x = np.full(hi - lo, float(x0))
+        expected = [x.copy()]
+        for step in range(1, grid[-1] + 1):
+            u = rng.uniform(0.0, 1.0, hi - lo)
+            x = np.where(u < spec.up_prob(x), x + 1.0, 0.0)
+            if step in grid:
+                expected.append(x.copy())
+        assert np.array_equal(batch.paths[lo:hi, :, 0], np.stack(expected, axis=1))
+
+
+def test_backward_recurrence_refuses_non_integer_starts():
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    for bad in ([-1.0], [2.5], [math.nan], [math.inf], [2.0**60]):
+        with pytest.raises(ConfigError):
+            simulate(spec, bad, [0, 1], n_paths=2, seed=0)
+    batch = simulate(spec, [12.0], [0, 1], n_paths=4, seed=0)
+    assert np.all(batch.paths[:, 0, 0] == 12.0)
+
+
+def test_recurrence_series_is_cached_and_read_only():
+    from ergolab.processes import _recurrence_series
+
+    spec = BackwardRecurrence(alpha=2.0, i0=4)
+    u = _recurrence_series(spec, 1000)
+    assert _recurrence_series(spec, 1000) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 2.0
+    # u[i-1] = prod_{j<i} p_j: 1, p_1, p_1 p_2, ... with p_j = 1/2 below i0
+    assert np.array_equal(u[:5], [1.0, 0.5, 0.25, 0.125, 0.125 * (1.0 - 3.0 / 4.0)])
+
+
 def test_backward_recurrence_occupation_matches_invariant():
     spec = BackwardRecurrence(alpha=2.0, i0=4)
     n_paths, burn, horizon = 400, 200, 5200
