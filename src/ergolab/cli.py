@@ -103,7 +103,6 @@ __all__ = [
     "parse_experiment_config",
     "config_to_dict",
     "config_hash",
-    "distance_between",
     "run_experiment",
     "main",
 ]
@@ -675,11 +674,6 @@ def _derive_seed(seed: int, tag: str) -> int:
     return int(digest[:16], 16)
 
 
-def distance_between(dist, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
-    """The distance between ``mu`` and ``nu`` by the estimator ``dist`` names."""
-    return dist.distance(mu, nu, p)
-
-
 def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
     """The chain's tabulated invariant law, doubling ``truncation`` until its
     tail passes the test of :func:`invariant_exact`, up to ``_MAX_TRUNCATION``."""
@@ -710,13 +704,13 @@ def _measure_curve(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> np.ndarray:
     dists = np.empty(len(cfg.t_grid))
     for j in range(len(cfg.t_grid)):
         emp = EmpiricalMeasure.from_samples(batch.paths[:, j + offset, :])
-        dists[j] = distance_between(cfg.distance, emp, ref, cfg.p)
+        dists[j] = cfg.distance.distance(emp, ref, cfg.p)
     return dists
 
 
 def _experiment_curve(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
     ref = cfg.reference.measure(cfg)
-    floor = distance_between(cfg.distance, cfg.reference.redraw(cfg, ref), ref, cfg.p)
+    floor = cfg.distance.distance(cfg.reference.redraw(cfg, ref), ref, cfg.p)
     dists = _measure_curve(cfg, ref)
     return np.array(cfg.t_grid), dists, floor
 
@@ -1016,11 +1010,14 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
     s_obj = data["s_grid"]
     if isinstance(s_obj, dict):
         _require_keys(s_obj, {"min", "max", "points"}, set(), "s_grid")
-        s_grid = np.geomspace(
-            _as_float(s_obj["min"], "s_grid.min"),
-            _as_float(s_obj["max"], "s_grid.max"),
-            _as_int(s_obj["points"], "s_grid.points"),
-        )
+        lo = _as_float(s_obj["min"], "s_grid.min")
+        hi = _as_float(s_obj["max"], "s_grid.max")
+        points = _as_int(s_obj["points"], "s_grid.points")
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise DomainError(f"s_grid levels must be positive and finite, got [{lo}, {hi}]")
+        if points < 1:
+            raise DomainError(f"s_grid.points must be >= 1, got {points}")
+        s_grid = np.geomspace(lo, hi, points)
     else:
         s_grid = _vector(s_obj, "s_grid")
     trunc = data.get("truncation", "auto")

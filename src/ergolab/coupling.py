@@ -385,6 +385,8 @@ def contraction_estimate(
     """
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
+    if n_boot < 2:
+        raise DomainError(f"n_boot must be >= 2 for a bootstrap standard error, got {n_boot}")
     n = pairs.n_paths
     if n < 100:
         raise InsufficientPathsError(f"need at least 100 coupled paths, got {n}")

@@ -53,6 +53,7 @@ from .processes import (
     NoJumps,
     StableSubordinatorMeasure,
     SymmetricStable,
+    _block_rng,
 )
 from .rates import PhiSpec, phi_eval
 
@@ -168,7 +169,7 @@ def chi_q_hess(qf: QuadForm, x) -> np.ndarray:
 
 def _verify_chi_convexity(qf: QuadForm, n_segments: int = 128) -> None:
     """Numerical midpoint-convexity check of chi_Q on random segments."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[0xC0, qf.dim])))
+    rng = _block_rng(0xC0, qf.dim)
     a = rng.normal(scale=2.0, size=(n_segments, qf.dim))
     b = rng.normal(scale=2.0, size=(n_segments, qf.dim))
     mid = chi_q(qf, 0.5 * (a + b))
@@ -186,8 +187,24 @@ def _verify_chi_convexity(qf: QuadForm, n_segments: int = 128) -> None:
 Growth = Union[tuple, None]  # ("poly", order) | ("exp", rate) | None
 
 
+class _NormFn:
+    """``V = g(chi_Q(x))``: a family states ``outer(c) = (g(c), g'(c), g''(c))``
+    and the chain rule gives the value, the gradient and the Hessian."""
+
+    def value(self, x):
+        return self.outer(chi_q(self.qf, x))[0]
+
+    def grad(self, x):
+        return self.outer(chi_q(self.qf, x))[1] * chi_q_grad(self.qf, x)
+
+    def hess(self, x):
+        _, d1, d2 = self.outer(chi_q(self.qf, x))
+        g = chi_q_grad(self.qf, x)
+        return d2 * np.outer(g, g) + d1 * chi_q_hess(self.qf, x)
+
+
 @dataclass(frozen=True, eq=False)
-class PolyNorm:
+class PolyNorm(_NormFn):
     """``V = chi_Q(x)^theta``."""
 
     qf: QuadForm
@@ -201,51 +218,22 @@ class PolyNorm:
     def growth(self) -> Growth:
         return ("poly", self.theta)
 
-    def value(self, x):
-        c = chi_q(self.qf, x)
-        return c**self.theta
-
-    def grad(self, x):
-        c = chi_q(self.qf, x)
-        return self.theta * c ** (self.theta - 1.0) * chi_q_grad(self.qf, x)
-
-    def hess(self, x):
-        c = chi_q(self.qf, x)
-        g = chi_q_grad(self.qf, x)
-        h = chi_q_hess(self.qf, x)
-        return self.theta * (self.theta - 1.0) * c ** (self.theta - 2.0) * np.outer(
-            g, g
-        ) + self.theta * c ** (self.theta - 1.0) * h
+    def outer(self, c):
+        t = self.theta
+        return c**t, t * c ** (t - 1.0), t * (t - 1.0) * c ** (t - 2.0)
 
 
 @dataclass(frozen=True, eq=False)
-class PolyNormPlusOne:
+class PolyNormPlusOne(PolyNorm):
     """``V = 1 + chi_Q(x)^theta`` (always >= 1, suitable for drift checks)."""
 
-    qf: QuadForm
-    theta: float
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ConfigError("theta must be positive")
-        object.__setattr__(self, "_base", PolyNorm(self.qf, self.theta))
-
-    @property
-    def growth(self) -> Growth:
-        return ("poly", self.theta)
-
-    def value(self, x):
-        return 1.0 + self._base.value(x)
-
-    def grad(self, x):
-        return self._base.grad(x)
-
-    def hess(self, x):
-        return self._base.hess(x)
+    def outer(self, c):
+        g, d1, d2 = super().outer(c)
+        return 1.0 + g, d1, d2
 
 
 @dataclass(frozen=True, eq=False)
-class ExpNorm:
+class ExpNorm(_NormFn):
     """``V = exp(zeta chi_Q(x))``."""
 
     qf: QuadForm
@@ -260,16 +248,9 @@ class ExpNorm:
         # |chi(x)| <= sqrt(lam_max) |x| + chi(0), so the exponential rate in |x|
         return ("exp", self.zeta * math.sqrt(self.qf.lam_max))
 
-    def value(self, x):
-        return np.exp(self.zeta * chi_q(self.qf, x))
-
-    def grad(self, x):
-        return self.zeta * self.value(x) * chi_q_grad(self.qf, x)
-
-    def hess(self, x):
-        v = self.value(x)
-        g = chi_q_grad(self.qf, x)
-        return self.zeta**2 * v * np.outer(g, g) + self.zeta * v * chi_q_hess(self.qf, x)
+    def outer(self, c):
+        v = np.exp(self.zeta * c)
+        return v, self.zeta * v, self.zeta**2 * v
 
 
 @dataclass(frozen=True)
@@ -408,12 +389,6 @@ def _check_growth(tc, fn) -> None:
             )
     else:
         raise ConfigError(f"unknown growth class {growth!r}")
-
-
-def _rng_for_point(seed: int, point_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=[int(seed), int(point_index)]))
-    )
 
 
 def _jump_cp_discrete(kind: CompoundPoisson, fn, x, grad, compensation) -> GeneratorResult:
@@ -650,7 +625,7 @@ def generator_apply(
     if a_total is not None and np.any(a_total):
         hess = np.atleast_2d(np.asarray(fn.hess(x), dtype=float))
         value += 0.5 * float(np.trace(a_total @ hess))
-    rng = _rng_for_point(seed, point_index)
+    rng = _block_rng(seed, point_index)
     jump = _jump_part(gen, fn, x, grad, jump_mc_samples, rng)
     return GeneratorResult(value + jump.value, jump.error)
 

@@ -7,9 +7,9 @@ The module couples two layers:
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
   :class:`NonlinearSS`, :class:`BackwardRecurrence`, :class:`GenericIto`), each
   a :class:`ProcessSpec` that states the facts its callers need;
-* numerics — :func:`simulate` (Euler–Maruyama with exact-in-law noise
-  increments per step; exact recursion for the discrete-time kinds, each
-  advanced by the family's ``stepper``),
+* numerics — :func:`simulate` (one block loop over the family's
+  ``walker``: Euler–Maruyama with exact-in-law noise increments per step;
+  exact recursion for the discrete-time kinds),
   :func:`sample_stable` (Chambers–Mallows–Stuck), :func:`invariant_exact`
   (backward recurrence chain), :func:`ou_exact_transition` (Gaussian marginal
   of a linear SDE), :func:`piecewise_drift`, and :func:`langevin_coeffs`.
@@ -23,8 +23,8 @@ Conventions
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own counter-based
   substream keyed on (master seed, block index).
-* A discrete-time family's ``stepper(x0, steps)`` holds whatever state suits
-  it (``BackwardRecurrence``: an integer index into a table of ``p_i``) and
+* A discrete-time family's walk holds whatever state suits it
+  (``BackwardRecurrence``: an integer index into a table of ``p_i``) and
   hands back float states only at the grid's step counts.
 * ``OUJump`` integrates the linear drift and the Gaussian part exactly per
   step (the marginal law of the continuous part is exact on the grid); jump
@@ -37,9 +37,8 @@ Conventions
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
 
 import numpy as np
@@ -75,7 +74,6 @@ __all__ = [
     "piecewise_drift",
     "langevin_coeffs",
     "sigma_matrix",
-    "spec_fingerprint",
 ]
 
 _BLOWUP_GUARD = 1e12
@@ -292,6 +290,9 @@ class ConstantControl:
         v.flags.writeable = False
         object.__setattr__(self, "v", v)
 
+    def value(self, x):
+        return self.v
+
 
 @dataclass(frozen=True)
 class MarkovControl:
@@ -309,19 +310,21 @@ class MarkovControl:
                 "simulation requires a locally Lipschitz control"
             )
 
+    def value(self, x):
+        return np.asarray(self.fn(x), dtype=float)
+
 
 class ProcessSpec:
     """Facts every process family gives its callers, so none checks its type.
 
     ``dim``; ``check_start(x0)``, which refuses a start state the process
-    cannot take; ``discrete_time`` (True: integer times); for discrete time
-    ``stepper(x0, steps)``, which returns ``walk(m, rng)``, a generator of
-    the ``(m, dim)`` states of ``m`` paths from ``x0`` at each step count in
-    the increasing list ``steps``; for continuous time ``levy``, a batched
-    ``drift(x)``, ``sigma`` (None, a constant matrix or a batched callable)
-    and ``stepper(dts)``, which returns ``advance(x, dt, rng)`` for one
-    substep of the continuous part (Euler–Maruyama unless a family
-    integrates exactly); and
+    cannot take; ``discrete_time`` (True: integer times); ``walker(x0,
+    times, max_step)``, which returns ``walk(m, rng)``, a generator of the
+    ``(m, dim)`` states of ``m`` paths from ``x0`` at each grid time (the
+    first grid time carries ``x0`` in continuous time; in discrete time the
+    times count steps from 0); for continuous time ``levy``, a batched
+    ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
+    callable), from which :meth:`advance` builds the substep; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
     ``"gaussian"`` (centred, ``invariant_sd()``) or None.
     """
@@ -337,26 +340,54 @@ class ProcessSpec:
     def exact_invariant(self) -> str | None:
         return None
 
-    def stepper(self, dts):
-        """Euler–Maruyama in the drift, ``sigma`` and the Gaussian Lévy part."""
+    def walker(self, x0, times, max_step):
+        """Continuous time: ``ceil(span / max_step)`` equal substeps per grid
+        interval, each the continuous part's :meth:`advance` plus the jump
+        increment, with the blow-up guard after every substep."""
+        if not max_step > 0:
+            raise ConfigError("max_step must be positive")
+        plans = []
+        for span in np.diff(times):
+            n_sub = max(1, int(math.ceil(span / max_step - 1e-12)))
+            plans.append((n_sub, span / n_sub))
+        step = self.advance({dt for _, dt in plans})
+        jumps, dim = self.levy.kind, self.dim
+
+        def walk(m, rng):
+            x = np.broadcast_to(x0, (m, dim)).copy()
+            yield x
+            for n_sub, dt in plans:
+                for _ in range(n_sub):
+                    x = step(x, dt, rng)
+                    jump = jumps.increment(dim, dt, rng, m)
+                    if jump is not None:
+                        x = x + jump
+                    _check_blowup(x)
+                yield x
+
+        return walk
+
+    def advance(self, dts):
+        """``step(x, dt, rng)`` for one substep of the continuous part:
+        Euler–Maruyama in the drift, ``sigma`` and the Gaussian Lévy part."""
         drift, sigma, levy = self.drift, self.sigma, self.levy
         sqrt_al = None
         if levy.a_L is not None and np.any(levy.a_L):
             sqrt_al = _psd_sqrt_matrix(levy.a_L)
 
-        def advance(x, dt, rng):
-            step = drift(x) * dt
+        def step(x, dt, rng):
+            inc = drift(x) * dt
             if levy.b_L is not None:
-                step = step + levy.b_L[None, :] * dt
+                inc = inc + levy.b_L[None, :] * dt
             if sigma is not None:
                 z = rng.standard_normal(x.shape)
-                step = step + _sigma_apply(sigma, x, z) * math.sqrt(dt)
+                inc = inc + _sigma_apply(sigma, x, z) * math.sqrt(dt)
             if sqrt_al is not None:
                 z2 = rng.standard_normal(x.shape)
-                step = step + (z2 @ sqrt_al.T) * math.sqrt(dt)
-            return x + step
+                inc = inc + (z2 @ sqrt_al.T) * math.sqrt(dt)
+            return x + inc
 
-        return advance
+        return step
 
 
 @dataclass(frozen=True)
@@ -370,7 +401,6 @@ class LangevinTempered(ProcessSpec):
     alpha: float
     beta: float
     dim: int = 1
-    interior_profile: str = "c2-blend"
 
     def __post_init__(self):
         n = self.dim
@@ -381,8 +411,6 @@ class LangevinTempered(ProcessSpec):
         hi = (1.0 + self.alpha * (2.0 - n)) / 2.0
         if not (0.0 <= self.beta <= hi):
             raise ConfigError(f"beta must lie in [0, {hi}], got {self.beta}")
-        if self.interior_profile != "c2-blend":
-            raise ConfigError(f"unknown interior profile {self.interior_profile!r}")
 
     def drift(self, x):
         return langevin_coeffs(self, x)[0]
@@ -414,18 +442,18 @@ class OUJump(ProcessSpec):
     def drift(self, x):
         return x @ self.H.T
 
-    def stepper(self, dts):
+    def advance(self, dts):
         """Exact integration of the linear drift and the Gaussian part per substep."""
         terms = {dt: _ou_step_terms(self, dt) for dt in dts}
 
-        def advance(x, dt, rng):
+        def step(x, dt, rng):
             prop, drift_term, noise_sqrt = terms[dt]
             x = x @ prop.T + drift_term[None, :]
             if noise_sqrt is not None:
                 x = x + rng.standard_normal(x.shape) @ noise_sqrt.T
             return x
 
-        return advance
+        return step
 
     def invariant_sd(self) -> float | None:
         """Standard deviation of the invariant law when it is a centred scalar Gaussian."""
@@ -485,11 +513,7 @@ class PiecewiseOU(ProcessSpec):
         return self.l.shape[0]
 
     def drift(self, x):
-        if isinstance(self.control, ConstantControl):
-            return piecewise_drift(self.l, self.M, self.Gamma, self.control.v, x)
-        vx = np.asarray(self.control.fn(x), dtype=float)
-        s = np.clip(x.sum(axis=1), 0.0, None)[:, None]
-        return self.l[None, :] - (x - s * vx) @ self.M.T - s * (vx @ self.Gamma.T)
+        return piecewise_drift(self.l, self.M, self.Gamma, self.control.value(x), x)
 
 
 @dataclass(frozen=True)
@@ -513,21 +537,18 @@ class NonlinearSS(ProcessSpec):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"growth constant {name} must be positive")
 
-    def stepper(self, x0, steps):
-        def walk(m, rng):
-            x = np.broadcast_to(x0, (m, self.dim)).copy()
-            done = 0
-            for stop in steps:
-                for _ in range(stop - done):
-                    w = np.asarray(self.noise(rng, m), dtype=float)
-                    if w.ndim == 1:
-                        w = w[:, None]
-                    x = np.asarray(self.F(x), dtype=float) + w
-                    _check_blowup(x)
-                done = stop
-                yield x
+    def walker(self, x0, times, max_step):
+        def step(x, rng):
+            w = np.asarray(self.noise(rng, x.shape[0]), dtype=float)
+            if w.ndim == 1:
+                w = w[:, None]
+            x = np.asarray(self.F(x), dtype=float) + w
+            _check_blowup(x)
+            return x
 
-        return walk
+        return _integer_walker(
+            _integer_steps(times), lambda m: np.broadcast_to(x0, (m, self.dim)).copy(), step
+        )
 
 
 @dataclass(frozen=True)
@@ -565,28 +586,27 @@ class BackwardRecurrence(ProcessSpec):
         if not (0.0 <= x <= 2.0**53 and x == math.floor(x)):
             raise ConfigError(f"the chain starts at a nonnegative integer state, got x0 = {x!r}")
 
-    def stepper(self, x0, steps):
+    def walker(self, x0, times, max_step):
         """Integer walk over a table of ``p_i``: index ``k <= n`` is state ``k``
         (reached after a reset), index ``n + 1 + k`` is state ``x0 + k`` (no
         reset yet), ``n`` the horizon.  One uniform per path and step."""
+        steps = _integer_steps(times)
         n = steps[-1]
         start = int(x0[0])
         table = self.up_prob(
             np.concatenate((np.arange(n + 1.0), np.arange(start, start + n + 1.0)))
         )
 
-        def walk(m, rng):
-            k = np.full(m, n + 1)
-            done = 0
-            for stop in steps:
-                for _ in range(stop - done):
-                    up = rng.random(m) < table[k]
-                    k += 1
-                    k *= up
-                done = stop
-                yield np.where(k > n, k + (start - n - 1), k)[:, None]
+        def step(k, rng):
+            up = rng.random(k.shape[0]) < table[k]
+            k += 1
+            k *= up
+            return k
 
-        return walk
+        def observe(k):
+            return np.where(k > n, k + (start - n - 1), k)[:, None]
+
+        return _integer_walker(steps, lambda m: np.full(m, n + 1), step, observe)
 
     def exact_invariant(self) -> str | None:
         return "chain"
@@ -605,40 +625,6 @@ class GenericIto(ProcessSpec):
         if self.b is None:
             return np.zeros_like(x)
         return np.asarray(self.b(x), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic fingerprints
-# ---------------------------------------------------------------------------
-
-
-def _fingerprint_parts(obj, out: list[str]) -> None:
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out.append(type(obj).__name__ + "{")
-        for f in fields(obj):
-            out.append(f.name + "=")
-            _fingerprint_parts(getattr(obj, f.name), out)
-        out.append("}")
-    elif isinstance(obj, np.ndarray):
-        out.append(f"nd{obj.shape}{obj.dtype}:")
-        out.append(hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()[:16])
-    elif callable(obj):
-        out.append(f"fn:{getattr(obj, '__module__', '?')}.{getattr(obj, '__qualname__', repr(obj))}")
-    elif isinstance(obj, (tuple, list)):
-        out.append("[")
-        for item in obj:
-            _fingerprint_parts(item, out)
-        out.append("]")
-    else:
-        out.append(repr(obj))
-    out.append(";")
-
-
-def spec_fingerprint(spec) -> str:
-    """Stable hex digest of a specification tree (arrays by content, fns by name)."""
-    parts: list[str] = []
-    _fingerprint_parts(spec, parts)
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +667,7 @@ def sample_stable(alpha: float, skew: float, scale: float, n: int, seed: int) ->
         raise DomainError(f"skew must lie in [-1,1], got {skew}")
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[int(seed)])))
-    return scale * _cms(alpha, skew, rng, int(n))
+    return scale * _cms(alpha, skew, _block_rng(seed, 0), int(n))
 
 
 def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -710,8 +695,6 @@ class TrajectoryBatch:
 
     times: np.ndarray
     paths: np.ndarray
-    spec_hash: str
-    seed: int
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -796,14 +779,28 @@ def _check_blowup(x: np.ndarray) -> None:
         raise BlowUpError(f"state magnitude {worst:.3e} exceeded the overflow guard 1e12")
 
 
-def _simulate_discrete(spec, x0, steps_grid, n_paths, seed):
-    out = np.empty((n_paths, len(steps_grid), spec.dim))
-    walk = spec.stepper(np.asarray(x0, dtype=float).ravel(), steps_grid)
-    for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
-        hi = min(lo + _BLOCK_SIZE, n_paths)
-        for k, x in enumerate(walk(hi - lo, _block_rng(seed, block))):
-            out[lo:hi, k] = x
-    return out
+def _integer_steps(times) -> list:
+    """Grid times as step counts from 0; discrete time needs nonnegative integers."""
+    steps = np.rint(times).astype(int)
+    if np.any(np.abs(times - steps) > 1e-9) or steps[0] < 0:
+        raise ConfigError("discrete-time specs require nonnegative integer grid times")
+    return list(steps)
+
+
+def _integer_walker(steps, first, step, observe=lambda state: state):
+    """``walk(m, rng)`` of a discrete-time family: from ``first(m)``, one
+    ``step(state, rng)`` per unit of time, ``observe(state)`` at each count in ``steps``."""
+
+    def walk(m, rng):
+        state = first(m)
+        done = 0
+        for stop in steps:
+            for _ in range(stop - done):
+                state = step(state, rng)
+            done = stop
+            yield observe(state)
+
+    return walk
 
 
 def _ou_step_terms(spec: OUJump, dt: float):
@@ -823,35 +820,6 @@ def _ou_step_terms(spec: OUJump, dt: float):
         cov = _ou_covariance(h, levy.a_L, dt)
         noise_sqrt = _psd_sqrt_matrix(cov)
     return prop, drift_term, noise_sqrt
-
-
-def _simulate_continuous(spec, x0, t_grid, n_paths, seed, max_step):
-    dim = spec.dim
-    n_times = len(t_grid)
-    out = np.empty((n_paths, n_times, dim))
-    jumps = spec.levy.kind
-    # per-interval substeps, shared across blocks
-    plans = []
-    for k in range(n_times - 1):
-        span = t_grid[k + 1] - t_grid[k]
-        n_sub = max(1, int(math.ceil(span / max_step - 1e-12)))
-        plans.append((n_sub, span / n_sub))
-    advance = spec.stepper({dt for _, dt in plans})
-    for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
-        hi = min(lo + _BLOCK_SIZE, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, block)
-        x = np.broadcast_to(np.asarray(x0, dtype=float).ravel(), (m, dim)).copy()
-        out[lo:hi, 0] = x
-        for k, (n_sub, dt) in enumerate(plans):
-            for _ in range(n_sub):
-                x = advance(x, dt, rng)
-                jump = jumps.increment(dim, dt, rng, m)
-                if jump is not None:
-                    x = x + jump
-                _check_blowup(x)
-            out[lo:hi, k + 1] = x
-    return out
 
 
 def simulate(
@@ -876,16 +844,13 @@ def simulate(
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
     spec.check_start(x0)
-    if spec.discrete_time:
-        steps = np.rint(t).astype(int)
-        if np.any(np.abs(t - steps) > 1e-9) or steps[0] < 0:
-            raise ConfigError("discrete-time specs require nonnegative integer grid times")
-        paths = _simulate_discrete(spec, x0, list(steps), n_paths, seed)
-    else:
-        if not max_step > 0:
-            raise ConfigError("max_step must be positive")
-        paths = _simulate_continuous(spec, x0, t, n_paths, seed, max_step)
-    return TrajectoryBatch(times=t, paths=paths, spec_hash=spec_fingerprint(spec), seed=seed)
+    walk = spec.walker(np.asarray(x0, dtype=float).ravel(), t, max_step)
+    paths = np.empty((n_paths, t.size, spec.dim))
+    for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
+        hi = min(lo + _BLOCK_SIZE, n_paths)
+        for k, x in enumerate(walk(hi - lo, _block_rng(seed, block))):
+            paths[lo:hi, k] = x
+    return TrajectoryBatch(times=t, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +915,9 @@ def invariant_exact(spec: BackwardRecurrence, truncation: int):
     masses /= norm
     masses /= masses.sum()
     points = np.arange(truncation + 1, dtype=float)[:, None]
+    # frozen here, the measure shares both arrays instead of copying them
+    masses.flags.writeable = False
+    points.flags.writeable = False
     return EmpiricalMeasure(points=points, weights=masses)
 
 
@@ -986,16 +954,19 @@ def ou_exact_transition(H, a_L, t: float, x0):
 
 
 def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
-    """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch."""
+    """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch.
+
+    ``v`` is one allocation ``(n,)`` or one per state ``(m, n)``.
+    """
     l = np.asarray(l, dtype=float).ravel()
     m = np.atleast_2d(np.asarray(M, dtype=float))
     g = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
     s = np.clip(xb.sum(axis=1), 0.0, None)[:, None]
-    out = l[None, :] - (xb - s * v[None, :]) @ m.T - s * (g @ v)[None, :]
+    out = l - (xb - s * v) @ m.T - s * (v @ g.T)
     return out[0] if single else out
 
 

@@ -22,7 +22,6 @@ accepted.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -336,8 +335,5 @@ def subordinate_paths(
     np.clip(idx, 0, times.size - 1, out=idx)
     kept = batch.paths[ok]
     new_paths = kept[np.arange(kept.shape[0])[:, None], idx, :]
-    digest = hashlib.sha256(
-        f"time-change|{batch.spec_hash}|{spec!r}|{seed}".encode()
-    ).hexdigest()
-    out = TrajectoryBatch(times=t_eval, paths=new_paths, spec_hash=digest, seed=seed)
+    out = TrajectoryBatch(times=t_eval, paths=new_paths)
     return TimeChangedBatch(batch=out, dropped=dropped)

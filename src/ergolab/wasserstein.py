@@ -45,6 +45,17 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _MARGINAL_TOL = 1e-9
 _LP_SIZE_GUARD = 10_000
+# annealing schedule of sinkhorn_annealed: epsilon times 3^9, 3^8, ..., 1
+_N_STAGES = 10
+_STAGE_FACTOR = 3.0
+
+
+def _frozen(a) -> np.ndarray:
+    """``a`` itself when it is already a read-only float array, else a read-only copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +66,18 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _frozen(self.points)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DomainError(f"points must be a nonempty k x n array, got shape {pts.shape}")
-        w = np.array(self.weights, dtype=float).ravel()
+        w = _frozen(np.ravel(self.weights))
         if w.shape[0] != pts.shape[0]:
             raise DomainError("weights length must match number of points")
         if np.any(w < 0.0):
             raise DomainError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"weights must sum to 1, got {w.sum()!r}")
-        pts.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -331,26 +340,24 @@ def sinkhorn_annealed(
     nu: EmpiricalMeasure,
     p: float,
     epsilon: float,
-    n_stages: int = 10,
-    stage_factor: float = 3.0,
     max_iter: int = 10_000,
     tol: float = 1e-9,
 ) -> SinkhornResult:
     """Sinkhorn with a geometric epsilon schedule, warm-starting the potentials.
 
-    Stages run at ``epsilon * stage_factor^(n_stages-1), ..., epsilon``; only
+    Stages run at ``epsilon * _STAGE_FACTOR^(_N_STAGES-1), ..., epsilon``; only
     the final stage must converge.
     """
     warm = None
     result = None
-    for stage in range(n_stages):
-        eps_stage = epsilon * stage_factor ** (n_stages - 1 - stage)
+    for stage in range(_N_STAGES):
+        eps_stage = epsilon * _STAGE_FACTOR ** (_N_STAGES - 1 - stage)
         try:
             result = sinkhorn(
                 mu, nu, p, eps_stage, max_iter=max_iter, tol=tol, warm_start=warm
             )
         except NonConvergenceError as exc:
-            if stage < n_stages - 1:
+            if stage < _N_STAGES - 1:
                 result = exc.report
             else:
                 raise

@@ -21,7 +21,6 @@ from ergolab.cli import (
     _chain_invariant,
     config_hash,
     config_to_dict,
-    distance_between,
     fit_rate,
     main,
     parse_experiment_config,
@@ -396,13 +395,11 @@ def test_distance_kinds_agree_in_one_dimension():
     rng = np.random.default_rng(12)
     mu = EmpiricalMeasure.from_samples(rng.normal(0.0, 1.0, 30))
     nu = EmpiricalMeasure.from_samples(rng.normal(0.5, 1.3, 30))
-    d_quant = distance_between(W1D(), mu, nu, 2.0)
-    d_lp = distance_between(ExactLP(), mu, nu, 2.0)
+    d_quant = W1D().distance(mu, nu, 2.0)
+    d_lp = ExactLP().distance(mu, nu, 2.0)
     assert abs(d_quant - d_lp) < 1e-9
     scale = max(np.ptp(mu.points), np.ptp(nu.points))
-    d_sink = distance_between(
-        Sinkhorn(epsilon=1e-3 * scale**2), mu, nu, 2.0
-    )
+    d_sink = Sinkhorn(epsilon=1e-3 * scale**2).distance(mu, nu, 2.0)
     assert abs(d_sink - d_lp) / d_lp < 0.02
 
 
@@ -729,6 +726,14 @@ MALFORMED = {
         {**_COUPLE, "process": _PIECEWISE_2D, "x": [1.0, 0.0], "y": [0.0, 1.0],
          "certificate": {"lip_sqrtq_sigma": 0.0, "Q": [[1.0]]}},
     ),
+    "lower-s-grid-min-zero": (
+        "lower", _lower_config(s_grid={"min": 0.0, "max": 1e4, "points": 5})
+    ),
+    "lower-s-grid-points-negative": (
+        "lower", _lower_config(s_grid={"min": 1e4, "max": 1e5, "points": -1})
+    ),
+    "couple-n-boot-zero": ("couple", {**_COUPLE, "n_boot": 0}),
+    "couple-n-boot-one": ("couple", {**_COUPLE, "n_boot": 1}),
 }
 
 

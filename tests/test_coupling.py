@@ -440,6 +440,15 @@ def test_contraction_estimate_bootstrap_brackets_moment():
     assert 0.8 < report.fitted_rate < 1.1
 
 
+def test_contraction_estimate_needs_two_bootstrap_draws():
+    grid = np.linspace(0.0, 1.0, 5)
+    pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 100, seed=4)
+    for n_boot in (0, 1):
+        with pytest.raises(DomainError, match="n_boot"):
+            contraction_estimate(pair, 2.0, n_boot=n_boot)
+    assert np.all(np.isfinite(contraction_estimate(pair, 2.0, n_boot=2).boot_se))
+
+
 def test_contraction_estimate_deterministic_given_seed():
     spec = GenericIto(b=lambda x: -x, sigma=lambda x: 0.3 * x, levy=LevyMeasureSpec(), dim=1)
     grid = np.linspace(0.0, 1.0, 5)

@@ -31,7 +31,6 @@ from ergolab.processes import (
     piecewise_drift,
     sample_stable,
     simulate,
-    spec_fingerprint,
     standard_one_sided_stable,
 )
 
@@ -367,7 +366,6 @@ def test_simulate_deterministic_given_seed():
     c = simulate(spec, [1.0], [0.0, 0.5, 1.0], n_paths=64, seed=43, max_step=0.05)
     assert np.array_equal(a.paths, b.paths)
     assert not np.array_equal(a.paths, c.paths)
-    assert a.spec_hash == b.spec_hash
 
 
 def test_simulate_initial_condition_and_grid_checks():
@@ -558,11 +556,3 @@ def test_trajectory_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path,time,x1"
     assert len(lines) == 1 + 3 * 2
-
-
-def test_spec_fingerprint_distinguishes_parameters():
-    a = spec_fingerprint(BackwardRecurrence(alpha=2.0, i0=4))
-    b = spec_fingerprint(BackwardRecurrence(alpha=2.0, i0=5))
-    c = spec_fingerprint(BackwardRecurrence(alpha=2.0, i0=4))
-    assert a != b
-    assert a == c

@@ -45,6 +45,24 @@ def test_measure_validation():
         EmpiricalMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([1.5, -0.5]))
 
 
+def test_measure_shares_read_only_arrays_and_copies_writeable_ones():
+    points = np.arange(4.0)[:, None]
+    weights = np.full(4, 0.25)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    shared = EmpiricalMeasure(points=points, weights=weights)
+    assert np.shares_memory(shared.points, points)
+    assert np.shares_memory(shared.weights, weights)
+
+    points, weights = np.arange(4.0)[:, None], np.full(4, 0.25)
+    copied = EmpiricalMeasure(points=points, weights=weights)
+    assert not np.shares_memory(copied.points, points)
+    assert not np.shares_memory(copied.weights, weights)
+    points[0, 0] = weights[0] = -1.0
+    assert copied.points[0, 0] == 0.0 and copied.weights[0] == 0.25
+    assert not (copied.points.flags.writeable or copied.weights.flags.writeable)
+
+
 def test_measure_csv_round_trip(tmp_path):
     mu = EmpiricalMeasure(
         points=np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.25]]),
