@@ -73,7 +73,10 @@ from .processes import (
     OUJump,
     PiecewiseOU,
     StableSubordinatorMeasure,
+    BOOT_MAX_VALUES,
     CSV_MAX_VALUES,
+    LEVEL_MAX_POINTS,
+    PATH_MAX_VALUES,
     SymmetricStable,
     invariant_exact,
     sigma_matrix,
@@ -89,7 +92,14 @@ from .subordination import (
     SubordinatorSpec,
     subordinate_rate,
 )
-from .wasserstein import EmpiricalMeasure, sinkhorn_annealed, w_1d, w_exact_lp
+from .wasserstein import (
+    _LP_SIZE_GUARD,
+    _SINKHORN_SIZE_GUARD,
+    EmpiricalMeasure,
+    sinkhorn_annealed,
+    w_1d,
+    w_exact_lp,
+)
 
 __all__ = [
     "W1D",
@@ -110,14 +120,26 @@ __all__ = [
 _MAX_TRUNCATION = 2**22
 
 
+def _within(count: int, budget: int, what: str) -> None:
+    """Refuse, with SizeError, an array of ``count`` elements above ``budget``."""
+    if count > budget:
+        raise SizeError(f"{what} would hold {count:,} elements, above the budget of {budget:,}")
+
+
 # ---------------------------------------------------------------------------
 # configuration objects
 # ---------------------------------------------------------------------------
 
 
+# A distance kind states ``max_cells``, the largest cost matrix (support
+# sizes multiplied) it accepts, or None when it forms none.
+
+
 @dataclass(frozen=True)
 class W1D:
     """Exact ``W_p`` between one-dimensional measures (quantile coupling)."""
+
+    max_cells: ClassVar[int | None] = None
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
         return w_1d(mu, nu, p)
@@ -126,6 +148,8 @@ class W1D:
 @dataclass(frozen=True)
 class ExactLP:
     """Exact ``W_p`` from the transport linear program."""
+
+    max_cells: ClassVar[int | None] = _LP_SIZE_GUARD
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
         return w_exact_lp(mu, nu, p).distance
@@ -136,6 +160,7 @@ class Sinkhorn:
     """Annealed entropic ``W_p`` down to the regularization ``epsilon``."""
 
     epsilon: float
+    max_cells: ClassVar[int | None] = _SINKHORN_SIZE_GUARD
 
     def __post_init__(self):
         if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
@@ -149,7 +174,8 @@ class Sinkhorn:
 # A reference kind builds the target measure of an experiment, ``measure(cfg)``,
 # and ``redraw(cfg, ref)``, an independent sample of it.  The distance between
 # the two is the noise floor: the value at which a perfectly converged curve
-# bottoms out.
+# bottoms out.  ``atoms(cfg)`` is the size of the measure, or None where it is
+# found only while the measure is built.
 
 
 @dataclass(frozen=True)
@@ -165,6 +191,10 @@ class ExactInvariant:
             raise DomainError(
                 f"quantile_points must be an integer >= 2, got {self.quantile_points}"
             )
+
+    def atoms(self, cfg: ExperimentConfig) -> int | None:
+        # the chain's truncation doubles until its tail test passes
+        return None if cfg.process.exact_invariant() == "chain" else self.quantile_points
 
     def measure(self, cfg: ExperimentConfig) -> EmpiricalMeasure:
         if cfg.process.exact_invariant() == "chain":
@@ -191,6 +221,9 @@ class LongRunEmpirical:
     def __post_init__(self):
         if not self.t_burn > 0:
             raise DomainError(f"t_burn must be positive, got {self.t_burn}")
+
+    def atoms(self, cfg: ExperimentConfig) -> int:
+        return cfg.n_paths
 
     def measure(self, cfg: ExperimentConfig, tag: str = "reference") -> EmpiricalMeasure:
         batch = simulate(
@@ -249,6 +282,13 @@ class ExperimentConfig:
                 "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
                 "use 'long_run_empirical' instead"
             )
+        # the simulated block also holds t = 0 when the grid starts later
+        _within(
+            self.n_paths * (len(t_grid) + 1) * self.process.dim, PATH_MAX_VALUES, "the path block"
+        )
+        atoms = self.reference.atoms(self)
+        if self.distance.max_cells is not None and atoms is not None:
+            _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
         if self.bracket_params is not None and self.bracket is None:
             raise ConfigError("bracket_params supplied without a bracket")
         if not self.max_step > 0:
@@ -801,11 +841,7 @@ def _cmd_simulate(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     grid = _resolve_grid(data["t_grid"], "arithmetic")
     n_paths = _as_int(data["n_paths"], "n_paths")
-    if n_paths * grid.size * spec.dim > CSV_MAX_VALUES:
-        raise ConfigError(
-            f"{n_paths} paths x {grid.size} times x {spec.dim} coordinates exceed the "
-            f"{CSV_MAX_VALUES:,} values a trajectory CSV may hold"
-        )
+    _within(n_paths * grid.size * spec.dim, CSV_MAX_VALUES, "the trajectory CSV")
     max_step = _as_float(data.get("max_step", 0.01), "max_step")
     batch = simulate(
         spec,
@@ -937,6 +973,11 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     spec = parse_process(data["process"])
     p = _as_float(data["p"], "p")
     run_seed = _as_int(data["seed"], "seed")
+    grid = _resolve_grid(data["t_grid"], "arithmetic")
+    n_paths = _as_int(data["n_paths"], "n_paths")
+    n_boot = _as_int(data.get("n_boot", 200), "n_boot")
+    _within(2 * n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
+    _within(n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
     params = None
     cert = data.get("certificate")
     if cert is not None:
@@ -975,8 +1016,8 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         spec,
         _vector(data["x"], "x"),
         _vector(data["y"], "y"),
-        _resolve_grid(data["t_grid"], "arithmetic"),
-        _as_int(data["n_paths"], "n_paths"),
+        grid,
+        n_paths,
         run_seed,
         max_step=_as_float(data.get("max_step", 0.01), "max_step"),
     )
@@ -984,7 +1025,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         pairs,
         p,
         params=params,
-        n_boot=_as_int(data.get("n_boot", 200), "n_boot"),
+        n_boot=n_boot,
         seed=_derive_seed(run_seed, "bootstrap"),
     )
     report.to_csv(out / "couple.csv")
@@ -1017,6 +1058,7 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
             raise DomainError(f"s_grid levels must be positive and finite, got [{lo}, {hi}]")
         if points < 1:
             raise DomainError(f"s_grid.points must be >= 1, got {points}")
+        _within(points, LEVEL_MAX_POINTS, "s_grid")
         s_grid = np.geomspace(lo, hi, points)
     else:
         s_grid = _vector(s_obj, "s_grid")

@@ -686,7 +686,13 @@ def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> n
 # Trajectory container
 # ---------------------------------------------------------------------------
 
-CSV_MAX_VALUES = 2_000_000
+# Element budgets of the arrays a config asks for.  A config that would
+# exceed one is refused with SizeError when it is read (exit 2), before
+# anything is allocated, instead of failing for lack of memory.
+CSV_MAX_VALUES = 2_000_000  # trajectory CSV: paths x grid times x dimension
+PATH_MAX_VALUES = 50_000_000  # experiment path block: paths x grid times x dimension
+BOOT_MAX_VALUES = 10_000_000  # couple bootstrap table: n_boot x grid times
+LEVEL_MAX_POINTS = 1_000_000  # lower s_grid levels
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from ergolab.errors import (
     ConfigError,
     DegenerateDataError,
     DomainError,
+    SizeError,
 )
 from ergolab.processes import BackwardRecurrence, invariant_exact
 from ergolab.wasserstein import EmpiricalMeasure
@@ -734,6 +735,25 @@ MALFORMED = {
     ),
     "couple-n-boot-zero": ("couple", {**_COUPLE, "n_boot": 0}),
     "couple-n-boot-one": ("couple", {**_COUPLE, "n_boot": 1}),
+    "couple-n-boot-huge": ("couple", {**_COUPLE, "n_boot": 10**12}),
+    "lower-s-grid-points-huge": (
+        "lower", _lower_config(s_grid={"min": 1e4, "max": 1e5, "points": 10**12})
+    ),
+    "experiment-n-paths-huge": (
+        "experiment",
+        _ou_config(n_paths=10**12, reference={"kind": "exact_invariant", "quantile_points": 16}),
+    ),
+    # 20,000 paths against the default 65,536 quantiles
+    "experiment-sinkhorn-cost-matrix-too-large": (
+        "experiment",
+        _ou_config(distance={"kind": "sinkhorn", "epsilon": 0.1},
+                   reference={"kind": "exact_invariant"}),
+    ),
+    "experiment-exact-lp-cost-matrix-too-large": (
+        "experiment",
+        _ou_config(n_paths=200, distance={"kind": "exact_lp"},
+                   reference={"kind": "exact_invariant", "quantile_points": 64}),
+    ),
 }
 
 
@@ -743,6 +763,29 @@ def test_cli_malformed_values_exit_2(name, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_refuses_a_cost_matrix_above_the_budget():
+    # cells are n_paths x the reference's atoms: quantile_points, or n_paths
+    # for a long-run reference; the largest that fits still parses
+    cases = [
+        ({"kind": "sinkhorn", "epsilon": 0.1}, 2048,
+         {"kind": "exact_invariant", "quantile_points": 2048}),
+        ({"kind": "sinkhorn", "epsilon": 0.1}, 2048,
+         {"kind": "long_run_empirical", "t_burn": 1.0}),
+        ({"kind": "exact_lp"}, 100, {"kind": "exact_invariant", "quantile_points": 100}),
+        ({"kind": "exact_lp"}, 100, {"kind": "long_run_empirical", "t_burn": 1.0}),
+    ]
+    for distance, n_paths, reference in cases:
+        parse_experiment_config(
+            _ou_config(distance=distance, n_paths=n_paths, reference=reference)
+        )
+        with pytest.raises(SizeError):
+            parse_experiment_config(
+                _ou_config(distance=distance, n_paths=n_paths + 1, reference=reference)
+            )
+    # w1d forms no cost matrix
+    parse_experiment_config(_ou_config(n_paths=10**5, reference={"kind": "exact_invariant"}))
 
 
 def test_cli_simulate_writes_deterministic_csv(tmp_path):
