@@ -61,6 +61,7 @@ from .lyapunov import (
     PolyNormPlusOne,
     QuadForm,
     drift_check,
+    jump_nodes,
 )
 from .processes import (
     BackwardRecurrence,
@@ -74,9 +75,13 @@ from .processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     BOOT_MAX_VALUES,
+    CLOCK_MAX_SAMPLES,
     CSV_MAX_VALUES,
+    DRIFT_MAX_NODES,
+    JUMP_MC_MAX_VALUES,
     LEVEL_MAX_POINTS,
     PATH_MAX_VALUES,
+    QUANTILE_MAX_POINTS,
     SymmetricStable,
     invariant_exact,
     sigma_matrix,
@@ -191,6 +196,7 @@ class ExactInvariant:
             raise DomainError(
                 f"quantile_points must be an integer >= 2, got {self.quantile_points}"
             )
+        _within(self.quantile_points, QUANTILE_MAX_POINTS, "reference.quantile_points")
 
     def atoms(self, cfg: ExperimentConfig) -> int | None:
         # the chain's truncation doubles until its tail test passes
@@ -927,21 +933,29 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
     gen = _generator(spec)
     fn = _from_json("lyapunov", data["lyapunov"], Q=QuadForm(np.eye(spec.dim)))
     phi = _from_json("phi", data["phi"])
+    samples = _as_int(data.get("jump_mc_samples", 20000), "jump_mc_samples")
+    if samples < 1:
+        raise DomainError(f"jump_mc_samples must be >= 1, got {samples}")
+    _within(samples * spec.dim**2, JUMP_MC_MAX_VALUES, "one grid point's Monte Carlo batch")
     grid_obj = data["grid"]
     if isinstance(grid_obj, dict):
         _require_keys(grid_obj, {"lo", "hi", "points"}, set(), "grid")
         points = _as_int(grid_obj["points"], "grid.points")
         if points < 1:
             raise DomainError(f"grid.points must be >= 1, got {points}")
-        grid = np.linspace(
-            _as_float(grid_obj["lo"], "grid.lo"), _as_float(grid_obj["hi"], "grid.hi"), points
-        )
     else:
         grid = _array(grid_obj, "grid")
         if grid.size == 0:
             raise DomainError("grid must hold at least one point")
-    points = grid[:, None] if grid.ndim == 1 else grid
-    if points.ndim != 2 or points.shape[1] != spec.dim:
+        points = grid.shape[0]
+    nodes = points * (1 + jump_nodes(spec.levy, spec.dim, samples))
+    _within(nodes, DRIFT_MAX_NODES, "the drift check's grid points x jump nodes")
+    if isinstance(grid_obj, dict):
+        grid = np.linspace(
+            _as_float(grid_obj["lo"], "grid.lo"), _as_float(grid_obj["hi"], "grid.hi"), points
+        )
+    coords = grid[:, None] if grid.ndim == 1 else grid
+    if coords.ndim != 2 or coords.shape[1] != spec.dim:
         raise ConfigError(
             f"grid points must have {spec.dim} coordinates, the process dimension"
         )
@@ -951,12 +965,12 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
         phi,
         grid,
         ball_radius=_as_float(data["ball_radius"], "ball_radius"),
-        jump_mc_samples=_as_int(data.get("jump_mc_samples", 20000), "jump_mc_samples"),
+        jump_mc_samples=samples,
         seed=_as_int(data.get("seed", 0), "seed"),
     )
     report.to_csv(out / "driftcheck.csv")
     print(
-        f"b = {report.b:.6g}; worst margin outside ball = {report.worst_margin:.6g} "
+        f"b = {report.b:.6g}; worst margin = {report.worst_margin:.6g} "
         f"({'certified' if report.worst_margin >= 0 else 'violated'})"
     )
     return 0
@@ -1107,6 +1121,7 @@ def _cmd_subordinate(data: dict, out: Path, seed) -> int:
     spec = SubordinatorSpec(kind=kind, b_S=_as_float(data.get("b_s", 0.0), "b_s"))
     p = _as_float(data["p"], "p")
     n_mc = _as_int(data["n_mc"], "n_mc")
+    _within(n_mc, CLOCK_MAX_SAMPLES, "n_mc")
     run_seed = _as_int(data["seed"], "seed")
     times = _vector(data["t"], "t")
     lines = ["t,value,ci_lo,ci_hi,se"]

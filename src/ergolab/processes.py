@@ -693,6 +693,10 @@ CSV_MAX_VALUES = 2_000_000  # trajectory CSV: paths x grid times x dimension
 PATH_MAX_VALUES = 50_000_000  # experiment path block: paths x grid times x dimension
 BOOT_MAX_VALUES = 10_000_000  # couple bootstrap table: n_boot x grid times
 LEVEL_MAX_POINTS = 1_000_000  # lower s_grid levels
+QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference quantile_points
+CLOCK_MAX_SAMPLES = 10_000_000  # subordinate n_mc, clock samples per time
+DRIFT_MAX_NODES = 50_000_000  # driftcheck grid points x (1 + jump nodes per point)
+JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one point's batch
 
 
 @dataclass(frozen=True, eq=False)

@@ -648,6 +648,8 @@ _DRIFTCHECK = {
     "ball_radius": 2.0,
 }
 _CHAIN = {"family": "backward_recurrence", "alpha": 3.0, "i0": 5}
+_STABLE_2D = {"family": "ou_jump", "H": [[-1.0, 0.0], [0.0, -1.0]],
+              "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5}}}
 
 
 def _chain_config(**overrides):
@@ -754,6 +756,27 @@ MALFORMED = {
         _ou_config(n_paths=200, distance={"kind": "exact_lp"},
                    reference={"kind": "exact_invariant", "quantile_points": 64}),
     ),
+    "experiment-quantile-points-huge": (
+        "experiment",
+        _ou_config(n_paths=8, reference={"kind": "exact_invariant", "quantile_points": 10**12}),
+    ),
+    "driftcheck-grid-points-huge": (
+        "driftcheck", {**_DRIFTCHECK, "grid": {"lo": 1.0, "hi": 2.0, "points": 10**12}}
+    ),
+    "driftcheck-jump-mc-samples-huge": (
+        "driftcheck",
+        {**_DRIFTCHECK, "process": _STABLE_2D,
+         "lyapunov": {"family": "poly_plus_one", "theta": 0.5},
+         "grid": [[1.0, 2.0]], "jump_mc_samples": 10**12},
+    ),
+    # one point, so only the per-point batch, 1,000,001 x 2^2 values, is over its budget
+    "driftcheck-jump-mc-samples-over-batch-budget": (
+        "driftcheck",
+        {**_DRIFTCHECK, "process": _STABLE_2D,
+         "lyapunov": {"family": "poly_plus_one", "theta": 0.5},
+         "grid": [[1.0, 2.0]], "jump_mc_samples": 1_000_001},
+    ),
+    "subordinate-n-mc-huge": ("subordinate", {**_SUBORDINATE, "n_mc": 10**12}),
 }
 
 
@@ -872,7 +895,7 @@ def test_cli_driftcheck(tmp_path, capsys):
     )
     assert main(["driftcheck", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "worst margin" in out
+    assert "worst margin = " in out and "outside ball" not in out
     rows = (tmp_path / "driftcheck.csv").read_text().strip().splitlines()
     assert len(rows) == 32
 
@@ -910,6 +933,9 @@ def test_cli_driftcheck_piecewise_ou(tmp_path, capsys):
     # L(1 + x^2) = -2x^2 + sigma^2 + rate * E[Y^2] = 1.25 - 2x^2 with chi_Q(x) = |x|
     # outside the unit ball
     assert float(rows[5][2]) == pytest.approx(1.25 - 2.0 * 400.0, rel=1e-12)
+    # finite atoms: an exact sum, so a zero error
+    assert rows[0][-1] == "error"
+    assert all(float(row[5]) == 0.0 for row in rows[1:])
     chain = _write(
         tmp_path / "chain.json",
         {
@@ -921,6 +947,32 @@ def test_cli_driftcheck_piecewise_ou(tmp_path, capsys):
         },
     )
     assert main(["driftcheck", "--config", chain, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_driftcheck_records_an_error_per_margin(tmp_path):
+    stable = {"family": "ou_jump", "H": [[-1.0]],
+              "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5}}}
+    base = {"lyapunov": {"family": "poly_plus_one", "theta": 0.5},
+            "phi": {"family": "linear", "c_hat": 0.2}, "ball_radius": 3.0}
+    cases = {
+        # deterministic quadrature: the rule pairs' differences plus the remainder's
+        "quadrature": {**base, "process": stable, "grid": [-20.0, 0.0, 2.5]},
+        # isotropic Monte Carlo: the standard error
+        "mc": {**base, "process": _STABLE_2D, "grid": [[0.0, 0.5], [4.0, 1.0]],
+               "jump_mc_samples": 2000, "seed": 3},
+    }
+    errors = {}
+    for name, payload in cases.items():
+        out = tmp_path / name
+        out.mkdir()
+        cfg = _write(out / "drift.json", payload)
+        assert main(["driftcheck", "--config", cfg, "--out-dir", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "driftcheck.csv").read_text().strip().splitlines()]
+        dim = 2 if name == "mc" else 1
+        assert rows[0][dim:] == ["lyapunov_value", "generator_value", "phi_of_v", "margin", "error"]
+        errors[name] = [float(row[dim + 4]) for row in rows[1:]]
+    assert all(0.0 < e < 1e-12 for e in errors["quadrature"])
+    assert all(1e-4 < e < 1.0 for e in errors["mc"])
 
 
 def test_cli_couple_reports_contraction(tmp_path, capsys):

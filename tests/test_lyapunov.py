@@ -131,6 +131,23 @@ def test_lyapunov_fd_derivatives(radius):
         assert np.allclose(fn.hess(x), hess_fd, rtol=1e-4, atol=1e-5)
 
 
+@pytest.mark.parametrize("family", ["poly", "poly_plus_one", "exp"])
+def test_batched_derivatives_equal_per_point_calls(family):
+    qf = QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    fn = {"poly": PolyNorm(qf, 2.5), "poly_plus_one": PolyNormPlusOne(qf, 1.5),
+          "exp": ExpNorm(qf, 0.4)}[family]
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([0.4 * rng.normal(size=(20, 2)), 3.0 * rng.normal(size=(20, 2))])
+    # both sides of the blend sphere |x|_Q = sqrt(lam_min)
+    inside = np.array([qf.norm(x) for x in xs]) < math.sqrt(qf.lam_min)
+    assert 5 <= inside.sum() <= 35
+    assert np.array_equal(fn.value(xs), [fn.value(x) for x in xs])
+    assert np.array_equal(fn.grad(xs), [fn.grad(x) for x in xs])
+    assert np.array_equal(fn.hess(xs), [fn.hess(x) for x in xs])
+    assert fn.grad(xs[0]).shape == (2,) and fn.hess(xs[0]).shape == (2, 2)
+    assert isinstance(fn.value(xs[0]), float)
+
+
 def test_custom_fn_fd_fallback():
     fn = CustomFn(value_fn=lambda x: math.sin(x[0]) + x[1] ** 2)
     x = np.array([0.4, -0.8])
@@ -240,6 +257,7 @@ def test_generator_stable_1d_fourier_oracle(alpha):
     )
     expected = -(scale**alpha) / math.sqrt(math.pi) * oracle
     assert res.value == pytest.approx(expected, abs=1e-6)
+    assert abs(res.value - expected) <= res.error
 
 
 def test_generator_stable_1d_cos_spectral_oracle():
@@ -251,6 +269,7 @@ def test_generator_stable_1d_cos_spectral_oracle():
         res = generator_apply(gen, fn, np.array([0.5]))
         expected = -((scale * u) ** alpha) * math.cos(u * 0.5)
         assert res.value == pytest.approx(expected, abs=1e-6)
+        assert abs(res.value - expected) <= res.error
 
 
 def test_generator_stable_independent_axes_oracle():
@@ -265,6 +284,7 @@ def test_generator_stable_independent_axes_oracle():
     res = generator_apply(gen, fn, x)
     expected = -((abs(u[0]) ** alpha + abs(u[1]) ** alpha)) * math.cos(float(u @ x))
     assert res.value == pytest.approx(expected, abs=1e-6)
+    assert abs(res.value - expected) <= res.error
 
 
 def test_generator_stable_isotropic_mc_oracle():
@@ -295,6 +315,75 @@ def test_generator_subordinator_laplace_oracle():
     x = np.array([0.3])
     res = generator_apply(gen, fn, x)
     assert res.value == pytest.approx(-math.exp(-0.3), abs=1e-6)
+    assert abs(res.value + math.exp(-0.3)) <= res.error
+
+
+_GAUSSIAN_JUMPS = LevyMeasureSpec(
+    kind=CompoundPoisson(
+        rate=3.0,
+        jump_dist=SamplerJumps(sampler=lambda rng, m: rng.standard_normal((m, 1)), dim=1),
+    )
+)
+_CERTIFY_V = PolyNormPlusOne(QuadForm(np.eye(1)), 0.5)
+_STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8)
+
+
+@pytest.mark.parametrize(
+    "gen, fn, grid, samples",
+    [
+        # 1-D stable quadrature, with points whose Taylor region and panels meet the blend sphere
+        (GeneratorSpec(b=lambda x: -x, levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))),
+         _CERTIFY_V, [[-20.0], [0.0], [0.7], [1.5], [2.5]], 20_000),
+        # isotropic-stable Monte Carlo, one RNG block per point
+        (GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.3))),
+         _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0], [3.0, 0.5]], 2000),
+        # compound-Poisson sampler
+        (GeneratorSpec(levy=_GAUSSIAN_JUMPS, jump_compensation="full"),
+         _CERTIFY_V, [[0.5], [-3.0], [8.0]], 500),
+        # finite atoms
+        (GeneratorSpec(a=np.eye(2), levy=LevyMeasureSpec(kind=CompoundPoisson(
+            rate=1.5, jump_dist=DiscreteJumps([[0.5, 0.0], [-0.3, 1.2]], [0.5, 0.5])))),
+         _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0]], 20_000),
+        # one-sided subordinator quadrature
+        (GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5)),
+                       jump_compensation="none"),
+         PolyNormPlusOne(QuadForm(np.eye(1)), 0.3), [[-4.0], [0.3], [6.0]], 20_000),
+    ],
+    ids=["stable-quadrature", "isotropic-mc", "sampler", "atoms", "subordinator"],
+)
+def test_batched_generator_equals_per_point_calls(gen, fn, grid, samples):
+    grid = np.array(grid)
+    batch = generator_apply(gen, fn, grid, jump_mc_samples=samples, seed=7)
+    assert batch.value.shape == batch.error.shape == (grid.shape[0],)
+    for i, x in enumerate(grid):
+        single = generator_apply(gen, fn, x, jump_mc_samples=samples, seed=7, point_index=i)
+        assert isinstance(single.value, float)
+        assert batch.value[i] == single.value
+        # a batch may add zero-width panels, which regroup the rounding of the
+        # pair difference, so the error estimates agree to leading digits
+        assert batch.error[i] == pytest.approx(single.error, rel=1e-3)
+
+
+# L = J for V = 1 + chi^(1/2), alpha = 1.5, unit scale (the certify workload's
+# jump part), computed with mpmath at 60 digits by tanh-sinh quadrature of the
+# second difference, split at |x +- r| = 1 and evaluated with enough extra
+# digits near r = 0 that nothing cancels
+_CERTIFY_JUMP = {
+    0.0: 1.019217939426983043645112,
+    0.7: 0.3512488517416443294824049,
+    1.5: 0.0241424583650755440999813,
+    2.5: 0.006195546766115138273163112,
+    20.0: 0.00003290643552369749132431715,
+}
+
+
+def test_certify_jump_integral_within_its_reported_error():
+    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5)))
+    xs = np.array(list(_CERTIFY_JUMP))
+    res = generator_apply(gen, _CERTIFY_V, xs[:, None])
+    exact = np.array(list(_CERTIFY_JUMP.values()))
+    assert np.all(np.abs(res.value - exact) <= res.error)
+    assert np.all(res.error < 1e-12)
 
 
 def test_generator_cp_sampler_mc_oracle_and_se_scaling():
@@ -378,8 +467,26 @@ def test_drift_check_ou_report(tmp_path):
     out = tmp_path / "drift.csv"
     report.to_csv(out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x1,lyapunov_value,generator_value,phi_of_v,margin"
+    assert lines[0] == "x1,lyapunov_value,generator_value,phi_of_v,margin,error"
     assert len(lines) == 21
+
+
+def test_drift_check_margin_is_exactly_zero_where_b_is_set():
+    # b = phi + LV at the only point; (b - phi) - LV rounds to -4.4e-16 for
+    # this pair, b - (phi + LV) is exactly 0
+    phi_v, lv = 1.3474668754545474, 2.844713819298782
+    fn = CustomFn(
+        value_fn=lambda x: phi_v,
+        grad_fn=lambda x: np.array([1.0]),
+        hess_fn=lambda x: np.zeros((1, 1)),
+        growth=("poly", 0.0),
+    )
+    report = drift_check(
+        GeneratorSpec(b=np.array([lv])), fn, LinearPhi(1.0), [0.0], ball_radius=1.0
+    )
+    assert report.phi_values[0] == phi_v and report.lhs[0] == lv
+    assert report.margin[0] == 0.0
+    assert report.worst_margin == 0.0
 
 
 def test_drift_check_flags_failing_condition():
