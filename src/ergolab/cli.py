@@ -80,12 +80,15 @@ from .processes import (
     DRIFT_MAX_NODES,
     JUMP_MC_MAX_VALUES,
     LEVEL_MAX_POINTS,
+    PATH_MAX_STEPS,
     PATH_MAX_VALUES,
     QUANTILE_MAX_POINTS,
+    STEP_TABLE_MAX_VALUES,
     SymmetricStable,
     invariant_exact,
     sigma_matrix,
     simulate,
+    step_plan,
 )
 from .rates import LinearPhi, LowerRateParams, PowerPhi
 from .subordination import (
@@ -125,10 +128,20 @@ __all__ = [
 _MAX_TRUNCATION = 2**22
 
 
-def _within(count: int, budget: int, what: str) -> None:
+def _within(count: float, budget: int, what: str) -> None:
     """Refuse, with SizeError, an array of ``count`` elements above ``budget``."""
     if count > budget:
-        raise SizeError(f"{what} would hold {count:,} elements, above the budget of {budget:,}")
+        raise SizeError(f"{what} would hold {count:,.0f} elements, above the budget of {budget:,}")
+
+
+def _within_plan(spec, times, max_step: float, n_paths: int) -> None:
+    """Refuse a simulation of ``n_paths`` paths whose :func:`step_plan` is
+    above the path-step budget, or whose discrete horizon's step table is
+    above its element budget."""
+    steps = float(np.sum(step_plan(spec, times, max_step)))
+    _within(n_paths * steps, PATH_MAX_STEPS, "the step plan (paths x steps)")
+    if spec.discrete_time:
+        _within(2.0 * (steps + 1.0), STEP_TABLE_MAX_VALUES, "the step table")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,8 @@ class Sinkhorn:
 # and ``redraw(cfg, ref)``, an independent sample of it.  The distance between
 # the two is the noise floor: the value at which a perfectly converged curve
 # bottoms out.  ``atoms(cfg)`` is the size of the measure, or None where it is
-# found only while the measure is built.
+# found only while the measure is built; ``sim_grid`` the time grid each of
+# the two simulates, or None.
 
 
 @dataclass(frozen=True)
@@ -190,6 +204,7 @@ class ExactInvariant:
 
     quantile_points: int = 65536
     needs_invariant: ClassVar[bool] = True
+    sim_grid: ClassVar[None] = None
 
     def __post_init__(self):
         if not (isinstance(self.quantile_points, int) and self.quantile_points >= 2):
@@ -231,11 +246,15 @@ class LongRunEmpirical:
     def atoms(self, cfg: ExperimentConfig) -> int:
         return cfg.n_paths
 
+    @property
+    def sim_grid(self) -> tuple:
+        return (0.0, self.t_burn)
+
     def measure(self, cfg: ExperimentConfig, tag: str = "reference") -> EmpiricalMeasure:
         batch = simulate(
             cfg.process,
             np.array(cfg.x0),
-            np.array([0.0, self.t_burn]),
+            np.array(self.sim_grid),
             cfg.n_paths,
             _derive_seed(cfg.seed, tag),
             max_step=cfg.max_step,
@@ -299,6 +318,9 @@ class ExperimentConfig:
             raise ConfigError("bracket_params supplied without a bracket")
         if not self.max_step > 0:
             raise DomainError(f"max_step must be positive, got {self.max_step}")
+        _within_plan(self.process, _curve_grid(t_grid), self.max_step, self.n_paths)
+        if self.reference.sim_grid is not None:
+            _within_plan(self.process, self.reference.sim_grid, self.max_step, self.n_paths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,12 +755,15 @@ def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
     )
 
 
+def _curve_grid(t_grid) -> np.ndarray:
+    """The grid a curve simulates: ``t_grid``, from ``t = 0``."""
+    grid = np.array(t_grid, dtype=float)
+    return np.concatenate(([0.0], grid)) if grid[0] > 0.0 else grid
+
+
 def _measure_curve(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> np.ndarray:
-    grid = np.array(cfg.t_grid)
-    offset = 0
-    if grid[0] > 0.0:
-        grid = np.concatenate(([0.0], grid))
-        offset = 1
+    grid = _curve_grid(cfg.t_grid)
+    offset = grid.size - len(cfg.t_grid)
     batch = simulate(
         cfg.process,
         np.array(cfg.x0),
@@ -849,6 +874,7 @@ def _cmd_simulate(data: dict, out: Path, seed) -> int:
     n_paths = _as_int(data["n_paths"], "n_paths")
     _within(n_paths * grid.size * spec.dim, CSV_MAX_VALUES, "the trajectory CSV")
     max_step = _as_float(data.get("max_step", 0.01), "max_step")
+    _within_plan(spec, grid, max_step, n_paths)
     batch = simulate(
         spec,
         _vector(data["x0"], "x0"),
@@ -880,12 +906,13 @@ def _cmd_ratefit(data: dict, out: Path, seed) -> int:
     _require_keys(
         data, {"times", "values", "model"}, {"bracket", "bracket_params"}, "ratefit config"
     )
+    params = data.get("bracket_params")
     fit = fit_rate(
         data["times"],
         data["values"],
         data["model"],
         bracket=data.get("bracket"),
-        bracket_params=data.get("bracket_params"),
+        bracket_params=None if params is None else _as_object(params, "bracket_params"),
     )
     result = {
         "model": fit.model,
@@ -990,7 +1017,9 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     grid = _resolve_grid(data["t_grid"], "arithmetic")
     n_paths = _as_int(data["n_paths"], "n_paths")
     n_boot = _as_int(data.get("n_boot", 200), "n_boot")
+    max_step = _as_float(data.get("max_step", 0.01), "max_step")
     _within(2 * n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
+    _within_plan(spec, grid, max_step, 2 * n_paths)
     _within(n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
     params = None
     cert = data.get("certificate")
@@ -1033,7 +1062,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         grid,
         n_paths,
         run_seed,
-        max_step=_as_float(data.get("max_step", 0.01), "max_step"),
+        max_step=max_step,
     )
     report = contraction_estimate(
         pairs,

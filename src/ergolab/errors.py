@@ -68,9 +68,5 @@ class InsufficientTailError(ErgoLabError, ValueError):
         self.diagnostics = diagnostics
 
 
-class HorizonError(ErgoLabError, ValueError):
-    """A subordinator value exceeded the simulated time horizon."""
-
-
 class DegenerateDataError(ErgoLabError, ValueError):
     """The data span is too small to identify the requested rate model."""

@@ -41,7 +41,6 @@ __all__ = [
     "lower_bound_curve",
     "select_sn",
     "tail_mass",
-    "tn_from_sn",
 ]
 
 
@@ -162,23 +161,6 @@ def select_sn(inst: LowerBoundInstance, n_terms: int, s_grid) -> np.ndarray:
     the best ratio achieved) when fewer than ``n_terms`` levels qualify.
     """
     return _select(inst, n_terms, s_grid)[0]
-
-
-def tn_from_sn(inst: LowerBoundInstance, s: float) -> float:
-    """Time matched to level ``s``.
-
-    Solves ``s^{theta-vartheta-eps-eps'} = (2^{theta-p}/c)(b t + V(x0))``:
-    ``t = (c s^{theta-vartheta-eps-eps'} 2^{p-theta} - V(x0)) / b``.
-    """
-    par = inst.params
-    delta = par.theta - par.vartheta - par.eps_var - par.eps_small
-    t = (inst.c * float(s) ** delta * 2.0 ** (par.p - par.theta) - inst.v_at_start()) / inst.b
-    if t < 0:
-        raise DomainError(
-            f"matched time is negative (t = {t:.6g}): level s = {s:.6g} is too "
-            "small relative to the Lyapunov value at the start point"
-        )
-    return float(t)
 
 
 @dataclass(frozen=True, eq=False)

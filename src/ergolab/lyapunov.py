@@ -10,32 +10,26 @@ The central objects:
   :class:`PolyNormPlusOne` (``1 + chi^theta``), :class:`ExpNorm`
   (``exp(zeta chi)``), and :class:`CustomFn`;
 * :class:`GeneratorSpec` / :func:`generator_apply` — evaluate
-  ``L f(x) = <b, grad f> + 1/2 tr(a hess f) + integral of the compensated
-  difference against the jump measure`` at a point or, in one pass, at every
-  row of a batch (the families' ``value``, ``grad`` and ``hess`` take either),
-  with the compensation convention selected by ``jump_compensation``:
-
-  - ``"ball"``: ``f(x+y) - f(x) - 1_{|y|<1} <y, grad f(x)>`` (the standard
-    generator of the simulated process),
-  - ``"full"``: ``f(x+y) - f(x) - <y, grad f(x)>`` everywhere,
-  - ``"none"``: ``f(x+y) - f(x)`` (finite-variation jump parts only);
-
+  ``L f(x) = <b, grad f> + 1/2 tr(a hess f) + J f(x)`` at a point or, in one
+  pass, at every row of a batch (the families' ``value``, ``grad`` and
+  ``hess`` take either).  ``L`` is the generator of the process
+  :func:`ergolab.processes.simulate` runs, whose jumps enter uncompensated:
+  for compound-Poisson and subordinator jumps ``J f(x)`` integrates the raw
+  difference ``f(x+y) - f(x)``, and for symmetric stable jumps the
+  symmetric principal value of the same difference;
 * :func:`drift_check` — pointwise certification of
   ``L V <= b 1_{ball} - phi(V)`` on a grid, reported as a
   :class:`DriftReport` with the error estimate of each ``L V``; the margin
   ``b 1_{ball} - (phi(V) + L V)`` is one subtraction, so the point that sets
-  ``b`` has margin exactly 0;
-* :func:`exp_jump_bound_check` — the worst jump-part ratio
-  ``J[exp(zeta chi_Q)] / exp(zeta chi_Q)`` over a grid, normalized by
-  ``zeta^{3/2}``.
+  ``b`` has margin exactly 0.
 
 Jump integrals are evaluated exactly for finite-support compound-Poisson
 measures (error 0), and by Monte Carlo with a reported standard error for
-sampled compound-Poisson jumps and isotropic stable jumps in dimension >= 2
-(one batched call per grid point, its RNG keyed on the point's index). For
-one-dimensional (or per-axis) stable and subordinator measures,
-``int_0^inf D(r) r^{-1-alpha} dr`` is evaluated for all grid points at once
-by fixed rules, each run with n and 2n nodes, whose difference is its error:
+isotropic stable jumps in dimension >= 2 (one batched call per grid point,
+its RNG keyed on the point's index). For one-dimensional (or per-axis)
+stable and subordinator measures, ``int_0^inf D(r) r^{-1-alpha} dr`` is
+evaluated for all grid points at once by fixed rules, each run with n and 2n
+nodes, whose difference is its error:
 
 - ``r < 1``: the Taylor-remainder form ``r^2 int_0^1 (1-t) C(t r) dt`` of the
   difference (so nothing cancels near 0), by a Gauss–Jacobi (weight
@@ -47,10 +41,9 @@ by fixed rules, each run with n and 2n nodes, whose difference is its error:
   its error estimate joins the rule pairs'.
 
 Both fixed rules cut their panels where ``x +- r d`` crosses the sphere on
-which ``chi_Q`` is only C^2, so each panel integrates a smooth function. For
-symmetric measures the ball/full/none conventions coincide in value
-whenever each is defined; they differ in their integrability requirements,
-which are enforced.
+which ``chi_Q`` is only C^2, so each panel integrates a smooth function. The
+subordinator's Taylor form on ``r < 1`` leaves out ``r f'(x)``, which is added
+back in closed form.
 """
 
 from __future__ import annotations
@@ -60,16 +53,15 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConfigError, DomainError, IntegrabilityError
+from .errors import ConfigError, IntegrabilityError
 from .processes import (
     CompoundPoisson,
-    DiscreteJumps,
     LevyMeasureSpec,
     NoJumps,
     StableSubordinatorMeasure,
@@ -93,7 +85,6 @@ __all__ = [
     "generator_apply",
     "DriftReport",
     "drift_check",
-    "exp_jump_bound_check",
     "jump_nodes",
 ]
 
@@ -397,17 +388,13 @@ class GeneratorSpec:
 
     ``b`` may be a callable, a constant vector, or None; ``a`` a callable, a
     constant PSD matrix, or None. The Lévy spec contributes its own ``b_L``
-    and ``a_L`` additively.
+    and ``a_L`` additively, and its jumps uncompensated, as the simulator
+    adds them.
     """
 
     b: Callable | np.ndarray | None = None
     a: Callable | np.ndarray | None = None
     levy: LevyMeasureSpec = LevyMeasureSpec()
-    jump_compensation: Literal["ball", "full", "none"] = "ball"
-
-    def __post_init__(self):
-        if self.jump_compensation not in ("ball", "full", "none"):
-            raise ConfigError(f"unknown jump_compensation {self.jump_compensation!r}")
 
 
 class GeneratorResult(tuple):
@@ -469,7 +456,7 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
-def _jump_cp_discrete(kind: CompoundPoisson, fn, x, grad, compensation):
+def _jump_cp_discrete(kind: CompoundPoisson, fn, x):
     atoms, probs = kind.jump_dist.atoms, kind.jump_dist.probs
     m, n = x.shape
     if atoms.shape[1] != n:
@@ -478,26 +465,7 @@ def _jump_cp_discrete(kind: CompoundPoisson, fn, x, grad, compensation):
         )
     landed = fn.value((x[:, None, :] + atoms).reshape(-1, n)).reshape(m, -1)
     diff = landed - fn.value(x)[:, None]
-    if compensation != "none":
-        linear = grad @ atoms.T
-        if compensation == "ball":
-            linear = linear * (np.linalg.norm(atoms, axis=1) < 1.0)
-        diff -= linear
     return kind.rate * (diff @ probs), np.zeros(m)
-
-
-def _jump_cp_sampler(kind, fn, x, grad, compensation, m, rng):
-    out = np.empty((2, x.shape[0]))
-    for i, (xi, gi) in enumerate(zip(x, grad)):
-        ys = kind.jump_dist.sample(rng(i), m)
-        vals = fn.value(xi + ys) - float(fn.value(xi))
-        if compensation == "full":
-            vals -= ys @ gi
-        elif compensation == "ball":
-            inside = np.linalg.norm(ys, axis=1) < 1.0
-            vals -= inside * (ys @ gi)
-        out[:, i] = _mean_se(vals)
-    return kind.rate * out[0], kind.rate * out[1]
 
 
 def _c_alpha_1d(alpha: float) -> float:
@@ -732,17 +700,15 @@ def _jump_stable_isotropic_mc(kind: SymmetricStable, fn, x, m, rng):
     return scale_fac * out[0], scale_fac * out[1]
 
 
-def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad, compensation):
+def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad):
+    """Raw differences: the quadrature's Taylor form on ``r < 1`` leaves out
+    ``f'(x) int_0^1 r nu(dr) = f'(x) A / (1 - alpha)``, added back here."""
     alpha = kind.alpha
     a_const = alpha / math.gamma(1.0 - alpha)  # Laplace exponent u^alpha
     if x.shape[1] != 1:
         raise ConfigError("subordinator jump measures are one-dimensional")
     integral, err = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
-    value = a_const * integral
-    if compensation == "none":
-        # shift from ball-compensated to raw differences:
-        # + grad . int_0^1 y nu(dy) = grad * A / (1 - alpha)
-        value = value + a_const * grad[:, 0] / (1.0 - alpha)
+    value = a_const * integral + a_const * grad[:, 0] / (1.0 - alpha)
     return value, a_const * err
 
 
@@ -755,29 +721,18 @@ def _jump_part(gen: GeneratorSpec, fn, x, grad, m, rng):
     """The jump integral of ``fn`` and its error at every row of ``x``, after
     checking that it is defined for this kind."""
     kind = gen.levy.kind
-    comp = gen.jump_compensation
     if isinstance(kind, NoJumps):
         return np.zeros(x.shape[0]), np.zeros(x.shape[0])
-    if isinstance(kind, CompoundPoisson) and isinstance(kind.jump_dist, DiscreteJumps):
-        # finite measure, bounded jumps: every growth integrates
-        return _jump_cp_discrete(kind, fn, x, grad, comp)
-    _check_growth(kind.theta_class(), fn)
     if isinstance(kind, CompoundPoisson):
-        return _jump_cp_sampler(kind, fn, x, grad, comp, m, rng)
+        # finite measure, bounded jumps: every growth integrates
+        return _jump_cp_discrete(kind, fn, x)
+    _check_growth(kind.theta_class(), fn)
     if isinstance(kind, SymmetricStable):
-        if comp == "none" and kind.alpha >= 1.0:
-            raise IntegrabilityError("uncompensated stable jump integrals require alpha < 1")
-        # for symmetric measures the compensation conventions agree in value
-        # wherever defined (the linear term vanishes by symmetry)
         if _isotropic_mc(kind, x.shape[1]):
             return _jump_stable_isotropic_mc(kind, fn, x, m, rng)
         return _jump_stable_1d_axes(kind, fn, x)
     if isinstance(kind, StableSubordinatorMeasure):
-        if comp == "full":
-            raise IntegrabilityError(
-                "full compensation diverges for one-sided subordinator measures"
-            )
-        return _jump_subordinator(kind, fn, x, grad, comp)
+        return _jump_subordinator(kind, fn, x, grad)
     raise ConfigError(f"unknown jump kind {kind!r}")
 
 
@@ -790,8 +745,7 @@ def jump_nodes(levy: LevyMeasureSpec, dim: int, jump_mc_samples: int) -> int:
     if isinstance(kind, NoJumps):
         return 0
     if isinstance(kind, CompoundPoisson):
-        jd = kind.jump_dist
-        return jd.atoms.shape[0] if isinstance(jd, DiscreteJumps) else jump_mc_samples
+        return kind.jump_dist.atoms.shape[0]
     if isinstance(kind, SymmetricStable) and _isotropic_mc(kind, dim):
         return jump_mc_samples
     axes = dim if isinstance(kind, SymmetricStable) else 1
@@ -923,42 +877,3 @@ def drift_check(
         b=b,
         worst_margin=float(np.min(margin)),
     )
-
-
-# ---------------------------------------------------------------------------
-# exponential-norm jump bound
-# ---------------------------------------------------------------------------
-
-
-def exp_jump_bound_check(
-    levy: LevyMeasureSpec,
-    Q,
-    zeta: float,
-    theta: float,
-    grid,
-    jump_mc_samples: int = 20_000,
-    seed: int = 0,
-) -> float:
-    """Worst fully compensated jump ratio for ``V = exp(zeta chi_Q)``.
-
-    Evaluates ``J[V](x) / V(x)`` over the grid with the fully compensated
-    difference ``f(x+y) - f(x) - <y, grad f(x)>`` and returns the worst value
-    divided by ``zeta^{3/2}``. Requires ``zeta in (0, theta / (2 sqrt(|Q|)))``
-    and exponential integrability of the jump measure at rate ``theta``.
-    """
-    qf = Q if isinstance(Q, QuadForm) else QuadForm(np.asarray(Q, dtype=float))
-    bound = 0.5 * theta / math.sqrt(qf.lam_max)
-    if not (0.0 < zeta < bound):
-        raise DomainError(
-            f"zeta must lie in (0, {bound:.6g}) = (0, theta |Q|^(-1/2) / 2), got {zeta}"
-        )
-    tc = levy.theta_class()
-    if tc.exp_rate is None or tc.exp_rate < theta:
-        raise IntegrabilityError(
-            f"jump measure lacks exponential moments at rate theta = {theta}"
-        )
-    fn = ExpNorm(qf, zeta)
-    gen = GeneratorSpec(b=None, a=None, levy=levy, jump_compensation="full")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    res = generator_apply(gen, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
-    return float(np.max(res.value / fn.value(grid))) / zeta**1.5

@@ -5,11 +5,12 @@ The module couples two layers:
 * specification types — immutable descriptions of a driving Lévy process
   (:class:`LevyMeasureSpec`: drift, Gaussian part, jump measure kind) and of a
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
-  :class:`NonlinearSS`, :class:`BackwardRecurrence`, :class:`GenericIto`), each
-  a :class:`ProcessSpec` that states the facts its callers need;
+  :class:`BackwardRecurrence`, :class:`GenericIto`), each a
+  :class:`ProcessSpec` that states the facts its callers need;
 * numerics — :func:`simulate` (one block loop over the family's
   ``walker``: Euler–Maruyama with exact-in-law noise increments per step;
-  exact recursion for the discrete-time kinds),
+  exact recursion for the discrete-time chain), :func:`step_plan` (the
+  steps a path takes, which the walkers follow and the config budgets),
   :func:`sample_stable` (Chambers–Mallows–Stuck), :func:`invariant_exact`
   (backward recurrence chain), :func:`ou_exact_transition` (Gaussian marginal
   of a linear SDE), :func:`piecewise_drift`, and :func:`langevin_coeffs`.
@@ -20,6 +21,9 @@ Conventions
   ``scale^alpha * c_alpha |y|^{-1-alpha}`` with ``c_alpha`` normalized so the
   characteristic exponent is ``|scale * u|^alpha``; step increments over ``dt``
   are then exactly ``dt^{1/alpha} * scale * S`` with ``S`` standard stable.
+* Jumps enter uncompensated: a compound-Poisson step adds the raw jumps and
+  a subordinator step its raw positive increment, so ``b_L`` is the drift the
+  paths follow (the generator :mod:`ergolab.lyapunov` certifies is this one).
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own counter-based
   substream keyed on (master seed, block index).
@@ -50,7 +54,6 @@ from .errors import BlowUpError, ConfigError, DomainError
 __all__ = [
     "NoJumps",
     "DiscreteJumps",
-    "SamplerJumps",
     "CompoundPoisson",
     "SymmetricStable",
     "StableSubordinatorMeasure",
@@ -61,12 +64,12 @@ __all__ = [
     "LangevinTempered",
     "OUJump",
     "PiecewiseOU",
-    "NonlinearSS",
     "BackwardRecurrence",
     "GenericIto",
     "ProcessSpec",
     "TrajectoryBatch",
     "simulate",
+    "step_plan",
     "sample_stable",
     "standard_one_sided_stable",
     "invariant_exact",
@@ -133,40 +136,9 @@ class DiscreteJumps:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    def theta_class(self) -> ThetaClass:
-        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
-
     def sample(self, rng, size: int) -> np.ndarray:
         picks = rng.choice(self.atoms.shape[0], size=size, p=self.probs)
         return self.atoms[picks]
-
-
-@dataclass(frozen=True)
-class SamplerJumps:
-    """Sampler-backed jump distribution with declared moment classes.
-
-    ``sampler(rng, size)`` must return a ``(size, dim)`` array. ``theta_sup``
-    declares the supremum of finite absolute moments; ``exp_rate`` the largest
-    ``theta`` with ``E[exp(theta |Y|)] < oo`` (None if no exponential moments).
-    """
-
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    dim: int = 1
-    theta_sup: float = math.inf
-    exp_rate: float | None = None
-
-    def __post_init__(self):
-        if not callable(self.sampler):
-            raise ConfigError("sampler must be callable")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
-
-    def theta_class(self) -> ThetaClass:
-        return ThetaClass(theta_sup=self.theta_sup, exp_rate=self.exp_rate)
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        jumps = np.asarray(self.sampler(rng, size), dtype=float)
-        return jumps[:, None] if jumps.ndim == 1 else jumps
 
 
 @dataclass(frozen=True)
@@ -174,14 +146,15 @@ class CompoundPoisson:
     """Compound Poisson jump part: rate * jump distribution."""
 
     rate: float
-    jump_dist: Union[DiscreteJumps, SamplerJumps]
+    jump_dist: DiscreteJumps
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"rate must be positive, got {self.rate}")
 
     def theta_class(self) -> ThetaClass:
-        return self.jump_dist.theta_class()
+        # finitely many bounded jumps: every moment is finite
+        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
 
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
         counts = rng.poisson(self.rate * dt, m)
@@ -341,15 +314,11 @@ class ProcessSpec:
         return None
 
     def walker(self, x0, times, max_step):
-        """Continuous time: ``ceil(span / max_step)`` equal substeps per grid
+        """Continuous time: the :func:`step_plan`'s equal substeps per grid
         interval, each the continuous part's :meth:`advance` plus the jump
         increment, with the blow-up guard after every substep."""
-        if not max_step > 0:
-            raise ConfigError("max_step must be positive")
-        plans = []
-        for span in np.diff(times):
-            n_sub = max(1, int(math.ceil(span / max_step - 1e-12)))
-            plans.append((n_sub, span / n_sub))
+        counts = step_plan(self, times, max_step)[1:]
+        plans = [(int(n_sub), span / n_sub) for n_sub, span in zip(counts, np.diff(times))]
         step = self.advance({dt for _, dt in plans})
         jumps, dim = self.levy.kind, self.dim
 
@@ -517,41 +486,6 @@ class PiecewiseOU(ProcessSpec):
 
 
 @dataclass(frozen=True)
-class NonlinearSS(ProcessSpec):
-    """Discrete-time recursion ``X_{k+1} = F(X_k) + W_{k+1}`` with growth metadata."""
-
-    discrete_time: ClassVar[bool] = True
-
-    F: Callable[[np.ndarray], np.ndarray]
-    noise: Callable[[np.random.Generator, int], np.ndarray]
-    c_bar: float
-    c_tilde: float
-    eps_bar: float
-    r_bar: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if not callable(self.F) or not callable(self.noise):
-            raise ConfigError("F and noise must be callable")
-        for name in ("c_bar", "c_tilde", "eps_bar", "r_bar"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"growth constant {name} must be positive")
-
-    def walker(self, x0, times, max_step):
-        def step(x, rng):
-            w = np.asarray(self.noise(rng, x.shape[0]), dtype=float)
-            if w.ndim == 1:
-                w = w[:, None]
-            x = np.asarray(self.F(x), dtype=float) + w
-            _check_blowup(x)
-            return x
-
-        return _integer_walker(
-            _integer_steps(times), lambda m: np.broadcast_to(x0, (m, self.dim)).copy(), step
-        )
-
-
-@dataclass(frozen=True)
 class BackwardRecurrence(ProcessSpec):
     """Chain on the nonnegative integers: up with probability ``p_i``, else reset to 0.
 
@@ -590,23 +524,25 @@ class BackwardRecurrence(ProcessSpec):
         """Integer walk over a table of ``p_i``: index ``k <= n`` is state ``k``
         (reached after a reset), index ``n + 1 + k`` is state ``x0 + k`` (no
         reset yet), ``n`` the horizon.  One uniform per path and step."""
-        steps = _integer_steps(times)
-        n = steps[-1]
+        if np.any(np.abs(times - np.rint(times)) > 1e-9) or np.rint(times[0]) < 0:
+            raise ConfigError("discrete-time specs require nonnegative integer grid times")
+        counts = [int(c) for c in step_plan(self, times, max_step)]
+        n = sum(counts)
         start = int(x0[0])
         table = self.up_prob(
             np.concatenate((np.arange(n + 1.0), np.arange(start, start + n + 1.0)))
         )
 
-        def step(k, rng):
-            up = rng.random(k.shape[0]) < table[k]
-            k += 1
-            k *= up
-            return k
+        def walk(m, rng):
+            k = np.full(m, n + 1)
+            for count in counts:
+                for _ in range(count):
+                    up = rng.random(m) < table[k]
+                    k += 1
+                    k *= up
+                yield np.where(k > n, k + (start - n - 1), k)[:, None]
 
-        def observe(k):
-            return np.where(k > n, k + (start - n - 1), k)[:, None]
-
-        return _integer_walker(steps, lambda m: np.full(m, n + 1), step, observe)
+        return walk
 
     def exact_invariant(self) -> str | None:
         return "chain"
@@ -697,6 +633,10 @@ QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference quantil
 CLOCK_MAX_SAMPLES = 10_000_000  # subordinate n_mc, clock samples per time
 DRIFT_MAX_NODES = 50_000_000  # driftcheck grid points x (1 + jump nodes per point)
 JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one point's batch
+# Work budgets of one simulation, from its step_plan: a config over one is
+# refused the same way.  Five times criterion 5's 10^5 paths x 10^4 steps.
+PATH_MAX_STEPS = 5_000_000_000  # paths x steps
+STEP_TABLE_MAX_VALUES = 20_000_000  # a discrete horizon n's step table, 2 (n + 1) floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -789,30 +729,6 @@ def _check_blowup(x: np.ndarray) -> None:
         raise BlowUpError(f"state magnitude {worst:.3e} exceeded the overflow guard 1e12")
 
 
-def _integer_steps(times) -> list:
-    """Grid times as step counts from 0; discrete time needs nonnegative integers."""
-    steps = np.rint(times).astype(int)
-    if np.any(np.abs(times - steps) > 1e-9) or steps[0] < 0:
-        raise ConfigError("discrete-time specs require nonnegative integer grid times")
-    return list(steps)
-
-
-def _integer_walker(steps, first, step, observe=lambda state: state):
-    """``walk(m, rng)`` of a discrete-time family: from ``first(m)``, one
-    ``step(state, rng)`` per unit of time, ``observe(state)`` at each count in ``steps``."""
-
-    def walk(m, rng):
-        state = first(m)
-        done = 0
-        for stop in steps:
-            for _ in range(stop - done):
-                state = step(state, rng)
-            done = stop
-            yield observe(state)
-
-    return walk
-
-
 def _ou_step_terms(spec: OUJump, dt: float):
     h = spec.H
     n = h.shape[0]
@@ -832,6 +748,23 @@ def _ou_step_terms(spec: OUJump, dt: float):
     return prop, drift_term, noise_sqrt
 
 
+def step_plan(spec: ProcessSpec, times, max_step) -> np.ndarray:
+    """The steps a path of ``spec`` takes to each grid time from the one
+    before, as whole-number floats.  Discrete time: the grid times, rounded,
+    count the steps from 0 (the walk refuses times that are not nonnegative
+    integers).  Continuous time: ``ceil(span / max_step)`` equal substeps per
+    interval, and 0 to the first grid time, which carries ``x0``.  The walkers
+    follow this plan, and a config whose paths times its sum is above a
+    budget is refused."""
+    times = np.asarray(times, dtype=float)
+    if spec.discrete_time:
+        return np.diff(np.rint(times), prepend=0.0)
+    if not max_step > 0:
+        raise ConfigError("max_step must be positive")
+    substeps = np.maximum(1.0, np.ceil(np.diff(times) / max_step - 1e-12))
+    return np.concatenate(([0.0], substeps))
+
+
 def simulate(
     spec: ProcessSpec,
     x0,
@@ -845,8 +778,8 @@ def simulate(
     Continuous kinds use Euler–Maruyama with exact-in-law noise increments per
     substep (substep length at most ``max_step``); ``OUJump`` integrates its
     linear drift and Gaussian part exactly per substep. ``BackwardRecurrence``
-    and ``NonlinearSS`` are exact recursions on integer times. The first grid
-    point carries the initial condition, which ``spec.check_start`` vets.
+    is an exact recursion on integer times. The first grid point carries the
+    initial condition, which ``spec.check_start`` vets.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):

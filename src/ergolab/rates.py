@@ -26,17 +26,14 @@ Conventions
 -----------
 * ``phi`` specs are immutable; all operations are pure functions, safe under
   concurrent use.
-* ``Tabulated`` specs interpolate piecewise-linearly between nodes; concavity
-  of the interpolant is equivalent to nonincreasing difference quotients and is
-  checked at construction.
-* ``Phi`` uses closed forms for the Linear and Power families and adaptive
-  quadrature (relative tolerance 1e-10) for tabulated specs.
-* ``Phi^{-1}`` uses bisection after geometric bracket expansion (factor 2,
-  capped at 2^64); the result satisfies ``|Phi(s) - u| <= 1e-10 * (1 + u)``.
+* Each ``phi`` family states ``Phi`` and ``Phi^{-1}`` in closed form:
+  ``LinearPhi`` has ``Phi^{-1}(u) = exp(c_hat u)`` and ``PowerPhi``
+  ``Phi^{-1}(u) = (1 + (1 - kappa) prefactor u)^{1/(1 - kappa)}``.  An
+  inverse beyond the float range raises ``DomainError``.
 
 Public API
 ----------
-``LinearPhi``, ``PowerPhi``, ``TabulatedPhi``, ``PhiSpec``,
+``LinearPhi``, ``PowerPhi``, ``PhiSpec``,
 ``UpperRateParams``, ``LowerRateParams``,
 ``phi_eval``, ``big_phi``, ``big_phi_inv``, ``rate_r``,
 ``upper_multiplier_w1``, ``upper_multiplier_wp``, ``upper_multiplier_wp_linear``,
@@ -49,15 +46,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-from scipy.integrate import quad
-
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "LinearPhi",
     "PowerPhi",
-    "TabulatedPhi",
     "PhiSpec",
     "UpperRateParams",
     "LowerRateParams",
@@ -71,30 +64,12 @@ __all__ = [
     "lower_exponent",
 ]
 
-_INV_VALUE_TOL = 1e-10
-_BRACKET_CAP = 2.0**64
-_QUAD_RTOL = 1e-10
-
-
-class _Phi:
-    """What every ``phi`` family states: ``value(t)`` and ``big_phi(t)`` for
-    ``t >= 1``, and ``inverse_bracket``, the top of the range ``Phi^{-1}``
-    bisects."""
-
-    def inverse_bracket(self, u: float, tol: float) -> float:
-        """Geometric bracket expansion: the first ``2^k`` with ``Phi(2^k) >= u``."""
-        hi = 2.0
-        while self.big_phi(hi) < u:
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise ConvergenceError(
-                    f"bracket expansion exceeded 2^64 while inverting Phi at u={u}"
-                )
-        return hi
+# A ``phi`` family states ``value(t)`` and ``big_phi(t)`` for ``t >= 1`` and
+# ``big_phi_inv(u)`` for ``u > 0``, each in closed form.
 
 
 @dataclass(frozen=True)
-class LinearPhi(_Phi):
+class LinearPhi:
     """``phi(t) = c_hat * t`` with ``c_hat > 0`` (exponential regime)."""
 
     c_hat: float
@@ -109,9 +84,12 @@ class LinearPhi(_Phi):
     def big_phi(self, t: float) -> float:
         return math.log(t) / self.c_hat
 
+    def big_phi_inv(self, u: float) -> float:
+        return math.exp(self.c_hat * u)
+
 
 @dataclass(frozen=True)
-class PowerPhi(_Phi):
+class PowerPhi:
     """``phi(t) = prefactor * t^kappa`` with ``kappa in (0,1)``, ``prefactor > 0``."""
 
     kappa: float
@@ -129,75 +107,11 @@ class PowerPhi(_Phi):
     def big_phi(self, t: float) -> float:
         return (t ** (1.0 - self.kappa) - 1.0) / ((1.0 - self.kappa) * self.prefactor)
 
-
-@dataclass(frozen=True)
-class TabulatedPhi(_Phi):
-    """Piecewise-linear ``phi`` between strictly increasing nodes ``grid >= 1``.
-
-    Positivity, monotonicity, and concavity (nonincreasing difference
-    quotients) of the interpolant are validated at construction.
-    """
-
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if len(grid) < 2 or len(grid) != len(values):
-            raise ConfigError("grid and values must have equal length >= 2")
-        if grid[0] < 1.0:
-            raise ConfigError(f"grid abscissae must be >= 1, got {grid[0]}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("grid must be strictly increasing")
-        if any(v <= 0.0 for v in values):
-            raise ConfigError("phi values must be positive")
-        slopes = [
-            (values[i + 1] - values[i]) / (grid[i + 1] - grid[i])
-            for i in range(len(grid) - 1)
-        ]
-        if any(s < -1e-12 for s in slopes):
-            raise ConfigError("phi must be nondecreasing: found a negative slope")
-        if any(b > a + 1e-12 for a, b in zip(slopes, slopes[1:])):
-            raise ConfigError("phi must be concave: difference quotients increase")
-
-    def value(self, t: float) -> float:
-        if t < self.grid[0] or t > self.grid[-1]:
-            raise DomainError(
-                f"t={t} outside tabulated range [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        return float(np.interp(t, self.grid, self.values))
-
-    def big_phi(self, t: float) -> float:
-        if t > self.grid[-1]:
-            raise DomainError(
-                f"t={t} outside tabulated range [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        if t == 1.0:
-            return 0.0
-        interior = [g for g in self.grid if 1.0 < g < t]
-        val, _ = quad(
-            lambda s: 1.0 / self.value(s),
-            1.0,
-            t,
-            points=interior or None,
-            epsrel=_QUAD_RTOL,
-            epsabs=0.0,
-            limit=200,
-        )
-        return val
-
-    def inverse_bracket(self, u: float, tol: float) -> float:
-        """The last node; ``u`` beyond ``Phi`` there (within ``tol``) is unreachable."""
-        hi = self.grid[-1]
-        if u > self.big_phi(hi) + tol:
-            raise DomainError(f"u={u} exceeds achievable range Phi({hi})")
-        return hi
+    def big_phi_inv(self, u: float) -> float:
+        return (1.0 + (1.0 - self.kappa) * self.prefactor * u) ** (1.0 / (1.0 - self.kappa))
 
 
-PhiSpec = Union[LinearPhi, PowerPhi, TabulatedPhi]
+PhiSpec = Union[LinearPhi, PowerPhi]
 
 
 @dataclass(frozen=True)
@@ -243,7 +157,7 @@ class LowerRateParams:
 
 
 def phi_eval(spec: PhiSpec, t: float) -> float:
-    """Evaluate ``phi(t)`` for ``t >= 1`` (tabulated specs: within grid range)."""
+    """Evaluate ``phi(t)`` for ``t >= 1``."""
     t = float(t)
     if t < 1.0:
         raise DomainError(f"phi is defined on [1, oo), got t={t}")
@@ -251,7 +165,7 @@ def phi_eval(spec: PhiSpec, t: float) -> float:
 
 
 def big_phi(spec: PhiSpec, t: float) -> float:
-    """``Phi(t) = int_1^t ds / phi(s)``; closed form where available."""
+    """``Phi(t) = int_1^t ds / phi(s)``, in closed form."""
     t = float(t)
     if t < 1.0:
         raise DomainError(f"Phi is defined on [1, oo), got t={t}")
@@ -259,30 +173,22 @@ def big_phi(spec: PhiSpec, t: float) -> float:
 
 
 def big_phi_inv(spec: PhiSpec, u: float) -> float:
-    """Unique ``s >= 1`` with ``|Phi(s) - u| <= 1e-10 * (1 + u)``.
+    """``Phi^{-1}(u)``, the ``s >= 1`` with ``Phi(s) = u``, in closed form.
 
-    Bisection after geometric bracket expansion; raises ``ConvergenceError``
-    if the bracket would exceed 2^64 and ``DomainError`` if ``u`` is not
-    achievable (negative, or beyond a tabulated spec's range).
+    Raises ``DomainError`` if ``u`` is negative or the inverse overflows a float.
     """
     u = float(u)
-    if u < 0.0:
+    if not u >= 0.0:
         raise DomainError(f"Phi^-1 is defined on [0, oo), got u={u}")
     if u == 0.0:
         return 1.0
-    tol = _INV_VALUE_TOL * (1.0 + u)
-    hi = spec.inverse_bracket(u, tol)
-    lo = 1.0
-    for _ in range(400):
-        mid = math.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)
-        val = big_phi(spec, mid)
-        if abs(val - u) <= tol:
-            return mid
-        if val < u:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"bisection failed to reach tolerance {tol} at u={u}")
+    try:
+        s = spec.big_phi_inv(u)
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise DomainError(f"Phi^-1({u}) overflows a float")
+    return s
 
 
 def rate_r(spec: PhiSpec, t: float) -> float:

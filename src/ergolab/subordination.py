@@ -9,30 +9,23 @@ the same bound with the transferred profile
 ``r_psi(t) = (E[ r(S(t))^p ])^{1/p}``.
 
 This module provides exact-in-law subordinator sampling (stable, gamma, and
-pure drift, each with a closed-form Laplace exponent), Monte Carlo evaluation
-of ``r_psi`` with confidence intervals, and a path-level time change that
-snaps ``S(t)`` onto a simulated trajectory grid by the nearest-left
-(càdlàg) convention.
-
-A note on profiles: the transfer formula is verified directly by Monte Carlo
-for whatever nonincreasing nonnegative profile is supplied; profiles with
-values below 1 (any useful exponential bound eventually has them) are
-accepted.
+pure drift, each with a closed-form Laplace exponent) and Monte Carlo
+evaluation of ``r_psi`` with confidence intervals, for exponential and
+polynomial profiles ``r``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, HorizonError
-from .processes import TrajectoryBatch, standard_one_sided_stable
+from .errors import ConfigError, DomainError
+from .processes import standard_one_sided_stable
 
 __all__ = [
-    "Custom",
     "DriftOnly",
     "Exponential",
     "GammaSub",
@@ -41,13 +34,10 @@ __all__ = [
     "StableSub",
     "SubordinatedRate",
     "SubordinatorSpec",
-    "TimeChangedBatch",
     "laplace_exponent",
     "rate_value",
     "sample_subordinator",
-    "subordinate_paths",
     "subordinate_rate",
-    "subordinator_grid_samples",
 ]
 
 
@@ -72,10 +62,6 @@ class StableSub:
     def increment(self, dt: float, rng, n: int) -> np.ndarray:
         return dt ** (1.0 / self.alpha) * standard_one_sided_stable(self.alpha, rng, n)
 
-    def typical_increment(self, dt: float) -> float:
-        # the mean is infinite; the characteristic scale stands in
-        return dt ** (1.0 / self.alpha)
-
 
 @dataclass(frozen=True)
 class GammaSub:
@@ -94,9 +80,6 @@ class GammaSub:
     def increment(self, dt: float, rng, n: int) -> np.ndarray:
         return rng.gamma(self.a * dt, 1.0 / self.b_hat, n)
 
-    def typical_increment(self, dt: float) -> float:
-        return self.a * dt / self.b_hat
-
 
 @dataclass(frozen=True)
 class DriftOnly:
@@ -108,13 +91,9 @@ class DriftOnly:
     def increment(self, dt: float, rng, n: int) -> np.ndarray:
         return np.zeros(n)
 
-    def typical_increment(self, dt: float) -> float:
-        return 0.0
 
-
-# a kind states the jump part of its clock: ``laplace_exponent(u)``, an
-# exact-in-law ``increment(dt, rng, n)`` over ``dt > 0``, and the
-# ``typical_increment(dt)`` that a trajectory grid must resolve
+# a kind states the jump part of its clock: ``laplace_exponent(u)`` and an
+# exact-in-law ``increment(dt, rng, n)`` over ``dt > 0``
 SubordinatorKind = Union[StableSub, GammaSub, DriftOnly]
 
 
@@ -174,22 +153,8 @@ class Polynomial:
         return self.scale * (1.0 + t) ** (-self.exponent)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """Arbitrary profile; the caller asserts it is nonincreasing and >= 0."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if not callable(self.fn):
-            raise ConfigError("custom profile must be callable")
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(t), dtype=float)
-
-
 # a profile states its ``value(t)`` at an array of times
-RateFunction = Union[Exponential, Polynomial, Custom]
+RateFunction = Union[Exponential, Polynomial]
 
 
 def rate_value(r: RateFunction, t) -> float | np.ndarray:
@@ -203,40 +168,16 @@ def rate_value(r: RateFunction, t) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _increment_samples(spec: SubordinatorSpec, dt: float, rng, n: int) -> np.ndarray:
-    base = spec.b_S * dt
-    if dt == 0.0:
-        return np.full(n, base)
-    return base + spec.kind.increment(dt, rng, n)
-
-
 def sample_subordinator(spec: SubordinatorSpec, t: float, n: int, seed: int) -> np.ndarray:
     """``n`` exact-in-law samples of ``S(t)``; always ``>= b_S t``."""
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
     if n < 1:
         raise DomainError(f"sample count must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    return _increment_samples(spec, float(t), rng, n)
-
-
-def subordinator_grid_samples(spec: SubordinatorSpec, t_grid, n: int, seed: int) -> np.ndarray:
-    """Pathwise samples ``S(t_j)`` on a grid, built from independent increments.
-
-    Returns an ``(n, len(t_grid))`` array, nondecreasing along each row.
-    """
-    grid = np.asarray(t_grid, dtype=float).ravel()
-    if grid.size == 0 or grid[0] < 0 or np.any(np.diff(grid) < 0):
-        raise DomainError("t_grid must be nonnegative and nondecreasing")
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, grid.size))
-    prev_t = 0.0
-    acc = np.zeros(n)
-    for j, t in enumerate(grid):
-        acc = acc + _increment_samples(spec, float(t - prev_t), rng, n)
-        out[:, j] = acc
-        prev_t = t
-    return out
+    t = float(t)
+    if t == 0.0:
+        return np.full(n, 0.0)
+    return spec.b_S * t + spec.kind.increment(t, np.random.default_rng(seed), n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,59 +222,3 @@ def subordinate_rate(
         se=se,
         n_mc=n_mc,
     )
-
-
-# ---------------------------------------------------------------------------
-# Path-level time change
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeChangedBatch:
-    """Time-changed trajectories plus the count of dropped-overflow paths."""
-
-    batch: TrajectoryBatch
-    dropped: int
-
-
-def subordinate_paths(
-    batch: TrajectoryBatch, spec: SubordinatorSpec, t_grid, seed: int
-) -> TimeChangedBatch:
-    """Evaluate ``X(S(t))`` on ``t_grid`` by nearest-left grid snapping.
-
-    ``S`` is sampled independently per path.  The trajectory grid must be at
-    least ten times finer than the subordinator's typical increment over the
-    evaluation steps.  Paths whose time change leaves the simulated horizon
-    are dropped and counted (never extrapolated); if every path overflows, a
-    :class:`HorizonError` is raised.
-    """
-    t_eval = np.asarray(t_grid, dtype=float).ravel()
-    if t_eval.size == 0 or t_eval[0] < 0 or np.any(np.diff(t_eval) < 0):
-        raise DomainError("t_grid must be nonnegative and nondecreasing")
-    times = batch.times
-    steps = np.diff(np.concatenate(([0.0], t_eval)))
-    pos = steps[steps > 0]
-    if pos.size and times.size > 1:
-        inner = float(np.max(np.diff(times)))
-        dt = float(pos.min())
-        typical = spec.b_S * dt + spec.kind.typical_increment(dt)
-        if typical > 0 and inner > typical / 10.0 * (1.0 + 1e-9):
-            raise ConfigError(
-                f"trajectory grid spacing {inner:.3g} is too coarse: the time "
-                f"change needs spacing <= {typical / 10.0:.3g} (a tenth of the "
-                "typical subordinator increment)"
-            )
-    s = subordinator_grid_samples(spec, t_eval, batch.n_paths, seed)
-    ok = np.all((s >= times[0] - 1e-12) & (s <= times[-1]), axis=1)
-    dropped = int(batch.n_paths - np.count_nonzero(ok))
-    if not np.any(ok):
-        raise HorizonError(
-            f"all {batch.n_paths} paths left the simulated horizon {times[-1]:.6g}; "
-            "extend the trajectory grid"
-        )
-    idx = np.searchsorted(times, s[ok], side="right") - 1
-    np.clip(idx, 0, times.size - 1, out=idx)
-    kept = batch.paths[ok]
-    new_paths = kept[np.arange(kept.shape[0])[:, None], idx, :]
-    out = TrajectoryBatch(times=t_eval, paths=new_paths)
-    return TimeChangedBatch(batch=out, dropped=dropped)

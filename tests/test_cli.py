@@ -409,27 +409,20 @@ def test_kinds_state_their_facts():
 
     from ergolab.cli import ExactInvariant, LongRunEmpirical, _derive_seed
     from ergolab.processes import simulate, standard_one_sided_stable
-    from ergolab.rates import LinearPhi, PowerPhi, TabulatedPhi
-    from ergolab.subordination import (
-        Custom, DriftOnly, Exponential, GammaSub, Polynomial, StableSub,
-    )
+    from ergolab.rates import LinearPhi, PowerPhi
+    from ergolab.subordination import DriftOnly, Exponential, GammaSub, Polynomial, StableSub
     from ergolab.wasserstein import sinkhorn_annealed, w_1d, w_exact_lp
 
-    # phi families: value, Phi, and the top of the range Phi^-1 bisects
+    # phi families: value, Phi, and Phi^-1 in closed form
     lin, power = LinearPhi(c_hat=0.5), PowerPhi(kappa=0.5, prefactor=2.0)
-    tab = TabulatedPhi(grid=(1.0, 2.0, 4.0), values=(1.0, 1.5, 2.0))
     assert lin.value(3.0) == 0.5 * 3.0 and lin.big_phi(3.0) == math.log(3.0) / 0.5
     assert power.value(4.0) == 2.0 * 4.0**0.5
     assert power.big_phi(4.0) == (4.0**0.5 - 1.0) / (0.5 * 2.0)
-    assert tab.value(3.0) == 1.75
-    # int_1^2 ds / (1 + (s - 1)/2) = 2 log(3/2)
-    assert tab.big_phi(2.0) == pytest.approx(2.0 * math.log(1.5), rel=1e-10)
-    assert lin.inverse_bracket(lin.big_phi(5.0), 1e-10) == 8.0  # first 2^k past Phi^-1(u)
-    assert tab.inverse_bracket(tab.big_phi(3.0), 1e-10) == 4.0  # the last node
-    with pytest.raises(DomainError):
-        tab.inverse_bracket(tab.big_phi(4.0) + 1.0, 1e-10)
+    for phi in (lin, power):
+        for t in (1.5, 3.0, 1e4):
+            assert phi.big_phi_inv(phi.big_phi(t)) == pytest.approx(t, rel=1e-12)
 
-    # subordinator kinds: Laplace exponent, increment draw, typical increment
+    # subordinator kinds: Laplace exponent and increment draw
     u, dt = np.array([0.5, 2.0]), 0.25
     stable, gamma, drift = StableSub(alpha=0.5), GammaSub(a=1.5, b_hat=2.0), DriftOnly()
     np.testing.assert_array_equal(stable.laplace_exponent(u), u**0.5)
@@ -444,15 +437,11 @@ def test_kinds_state_their_facts():
         np.random.default_rng(3).gamma(1.5 * dt, 1.0 / 2.0, 5),
     )
     np.testing.assert_array_equal(drift.increment(dt, np.random.default_rng(3), 5), np.zeros(5))
-    assert stable.typical_increment(dt) == dt**2.0
-    assert gamma.typical_increment(dt) == 1.5 * dt / 2.0
-    assert drift.typical_increment(dt) == 0.0
 
     # rate profiles
     t = np.array([0.0, 1.5])
     np.testing.assert_array_equal(Exponential(gamma=0.7, scale=3.0).value(t), 3.0 * np.exp(-0.7 * t))
     np.testing.assert_array_equal(Polynomial(exponent=2.0, scale=5.0).value(t), 5.0 * (1.0 + t) ** -2.0)
-    np.testing.assert_array_equal(Custom(fn=lambda s: 1.0 / (1.0 + s)).value(t), 1.0 / (1.0 + t))
 
     # distance kinds
     rng = np.random.default_rng(4)
@@ -777,12 +766,58 @@ MALFORMED = {
          "grid": [[1.0, 2.0]], "jump_mc_samples": 1_000_001},
     ),
     "subordinate-n-mc-huge": ("subordinate", {**_SUBORDINATE, "n_mc": 10**12}),
+    "ratefit-bracket-params-number": (
+        "ratefit", {**_RATEFIT, "bracket": [-3, -1], "bracket_params": 5}
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(MALFORMED))
 def test_cli_malformed_values_exit_2(name, tmp_path, capsys):
     command, payload = MALFORMED[name]
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# step plans above their budgets, refused before anything is simulated
+MALFORMED_PLANS = {
+    # 8 x 10^12 chain steps, and 10^12 for one path
+    "experiment-chain-horizon-huge": (
+        "experiment", _chain_config(n_paths=8, t_grid=[1.0, 1e12])
+    ),
+    "simulate-chain-horizon-huge": (
+        "simulate", {**_SIMULATE, "process": _CHAIN, "x0": [0.0], "t_grid": [0.0, 1e12]}
+    ),
+    # 10^9 steps fit the path-step budget, but not their 2 x 10^9-float step table
+    "simulate-chain-step-table-too-large": (
+        "simulate",
+        {**_SIMULATE, "process": _CHAIN, "x0": [0.0], "t_grid": [0.0, 1e9], "n_paths": 1},
+    ),
+    # 8 x 10^12 substeps per path on an 8-unit grid
+    "experiment-max-step-tiny": (
+        "experiment",
+        _ou_config(n_paths=8, t_grid=[1.0, 2.0, 4.0, 8.0], max_step=1e-12,
+                   reference={"kind": "exact_invariant", "quantile_points": 16}),
+    ),
+    "couple-max-step-tiny": ("couple", {**_COUPLE, "max_step": 1e-12}),
+    # the curve's 2 x 10^8 path steps fit; the reference's 10^12 do not
+    "experiment-long-run-reference-max-step-tiny": (
+        "experiment",
+        _ou_config(n_paths=100, t_grid=[0.5, 1.0, 1.5, 2.0], max_step=1e-6,
+                   reference={"kind": "long_run_empirical", "t_burn": 1e4}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_PLANS))
+def test_cli_step_plan_above_budget_exits_2(name, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a step plan above its budget must be refused before simulating")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    monkeypatch.setattr("ergolab.coupling.simulate", never)
+    command, payload = MALFORMED_PLANS[name]
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -949,6 +984,29 @@ def test_cli_driftcheck_piecewise_ou(tmp_path, capsys):
     assert main(["driftcheck", "--config", chain, "--out-dir", str(tmp_path)]) == 2
 
 
+def test_cli_driftcheck_certifies_the_simulated_generator(tmp_path, capsys):
+    # the simulator adds raw jumps, so L V(3) = -2 x^2 + rate (V(3.5) - V(3))
+    # = -18 + 2 (3.5^2 - 3^2) = -11.5, and phi(V) + L V = 15 - 11.5 > 0
+    cfg = _write(
+        tmp_path / "drift.json",
+        {
+            "process": {"family": "ou_jump", "H": [[-1.0]],
+                        "levy": {"jumps": {"kind": "compound_poisson", "rate": 2.0,
+                                           "atoms": [0.5], "probs": [1.0]}}},
+            "lyapunov": {"family": "poly_plus_one", "theta": 2.0},
+            "phi": {"family": "linear", "c_hat": 1.5},
+            "grid": [3.0],
+            "ball_radius": 1.0,
+        },
+    )
+    assert main(["driftcheck", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert "(violated)" in capsys.readouterr().out
+    rows = [r.split(",") for r in (tmp_path / "driftcheck.csv").read_text().strip().splitlines()]
+    assert rows[0][2] == "generator_value"
+    assert float(rows[1][2]) == pytest.approx(-11.5, abs=1e-12)
+    assert float(rows[1][4]) == pytest.approx(-3.5, abs=1e-12)
+
+
 def test_cli_driftcheck_records_an_error_per_margin(tmp_path):
     stable = {"family": "ou_jump", "H": [[-1.0]],
               "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5}}}
@@ -1086,6 +1144,67 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     assert _sha256(tmp_path / "lower.csv") == (
         "256a5c219fcc36f26c42cd74be055b559e0073a3c4278d2b4645ccd09e364adc"
     )
+
+
+_CERTIFY_DRIFTCHECK = {
+    "process": {"family": "ou_jump", "H": [[-1.0]],
+                "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5}}},
+    "lyapunov": {"family": "poly_plus_one", "theta": 0.5},
+    "phi": {"family": "linear", "c_hat": 0.2},
+    "grid": {"lo": -20.0, "hi": 20.0, "points": 5},
+    "ball_radius": 3.0,
+    "seed": 1,
+}
+_CERTIFY_SUBORDINATE = {
+    "rate": {"kind": "exponential", "gamma": 0.5},
+    "p": 2.0,
+    "subordinator": {"kind": "stable", "alpha": 0.5},
+    "t": [0.5, 1.0, 2.0],
+    "n_mc": 2000,
+    "seed": 1,
+}
+_COUPLE_2D = {
+    "process": {
+        "family": "piecewise_ou",
+        "l": [0.0, 0.0],
+        "M": [[1.0, 0.0], [0.0, 1.0]],
+        "Gamma": [[0.5, 0.0], [0.0, 0.5]],
+        "v": [0.6, 0.4],
+        "sigma": [[0.5, 0.0], [0.0, 0.5]],
+        "levy": {"jumps": {"kind": "compound_poisson", "rate": 1.0,
+                           "atoms": [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]],
+                           "probs": [0.4, 0.4, 0.2]}},
+    },
+    "x": [3.0, 1.0],
+    "y": [-1.0, -2.0],
+    "t_grid": [0.0, 0.5, 1.0, 1.5, 2.0],
+    "n_paths": 128,
+    "seed": 1,
+    "p": 2.0,
+    "max_step": 0.05,
+    "n_boot": 20,
+    "certificate": {"lip_sqrtq_sigma": 0.0},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, artifact, digest",
+    [
+        ("driftcheck", _CERTIFY_DRIFTCHECK, "driftcheck.csv",
+         "5dca04285fcf3a4aba304a69794df9ac19483b84b23f094086710f5f57681e99"),
+        ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
+         "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
+        ("couple", _COUPLE_2D, "couple.csv",
+         "d352a9611ab82c29a229cdfc21600a21c9b07dc0bc497af1b753ae85477de340"),
+    ],
+    ids=["driftcheck", "subordinate", "couple"],
+)
+def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, artifact, digest):
+    # digests of a small certify-style drift check and clock, and of a small
+    # 2-D coupling with compound-Poisson jumps
+    cfg = _write(tmp_path / f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / artifact) == digest
 
 
 def test_chain_invariant_doubles_to_the_first_passing_truncation():

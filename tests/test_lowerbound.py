@@ -29,7 +29,6 @@ from ergolab.lowerbound import (
     lower_bound_curve,
     select_sn,
     tail_mass,
-    tn_from_sn,
 )
 from ergolab.processes import BackwardRecurrence, invariant_exact
 from ergolab.rates import LowerRateParams, lower_exponent
@@ -202,38 +201,6 @@ def test_select_sn_insufficient_grid_raises():
 
 
 # ---------------------------------------------------------------------------
-# tn_from_sn
-# ---------------------------------------------------------------------------
-
-
-def _unit_exponent_instance():
-    # theta - vartheta - eps - eps' = 1, so t = (c s 2^{p-theta} - V(x0)) / b.
-    params = LowerRateParams(theta=3.0, vartheta=1.5, eps_var=0.25, eps_small=0.25, p=1.0)
-    pi = EmpiricalMeasure.from_samples(np.array([1.0]))
-    return _instance(pi, params)
-
-
-def test_tn_from_sn_arithmetic():
-    inst = _unit_exponent_instance()
-    # 2^{p - theta} = 1/4: t = (8/4 - 1)/1 = 1.
-    assert tn_from_sn(inst, 8.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_tn_from_sn_negative_time_raises():
-    inst = _unit_exponent_instance()
-    with pytest.raises(DomainError):
-        tn_from_sn(inst, 2.0)
-
-
-def test_tn_from_sn_monotone_and_diverging():
-    inst = _unit_exponent_instance()
-    s = np.geomspace(10.0, 1e8, 25)
-    t = np.array([tn_from_sn(inst, si) for si in s])
-    assert np.all(np.diff(t) > 0)
-    assert t[-1] > 1e6
-
-
-# ---------------------------------------------------------------------------
 # lower_bound_curve
 # ---------------------------------------------------------------------------
 
@@ -299,6 +266,16 @@ def test_lower_bound_curve_scales_with_lipschitz_constant():
     one = lower_bound_curve(_instance(pi, params, lip=1.0), 10, s_grid=knots)
     half = lower_bound_curve(_instance(pi, params, lip=2.0), 10, s_grid=knots)
     assert np.allclose(half.bound, 0.5 * one.bound, rtol=1e-12)
+
+
+def test_lower_bound_curve_negative_matched_time_raises():
+    # theta - vartheta - eps - eps' = 1, so t = (c s 2^{p-theta} - V(x0)) / b:
+    # every level qualifies below the atom at 100, and s = 2 gives t = -1/2
+    params = LowerRateParams(theta=3.0, vartheta=1.5, eps_var=0.25, eps_small=0.25, p=1.0)
+    inst = _instance(EmpiricalMeasure.from_samples(np.array([100.0])), params)
+    with pytest.raises(DomainError):
+        lower_bound_curve(inst, 1, s_grid=[2.0, 50.0])
+    assert lower_bound_curve(inst, 1, s_grid=[8.0]).t[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lower_bound_curve_csv(tmp_path):

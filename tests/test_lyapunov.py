@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ergolab.errors import ConfigError, DomainError, IntegrabilityError
+from ergolab.errors import ConfigError, IntegrabilityError
 from ergolab.lyapunov import (
     CustomFn,
     DriftReport,
@@ -18,14 +18,12 @@ from ergolab.lyapunov import (
     chi_q_grad,
     chi_q_hess,
     drift_check,
-    exp_jump_bound_check,
     generator_apply,
 )
 from ergolab.processes import (
     CompoundPoisson,
     DiscreteJumps,
     LevyMeasureSpec,
-    SamplerJumps,
     StableSubordinatorMeasure,
     SymmetricStable,
 )
@@ -177,15 +175,15 @@ def test_generator_pure_diffusion_frozen():
 
 def test_generator_cp_discrete_frozen():
     levy = LevyMeasureSpec(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([2.0], [1.0])))
-    gen = GeneratorSpec(levy=levy, jump_compensation="ball")
+    gen = GeneratorSpec(levy=levy)
     res = generator_apply(gen, quadratic_fn(), np.array([1.0]))
-    # jump lands outside the unit ball, so no compensation: 2 * (9 - 1) = 16
+    # raw difference: 2 * (9 - 1) = 16
     assert res.value == pytest.approx(16.0, abs=1e-12)
     assert res.error == 0.0
-    # full compensation subtracts 2 * y * f'(x) = 2 * 2 * 2: 2 * (9 - 1 - 4) = 8
-    gen_full = GeneratorSpec(levy=levy, jump_compensation="full")
-    res_full = generator_apply(gen_full, quadratic_fn(), np.array([1.0]))
-    assert res_full.value == pytest.approx(8.0, abs=1e-12)
+    # a jump inside the unit ball is not compensated either: 2 * (2.25 - 1) = 2.5
+    small = LevyMeasureSpec(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([0.5], [1.0])))
+    res_small = generator_apply(GeneratorSpec(levy=small), quadratic_fn(), np.array([1.0]))
+    assert res_small.value == pytest.approx(2.5, abs=1e-12)
 
 
 def test_generator_annihilates_constants():
@@ -203,10 +201,7 @@ def test_generator_annihilates_constants():
             )
         ),
         GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.2))),
-        GeneratorSpec(
-            levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5)),
-            jump_compensation="none",
-        ),
+        GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))),
     ]
     for gen in gens:
         res = generator_apply(gen, const, np.array([0.7]))
@@ -302,10 +297,7 @@ def test_generator_stable_isotropic_mc_oracle():
 def test_generator_subordinator_laplace_oracle():
     # one-sided stable measure acts on exp(-x) as multiplication by -u^alpha, u = 1
     alpha = 0.5
-    gen = GeneratorSpec(
-        levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=alpha)),
-        jump_compensation="none",
-    )
+    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=alpha)))
     fn = CustomFn(
         value_fn=lambda x: math.exp(-float(x[0])),
         grad_fn=lambda x: np.array([-math.exp(-float(x[0]))]),
@@ -318,12 +310,6 @@ def test_generator_subordinator_laplace_oracle():
     assert abs(res.value + math.exp(-0.3)) <= res.error
 
 
-_GAUSSIAN_JUMPS = LevyMeasureSpec(
-    kind=CompoundPoisson(
-        rate=3.0,
-        jump_dist=SamplerJumps(sampler=lambda rng, m: rng.standard_normal((m, 1)), dim=1),
-    )
-)
 _CERTIFY_V = PolyNormPlusOne(QuadForm(np.eye(1)), 0.5)
 _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8)
 
@@ -337,19 +323,15 @@ _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8
         # isotropic-stable Monte Carlo, one RNG block per point
         (GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.3))),
          _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0], [3.0, 0.5]], 2000),
-        # compound-Poisson sampler
-        (GeneratorSpec(levy=_GAUSSIAN_JUMPS, jump_compensation="full"),
-         _CERTIFY_V, [[0.5], [-3.0], [8.0]], 500),
         # finite atoms
         (GeneratorSpec(a=np.eye(2), levy=LevyMeasureSpec(kind=CompoundPoisson(
             rate=1.5, jump_dist=DiscreteJumps([[0.5, 0.0], [-0.3, 1.2]], [0.5, 0.5])))),
          _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0]], 20_000),
         # one-sided subordinator quadrature
-        (GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5)),
-                       jump_compensation="none"),
+        (GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))),
          PolyNormPlusOne(QuadForm(np.eye(1)), 0.3), [[-4.0], [0.3], [6.0]], 20_000),
     ],
-    ids=["stable-quadrature", "isotropic-mc", "sampler", "atoms", "subordinator"],
+    ids=["stable-quadrature", "isotropic-mc", "atoms", "subordinator"],
 )
 def test_batched_generator_equals_per_point_calls(gen, fn, grid, samples):
     grid = np.array(grid)
@@ -386,26 +368,6 @@ def test_certify_jump_integral_within_its_reported_error():
     assert np.all(res.error < 1e-12)
 
 
-def test_generator_cp_sampler_mc_oracle_and_se_scaling():
-    # Gaussian jumps, f = x^2, full compensation: L f = rate * E[Y^2] = rate
-    levy = LevyMeasureSpec(
-        kind=CompoundPoisson(
-            rate=3.0,
-            jump_dist=SamplerJumps(
-                sampler=lambda rng, m: rng.standard_normal((m, 1)), dim=1
-            ),
-        )
-    )
-    gen = GeneratorSpec(levy=levy, jump_compensation="full")
-    fn = quadratic_fn()
-    res_small = generator_apply(gen, fn, np.array([0.5]), jump_mc_samples=4000, seed=5)
-    res_big = generator_apply(gen, fn, np.array([0.5]), jump_mc_samples=16000, seed=5)
-    assert res_small.value == pytest.approx(3.0, abs=5 * res_small.error)
-    assert res_big.value == pytest.approx(3.0, abs=5 * res_big.error)
-    # quadrupling the sample count halves the standard error
-    assert 0.4 <= res_big.error / res_small.error <= 0.62
-
-
 def test_generator_integrability_gates():
     stable = LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))
     qf = QuadForm(np.eye(1))
@@ -416,19 +378,6 @@ def test_generator_integrability_gates():
     with pytest.raises(IntegrabilityError):  # undeclared growth
         generator_apply(
             GeneratorSpec(levy=stable), CustomFn(value_fn=lambda x: 1.0), np.array([2.0])
-        )
-    with pytest.raises(IntegrabilityError):  # uncompensated stable needs alpha < 1
-        generator_apply(
-            GeneratorSpec(levy=stable, jump_compensation="none"),
-            cosine_fn([1.0]),
-            np.array([2.0]),
-        )
-    sub = LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))
-    with pytest.raises(IntegrabilityError):  # full compensation diverges one-sided
-        generator_apply(
-            GeneratorSpec(levy=sub, jump_compensation="full"),
-            cosine_fn([1.0]),
-            np.array([2.0]),
         )
 
 
@@ -496,56 +445,3 @@ def test_drift_check_flags_failing_condition():
     fn = PolyNormPlusOne(qf, 2.0)
     report = drift_check(gen, fn, LinearPhi(0.5), np.linspace(1.5, 6.0, 8), ball_radius=1.0)
     assert report.worst_margin < 0
-
-
-# ---------------------------------------------------------------------------
-# exponential jump bound
-# ---------------------------------------------------------------------------
-
-
-def _two_point_levy(rate=1.5):
-    atoms = np.array([[0.5, 0.0], [-0.5, 0.0]])
-    return LevyMeasureSpec(
-        kind=CompoundPoisson(rate=rate, jump_dist=DiscreteJumps(atoms, [0.5, 0.5]))
-    )
-
-
-def test_exp_jump_bound_zero_measure():
-    worst = exp_jump_bound_check(
-        LevyMeasureSpec(), np.eye(2), zeta=0.2, theta=1.0, grid=[[0.0, 3.0]]
-    )
-    assert worst == 0.0
-
-
-def test_exp_jump_bound_two_point_hand_value():
-    zeta, rate = 0.2, 1.5
-    worst = exp_jump_bound_check(
-        _two_point_levy(rate), np.eye(2), zeta=zeta, theta=1.0, grid=[[0.0, 3.0]]
-    )
-    # at x = (0, 3) with transverse jumps (+-0.5, 0): chi moves from 3 to
-    # sqrt(9.25) under either sign and the compensation term vanishes
-    delta = math.sqrt(9.25) - 3.0
-    expected = rate * (math.exp(zeta * delta) - 1.0) / zeta**1.5
-    assert worst == pytest.approx(expected, abs=1e-10)
-
-
-def test_exp_jump_bound_zeta_sweep_nonincreasing():
-    zetas = np.linspace(0.02, 0.3, 8)
-    vals = [
-        exp_jump_bound_check(_two_point_levy(), np.eye(2), zeta=z, theta=1.0, grid=[[0.0, 3.0]])
-        for z in zetas
-    ]
-    assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
-
-
-def test_exp_jump_bound_preconditions():
-    with pytest.raises(DomainError):  # zeta above theta |Q|^{-1/2} / 2
-        exp_jump_bound_check(_two_point_levy(), np.eye(2), zeta=0.6, theta=1.0, grid=[[0.0, 3.0]])
-    with pytest.raises(IntegrabilityError):  # stable tails have no exp moments
-        exp_jump_bound_check(
-            LevyMeasureSpec(kind=SymmetricStable(alpha=1.2)),
-            np.eye(1),
-            zeta=0.1,
-            theta=1.0,
-            grid=[[2.0]],
-        )

@@ -19,7 +19,6 @@ from ergolab.processes import (
     LevyMeasureSpec,
     MarkovControl,
     NoJumps,
-    NonlinearSS,
     OUJump,
     PiecewiseOU,
     StableSubordinatorMeasure,
@@ -32,6 +31,7 @@ from ergolab.processes import (
     sample_stable,
     simulate,
     standard_one_sided_stable,
+    step_plan,
 )
 
 
@@ -134,9 +134,6 @@ def test_langevin_validation():
         LangevinTempered(alpha=0.6, beta=0.0, dim=2)  # alpha >= 1/n
     with pytest.raises(ConfigError):
         LangevinTempered(alpha=0.25, beta=0.9, dim=1)  # beta above the cap
-    with pytest.raises(ConfigError):
-        NonlinearSS(F=lambda x: x, noise=lambda r, m: np.zeros(m), c_bar=-1.0,
-                    c_tilde=1.0, eps_bar=1.0, r_bar=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +463,17 @@ def test_simulate_blowup_guard():
         simulate(spec, [10.0], [0.0, 1.0], n_paths=2, seed=0, max_step=0.01)
 
 
-def test_simulate_nonlinear_ss_exact_recursion():
-    spec = NonlinearSS(
-        F=lambda x: 0.5 * x,
-        noise=lambda rng, m: np.zeros((m, 1)),
-        c_bar=1.0,
-        c_tilde=1.0,
-        eps_bar=0.5,
-        r_bar=1.0,
-        dim=1,
-    )
-    batch = simulate(spec, [8.0], [0, 1, 2, 3], n_paths=2, seed=0)
-    assert np.allclose(batch.paths[0, :, 0], [8.0, 4.0, 2.0, 1.0], atol=0)
+def test_step_plan_counts_the_steps_the_walkers_take():
+    ou = OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec())
+    # x0 at the first grid time, then ceil(span / max_step) substeps per interval
+    assert np.array_equal(step_plan(ou, [0.5, 1.0, 1.05, 3.0], 0.1), [0.0, 5.0, 1.0, 20.0])
     with pytest.raises(ConfigError):
-        simulate(spec, [8.0], [0.0, 0.5, 1.0], n_paths=2, seed=0)
+        step_plan(ou, [0.0, 1.0], 0.0)
+    # the chain counts its steps from 0, the grid times
+    chain = BackwardRecurrence(alpha=2.0, i0=4)
+    assert np.array_equal(step_plan(chain, [3, 4, 10], 0.01), [3.0, 1.0, 6.0])
+    with pytest.raises(ConfigError):
+        simulate(chain, [8.0], [0.0, 0.5, 1.0], n_paths=2, seed=0)
 
 
 def test_simulate_backward_recurrence_first_step_up():

@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergolab.errors import ConfigError, ConvergenceError, DomainError
+from ergolab.errors import ConfigError, DomainError
 from ergolab.rates import (
     LinearPhi,
     LowerRateParams,
     PowerPhi,
-    TabulatedPhi,
     UpperRateParams,
     big_phi,
     big_phi_inv,
@@ -46,29 +45,11 @@ def test_phi_eval_power_square_root():
     assert phi_eval(PowerPhi(kappa=0.5, prefactor=1.0), 4.0) == pytest.approx(2.0)
 
 
-def test_phi_eval_tabulated_interpolation():
-    # oracle: np.interp(2.5, [1,2,3], [1,1.5,1.75]) = 1.625
-    spec = TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 1.5, 1.75))
-    assert phi_eval(spec, 2.5) == pytest.approx(1.625, rel=1e-14)
-
-
 def test_phi_eval_domain_errors():
     with pytest.raises(DomainError):
         phi_eval(LinearPhi(c_hat=1.0), 0.5)
-    spec = TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 1.5, 1.75))
     with pytest.raises(DomainError):
-        phi_eval(spec, 3.5)
-
-
-def test_tabulated_rejects_convexity():
-    # increasing difference quotients (0.5 then 1.0) must be rejected
-    with pytest.raises(ConfigError):
-        TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 1.5, 2.5))
-
-
-def test_tabulated_rejects_decreasing_values():
-    with pytest.raises(ConfigError):
-        TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 0.5, 0.25))
+        phi_eval(PowerPhi(kappa=0.5, prefactor=1.0), 0.0)
 
 
 def test_spec_validation():
@@ -78,8 +59,6 @@ def test_spec_validation():
         PowerPhi(kappa=1.0, prefactor=1.0)
     with pytest.raises(ConfigError):
         PowerPhi(kappa=0.5, prefactor=-1.0)
-    with pytest.raises(ConfigError):
-        TabulatedPhi(grid=(2.0, 2.0, 3.0), values=(1.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +70,6 @@ def test_big_phi_at_one_is_zero():
     for spec in (
         LinearPhi(c_hat=3.0),
         PowerPhi(kappa=0.25, prefactor=2.0),
-        TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 1.5, 1.75)),
     ):
         assert big_phi(spec, 1.0) == 0.0
 
@@ -104,12 +82,6 @@ def test_big_phi_power_quadrature_oracle():
 def test_big_phi_linear_quadrature_oracle():
     # oracle: quad(1/(2s), 1, e^2) = 1.0
     assert big_phi(LinearPhi(c_hat=2.0), math.e**2) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_big_phi_tabulated_matches_direct_quadrature():
-    spec = TabulatedPhi(grid=(1.0, 2.0, 5.0, 9.0), values=(1.0, 2.0, 3.5, 4.0))
-    val, err = quad(lambda s: 1.0 / phi_eval(spec, s), 1.0, 8.0, points=[2.0, 5.0], limit=200)
-    assert big_phi(spec, 8.0) == pytest.approx(val, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +106,13 @@ def test_big_phi_inv_rejects_negative():
         big_phi_inv(LinearPhi(c_hat=1.0), -0.1)
 
 
-def test_big_phi_inv_tabulated_range():
-    spec = TabulatedPhi(grid=(1.0, 2.0, 3.0), values=(1.0, 1.5, 1.75))
-    with pytest.raises(DomainError):
-        big_phi_inv(spec, big_phi(spec, 3.0) + 1.0)
-
-
-def test_big_phi_inv_bracket_cap():
-    # Linear phi with a tiny slope: s = exp(c*u) exceeds 2^64 for u large
-    with pytest.raises(ConvergenceError):
-        big_phi_inv(LinearPhi(c_hat=1.0), 100.0)
+def test_big_phi_inv_overflow_raises_domain_error():
+    # s = exp(c u) is finite at u = 100 but beyond the float range at u = 1000
+    assert big_phi_inv(LinearPhi(c_hat=1.0), 100.0) == pytest.approx(math.exp(100.0), rel=1e-12)
+    for spec, u in ((LinearPhi(c_hat=1.0), 1000.0), (PowerPhi(kappa=0.9, prefactor=0.4), 1e300),
+                    (LinearPhi(c_hat=1.0), math.inf)):
+        with pytest.raises(DomainError):
+            big_phi_inv(spec, u)
 
 
 def test_rate_r_power_oracle():
@@ -157,7 +126,7 @@ def test_rate_r_linear_closed_form():
 
 
 def test_rate_r_at_zero_is_phi_of_one():
-    spec = TabulatedPhi(grid=(1.0, 2.0), values=(0.7, 0.9))
+    spec = PowerPhi(kappa=0.5, prefactor=0.7)
     assert rate_r(spec, 0.0) == pytest.approx(0.7, rel=1e-12)
 
 
@@ -258,17 +227,13 @@ SPECS = [
     PowerPhi(kappa=0.5, prefactor=1.0),
     PowerPhi(kappa=0.25, prefactor=3.0),
     PowerPhi(kappa=0.9, prefactor=0.4),
-    TabulatedPhi(grid=(1.0, 2.0, 5.0, 20.0, 100.0), values=(0.5, 1.4, 2.0, 2.5, 2.75)),
+    PowerPhi(kappa=0.05, prefactor=0.5),
 ]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_round_trip_inversion(spec):
-    if isinstance(spec, TabulatedPhi):
-        ts = np.geomspace(1.0, spec.grid[-1], 25)
-    else:
-        ts = np.geomspace(1.0, 1.0e6, 25)
-    for t in ts:
+    for t in np.geomspace(1.0, 1.0e6, 25):
         u = big_phi(spec, float(t))
         back = big_phi_inv(spec, u)
         assert abs(back - t) <= 1e-8 * t
@@ -276,8 +241,7 @@ def test_round_trip_inversion(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_big_phi_strictly_increasing(spec):
-    hi = spec.grid[-1] if isinstance(spec, TabulatedPhi) else 1.0e6
-    ts = np.geomspace(1.0, hi, 40)
+    ts = np.geomspace(1.0, 1.0e6, 40)
     vals = [big_phi(spec, float(t)) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -296,7 +260,7 @@ def test_closed_form_matches_quadrature(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_rate_r_nondecreasing(spec):
     rng = np.random.default_rng(20260815)
-    u_max = big_phi(spec, spec.grid[-1] if isinstance(spec, TabulatedPhi) else 1.0e6)
+    u_max = big_phi(spec, 1.0e6)
     ts = np.sort(rng.uniform(0.0, u_max, size=40))
     vals = [rate_r(spec, float(t)) for t in ts]
     assert all(b >= a * (1 - 1e-10) for a, b in zip(vals, vals[1:]))

@@ -14,12 +14,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from ergolab.errors import ConfigError, DomainError, HorizonError
-from ergolab.processes import LevyMeasureSpec, OUJump, simulate
+from ergolab.errors import DomainError
 from ergolab.subordination import (
-    Custom,
     DriftOnly,
     Exponential,
     GammaSub,
@@ -29,20 +26,8 @@ from ergolab.subordination import (
     laplace_exponent,
     rate_value,
     sample_subordinator,
-    subordinate_paths,
     subordinate_rate,
-    subordinator_grid_samples,
 )
-from ergolab.wasserstein import EmpiricalMeasure, w_1d
-
-
-def _ou(noise=1.0):
-    return OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec(a_L=np.array([[noise]])))
-
-
-def _gauss_quantile_measure(std, k=4000):
-    qs = stats.norm.ppf((np.arange(k) + 0.5) / k, scale=std)
-    return EmpiricalMeasure.from_samples(qs)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +53,6 @@ def test_rate_function_validation():
         Exponential(gamma=0.0)
     with pytest.raises(DomainError):
         Polynomial(exponent=-1.0)
-    with pytest.raises(ConfigError):
-        Custom(fn=42)
 
 
 def test_laplace_exponent_closed_forms():
@@ -89,7 +72,7 @@ def test_rate_value_conventions():
     assert rate_value(Polynomial(exponent=2.0, scale=5.0), 3.0) == pytest.approx(
         5.0 / 16.0, rel=1e-15
     )
-    got = rate_value(Custom(fn=lambda t: 1.0 / (1.0 + t)), np.array([0.0, 1.0]))
+    got = rate_value(Polynomial(exponent=1.0), np.array([0.0, 1.0]))
     assert np.allclose(got, [1.0, 0.5])
 
 
@@ -123,17 +106,6 @@ def test_sample_subordinator_drift_floor_and_zero_time():
     s = sample_subordinator(spec, 2.0, 5000, seed=3)
     assert np.all(s >= 2.0)
     assert np.all(sample_subordinator(spec, 0.0, 100, seed=4) == 0.0)
-
-
-def test_subordinator_grid_samples_pathwise_monotone():
-    grid = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
-    for kind in (StableSub(alpha=0.6), GammaSub(a=1.0, b_hat=2.0), DriftOnly()):
-        spec = SubordinatorSpec(kind=kind, b_S=0.5)
-        s = subordinator_grid_samples(spec, grid, 500, seed=5)
-        assert s.shape == (500, 5)
-        assert np.all(s[:, 0] >= 0.0)
-        assert np.all(np.diff(s, axis=1) >= 0.0)
-        assert np.all(s >= 0.5 * grid[None, :] - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -171,79 +143,7 @@ def test_subordinate_rate_gamma_oracle():
 
 def test_subordinate_rate_p1_is_monte_carlo_mean():
     spec = SubordinatorSpec(kind=GammaSub(a=1.0, b_hat=1.0), b_S=0.0)
-    r = Custom(fn=lambda s: np.maximum(0.0, 2.0 - 0.1 * s))
+    r = Exponential(gamma=0.1, scale=2.0)
     est = subordinate_rate(r, 1.0, spec, 2.0, n_mc=4000, seed=9)
     samples = sample_subordinator(spec, 2.0, 4000, seed=9)
-    assert est.value == pytest.approx(float(np.mean(np.maximum(0.0, 2.0 - 0.1 * samples))), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# subordinate_paths
-# ---------------------------------------------------------------------------
-
-
-def test_subordinate_paths_identity_time_change():
-    batch = simulate(_ou(), np.array([1.5]), np.linspace(0.0, 5.0, 501), 64, seed=10)
-    spec = SubordinatorSpec(kind=DriftOnly(), b_S=1.0)
-    result = subordinate_paths(batch, spec, np.array([0.0, 1.005, 2.005]), seed=11)
-    assert result.dropped == 0
-    assert np.array_equal(result.batch.paths, batch.paths[:, [0, 100, 200], :])
-    assert np.all(result.batch.paths[:, 0, 0] == 1.5)
-
-
-def test_subordinate_paths_zero_time_returns_start():
-    batch = simulate(_ou(), np.array([-0.7]), np.linspace(0.0, 2.0, 201), 64, seed=12)
-    spec = SubordinatorSpec(kind=GammaSub(a=1.0, b_hat=1.0), b_S=0.0)
-    result = subordinate_paths(batch, spec, np.array([0.0]), seed=13)
-    assert np.all(result.batch.paths[:, 0, 0] == -0.7)
-
-
-def test_subordinate_paths_all_beyond_horizon_raises():
-    batch = simulate(_ou(), np.array([0.0]), np.linspace(0.0, 1.0, 101), 120, seed=16)
-    spec = SubordinatorSpec(kind=DriftOnly(), b_S=5.0)
-    with pytest.raises(HorizonError):
-        subordinate_paths(batch, spec, np.array([0.0, 1.0]), seed=17)
-
-
-def test_subordinate_paths_requires_fine_grid():
-    batch = simulate(_ou(), np.array([0.0]), np.linspace(0.0, 5.0, 6), 120, seed=18)
-    spec = SubordinatorSpec(kind=GammaSub(a=1.0, b_hat=10.0), b_S=0.0)
-    with pytest.raises(ConfigError):
-        subordinate_paths(batch, spec, np.array([0.0, 1.0]), seed=19)
-
-
-def test_subordinate_paths_stable_time_change_fattens_tails():
-    # At small t the OU variance is still growing linearly, so a stable time
-    # change makes the marginal a scale mixture with infinite-variance mixing:
-    # empirical excess kurtosis rises far above the Gaussian baseline.  The
-    # stable tail also pushes a few time arguments past the simulated
-    # horizon; those paths are dropped and counted rather than extrapolated.
-    t_eval = 0.05
-    plain = simulate(_ou(), np.array([0.0]), np.array([0.0, t_eval]), 1500, seed=20)
-    kurt_plain = stats.kurtosis(plain.marginal(1).ravel())
-    fine = simulate(_ou(), np.array([0.0]), np.linspace(0.0, 4.0, 6001), 1500, seed=21)
-    spec = SubordinatorSpec(kind=StableSub(alpha=0.6), b_S=0.0)
-    result = subordinate_paths(fine, spec, np.array([0.0, t_eval]), seed=22)
-    assert 0 < result.dropped < 150
-    assert result.batch.n_paths == 1500 - result.dropped
-    kurt_sub = stats.kurtosis(result.batch.marginal(1).ravel())
-    assert abs(kurt_plain) < 0.5
-    assert kurt_sub > kurt_plain + 1.0
-
-
-def test_subordinate_paths_preserves_invariant_law():
-    # The OU invariant N(0, 1/2) is also invariant for the time-changed
-    # process: at a large time-change argument the subordinated marginal is as
-    # close to it (in W1) as the plain long-run marginal, up to sampling noise.
-    x0 = np.array([0.0])
-    exact = _gauss_quantile_measure(math.sqrt(0.5))
-    plain = simulate(_ou(), x0, np.array([0.0, 8.0]), 1500, seed=23)
-    w_plain = w_1d(EmpiricalMeasure.from_samples(plain.marginal(1).ravel()), exact, 1.0)
-    fine = simulate(_ou(), x0, np.linspace(0.0, 40.0, 4001), 1500, seed=24)
-    spec = SubordinatorSpec(kind=GammaSub(a=2.0, b_hat=1.0), b_S=0.0)
-    result = subordinate_paths(fine, spec, np.array([0.0, 6.0]), seed=25)
-    assert result.dropped < 10
-    w_sub = w_1d(
-        EmpiricalMeasure.from_samples(result.batch.marginal(1).ravel()), exact, 1.0
-    )
-    assert w_sub < 2.0 * w_plain
+    assert est.value == pytest.approx(float(np.mean(2.0 * np.exp(-0.1 * samples))), rel=1e-14)
