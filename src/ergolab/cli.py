@@ -56,7 +56,6 @@ from .errors import (
 from .lowerbound import LipschitzFn, LowerBoundInstance, lower_bound_curve
 from .lyapunov import (
     ExpNorm,
-    GeneratorSpec,
     PolyNorm,
     PolyNormPlusOne,
     QuadForm,
@@ -86,7 +85,6 @@ from .processes import (
     STEP_TABLE_MAX_VALUES,
     SymmetricStable,
     invariant_exact,
-    sigma_matrix,
     simulate,
     step_plan,
 )
@@ -931,23 +929,6 @@ def _cmd_ratefit(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _generator(spec) -> GeneratorSpec:
-    """The generator of a continuous-time spec: drift, ``a = sigma sigma'``, Lévy part."""
-    if spec.discrete_time:
-        raise ConfigError(f"driftcheck needs a continuous-time process, got {type(spec).__name__}")
-    sigma = spec.sigma
-
-    def diffusion(x):
-        s = sigma_matrix(sigma, x)
-        return s @ s.T
-
-    return GeneratorSpec(
-        b=lambda x: spec.drift(x[None, :])[0],
-        a=None if sigma is None else diffusion,
-        levy=spec.levy,
-    )
-
-
 def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
     data = _override_seed(data, seed)
     _require_keys(
@@ -957,7 +938,9 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
         "driftcheck config",
     )
     spec = parse_process(data["process"])
-    gen = _generator(spec)
+    # a chain has no levy part for the jump budget below to read
+    if spec.discrete_time:
+        raise ConfigError(f"driftcheck needs a continuous-time process, got {type(spec).__name__}")
     fn = _from_json("lyapunov", data["lyapunov"], Q=QuadForm(np.eye(spec.dim)))
     phi = _from_json("phi", data["phi"])
     samples = _as_int(data.get("jump_mc_samples", 20000), "jump_mc_samples")
@@ -987,7 +970,7 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
             f"grid points must have {spec.dim} coordinates, the process dimension"
         )
     report = drift_check(
-        gen,
+        spec,
         fn,
         phi,
         grid,

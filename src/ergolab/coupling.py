@@ -39,12 +39,11 @@ from .errors import (
     NotDissipativeError,
 )
 from .lyapunov import QuadForm
-from .processes import TrajectoryBatch, sigma_matrix, simulate
+from .processes import TrajectoryBatch, sigma_at, simulate
 
 __all__ = [
     "CoupledBatch",
     "CouplingReport",
-    "DiagonalGrid",
     "DissipativityParams",
     "NotFound",
     "contraction_estimate",
@@ -158,33 +157,24 @@ def prop35_cp(M, Gamma, v, Q: QuadForm, lip_sqrtQ_sigma: float, p: float) -> flo
 
 
 @dataclass(frozen=True)
-class DiagonalGrid:
-    """Log-spaced grid for the diagonal entries searched by :func:`find_q`."""
-
-    log10_min: float = -1.0
-    log10_max: float = 1.0
-    points: int = 9
-
-    def __post_init__(self):
-        if self.points < 1 or self.log10_max < self.log10_min:
-            raise ConfigError("grid needs points >= 1 and an ordered range")
-
-
-@dataclass(frozen=True)
 class NotFound:
     """Negative (non-error) search result carrying a human-readable reason."""
 
     reason: str = ""
 
 
-def find_q(M, Gamma, v, search: DiagonalGrid = DiagonalGrid()):
+# the values find_q tries for each diagonal entry of Q after the first
+_DIAGONAL_AXIS = np.logspace(-1.0, 1.0, 9)
+
+
+def find_q(M, Gamma, v):
     """Search diagonal quadratic forms for one certifying dissipativity.
 
     The objective ``kappa / lam_max(Q)`` is invariant under scaling of ``Q``,
     so the first diagonal entry is pinned to 1 and the remaining entries run
-    over the log grid.  Returns the best valid :class:`QuadForm`, or
-    :class:`NotFound` when no candidate makes both matrices positive
-    definite.
+    over the 9-point log grid from 0.1 to 10.  Returns the best valid
+    :class:`QuadForm`, or :class:`NotFound` when no candidate makes both
+    matrices positive definite.
     """
     m = np.atleast_2d(np.asarray(M, dtype=float))
     n = m.shape[0]
@@ -193,10 +183,9 @@ def find_q(M, Gamma, v, search: DiagonalGrid = DiagonalGrid()):
         raise ConfigError("M must be an M-matrix: off-diagonal entries <= 0")
     if np.min(np.real(np.linalg.eigvals(m))) <= 0:
         raise ConfigError("M must be a nonsingular M-matrix: eigenvalues in the right half-plane")
-    axis = np.logspace(search.log10_min, search.log10_max, search.points)
     best_ratio = -math.inf
     best_diag = None
-    for tail in itertools.product(axis, repeat=n - 1):
+    for tail in itertools.product(_DIAGONAL_AXIS, repeat=n - 1):
         diag = np.array((1.0,) + tail)
         s1, s2 = _dissipativity_matrices(m, Gamma, v, np.diag(diag))
         kappa = min(float(np.linalg.eigvalsh(s1)[0]), float(np.linalg.eigvalsh(s2)[0]))
@@ -284,7 +273,8 @@ def dissipativity_lhs(
     total = 2.0 * float(db @ qz)
 
     if callable(spec.sigma):  # a constant sigma has zero difference
-        ds = sigma_matrix(spec.sigma, x + z) - sigma_matrix(spec.sigma, x)
+        far, near = sigma_at(spec.sigma, np.stack([x + z, x]))
+        ds = far - near
         if np.any(ds):
             total += float(np.trace(qm @ ds @ ds.T))
             vals, vecs = np.linalg.eigh(qm)

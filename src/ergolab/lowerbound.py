@@ -185,7 +185,7 @@ class LowerBoundCurve:
                 )
 
 
-def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid=None) -> LowerBoundCurve:
+def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid) -> LowerBoundCurve:
     """Explicit finite-``n`` Wasserstein lower bounds.
 
     For each qualifying level the bound is the difference of the two ``p``-th
@@ -198,8 +198,6 @@ def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid=None) -> Lo
     ``s^{(p-vartheta-eps-eps')/p} / Lip`` — strictly positive.  Reported as
     explicit finite-``n`` values rather than a single asymptotic constant.
     """
-    if s_grid is None:
-        s_grid = np.geomspace(1.0, 1e8, 1600)
     s, tails = _select(inst, n_terms, s_grid)
     par = inst.params
     v0 = inst.v_at_start()

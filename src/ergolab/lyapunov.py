@@ -9,14 +9,15 @@ The central objects:
 * Lyapunov function families built on it: :class:`PolyNorm` (``chi^theta``),
   :class:`PolyNormPlusOne` (``1 + chi^theta``), :class:`ExpNorm`
   (``exp(zeta chi)``), and :class:`CustomFn`;
-* :class:`GeneratorSpec` / :func:`generator_apply` — evaluate
+* :func:`generator_apply` — evaluate
   ``L f(x) = <b, grad f> + 1/2 tr(a hess f) + J f(x)`` at a point or, in one
   pass, at every row of a batch (the families' ``value``, ``grad`` and
-  ``hess`` take either).  ``L`` is the generator of the process
-  :func:`ergolab.processes.simulate` runs, whose jumps enter uncompensated:
-  for compound-Poisson and subordinator jumps ``J f(x)`` integrates the raw
-  difference ``f(x+y) - f(x)``, and for symmetric stable jumps the
-  symmetric principal value of the same difference;
+  ``hess`` take either).  ``L`` is read off the continuous-time process spec
+  :func:`ergolab.processes.simulate` runs, its ``drift``, ``sigma`` and
+  ``levy``, whose jumps enter uncompensated: for compound-Poisson and
+  subordinator jumps ``J f(x)`` integrates the raw difference
+  ``f(x+y) - f(x)``, and for symmetric stable jumps the symmetric principal
+  value of the same difference;
 * :func:`drift_check` — pointwise certification of
   ``L V <= b 1_{ball} - phi(V)`` on a grid, reported as a
   :class:`DriftReport` with the error estimate of each ``L V``; the margin
@@ -64,9 +65,11 @@ from .processes import (
     CompoundPoisson,
     LevyMeasureSpec,
     NoJumps,
+    ProcessSpec,
     StableSubordinatorMeasure,
     SymmetricStable,
     _block_rng,
+    sigma_at,
 )
 from .rates import PhiSpec, phi_eval
 
@@ -80,7 +83,6 @@ __all__ = [
     "ExpNorm",
     "CustomFn",
     "LyapunovFn",
-    "GeneratorSpec",
     "GeneratorResult",
     "generator_apply",
     "DriftReport",
@@ -378,23 +380,8 @@ def _fd_hess(f, x, h=1e-4):
 
 
 # ---------------------------------------------------------------------------
-# generator specification and evaluation
+# generator evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Coefficients of ``L``: drift ``b(x)``, diffusion matrix ``a(x)``, jump measure.
-
-    ``b`` may be a callable, a constant vector, or None; ``a`` a callable, a
-    constant PSD matrix, or None. The Lévy spec contributes its own ``b_L``
-    and ``a_L`` additively, and its jumps uncompensated, as the simulator
-    adds them.
-    """
-
-    b: Callable | np.ndarray | None = None
-    a: Callable | np.ndarray | None = None
-    levy: LevyMeasureSpec = LevyMeasureSpec()
 
 
 class GeneratorResult(tuple):
@@ -415,36 +402,24 @@ class GeneratorResult(tuple):
         return self[1]
 
 
-def _eval_coeff(c, x, shape):
-    """A drift or diffusion coefficient: ``(m, *shape)`` per row of the batch
-    ``x`` for a callable, ``shape`` for a constant, or None."""
-    if c is None:
-        return None
-    if callable(c):
-        return np.array([np.asarray(c(row), dtype=float).reshape(shape) for row in x])
-    return np.asarray(c, dtype=float).reshape(shape)
-
-
-def _check_growth(tc, fn) -> None:
-    """The function's declared growth must integrate against moment classes ``tc``."""
+def _check_growth(alpha: float, fn) -> None:
+    """The function's declared growth must integrate against an ``alpha``-stable
+    tail: polynomial of order below ``alpha``, never exponential."""
     growth = getattr(fn, "growth", None)
     if growth is None:
         raise IntegrabilityError(
             "cannot verify jump integrability: declare the function's growth class"
         )
     if growth[0] == "poly":
-        order = growth[1]
-        if order > tc.theta_sup or (order == tc.theta_sup and not math.isinf(order)):
+        if growth[1] >= alpha:
             raise IntegrabilityError(
-                f"polynomial growth {order} exceeds the jump moment class "
-                f"theta_sup = {tc.theta_sup}"
+                f"polynomial growth {growth[1]} is not below the jump measure's "
+                f"stable index alpha = {alpha}"
             )
     elif growth[0] == "exp":
-        if tc.exp_rate is None or growth[1] > tc.exp_rate:
-            raise IntegrabilityError(
-                f"exponential growth rate {growth[1]} not integrable against the "
-                f"jump measure (exp_rate = {tc.exp_rate})"
-            )
+        raise IntegrabilityError(
+            f"exponential growth {growth[1]} is not integrable against stable jumps"
+        )
     else:
         raise ConfigError(f"unknown growth class {growth!r}")
 
@@ -717,16 +692,15 @@ def _isotropic_mc(kind, dim: int) -> bool:
     return dim > 1 and kind.structure == "isotropic"
 
 
-def _jump_part(gen: GeneratorSpec, fn, x, grad, m, rng):
+def _jump_part(kind, fn, x, grad, m, rng):
     """The jump integral of ``fn`` and its error at every row of ``x``, after
     checking that it is defined for this kind."""
-    kind = gen.levy.kind
     if isinstance(kind, NoJumps):
         return np.zeros(x.shape[0]), np.zeros(x.shape[0])
     if isinstance(kind, CompoundPoisson):
         # finite measure, bounded jumps: every growth integrates
         return _jump_cp_discrete(kind, fn, x)
-    _check_growth(kind.theta_class(), fn)
+    _check_growth(kind.alpha, fn)
     if isinstance(kind, SymmetricStable):
         if _isotropic_mc(kind, x.shape[1]):
             return _jump_stable_isotropic_mc(kind, fn, x, m, rng)
@@ -753,7 +727,7 @@ def jump_nodes(levy: LevyMeasureSpec, dim: int, jump_mc_samples: int) -> int:
 
 
 def generator_apply(
-    gen: GeneratorSpec,
+    spec: ProcessSpec,
     fn: LyapunovFn,
     x,
     jump_mc_samples: int = 20_000,
@@ -761,8 +735,9 @@ def generator_apply(
     point_index: int = 0,
 ) -> GeneratorResult:
     """Evaluate ``L fn`` at a state ``x`` ``(n,)``, or at every row of a batch
-    ``(m, n)`` in one pass; returns (value, error estimate), floats for a state
-    and ``(m,)`` arrays for a batch.
+    ``(m, n)`` in one pass, for the generator ``L`` of the continuous-time
+    ``spec``; returns (value, error estimate), floats for a state and ``(m,)``
+    arrays for a batch.
 
     The error is zero for exact finite sums. For the deterministic 1-D jump
     integrals it is the difference of each fixed rule pair (n against 2n
@@ -771,22 +746,25 @@ def generator_apply(
     from the RNG keyed on ``(seed, point_index + i)``, so its draws do not
     depend on the batch.
     """
+    if spec.discrete_time:
+        raise ConfigError(
+            f"the generator needs a continuous-time process, got {type(spec).__name__}"
+        )
     xb, single = _batch(x)
-    n = xb.shape[1]
+    levy = spec.levy
     grad = fn.grad(xb)
     value = np.zeros(xb.shape[0])
-    b = _eval_coeff(gen.b, xb, (n,))
-    if b is not None:
-        value += np.sum(b * grad, axis=-1)
-    if gen.levy.b_L is not None:
-        value += grad @ gen.levy.b_L
-    a_total = _eval_coeff(gen.a, xb, (n, n))
-    if gen.levy.a_L is not None:
-        a_total = gen.levy.a_L if a_total is None else a_total + gen.levy.a_L
+    value += np.sum(spec.drift(xb) * grad, axis=-1)
+    if levy.b_L is not None:
+        value += grad @ levy.b_L
+    s = None if spec.sigma is None else sigma_at(spec.sigma, xb)
+    a_total = None if s is None else s @ np.swapaxes(s, 1, 2)
+    if levy.a_L is not None:
+        a_total = levy.a_L if a_total is None else a_total + levy.a_L
     if a_total is not None and np.any(a_total):
         value += 0.5 * np.sum(a_total * np.swapaxes(fn.hess(xb), 1, 2), axis=(1, 2))
     jump, error = _jump_part(
-        gen, fn, xb, grad, jump_mc_samples, lambda i: _block_rng(seed, point_index + i)
+        levy.kind, fn, xb, grad, jump_mc_samples, lambda i: _block_rng(seed, point_index + i)
     )
     value = value + jump
     return GeneratorResult(value[0], error[0]) if single else GeneratorResult(value, error)
@@ -841,7 +819,7 @@ class DriftReport:
 
 
 def drift_check(
-    gen: GeneratorSpec,
+    spec: ProcessSpec,
     fn: LyapunovFn,
     phi: PhiSpec,
     grid,
@@ -849,14 +827,15 @@ def drift_check(
     jump_mc_samples: int = 20_000,
     seed: int = 0,
 ) -> DriftReport:
-    """Certify the drift inequality pointwise on a grid of states."""
+    """Certify the drift inequality for the generator of the continuous-time
+    ``spec`` pointwise on a grid of states."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:  # a flat list of scalars for a 1-D process
         grid = grid[:, None]
     if not ball_radius >= 0:
         raise ConfigError("ball_radius must be nonnegative")
     v_vals = np.asarray(fn.value(grid), dtype=float)
-    lhs, errs = generator_apply(gen, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
+    lhs, errs = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
     phi_vals = np.array([phi_eval(phi, v) for v in v_vals])
     inside = np.linalg.norm(grid, axis=1) <= ball_radius
     need = phi_vals + lhs

@@ -34,8 +34,8 @@ Conventions
   step (the marginal law of the continuous part is exact on the grid); jump
   increments are added at step ends like for every other continuous kind.
 * User-supplied coefficient callables must be batch-aware: they receive an
-  ``(m, n)`` array of states and return ``(m, n)`` (drift), ``(m, n, n)`` or a
-  constant matrix (diffusion).
+  ``(m, n)`` array of states and return ``(m, n)`` (drift), or ``(m, n, n)``
+  or ``(m, n)`` diagonals (diffusion, also a constant matrix; see :func:`sigma_at`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "SymmetricStable",
     "StableSubordinatorMeasure",
     "LevyMeasureSpec",
-    "ThetaClass",
     "ConstantControl",
     "MarkovControl",
     "LangevinTempered",
@@ -76,7 +75,7 @@ __all__ = [
     "ou_exact_transition",
     "piecewise_drift",
     "langevin_coeffs",
-    "sigma_matrix",
+    "sigma_at",
 ]
 
 _BLOWUP_GUARD = 1e12
@@ -87,25 +86,14 @@ _BLOCK_SIZE = 16384
 # Lévy measure specifications
 # ---------------------------------------------------------------------------
 #
-# Every jump kind answers ``theta_class()`` (its moment classes) and
-# ``increment(dim, dt, rng, m)`` (exact-in-law jump increments of ``m`` paths
-# over one step of length ``dt``, or None when there are no jumps).
-
-
-@dataclass(frozen=True)
-class ThetaClass:
-    """Moment classes of a jump measure: polynomial supremum and exponential rate."""
-
-    theta_sup: float
-    exp_rate: float | None
+# Every jump kind answers ``increment(dim, dt, rng, m)`` (exact-in-law jump
+# increments of ``m`` paths over one step of length ``dt``, or None when there
+# are no jumps).
 
 
 @dataclass(frozen=True)
 class NoJumps:
     """Empty jump measure."""
-
-    def theta_class(self) -> ThetaClass:
-        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
 
     def increment(self, dim: int, dt: float, rng, m: int) -> None:
         return None
@@ -152,10 +140,6 @@ class CompoundPoisson:
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"rate must be positive, got {self.rate}")
 
-    def theta_class(self) -> ThetaClass:
-        # finitely many bounded jumps: every moment is finite
-        return ThetaClass(theta_sup=math.inf, exp_rate=math.inf)
-
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
         counts = rng.poisson(self.rate * dt, m)
         total = int(counts.sum())
@@ -183,9 +167,6 @@ class SymmetricStable:
         if self.structure not in ("isotropic", "independent"):
             raise ConfigError(f"unknown structure {self.structure!r}")
 
-    def theta_class(self) -> ThetaClass:
-        return ThetaClass(theta_sup=self.alpha, exp_rate=None)
-
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
         amp = dt ** (1.0 / self.alpha) * self.scale
         if dim == 1 or self.structure == "independent":
@@ -205,9 +186,6 @@ class StableSubordinatorMeasure:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
-
-    def theta_class(self) -> ThetaClass:
-        return ThetaClass(theta_sup=self.alpha, exp_rate=None)
 
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
         if dim != 1:
@@ -240,9 +218,6 @@ class LevyMeasureSpec:
                 raise ConfigError("a_L must be PSD")
             a.flags.writeable = False
             object.__setattr__(self, "a_L", a)
-
-    def theta_class(self) -> ThetaClass:
-        return self.kind.theta_class()
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +272,8 @@ class ProcessSpec:
     first grid time carries ``x0`` in continuous time; in discrete time the
     times count steps from 0); for continuous time ``levy``, a batched
     ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
-    callable), from which :meth:`advance` builds the substep; and
+    callable), from which :meth:`advance` builds the substep and
+    :func:`ergolab.lyapunov.generator_apply` the generator; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
     ``"gaussian"`` (centred, ``invariant_sd()``) or None.
     """
@@ -524,8 +500,6 @@ class BackwardRecurrence(ProcessSpec):
         """Integer walk over a table of ``p_i``: index ``k <= n`` is state ``k``
         (reached after a reset), index ``n + 1 + k`` is state ``x0 + k`` (no
         reset yet), ``n`` the horizon.  One uniform per path and step."""
-        if np.any(np.abs(times - np.rint(times)) > 1e-9) or np.rint(times[0]) < 0:
-            raise ConfigError("discrete-time specs require nonnegative integer grid times")
         counts = [int(c) for c in step_plan(self, times, max_step)]
         n = sum(counts)
         start = int(x0[0])
@@ -550,7 +524,9 @@ class BackwardRecurrence(ProcessSpec):
 
 @dataclass(frozen=True)
 class GenericIto(ProcessSpec):
-    """User-specified drift/diffusion plus a driving Lévy spec."""
+    """User-specified coefficients plus a driving Lévy spec: a batched drift
+    ``b`` (None for zero) and ``sigma`` (see the module notes), which the
+    simulator steps and a drift check reads as its generator."""
 
     b: Callable[[np.ndarray], np.ndarray] | None
     sigma: np.ndarray | Callable[[np.ndarray], np.ndarray] | None
@@ -711,16 +687,20 @@ def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z @ np.asarray(sigma, dtype=float).T
 
 
-def sigma_matrix(sigma, x) -> np.ndarray:
-    """A spec's ``sigma`` at one state ``x`` as an ``(n, n)`` matrix.
-
-    ``sigma`` is a constant matrix or a batched callable returning
-    ``(m, n, n)`` matrices or ``(m, n)`` diagonals.
-    """
+def sigma_at(sigma, x) -> np.ndarray:
+    """A spec's ``sigma`` at each row of ``x`` ``(m, n)`` as ``(m, n, n)``
+    matrices: a constant matrix repeated, or a batched callable's ``(m, n, n)``
+    matrices or ``(m, n)`` diagonals."""
     if not callable(sigma):
-        return np.asarray(sigma, dtype=float)
-    out = np.asarray(sigma(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
-    return out if out.ndim == 2 else np.diag(out)
+        mat = np.asarray(sigma, dtype=float)
+        return np.broadcast_to(mat, (x.shape[0],) + mat.shape)
+    out = np.asarray(sigma(x), dtype=float)
+    if out.ndim == 3:
+        return out
+    diag = np.zeros(out.shape + out.shape[-1:])
+    axis = np.arange(out.shape[1])
+    diag[:, axis, axis] = out
+    return diag
 
 
 def _check_blowup(x: np.ndarray) -> None:
@@ -750,15 +730,17 @@ def _ou_step_terms(spec: OUJump, dt: float):
 
 def step_plan(spec: ProcessSpec, times, max_step) -> np.ndarray:
     """The steps a path of ``spec`` takes to each grid time from the one
-    before, as whole-number floats.  Discrete time: the grid times, rounded,
-    count the steps from 0 (the walk refuses times that are not nonnegative
-    integers).  Continuous time: ``ceil(span / max_step)`` equal substeps per
-    interval, and 0 to the first grid time, which carries ``x0``.  The walkers
-    follow this plan, and a config whose paths times its sum is above a
-    budget is refused."""
+    before, as whole-number floats.  Discrete time: the grid times count the
+    steps from 0, and times that are not nonnegative integers are refused.
+    Continuous time: ``ceil(span / max_step)`` equal substeps per interval,
+    and 0 to the first grid time, which carries ``x0``.  The walkers follow
+    this plan, and a config whose paths times its sum is above a budget is
+    refused, both when the config is read."""
     times = np.asarray(times, dtype=float)
     if spec.discrete_time:
-        return np.diff(np.rint(times), prepend=0.0)
+        if np.any(times != np.floor(times)) or np.any(times < 0):
+            raise ConfigError("discrete-time specs require nonnegative integer grid times")
+        return np.diff(times, prepend=0.0)
     if not max_step > 0:
         raise ConfigError("max_step must be positive")
     substeps = np.maximum(1.0, np.ceil(np.diff(times) / max_step - 1e-12))

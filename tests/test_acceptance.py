@@ -29,7 +29,6 @@ from ergolab.lowerbound import LipschitzFn, LowerBoundInstance, lower_bound_curv
 from ergolab.lyapunov import (
     CustomFn,
     ExpNorm,
-    GeneratorSpec,
     PolyNorm,
     PolyNormPlusOne,
     QuadForm,
@@ -46,7 +45,6 @@ from ergolab.processes import (
     OUJump,
     PiecewiseOU,
     invariant_exact,
-    langevin_coeffs,
     simulate,
 )
 from ergolab.rates import (
@@ -457,16 +455,12 @@ def test_criterion_09_determinism(chain_experiment, tmp_path):
 def test_criterion_06_drift_checker():
     start = time.perf_counter()
     spec = LangevinTempered(alpha=0.2, beta=0.0, dim=1)
-    gen = GeneratorSpec(
-        b=lambda x: langevin_coeffs(spec, x)[0],
-        a=lambda x: np.diag(np.atleast_1d(langevin_coeffs(spec, x)[1]) ** 2),
-    )
     fn = PolyNormPlusOne(QuadForm(np.eye(1)), 3.0)
     # L V = -4.5 |x| + O(1/x) for this drift, i.e. ~ -4.5 V^{1/3}
     phi = PowerPhi(kappa=1.0 / 3.0, prefactor=4.0)
     radius = 5.0
     grid = np.linspace(-50.0, 50.0, 101)
-    report = drift_check(gen, fn, phi, grid, ball_radius=radius)
+    report = drift_check(spec, fn, phi, grid, ball_radius=radius)
     outside = np.abs(report.grid[:, 0]) > radius
     assert outside.sum() >= 80
     worst_outside = float(report.margin[outside].min())
@@ -524,12 +518,10 @@ def test_criterion_08_generator_sanity():
             atoms=np.array([[0.5, 0.0], [-0.3, 0.2]]), probs=np.array([0.4, 0.6])
         ),
     )
-    gen = GeneratorSpec(
-        b=lambda x: -x, a=lambda x: np.eye(2), levy=LevyMeasureSpec(kind=jumps)
-    )
+    spec = OUJump(H=-np.eye(2), levy=LevyMeasureSpec(kind=jumps, a_L=np.eye(2)))
     const = CustomFn(value_fn=lambda x: 7.25)
     worst_const = max(
-        abs(generator_apply(gen, const, x)[0]) for x in rng.normal(size=(12, 2))
+        abs(generator_apply(spec, const, x)[0]) for x in rng.normal(size=(12, 2))
     )
     assert worst_const <= 1e-12
 
@@ -540,7 +532,7 @@ def test_criterion_08_generator_sanity():
     A = a_half @ a_half.T
     Qm = np.array([[2.0, 0.3], [0.3, 1.0]])
     qf = QuadForm(Qm)
-    lin_gen = GeneratorSpec(b=lambda x: H @ x, a=lambda x: A)
+    lin_spec = OUJump(H=H, levy=LevyMeasureSpec(a_L=A))
     v_quad = PolyNorm(qf, 2.0)
     pts = rng.normal(size=(30, 2)) * 3.0
     pts = pts[np.einsum("mi,ij,mj->m", pts, Qm, pts) >= qf.lam_min * 1.05][:12]
@@ -548,7 +540,7 @@ def test_criterion_08_generator_sanity():
     worst_quad = 0.0
     for x in pts:
         closed = 2.0 * (H @ x) @ (Qm @ x) + float(np.trace(A @ Qm))
-        numeric = generator_apply(lin_gen, v_quad, x)[0]
+        numeric = generator_apply(lin_spec, v_quad, x)[0]
         worst_quad = max(worst_quad, abs(numeric - closed) / (1.0 + abs(closed)))
     assert worst_quad <= 1e-8
 

@@ -190,20 +190,10 @@ def test_config_round_trip_is_idempotent():
 def test_grid_kind_follows_rate_model():
     cfg = parse_experiment_config(_zero_noise_config())
     np.testing.assert_allclose(cfg.t_grid, np.linspace(0.25, 4.0, 16))
-    chain = parse_experiment_config(
-        {
-            "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
-            "x0": [0.0],
-            "t_grid": {"start": 10.0, "stop": 1000.0, "points": 5},
-            "n_paths": 500,
-            "seed": 1,
-            "distance": {"kind": "w1d"},
-            "p": 1.0,
-            "reference": {"kind": "exact_invariant"},
-            "rate_model": "polynomial",
-        }
+    polynomial = parse_experiment_config(
+        _ou_config(t_grid={"start": 10.0, "stop": 1000.0, "points": 5}, rate_model="polynomial")
     )
-    np.testing.assert_allclose(chain.t_grid, np.geomspace(10.0, 1000.0, 5))
+    np.testing.assert_allclose(polynomial.t_grid, np.geomspace(10.0, 1000.0, 5))
     explicit = parse_experiment_config(
         _zero_noise_config(t_grid={"start": 1.0, "stop": 4.0, "points": 3, "kind": "geometric"})
     )
@@ -794,6 +784,11 @@ MALFORMED_PLANS = {
         "simulate",
         {**_SIMULATE, "process": _CHAIN, "x0": [0.0], "t_grid": [0.0, 1e9], "n_paths": 1},
     ),
+    # a polynomial rate model's default geometric grid has non-integer times,
+    # which the chain's step plan refuses
+    "experiment-chain-geometric-grid": (
+        "experiment", _chain_config(t_grid={"start": 10, "stop": 1000, "points": 5})
+    ),
     # 8 x 10^12 substeps per path on an 8-unit grid
     "experiment-max-step-tiny": (
         "experiment",
@@ -813,10 +808,11 @@ MALFORMED_PLANS = {
 @pytest.mark.parametrize("name", list(MALFORMED_PLANS))
 def test_cli_step_plan_above_budget_exits_2(name, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("a step plan above its budget must be refused before simulating")
+        raise AssertionError("a step plan out of bounds must be refused before anything is built")
 
     monkeypatch.setattr("ergolab.cli.simulate", never)
     monkeypatch.setattr("ergolab.coupling.simulate", never)
+    monkeypatch.setattr("ergolab.cli.invariant_exact", never)
     command, payload = MALFORMED_PLANS[name]
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2

@@ -25,7 +25,6 @@ from scipy import stats
 from ergolab.coupling import (
     CoupledBatch,
     CouplingReport,
-    DiagonalGrid,
     DissipativityParams,
     NotFound,
     contraction_estimate,
@@ -294,20 +293,20 @@ def test_dissipativity_lhs_piecewise_drift_spec():
 
 
 def test_find_q_symmetric_case_returns_identity():
-    got = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]), DiagonalGrid())
+    got = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]))
     assert isinstance(got, QuadForm)
     assert np.allclose(got.Q, np.eye(2), atol=1e-12)
 
 
 def test_find_q_scalar_matches_prop35():
-    got = find_q(np.array([[3.0]]), np.array([[2.0]]), np.array([1.0]), DiagonalGrid())
+    got = find_q(np.array([[3.0]]), np.array([[2.0]]), np.array([1.0]))
     assert isinstance(got, QuadForm)
     c2 = prop35_cp(np.array([[3.0]]), np.array([[2.0]]), np.array([1.0]), got, 0.0, 2.0)
     assert c2 == pytest.approx(4.0, abs=1e-12)
 
 
 def test_find_q_gamma_zero_not_found():
-    got = find_q(np.eye(2), np.zeros((2, 2)), np.array([1.0, 0.0]), DiagonalGrid())
+    got = find_q(np.eye(2), np.zeros((2, 2)), np.array([1.0, 0.0]))
     assert isinstance(got, NotFound)
     assert got.reason
 
@@ -315,7 +314,7 @@ def test_find_q_gamma_zero_not_found():
 def test_find_q_rejects_non_m_matrix():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])  # positive off-diagonal entry
     with pytest.raises(ConfigError):
-        find_q(bad, np.eye(2), np.array([1.0, 0.0]), DiagonalGrid())
+        find_q(bad, np.eye(2), np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +415,7 @@ def test_contraction_estimate_queueing_network_meets_prop35_rate():
     grid = np.linspace(0.0, 2.0, 9)
     x, y = np.array([2.0, 1.0]), np.array([-1.0, 0.5])
     pair = synchronous_pair_sim(spec, x, y, grid, 256, seed=9)
-    q = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]), DiagonalGrid())
+    q = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]))
     assert isinstance(q, QuadForm)
     c2 = prop35_cp(np.eye(2), np.eye(2), np.array([1.0, 0.0]), q, 0.0, 2.0)
     assert c2 == pytest.approx(2.0, abs=1e-12)

@@ -10,7 +10,6 @@ from ergolab.lyapunov import (
     CustomFn,
     DriftReport,
     ExpNorm,
-    GeneratorSpec,
     PolyNorm,
     PolyNormPlusOne,
     QuadForm,
@@ -21,13 +20,21 @@ from ergolab.lyapunov import (
     generator_apply,
 )
 from ergolab.processes import (
+    BackwardRecurrence,
     CompoundPoisson,
     DiscreteJumps,
+    GenericIto,
     LevyMeasureSpec,
+    OUJump,
     StableSubordinatorMeasure,
     SymmetricStable,
 )
 from ergolab.rates import LinearPhi
+
+
+def levy_only(dim=1, **levy):
+    """A process with no drift and no sigma, driven by ``LevyMeasureSpec(**levy)``."""
+    return GenericIto(b=None, sigma=None, levy=LevyMeasureSpec(**levy), dim=dim)
 
 
 def quadratic_fn():
@@ -161,28 +168,25 @@ def test_custom_fn_fd_fallback():
 
 
 def test_generator_constant_drift_frozen():
-    gen = GeneratorSpec(b=np.array([1.0]))
-    res = generator_apply(gen, quadratic_fn(), np.array([3.0]))
+    res = generator_apply(levy_only(b_L=[1.0]), quadratic_fn(), np.array([3.0]))
     assert res.value == pytest.approx(6.0, abs=1e-12)
     assert res.error == 0.0
 
 
 def test_generator_pure_diffusion_frozen():
-    gen = GeneratorSpec(a=np.array([[2.0]]))
-    res = generator_apply(gen, quadratic_fn(), np.array([1.0]))
+    res = generator_apply(levy_only(a_L=[[2.0]]), quadratic_fn(), np.array([1.0]))
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_generator_cp_discrete_frozen():
-    levy = LevyMeasureSpec(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([2.0], [1.0])))
-    gen = GeneratorSpec(levy=levy)
-    res = generator_apply(gen, quadratic_fn(), np.array([1.0]))
+    spec = levy_only(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([2.0], [1.0])))
+    res = generator_apply(spec, quadratic_fn(), np.array([1.0]))
     # raw difference: 2 * (9 - 1) = 16
     assert res.value == pytest.approx(16.0, abs=1e-12)
     assert res.error == 0.0
     # a jump inside the unit ball is not compensated either: 2 * (2.25 - 1) = 2.5
-    small = LevyMeasureSpec(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([0.5], [1.0])))
-    res_small = generator_apply(GeneratorSpec(levy=small), quadratic_fn(), np.array([1.0]))
+    small = levy_only(kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([0.5], [1.0])))
+    res_small = generator_apply(small, quadratic_fn(), np.array([1.0]))
     assert res_small.value == pytest.approx(2.5, abs=1e-12)
 
 
@@ -193,18 +197,16 @@ def test_generator_annihilates_constants():
         hess_fn=lambda x: np.zeros((x.shape[0], x.shape[0])),
         growth=("poly", 0.0),
     )
-    gens = [
-        GeneratorSpec(b=np.array([1.3]), a=np.array([[0.7]])),
-        GeneratorSpec(
-            levy=LevyMeasureSpec(
-                kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([0.5, -1.5], [0.5, 0.5]))
-            )
+    specs = [
+        levy_only(b_L=[1.3], a_L=[[0.7]]),
+        levy_only(
+            kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([0.5, -1.5], [0.5, 0.5]))
         ),
-        GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.2))),
-        GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))),
+        levy_only(kind=SymmetricStable(alpha=1.2)),
+        levy_only(kind=StableSubordinatorMeasure(alpha=0.5)),
     ]
-    for gen in gens:
-        res = generator_apply(gen, const, np.array([0.7]))
+    for spec in specs:
+        res = generator_apply(spec, const, np.array([0.7]))
         assert abs(res.value) <= 1e-12
 
 
@@ -213,11 +215,11 @@ def test_generator_linear_drift_closed_form():
     qf = QuadForm(q)
     h = np.array([[-1.0, 0.3], [0.0, -2.0]])
     a = np.array([[0.5, 0.1], [0.1, 1.5]])
-    gen = GeneratorSpec(b=lambda x: h @ x, a=a)
+    spec = OUJump(H=h, levy=LevyMeasureSpec(a_L=a))
     fn = PolyNorm(qf, 2.0)
     for r in (1.2, 3.0, 7.5):
         x = r * np.array([math.cos(1.1), math.sin(1.1)])
-        res = generator_apply(gen, fn, x)
+        res = generator_apply(spec, fn, x)
         expected = float(x @ (h.T @ q + q @ h) @ x) + float(np.trace(a @ q))
         assert res.value == pytest.approx(expected, abs=1e-8)
 
@@ -240,9 +242,9 @@ def test_generator_stable_1d_fourier_oracle(alpha):
     from scipy.integrate import quad
 
     scale = 0.8
-    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=alpha, scale=scale)))
+    spec = levy_only(kind=SymmetricStable(alpha=alpha, scale=scale))
     x = np.array([0.5])
-    res = generator_apply(gen, gaussian_fn(), x)
+    res = generator_apply(spec, gaussian_fn(), x)
     oracle, _ = quad(
         lambda u: u**alpha * math.exp(-u * u / 4.0) * math.cos(u * 0.5),
         0.0,
@@ -258,10 +260,10 @@ def test_generator_stable_1d_fourier_oracle(alpha):
 def test_generator_stable_1d_cos_spectral_oracle():
     # fast-decaying tail case: cos(u x) is an eigenfunction with value -|s u|^alpha
     alpha, scale = 1.7, 0.8
-    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=alpha, scale=scale)))
+    spec = levy_only(kind=SymmetricStable(alpha=alpha, scale=scale))
     for u in (0.7, 1.3):
         fn = cosine_fn([u])
-        res = generator_apply(gen, fn, np.array([0.5]))
+        res = generator_apply(spec, fn, np.array([0.5]))
         expected = -((scale * u) ** alpha) * math.cos(u * 0.5)
         assert res.value == pytest.approx(expected, abs=1e-6)
         assert abs(res.value - expected) <= res.error
@@ -270,13 +272,13 @@ def test_generator_stable_1d_cos_spectral_oracle():
 def test_generator_stable_independent_axes_oracle():
     # independent per-coordinate stable parts add their 1-D symbols
     alpha, scale = 1.4, 1.0
-    gen = GeneratorSpec(
-        levy=LevyMeasureSpec(kind=SymmetricStable(alpha=alpha, scale=scale, structure="independent"))
+    spec = levy_only(
+        dim=2, kind=SymmetricStable(alpha=alpha, scale=scale, structure="independent")
     )
     u = np.array([0.9, 0.4])
     fn = cosine_fn(u)
     x = np.array([0.3, -0.6])
-    res = generator_apply(gen, fn, x)
+    res = generator_apply(spec, fn, x)
     expected = -((abs(u[0]) ** alpha + abs(u[1]) ** alpha)) * math.cos(float(u @ x))
     assert res.value == pytest.approx(expected, abs=1e-6)
     assert abs(res.value - expected) <= res.error
@@ -284,11 +286,11 @@ def test_generator_stable_independent_axes_oracle():
 
 def test_generator_stable_isotropic_mc_oracle():
     alpha = 1.3
-    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=alpha, scale=1.0)))
+    spec = levy_only(dim=2, kind=SymmetricStable(alpha=alpha, scale=1.0))
     u = np.array([0.8, 0.5])
     fn = cosine_fn(u)
     x = np.array([0.2, 0.4])
-    res = generator_apply(gen, fn, x, jump_mc_samples=60_000, seed=2)
+    res = generator_apply(spec, fn, x, jump_mc_samples=60_000, seed=2)
     expected = -(float(np.linalg.norm(u)) ** alpha) * math.cos(float(u @ x))
     assert res.error > 0
     assert res.value == pytest.approx(expected, abs=max(6 * res.error, 0.01))
@@ -297,7 +299,7 @@ def test_generator_stable_isotropic_mc_oracle():
 def test_generator_subordinator_laplace_oracle():
     # one-sided stable measure acts on exp(-x) as multiplication by -u^alpha, u = 1
     alpha = 0.5
-    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=alpha)))
+    spec = levy_only(kind=StableSubordinatorMeasure(alpha=alpha))
     fn = CustomFn(
         value_fn=lambda x: math.exp(-float(x[0])),
         grad_fn=lambda x: np.array([-math.exp(-float(x[0]))]),
@@ -305,7 +307,7 @@ def test_generator_subordinator_laplace_oracle():
         growth=("poly", 0.0),
     )
     x = np.array([0.3])
-    res = generator_apply(gen, fn, x)
+    res = generator_apply(spec, fn, x)
     assert res.value == pytest.approx(-math.exp(-0.3), abs=1e-6)
     assert abs(res.value + math.exp(-0.3)) <= res.error
 
@@ -315,30 +317,30 @@ _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8
 
 
 @pytest.mark.parametrize(
-    "gen, fn, grid, samples",
+    "spec, fn, grid, samples",
     [
         # 1-D stable quadrature, with points whose Taylor region and panels meet the blend sphere
-        (GeneratorSpec(b=lambda x: -x, levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))),
+        (OUJump(H=[[-1.0]], levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))),
          _CERTIFY_V, [[-20.0], [0.0], [0.7], [1.5], [2.5]], 20_000),
         # isotropic-stable Monte Carlo, one RNG block per point
-        (GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.3))),
+        (levy_only(dim=2, kind=SymmetricStable(alpha=1.3)),
          _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0], [3.0, 0.5]], 2000),
         # finite atoms
-        (GeneratorSpec(a=np.eye(2), levy=LevyMeasureSpec(kind=CompoundPoisson(
-            rate=1.5, jump_dist=DiscreteJumps([[0.5, 0.0], [-0.3, 1.2]], [0.5, 0.5])))),
+        (levy_only(dim=2, a_L=np.eye(2), kind=CompoundPoisson(
+            rate=1.5, jump_dist=DiscreteJumps([[0.5, 0.0], [-0.3, 1.2]], [0.5, 0.5]))),
          _STABLE_2D_V, [[0.1, 0.2], [1.0, -2.0]], 20_000),
         # one-sided subordinator quadrature
-        (GeneratorSpec(levy=LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))),
+        (levy_only(kind=StableSubordinatorMeasure(alpha=0.5)),
          PolyNormPlusOne(QuadForm(np.eye(1)), 0.3), [[-4.0], [0.3], [6.0]], 20_000),
     ],
     ids=["stable-quadrature", "isotropic-mc", "atoms", "subordinator"],
 )
-def test_batched_generator_equals_per_point_calls(gen, fn, grid, samples):
+def test_batched_generator_equals_per_point_calls(spec, fn, grid, samples):
     grid = np.array(grid)
-    batch = generator_apply(gen, fn, grid, jump_mc_samples=samples, seed=7)
+    batch = generator_apply(spec, fn, grid, jump_mc_samples=samples, seed=7)
     assert batch.value.shape == batch.error.shape == (grid.shape[0],)
     for i, x in enumerate(grid):
-        single = generator_apply(gen, fn, x, jump_mc_samples=samples, seed=7, point_index=i)
+        single = generator_apply(spec, fn, x, jump_mc_samples=samples, seed=7, point_index=i)
         assert isinstance(single.value, float)
         assert batch.value[i] == single.value
         # a batch may add zero-width panels, which regroup the rounding of the
@@ -360,32 +362,43 @@ _CERTIFY_JUMP = {
 
 
 def test_certify_jump_integral_within_its_reported_error():
-    gen = GeneratorSpec(levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5)))
     xs = np.array(list(_CERTIFY_JUMP))
-    res = generator_apply(gen, _CERTIFY_V, xs[:, None])
+    res = generator_apply(levy_only(kind=SymmetricStable(alpha=1.5)), _CERTIFY_V, xs[:, None])
     exact = np.array(list(_CERTIFY_JUMP.values()))
     assert np.all(np.abs(res.value - exact) <= res.error)
     assert np.all(res.error < 1e-12)
 
 
 def test_generator_integrability_gates():
-    stable = LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))
+    stable = levy_only(kind=SymmetricStable(alpha=1.5))
     qf = QuadForm(np.eye(1))
     with pytest.raises(IntegrabilityError):  # theta = 2 >= alpha
-        generator_apply(GeneratorSpec(levy=stable), PolyNorm(qf, 2.0), np.array([2.0]))
+        generator_apply(stable, PolyNorm(qf, 2.0), np.array([2.0]))
     with pytest.raises(IntegrabilityError):  # exponential growth vs stable tails
-        generator_apply(GeneratorSpec(levy=stable), ExpNorm(qf, 0.3), np.array([2.0]))
+        generator_apply(stable, ExpNorm(qf, 0.3), np.array([2.0]))
     with pytest.raises(IntegrabilityError):  # undeclared growth
-        generator_apply(
-            GeneratorSpec(levy=stable), CustomFn(value_fn=lambda x: 1.0), np.array([2.0])
-        )
+        generator_apply(stable, CustomFn(value_fn=lambda x: 1.0), np.array([2.0]))
+    # the subordinator's threshold is its own alpha: theta = alpha is refused
+    subordinator = levy_only(kind=StableSubordinatorMeasure(alpha=0.5))
+    with pytest.raises(IntegrabilityError):
+        generator_apply(subordinator, PolyNormPlusOne(qf, 0.5), np.array([2.0]))
+    with pytest.raises(IntegrabilityError):
+        generator_apply(subordinator, ExpNorm(qf, 0.3), np.array([2.0]))
+    assert math.isfinite(generator_apply(subordinator, PolyNormPlusOne(qf, 0.3), 2.0).value)
 
 
 def test_generator_poly_below_alpha_allowed():
-    stable = LevyMeasureSpec(kind=SymmetricStable(alpha=1.5))
+    stable = levy_only(kind=SymmetricStable(alpha=1.5))
     qf = QuadForm(np.eye(1))
-    res = generator_apply(GeneratorSpec(levy=stable), PolyNorm(qf, 1.2), np.array([3.0]))
+    res = generator_apply(stable, PolyNorm(qf, 1.2), np.array([3.0]))
     assert math.isfinite(res.value)
+
+
+def test_generator_refuses_a_discrete_time_process():
+    with pytest.raises(ConfigError):
+        generator_apply(
+            BackwardRecurrence(alpha=3.0, i0=5), PolyNormPlusOne(QuadForm(np.eye(1)), 1.0), [1.0]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +409,11 @@ def test_generator_poly_below_alpha_allowed():
 def test_drift_check_ou_report(tmp_path):
     # 1-D OU: b = -x, a = 2; V = 1 + chi^2; phi(t) = 0.5 t
     qf = QuadForm(np.eye(1))
-    gen = GeneratorSpec(b=lambda x: -x, a=np.array([[2.0]]))
+    spec = OUJump(H=[[-1.0]], levy=LevyMeasureSpec(a_L=[[2.0]]))
     fn = PolyNormPlusOne(qf, 2.0)
     phi = LinearPhi(c_hat=0.5)
     grid = np.concatenate([-np.linspace(0.5, 5.0, 10)[::-1], np.linspace(0.5, 5.0, 10)])
-    report = drift_check(gen, fn, phi, grid, ball_radius=2.0)
+    report = drift_check(spec, fn, phi, grid, ball_radius=2.0)
     assert report.grid.shape == (20, 1)
     # consistency of the reported arrays
     assert np.allclose(report.margin, report.rhs - report.lhs, atol=1e-12)
@@ -430,9 +443,7 @@ def test_drift_check_margin_is_exactly_zero_where_b_is_set():
         hess_fn=lambda x: np.zeros((1, 1)),
         growth=("poly", 0.0),
     )
-    report = drift_check(
-        GeneratorSpec(b=np.array([lv])), fn, LinearPhi(1.0), [0.0], ball_radius=1.0
-    )
+    report = drift_check(levy_only(b_L=[lv]), fn, LinearPhi(1.0), [0.0], ball_radius=1.0)
     assert report.phi_values[0] == phi_v and report.lhs[0] == lv
     assert report.margin[0] == 0.0
     assert report.worst_margin == 0.0
@@ -441,7 +452,7 @@ def test_drift_check_margin_is_exactly_zero_where_b_is_set():
 def test_drift_check_flags_failing_condition():
     # outward drift b = +x cannot satisfy the inequality far from the origin
     qf = QuadForm(np.eye(1))
-    gen = GeneratorSpec(b=lambda x: x, a=np.array([[1.0]]))
+    spec = OUJump(H=[[1.0]], levy=LevyMeasureSpec(a_L=[[1.0]]))
     fn = PolyNormPlusOne(qf, 2.0)
-    report = drift_check(gen, fn, LinearPhi(0.5), np.linspace(1.5, 6.0, 8), ball_radius=1.0)
+    report = drift_check(spec, fn, LinearPhi(0.5), np.linspace(1.5, 6.0, 8), ball_radius=1.0)
     assert report.worst_margin < 0

@@ -29,6 +29,7 @@ from ergolab.processes import (
     ou_exact_transition,
     piecewise_drift,
     sample_stable,
+    sigma_at,
     simulate,
     standard_one_sided_stable,
     step_plan,
@@ -53,18 +54,6 @@ def test_levy_measure_validation():
         SymmetricStable(alpha=2.0)
     with pytest.raises(ConfigError):
         StableSubordinatorMeasure(alpha=1.0)
-
-
-def test_theta_class():
-    assert LevyMeasureSpec().theta_class().theta_sup == math.inf
-    tc = LevyMeasureSpec(kind=SymmetricStable(alpha=1.3)).theta_class()
-    assert tc.theta_sup == 1.3 and tc.exp_rate is None
-    cp = LevyMeasureSpec(
-        kind=CompoundPoisson(rate=2.0, jump_dist=DiscreteJumps([2.0], [1.0]))
-    ).theta_class()
-    assert cp.theta_sup == math.inf and cp.exp_rate == math.inf
-    sub = LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5)).theta_class()
-    assert sub.theta_sup == 0.5
 
 
 def test_process_specs_state_their_facts():
@@ -335,6 +324,28 @@ def test_langevin_sigma_symmetric():
     assert np.allclose(s_pos, s_neg, atol=1e-14)
 
 
+def test_sigma_at_gives_each_row_its_matrix():
+    # a constant, Langevin's (m, n) diagonals and a GenericIto's (m, n, n)
+    # matrices; sigma sigma' of the batch equals the per-row product bit for bit
+    x = np.array([[0.3, -1.2], [2.5, 0.4], [-7.0, 3.0]])
+    const = np.array([[0.5, 0.0], [0.2, 1.5]])
+    langevin = LangevinTempered(alpha=0.2, beta=0.3, dim=2)
+    ito = GenericIto(
+        b=None, sigma=lambda y: y[:, :, None] * y[:, None, :] + np.eye(2),
+        levy=LevyMeasureSpec(), dim=2,
+    )
+    cases = [
+        (const, [const] * 3),
+        (langevin.sigma, [np.diag(d) for d in langevin_coeffs(langevin, x)[1]]),
+        (ito.sigma, [np.outer(r, r) + np.eye(2) for r in x]),
+    ]
+    for sigma, expected in cases:
+        s = sigma_at(sigma, x)
+        assert s.shape == (3, 2, 2)
+        assert np.array_equal(s, np.array(expected))
+        assert np.array_equal(s @ np.swapaxes(s, 1, 2), np.array([r @ r.T for r in s]))
+
+
 def test_langevin_density_c2_at_ball_boundary():
     spec = LangevinTempered(alpha=0.25, beta=0.0, dim=1)
     h = 1e-5
@@ -472,6 +483,11 @@ def test_step_plan_counts_the_steps_the_walkers_take():
     # the chain counts its steps from 0, the grid times
     chain = BackwardRecurrence(alpha=2.0, i0=4)
     assert np.array_equal(step_plan(chain, [3, 4, 10], 0.01), [3.0, 1.0, 6.0])
+    # a time that is not a nonnegative integer is refused, by the plan and so
+    # by the walk that follows it
+    for bad in ([0.0, 0.5, 1.0], [-1.0, 2.0], [1.0, 3.0 + 1e-12]):
+        with pytest.raises(ConfigError):
+            step_plan(chain, bad, 0.01)
     with pytest.raises(ConfigError):
         simulate(chain, [8.0], [0.0, 0.5, 1.0], n_paths=2, seed=0)
 
