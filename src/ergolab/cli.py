@@ -132,14 +132,14 @@ def _within(count: float, budget: int, what: str) -> None:
         raise SizeError(f"{what} would hold {count:,.0f} elements, above the budget of {budget:,}")
 
 
-def _within_plan(spec, times, max_step: float, n_paths: int) -> None:
-    """Refuse a simulation of ``n_paths`` paths whose :func:`step_plan` is
-    above the path-step budget, or whose discrete horizon's step table is
-    above its element budget."""
+def _within_plan(spec, times, max_step: float, n_paths: int, starts: int = 1) -> None:
+    """Refuse a simulation of ``n_paths`` paths from each of ``starts``
+    starts whose :func:`step_plan` is above the path-step budget, or whose
+    discrete horizon's step table is above its element budget."""
     steps = float(np.sum(step_plan(spec, times, max_step)))
-    _within(n_paths * steps, PATH_MAX_STEPS, "the step plan (paths x steps)")
+    _within(starts * n_paths * steps, PATH_MAX_STEPS, "the step plan (paths x steps)")
     if spec.discrete_time:
-        _within(2.0 * (steps + 1.0), STEP_TABLE_MAX_VALUES, "the step table")
+        _within((starts + 1.0) * (steps + 1.0), STEP_TABLE_MAX_VALUES, "the step table")
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1002,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     n_boot = _as_int(data.get("n_boot", 200), "n_boot")
     max_step = _as_float(data.get("max_step", 0.01), "max_step")
     _within(2 * n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
-    _within_plan(spec, grid, max_step, 2 * n_paths)
+    _within_plan(spec, grid, max_step, n_paths, starts=2)
     _within(n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
     params = None
     cert = data.get("certificate")

@@ -94,15 +94,18 @@ def synchronous_pair_sim(
 ) -> CoupledBatch:
     """Simulate the synchronous coupling started from ``x`` and ``y``.
 
-    Both components are generated from the identical per-path random
-    substreams: the number and order of draws in the simulator depend only on
-    the step plan and the noise specification, never on the state, so running
-    the recursion twice with the same seed applies the same Brownian
-    increments and the same jump events (times and marks) to both components.
-    In particular each marginal is bit-for-bit a :func:`simulate` output.
+    One :func:`simulate` call walks the stack of the two starts as one
+    ``(2, m, dim)`` state: every per-path draw (Brownian increment, jump
+    count and marks, stable draw, chain uniform) is made once and applied
+    to both components.  Each row of the state is computed alone, so each
+    marginal is bit for bit the :func:`simulate` output from its own start
+    with the same seed, provided the spec's callables compute each row
+    alone, as the built-in families do.
     """
-    first = simulate(spec, x, t_grid, n_paths, seed, max_step=max_step)
-    second = simulate(spec, y, t_grid, n_paths, seed, max_step=max_step)
+    for start in (x, y):
+        spec.check_start(start)
+    starts = np.stack([np.asarray(start, dtype=float).ravel() for start in (x, y)])
+    first, second = simulate(spec, starts, t_grid, n_paths, seed, max_step=max_step)
     return CoupledBatch(first=first, second=second)
 
 
@@ -381,7 +384,8 @@ def contraction_estimate(
     if n < 100:
         raise InsufficientPathsError(f"need at least 100 coupled paths, got {n}")
     times = pairs.times
-    dist_p = pairs.separations() ** p
+    separations = pairs.separations()
+    dist_p = separations**p
     moment = np.mean(dist_p, axis=0) ** (1.0 / p)
 
     rng = np.random.default_rng(seed)
@@ -404,7 +408,7 @@ def contraction_estimate(
     envelope = None
     violations = 0
     if params is not None:
-        sep0 = float(pairs.separations()[0, 0])
+        sep0 = float(separations[0, 0])
         envelope = params.envelope(times, sep0)
         slack = 3.0 * se + 1e-12 * np.maximum(envelope, 1.0)
         violations = int(np.count_nonzero(moment > envelope + slack))

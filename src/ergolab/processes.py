@@ -27,6 +27,13 @@ Conventions
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own counter-based
   substream keyed on (master seed, block index).
+* ``x0`` is one start ``(dim,)`` or a stack of starts ``(k, dim)``, and a walk
+  moves the stack as one ``(k, m, dim)`` state.  Every draw is made once per
+  path, as ``(m, dim)`` (``(m,)`` for the chain's uniforms), and applied to
+  all ``k`` starts, so the stack is a synchronous coupling.  A row of the state
+  is computed alone (matrix products are summed left to right over the
+  columns, not by BLAS), so each start's paths are bit for bit those of a
+  one-start :func:`simulate` with the same seed.
 * A discrete-time family's walk holds whatever state suits it
   (``BackwardRecurrence``: an integer index into a table of ``p_i``) and
   hands back float states only at the grid's step counts.
@@ -34,14 +41,17 @@ Conventions
   step (the marginal law of the continuous part is exact on the grid); jump
   increments are added at step ends like for every other continuous kind.
 * User-supplied coefficient callables must be batch-aware: they receive an
-  ``(m, n)`` array of states and return ``(m, n)`` (drift), or ``(m, n, n)``
-  or ``(m, n)`` diagonals (diffusion, also a constant matrix; see :func:`sigma_at`).
+  ``(m, n)`` array of states (a stack's rows as one batch) and return
+  ``(m, n)`` (drift), or ``(m, n, n)`` or ``(m, n)`` diagonals (diffusion,
+  also a constant matrix; see :func:`sigma_at`).  One that computes each row
+  alone keeps a stacked start's paths equal to its one-start run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
 
@@ -267,10 +277,12 @@ class ProcessSpec:
 
     ``dim``; ``check_start(x0)``, which refuses a start state the process
     cannot take; ``discrete_time`` (True: integer times); ``walker(x0,
-    times, max_step)``, which returns ``walk(m, rng)``, a generator of the
-    ``(m, dim)`` states of ``m`` paths from ``x0`` at each grid time (the
-    first grid time carries ``x0`` in continuous time; in discrete time the
-    times count steps from 0); for continuous time ``levy``, a batched
+    times, max_step)``, which takes a stack of starts ``x0`` ``(k, dim)`` and
+    returns ``walk(m, rng)``, a generator of the ``(k, m, dim)`` states of
+    ``m`` paths from each start at each grid time, every start driven by the
+    same draws (the first grid time carries ``x0`` in continuous time; in
+    discrete time the times count steps from 0); for continuous time
+    ``levy``, a batched
     ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
     callable), from which :meth:`advance` builds the substep and
     :func:`ergolab.lyapunov.generator_apply` the generator; and
@@ -299,38 +311,43 @@ class ProcessSpec:
         jumps, dim = self.levy.kind, self.dim
 
         def walk(m, rng):
-            x = np.broadcast_to(x0, (m, dim)).copy()
+            x = np.repeat(x0[:, None, :], m, axis=1)
             yield x
             for n_sub, dt in plans:
                 for _ in range(n_sub):
                     x = step(x, dt, rng)
                     jump = jumps.increment(dim, dt, rng, m)
                     if jump is not None:
-                        x = x + jump
+                        x += jump
                     _check_blowup(x)
                 yield x
 
         return walk
 
     def advance(self, dts):
-        """``step(x, dt, rng)`` for one substep of the continuous part:
-        Euler–Maruyama in the drift, ``sigma`` and the Gaussian Lévy part."""
+        """``step(x, dt, rng)`` for one substep of the continuous part on a
+        ``(k, m, dim)`` state: Euler–Maruyama in the drift, ``sigma`` and the
+        Gaussian Lévy part, each ``(m, dim)`` noise draw shared by the ``k``
+        starts."""
         drift, sigma, levy = self.drift, self.sigma, self.levy
         sqrt_al = None
         if levy.a_L is not None and np.any(levy.a_L):
             sqrt_al = _psd_sqrt_matrix(levy.a_L)
 
         def step(x, dt, rng):
-            inc = drift(x) * dt
+            inc = drift(x.reshape(-1, x.shape[-1])).reshape(x.shape) * dt
             if levy.b_L is not None:
-                inc = inc + levy.b_L[None, :] * dt
+                inc += levy.b_L * dt
             if sigma is not None:
-                z = rng.standard_normal(x.shape)
-                inc = inc + _sigma_apply(sigma, x, z) * math.sqrt(dt)
+                z = rng.standard_normal(x.shape[1:])
+                noise = _sigma_apply(sigma, x, z)
+                noise *= math.sqrt(dt)
+                inc += noise
             if sqrt_al is not None:
-                z2 = rng.standard_normal(x.shape)
-                inc = inc + (z2 @ sqrt_al.T) * math.sqrt(dt)
-            return x + inc
+                z2 = rng.standard_normal(x.shape[1:])
+                inc += (z2 @ sqrt_al.T) * math.sqrt(dt)
+            inc += x
+            return inc
 
         return step
 
@@ -385,7 +402,7 @@ class OUJump(ProcessSpec):
         return self.H.shape[0]
 
     def drift(self, x):
-        return x @ self.H.T
+        return _rows_times(self.H, x)
 
     def advance(self, dts):
         """Exact integration of the linear drift and the Gaussian part per substep."""
@@ -393,9 +410,9 @@ class OUJump(ProcessSpec):
 
         def step(x, dt, rng):
             prop, drift_term, noise_sqrt = terms[dt]
-            x = x @ prop.T + drift_term[None, :]
+            x = _rows_times(prop, x) + drift_term
             if noise_sqrt is not None:
-                x = x + rng.standard_normal(x.shape) @ noise_sqrt.T
+                x = x + rng.standard_normal(x.shape[1:]) @ noise_sqrt.T
             return x
 
         return step
@@ -497,24 +514,27 @@ class BackwardRecurrence(ProcessSpec):
             raise ConfigError(f"the chain starts at a nonnegative integer state, got x0 = {x!r}")
 
     def walker(self, x0, times, max_step):
-        """Integer walk over a table of ``p_i``: index ``k <= n`` is state ``k``
-        (reached after a reset), index ``n + 1 + k`` is state ``x0 + k`` (no
-        reset yet), ``n`` the horizon.  One uniform per path and step."""
+        """Integer walk over a table of ``p_i``, ``n`` the horizon: index
+        ``i <= n`` is state ``i`` (reached after a reset), and index
+        ``(j + 1)(n + 1) + i`` is state ``x0[j] + i`` (start ``j``, no reset
+        yet).  One uniform per path and step, shared by all starts."""
         counts = [int(c) for c in step_plan(self, times, max_step)]
         n = sum(counts)
-        start = int(x0[0])
+        starts = x0[:, 0].astype(np.int64)
+        base = (n + 1) * np.arange(1, starts.size + 1)
         table = self.up_prob(
-            np.concatenate((np.arange(n + 1.0), np.arange(start, start + n + 1.0)))
+            np.concatenate([np.arange(n + 1.0)] + [np.arange(s, s + n + 1.0) for s in starts])
         )
+        shift = (starts - base)[:, None]
 
         def walk(m, rng):
-            k = np.full(m, n + 1)
+            k = np.repeat(base[:, None], m, axis=1)
             for count in counts:
                 for _ in range(count):
                     up = rng.random(m) < table[k]
                     k += 1
                     k *= up
-                yield np.where(k > n, k + (start - n - 1), k)[:, None]
+                yield np.where(k > n, k + shift, k)[..., None]
 
         return walk
 
@@ -612,7 +632,7 @@ JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one 
 # Work budgets of one simulation, from its step_plan: a config over one is
 # refused the same way.  Five times criterion 5's 10^5 paths x 10^4 steps.
 PATH_MAX_STEPS = 5_000_000_000  # paths x steps
-STEP_TABLE_MAX_VALUES = 20_000_000  # a discrete horizon n's step table, 2 (n + 1) floats
+STEP_TABLE_MAX_VALUES = 20_000_000  # a discrete horizon n's step table, (starts + 1)(n + 1) floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,13 +698,37 @@ def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Return sigma(x) @ z per path for constant or state-dependent sigma."""
+    """``sigma(x) @ z`` per path of a ``(k, m, n)`` state, for a constant
+    ``sigma`` or a batched callable; ``z`` ``(m, n)`` is shared by the
+    ``k`` starts."""
     if callable(sigma):
-        mat = np.asarray(sigma(x), dtype=float)
-        if mat.ndim == 2:  # diagonal-free shorthand: per-path scalar rows
+        mat = np.asarray(sigma(x.reshape(-1, x.shape[-1])), dtype=float)
+        mat = mat.reshape(x.shape[:-1] + mat.shape[1:])
+        if mat.ndim == x.ndim:  # diagonal-free shorthand: per-path scalar rows
             return mat * z
-        return np.einsum("pij,pj->pi", mat, z)
+        return np.einsum("...ij,...j->...i", mat, z)
     return z @ np.asarray(sigma, dtype=float).T
+
+
+def _rows_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x @ a.T`` for rows ``x`` ``(..., n)`` and a matrix ``a``, each entry
+    summed left to right over the columns: a row's value never depends on
+    the rows beside it, as a BLAS product's can."""
+    cols = [x[..., j] for j in range(x.shape[-1])]
+    out = np.empty(x.shape[:-1] + a.shape[:1])
+    tmp = np.empty(x.shape[:-1])
+    for i, row in enumerate(a):
+        _row_sum_into(row, cols, out[..., i], tmp)
+    return out
+
+
+def _row_sum_into(row, cols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out = row[0] cols[0] + row[1] cols[1] + ...``, summed left to right
+    in place (``tmp`` is scratch), so no temporary column is allocated."""
+    np.multiply(row[0], cols[0], out=out)
+    for a_j, col in zip(row[1:], cols[1:]):
+        out += np.multiply(a_j, col, out=tmp)
+    return out
 
 
 def sigma_at(sigma, x) -> np.ndarray:
@@ -704,7 +748,7 @@ def sigma_at(sigma, x) -> np.ndarray:
 
 
 def _check_blowup(x: np.ndarray) -> None:
-    worst = float(np.max(np.abs(x))) if x.size else 0.0
+    worst = max(float(x.max()), -float(x.min())) if x.size else 0.0
     if not math.isfinite(worst) or worst > _BLOWUP_GUARD:
         raise BlowUpError(f"state magnitude {worst:.3e} exceeded the overflow guard 1e12")
 
@@ -762,20 +806,30 @@ def simulate(
     linear drift and Gaussian part exactly per substep. ``BackwardRecurrence``
     is an exact recursion on integer times. The first grid point carries the
     initial condition, which ``spec.check_start`` vets.
+
+    ``x0`` is one start, which gives one :class:`TrajectoryBatch`, or a
+    stack of starts ``(k, dim)``, which gives a tuple of ``k`` batches
+    walked as one block: one noise stream drives every start, path by path,
+    and each batch is bit for bit the one-start call's.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
         raise ConfigError("t_grid must be a strictly increasing 1-D grid")
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
-    spec.check_start(x0)
-    walk = spec.walker(np.asarray(x0, dtype=float).ravel(), t, max_step)
-    paths = np.empty((n_paths, t.size, spec.dim))
+    stacked = np.ndim(x0) == 2
+    starts = list(x0) if stacked else [x0]
+    for start in starts:
+        spec.check_start(start)
+    starts = np.stack([np.asarray(start, dtype=float).ravel() for start in starts])
+    walk = spec.walker(starts, t, max_step)
+    paths = np.empty((len(starts), n_paths, t.size, spec.dim))
     for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
         hi = min(lo + _BLOCK_SIZE, n_paths)
         for k, x in enumerate(walk(hi - lo, _block_rng(seed, block))):
-            paths[lo:hi, k] = x
-    return TrajectoryBatch(times=t, paths=paths)
+            paths[:, lo:hi, k] = x
+    batches = tuple(TrajectoryBatch(times=t, paths=p) for p in paths)
+    return batches if stacked else batches[0]
 
 
 # ---------------------------------------------------------------------------
@@ -881,18 +935,27 @@ def ou_exact_transition(H, a_L, t: float, x0):
 def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
     """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch.
 
-    ``v`` is one allocation ``(n,)`` or one per state ``(m, n)``.
+    ``v`` is one allocation ``(n,)`` or one per state ``(m, n)``.  Formed
+    column by column, each sum left to right, so a state's drift is the
+    same bits in any batch and no ``(m, 1) x (n,)`` broadcast is made.
     """
     l = np.asarray(l, dtype=float).ravel()
     m = np.atleast_2d(np.asarray(M, dtype=float))
     g = np.atleast_2d(np.asarray(Gamma, dtype=float))
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    s = np.clip(xb.sum(axis=1), 0.0, None)[:, None]
-    out = l - (xb - s * v) @ m.T - s * (v @ g.T)
-    return out[0] if single else out
+    cols = [x[..., j] for j in range(x.shape[-1])]
+    s = np.clip(functools.reduce(operator.add, cols), 0.0, None)
+    tmp = np.empty_like(s)
+    shifted = [np.subtract(c, np.multiply(s, v[..., j], out=tmp)) for j, c in enumerate(cols)]
+    g_v = _rows_times(g, v)
+    out = np.empty(np.broadcast_shapes(x.shape, v.shape))
+    for i, row in enumerate(m):
+        # out_i = l_i - (m_i0 y_0 + m_i1 y_1 + ...) - s (G v)_i, formed in place
+        o = _row_sum_into(row, shifted, out[..., i], tmp)
+        np.subtract(l[i], o, out=o)
+        o -= np.multiply(s, g_v[..., i], out=tmp)
+    return out
 
 
 def _langevin_blend_coeffs(alpha: float):

@@ -53,6 +53,8 @@ def test_tiny_workloads_record_every_hooked_span(tmp_path):
     hooked = {hook[2] for hook in tracer_module.HOOKS}
     assert len(hooked) == 20
     assert hooked - recorded == set()
-    parents = {spans[span[4]][0] for span in spans
-               if span[0] == "processes.simulate" and span[4] is not None}
+    parents = [spans[span[4]][0] for span in spans
+               if span[0] == "processes.simulate" and span[4] is not None]
     assert "coupling.synchronous_pair_sim" in parents
+    # the coupled pair walks both starts in one simulate call
+    assert parents.count("coupling.synchronous_pair_sim") == 1

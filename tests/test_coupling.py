@@ -42,13 +42,17 @@ from ergolab.errors import (
 )
 from ergolab.lyapunov import QuadForm
 from ergolab.processes import (
+    _BLOCK_SIZE,
+    BackwardRecurrence,
     CompoundPoisson,
     ConstantControl,
     DiscreteJumps,
     GenericIto,
+    LangevinTempered,
     LevyMeasureSpec,
     OUJump,
     PiecewiseOU,
+    SymmetricStable,
     simulate,
 )
 
@@ -345,6 +349,54 @@ def test_pair_sim_marginals_match_simulate_in_law():
     for got, ref in ((pair.first, ind_x), (pair.second, ind_y)):
         p_val = stats.ks_2samp(got.marginal(1).ravel(), ref.marginal(1).ravel()).pvalue
         assert p_val > 0.001
+
+
+def _network_2d():
+    # non-diagonal M and dense sigma, unlike the pinned configs' M = I, so
+    # every term of each product carries rounding
+    jumps = DiscreteJumps(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), [0.4, 0.4, 0.2])
+    return PiecewiseOU(
+        l=np.array([0.2, -0.1]),
+        M=np.array([[2.0, -0.5], [-0.8, 1.5]]),
+        Gamma=np.diag([0.5, 1.0]),
+        control=ConstantControl(np.array([0.6, 0.4])),
+        sigma=np.array([[0.5, 0.1], [0.2, 0.4]]),
+        levy=LevyMeasureSpec(kind=CompoundPoisson(3.0, jumps)),
+    )
+
+
+def _dense_sigma(x):
+    t = np.tanh(x)
+    return 0.3 * np.eye(3) + 0.1 * t[:, :, None] * t[:, None, :]
+
+
+_MARGINAL_CASES = {
+    "piecewise-ou-2d": (_network_2d(), [3.0, 1.0], [-1.0, -2.0], [0.0, 0.25, 0.5], 300),
+    "generic-ito-dense-sigma": (
+        GenericIto(b=lambda x: -x * np.abs(x), sigma=_dense_sigma, levy=LevyMeasureSpec(), dim=3),
+        [1.0, -0.5, 2.0], [0.0, 0.3, -1.0], [0.0, 0.2, 0.4], 300,
+    ),
+    "langevin": (LangevinTempered(alpha=0.2, beta=0.1, dim=2), [2.0, 0.5], [-0.3, 0.1],
+                 [0.0, 0.2, 0.4], 300),
+    "ou-jump-stable": (
+        OUJump(H=[[-1.0, 0.4], [-0.3, -2.0]], levy=LevyMeasureSpec(
+            kind=SymmetricStable(alpha=1.5), b_L=[0.3, -0.2], a_L=[[1.0, 0.2], [0.2, 0.5]])),
+        [2.0, -1.0], [0.5, 0.5], [0.0, 0.3, 0.6], 300,
+    ),
+    "chain": (BackwardRecurrence(alpha=3.0, i0=5), [4.0], [0.0], [0, 1, 5, 20], 300),
+    "across-blocks": (_network_2d(), [3.0, 1.0], [-1.0, -2.0], [0.0, 0.03], _BLOCK_SIZE + 100),
+}
+
+
+@pytest.mark.parametrize("case", list(_MARGINAL_CASES))
+def test_pair_sim_marginals_are_simulate_outputs_bit_for_bit(case):
+    spec, x, y, grid, n_paths = _MARGINAL_CASES[case]
+    pair = synchronous_pair_sim(spec, x, y, grid, n_paths, seed=13)
+    alone_x = simulate(spec, x, grid, n_paths, seed=13)
+    alone_y = simulate(spec, y, grid, n_paths, seed=13)
+    assert np.array_equal(pair.first.paths, alone_x.paths)
+    assert np.array_equal(pair.second.paths, alone_y.paths)
+    assert not np.array_equal(pair.first.paths[:, 1], pair.second.paths[:, 1])
 
 
 def test_pair_sim_queue_difference_deterministic_given_shared_jumps():

@@ -22,10 +22,12 @@ from ergolab.lyapunov import (
 from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
+    ConstantControl,
     DiscreteJumps,
     GenericIto,
     LevyMeasureSpec,
     OUJump,
+    PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
 )
@@ -314,6 +316,13 @@ def test_generator_subordinator_laplace_oracle():
 
 _CERTIFY_V = PolyNormPlusOne(QuadForm(np.eye(1)), 0.5)
 _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8)
+# 35 points: a many-row BLAS product rounds some of these rows unlike a one-row call
+_GRID_2D = [[a, b] for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-2.1, 1.7, 5)]
+_NETWORK_2D = PiecewiseOU(
+    l=[0.2, -0.1], M=[[2.0, -0.5], [-0.8, 1.5]], Gamma=np.diag([0.5, 1.0]),
+    control=ConstantControl([0.6, 0.4]), sigma=[[0.5, 0.1], [0.2, 0.4]],
+    levy=LevyMeasureSpec(),
+)
 
 
 @pytest.mark.parametrize(
@@ -332,8 +341,13 @@ _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8
         # one-sided subordinator quadrature
         (levy_only(kind=StableSubordinatorMeasure(alpha=0.5)),
          PolyNormPlusOne(QuadForm(np.eye(1)), 0.3), [[-4.0], [0.3], [6.0]], 20_000),
+        # 2-D drifts with off-diagonal coefficients: each row's drift is formed alone
+        (OUJump(H=[[-1.0, 0.4], [-0.3, -2.0]], levy=LevyMeasureSpec(a_L=np.eye(2))),
+         _STABLE_2D_V, _GRID_2D, 2000),
+        (_NETWORK_2D, _STABLE_2D_V, _GRID_2D, 2000),
     ],
-    ids=["stable-quadrature", "isotropic-mc", "atoms", "subordinator"],
+    ids=["stable-quadrature", "isotropic-mc", "atoms", "subordinator", "ou-2d-drift",
+         "piecewise-ou-2d-drift"],
 )
 def test_batched_generator_equals_per_point_calls(spec, fn, grid, samples):
     grid = np.array(grid)
