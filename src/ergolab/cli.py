@@ -53,7 +53,7 @@ from .errors import (
     NotDissipativeError,
     SizeError,
 )
-from .lowerbound import LipschitzFn, LowerBoundInstance, lower_bound_curve
+from .lowerbound import LowerBoundInstance, lower_bound_curve
 from .lyapunov import (
     ExpNorm,
     PolyNorm,
@@ -123,9 +123,6 @@ __all__ = [
     "main",
 ]
 
-_MAX_TRUNCATION = 2**22
-
-
 def _within(count: float, budget: int, what: str) -> None:
     """Refuse, with SizeError, an array of ``count`` elements above ``budget``."""
     if count > budget:
@@ -190,9 +187,8 @@ class Sinkhorn:
 # A reference kind builds the target measure of an experiment, ``measure(cfg)``,
 # and ``redraw(cfg, ref)``, an independent sample of it.  The distance between
 # the two is the noise floor: the value at which a perfectly converged curve
-# bottoms out.  ``atoms(cfg)`` is the size of the measure, or None where it is
-# found only while the measure is built; ``sim_grid`` the time grid each of
-# the two simulates, or None.
+# bottoms out.  ``atoms(cfg)`` is the size of the measure, known when the
+# config is read; ``sim_grid`` the time grid each of the two simulates, or None.
 
 
 @dataclass(frozen=True)
@@ -211,13 +207,16 @@ class ExactInvariant:
             )
         _within(self.quantile_points, QUANTILE_MAX_POINTS, "reference.quantile_points")
 
-    def atoms(self, cfg: ExperimentConfig) -> int | None:
-        # the chain's truncation doubles until its tail test passes
-        return None if cfg.process.exact_invariant() == "chain" else self.quantile_points
+    def atoms(self, cfg: ExperimentConfig) -> int:
+        if cfg.process.exact_invariant() != "chain":
+            return self.quantile_points
+        atoms = cfg.process.table_truncation() + 1
+        _within(atoms, QUANTILE_MAX_POINTS, "the chain's reference table")
+        return atoms
 
     def measure(self, cfg: ExperimentConfig) -> EmpiricalMeasure:
         if cfg.process.exact_invariant() == "chain":
-            return _chain_invariant(cfg.process)
+            return invariant_exact(cfg.process, cfg.process.table_truncation())
         # midpoint quantiles of the centred Gaussian invariant law
         k = self.quantile_points
         quantiles = special.ndtri((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
@@ -310,7 +309,7 @@ class ExperimentConfig:
             self.n_paths * (len(t_grid) + 1) * self.process.dim, PATH_MAX_VALUES, "the path block"
         )
         atoms = self.reference.atoms(self)
-        if self.distance.max_cells is not None and atoms is not None:
+        if self.distance.max_cells is not None:
             _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
         if self.bracket_params is not None and self.bracket is None:
             raise ConfigError("bracket_params supplied without a bracket")
@@ -740,19 +739,6 @@ def _derive_seed(seed: int, tag: str) -> int:
     return int(digest[:16], 16)
 
 
-def _chain_invariant(spec, truncation: int = 1024) -> EmpiricalMeasure:
-    """The chain's tabulated invariant law, doubling ``truncation`` until its
-    tail passes the test of :func:`invariant_exact`, up to ``_MAX_TRUNCATION``."""
-    while truncation <= _MAX_TRUNCATION:
-        try:
-            return invariant_exact(spec, truncation)
-        except ConfigError:
-            truncation *= 2
-    raise ConfigError(
-        f"the invariant law needs a truncation above the limit {_MAX_TRUNCATION}"
-    )
-
-
 def _curve_grid(t_grid) -> np.ndarray:
     """The grid a curve simulates: ``t_grid``, from ``t = 0``."""
     grid = np.array(t_grid, dtype=float)
@@ -1088,26 +1074,17 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
         s_grid = np.geomspace(lo, hi, points)
     else:
         s_grid = _vector(s_obj, "s_grid")
+    # the tails are exact at every level; ``truncation`` once sized a table
+    # they were read from, and is still accepted, but has no effect
     trunc = data.get("truncation", "auto")
-    if trunc == "auto":
-        # the tabulated law must reach the largest level, or its tail there is 0
-        start = 1024
-        while start < np.max(s_grid, initial=0.0) and start <= _MAX_TRUNCATION:
-            start *= 2
-        pi = _chain_invariant(spec, start)
-    else:
-        truncation = _as_int(trunc, "truncation")
-        if truncation > _MAX_TRUNCATION:
-            raise ConfigError(
-                f"truncation {truncation} exceeds the limit {_MAX_TRUNCATION} of tabulated states"
-            )
-        pi = invariant_exact(spec, truncation)
+    if trunc != "auto" and _as_int(trunc, "truncation") < 1:
+        raise DomainError(f"truncation must be 'auto' or a positive integer, got {trunc}")
     params = _from_json("lower params", data["params"])
     theta_v = _as_float(data.get("lyapunov_exponent", params.theta), "lyapunov_exponent")
     lip = _as_float(data.get("lipschitz", 1.0), "lipschitz")
     inst = LowerBoundInstance(
-        pi=pi,
-        L=LipschitzFn(fn=lambda pts: np.abs(np.asarray(pts, dtype=float)[:, 0]), lip=lip),
+        tail=spec.tail,
+        lip=lip,
         lyapunov=lambda x: 1.0 + float(np.abs(np.asarray(x, dtype=float).ravel()[0])) ** theta_v,
         c=_as_float(data["c"], "c"),
         b=_as_float(data["b"], "b"),

@@ -32,50 +32,31 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InsufficientTailError
 from .rates import LowerRateParams
-from .wasserstein import EmpiricalMeasure
 
 __all__ = [
-    "LipschitzFn",
     "LowerBoundCurve",
     "LowerBoundInstance",
     "lower_bound_curve",
-    "select_sn",
-    "tail_mass",
 ]
-
-
-@dataclass(frozen=True)
-class LipschitzFn:
-    """Observable with a recorded Lipschitz constant.
-
-    ``fn`` maps a ``(k, n)`` array of points to ``k`` values.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    lip: float
-
-    def __post_init__(self):
-        if not callable(self.fn):
-            raise ConfigError("L must be callable on point arrays")
-        if not self.lip > 0:
-            raise DomainError(f"Lipschitz constant must be positive, got {self.lip}")
 
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
     """Everything the lower-bound construction needs.
 
-    ``pi`` is the (exact-discrete or empirical) invariant measure, ``L`` the
-    Lipschitz observable, and ``lyapunov`` is evaluated only at ``x0``.  The
-    growth constants assert ``V >= c L^theta`` and ``phi(V) >= c L^vartheta``
+    ``tail`` maps an array of levels ``s`` to the invariant tail
+    ``pi(L > s)`` of the observable ``L`` (read at the grid levels only, so
+    an exact tail such as the chain's closed form holds at any level), and
+    ``lip`` is ``L``'s Lipschitz constant.  ``lyapunov`` is evaluated only
+    at ``x0``.  The growth constants assert ``V >= c L^theta`` and ``phi(V) >= c L^vartheta``
     with the exponents carried by ``params``; ``b`` is the constant in the
     moment bound ``E V(X_t) <= b t + V(x0)``.  The premise that
     ``L^{vartheta + eps}`` is not ``pi``-integrable is a declared modeling
     assertion — only the finite grid inequality is ever verified.
     """
 
-    pi: EmpiricalMeasure
-    L: LipschitzFn
+    tail: Callable[[np.ndarray], np.ndarray]
+    lip: float
     lyapunov: object
     c: float
     b: float
@@ -83,8 +64,10 @@ class LowerBoundInstance:
     x0: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.L, LipschitzFn):
-            raise ConfigError("L must be a LipschitzFn descriptor")
+        if not callable(self.tail):
+            raise ConfigError("tail must be callable on an array of levels")
+        if not self.lip > 0:
+            raise DomainError(f"Lipschitz constant must be positive, got {self.lip}")
         if not self.c > 0:
             raise DomainError(f"growth constant c must be positive, got {self.c}")
         if not self.b > 0:
@@ -99,38 +82,16 @@ class LowerBoundInstance:
         return float(fn(self.x0))
 
 
-def _observable(L) -> Callable[[np.ndarray], np.ndarray]:
-    return L.fn if isinstance(L, LipschitzFn) else L
-
-
-def tail_mass(pi: EmpiricalMeasure, L, s: float) -> float:
-    """``pi(L > s)`` — exact for discrete measures, a fraction for samples."""
-    vals = np.asarray(_observable(L)(pi.points), dtype=float).ravel()
-    return float(pi.weights[vals > s].sum())
-
-
-def _tail_on_grid(pi: EmpiricalMeasure, L, grid: np.ndarray) -> np.ndarray:
-    """``pi(L > s)`` for every ``s`` in ``grid`` via a sorted suffix sum."""
-    vals = np.asarray(_observable(L)(pi.points), dtype=float).ravel()
-    weights = pi.weights
-    # strictly increasing values, as a tabulated law gives, sort to themselves
-    if not np.all(vals[1:] > vals[:-1]):
-        order = np.argsort(vals)
-        vals, weights = vals[order], weights[order]
-    suffix = np.zeros(vals.size + 1)
-    np.cumsum(weights[::-1], out=suffix[-2::-1])
-    return suffix[np.searchsorted(vals, grid, side="right")]
-
-
 def _select(inst: LowerBoundInstance, n_terms: int, s_grid) -> tuple[np.ndarray, np.ndarray]:
-    """The levels :func:`select_sn` returns and their tails ``pi(L > s)``."""
+    """The smallest ``n_terms`` qualifying grid levels and their tails
+    ``pi(L > s)`` (see :func:`lower_bound_curve`)."""
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     grid = np.unique(np.asarray(s_grid, dtype=float).ravel())
     if grid.size == 0 or np.any(grid <= 0):
         raise DomainError("s_grid must contain positive levels")
     par = inst.params
-    tails = _tail_on_grid(inst.pi, inst.L, grid)
+    tails = np.asarray(inst.tail(grid), dtype=float)
     lhs = (grid / 2.0) ** par.p * tails
     rhs = 2.0**par.p * grid ** (par.p - par.vartheta - par.eps_var - par.eps_small)
     qual = np.flatnonzero(lhs >= rhs)
@@ -151,16 +112,6 @@ def _select(inst: LowerBoundInstance, n_terms: int, s_grid) -> tuple[np.ndarray,
         )
     chosen = qual[:n_terms]
     return grid[chosen], tails[chosen]
-
-
-def select_sn(inst: LowerBoundInstance, n_terms: int, s_grid) -> np.ndarray:
-    """Smallest ``n_terms`` grid levels satisfying the tail inequality.
-
-    A level qualifies when ``(s/2)^p pi(L > s) >= 2^p s^{p-vartheta-eps-eps'}``.
-    Raises :class:`InsufficientTailError` (with a diagnostics dict recording
-    the best ratio achieved) when fewer than ``n_terms`` levels qualify.
-    """
-    return _select(inst, n_terms, s_grid)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +139,11 @@ class LowerBoundCurve:
 def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid) -> LowerBoundCurve:
     """Explicit finite-``n`` Wasserstein lower bounds.
 
-    For each qualifying level the bound is the difference of the two ``p``-th
-    roots divided by ``Lip(L)``:
+    Levels qualify on the tails ``inst.tail`` gives at the grid, and the
+    smallest ``n_terms`` of them are kept (:class:`InsufficientTailError`,
+    with the best ratio reached in its diagnostics, when fewer qualify).
+    For each the bound is the difference of the two ``p``-th roots divided
+    by ``Lip(L)``:
 
     ``bound = (1/Lip) [ ((s/2)^p pi(L > s))^{1/p}
     - ((2^{theta-p}/c)(b t + V(x0)))^{1/p} s^{(p-theta)/p} ]``,
@@ -212,5 +166,5 @@ def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid) -> LowerBo
     second = ((2.0 ** (par.theta - par.p) / inst.c) * (inst.b * t + v0)) ** (
         1.0 / par.p
     ) * s ** ((par.p - par.theta) / par.p)
-    bound = (first - second) / inst.L.lip
+    bound = (first - second) / inst.lip
     return LowerBoundCurve(s=s, t=t, bound=bound)

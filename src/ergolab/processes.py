@@ -6,14 +6,17 @@ The module couples two layers:
   (:class:`LevyMeasureSpec`: drift, Gaussian part, jump measure kind) and of a
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
   :class:`BackwardRecurrence`, :class:`GenericIto`), each a
-  :class:`ProcessSpec` that states the facts its callers need;
+  :class:`ProcessSpec` that states the facts its callers need
+  (``BackwardRecurrence`` also its invariant masses and tails in closed
+  form);
 * numerics — :func:`simulate` (one block loop over the family's
-  ``walker``: Euler–Maruyama with exact-in-law noise increments per step;
-  exact recursion for the discrete-time chain), :func:`step_plan` (the
-  steps a path takes, which the walkers follow and the config budgets),
-  :func:`sample_stable` (Chambers–Mallows–Stuck), :func:`invariant_exact`
-  (backward recurrence chain), :func:`ou_exact_transition` (Gaussian marginal
-  of a linear SDE), :func:`piecewise_drift`, and :func:`langevin_coeffs`.
+  ``walker``: Euler–Maruyama with exact-in-law noise increments per step,
+  stable increments by Chambers–Mallows–Stuck; exact recursion for the
+  discrete-time chain), :func:`step_plan` (the steps a path takes, which
+  the walkers follow and the config budgets), :func:`invariant_exact` (the
+  chain's closed-form law tabulated), :func:`ou_exact_transition` (Gaussian
+  marginal of a linear SDE), :func:`piecewise_drift`, and
+  :func:`langevin_coeffs`.
 
 Conventions
 -----------
@@ -79,7 +82,6 @@ __all__ = [
     "TrajectoryBatch",
     "simulate",
     "step_plan",
-    "sample_stable",
     "standard_one_sided_stable",
     "invariant_exact",
     "ou_exact_transition",
@@ -89,6 +91,8 @@ __all__ = [
 ]
 
 _BLOWUP_GUARD = 1e12
+# Tail mass a tabulated chain law may leave out (see :func:`invariant_exact`).
+TABLE_TAIL = 1e-12
 _BLOCK_SIZE = 16384
 
 
@@ -478,6 +482,33 @@ class PiecewiseOU(ProcessSpec):
         return piecewise_drift(self.l, self.M, self.Gamma, self.control.value(x), x)
 
 
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _gamma_ratio(x, m: float) -> np.ndarray:
+    """``Gamma(x + m) / Gamma(x)`` for ``x > 0`` and ``m >= 0``, to about 1e-15.
+
+    scipy's ``poch`` takes a difference of ``gammaln`` values below
+    ``x = 1e4`` and loses up to 3e-11 there for a fractional ``m``.  Here
+    ``x`` is raised to 10 or more by ``Gamma(x + 1) = x Gamma(x)``, and the
+    ratio is ``(x + m)^m`` times the exponential of what is left of the two
+    Stirling series, ``(x - 1/2) log1p(m/x) - m + sum_k c_k ((x + m)^{1-2k}
+    - x^{1-2k})``, which is small, so nothing cancels.
+    """
+    x = np.asarray(x, dtype=float)
+    factor = np.ones_like(x)
+    for _ in range(10):
+        low = x < 10.0
+        factor = np.where(low, factor * x / (x + m), factor)
+        x = np.where(low, x + 1.0, x)
+    y = x + m
+    rest = (x - 0.5) * np.log1p(m / x) - m
+    for k, c in enumerate(_STIRLING, start=1):
+        rest += c * (y ** (1 - 2 * k) - x ** (1 - 2 * k))
+    return factor * y**m * np.exp(rest)
+
+
 @dataclass(frozen=True)
 class BackwardRecurrence(ProcessSpec):
     """Chain on the nonnegative integers: up with probability ``p_i``, else reset to 0.
@@ -485,6 +516,14 @@ class BackwardRecurrence(ProcessSpec):
     ``p_0 = 1``; ``p_i = 1/2`` for ``1 <= i < i0``; ``p_i = 1 - (1+alpha)/i``
     for ``i >= i0`` (reset probability ``(1+alpha)/i``), which produces the
     polynomial invariant tail ``pi(i) ~ C i^{-(1+alpha)}``.
+
+    The invariant law is in closed form.  ``pi(k)`` is ``u_k / Z`` with
+    ``u_0 = 1`` and ``u_k = prod_{j<k} p_j``: ``2^{-(k-1)}`` for
+    ``1 <= k <= i0``, and beyond ``i0`` the product telescopes,
+    ``u_k = 2^{-(i0-1)} Gamma(i0) Gamma(k-1-alpha) / (Gamma(i0-1-alpha) Gamma(k))``,
+    as does its tail, ``sum_{k>=n} u_k = 2^{-(i0-1)} Gamma(i0) Gamma(n-1-alpha)
+    / (Gamma(i0-1-alpha) alpha Gamma(n-1))`` for ``n >= i0``.  Each Gamma
+    ratio is one :func:`_gamma_ratio`.
     """
 
     discrete_time: ClassVar[bool] = True
@@ -506,6 +545,45 @@ class BackwardRecurrence(ProcessSpec):
             1.0,
             np.where(i < self.i0, 0.5, 1.0 - (1.0 + self.alpha) / np.maximum(i, 1.0)),
         )
+
+    def mass(self, k) -> np.ndarray:
+        """``pi(k)`` at the integer states ``k``."""
+        k = np.asarray(k, dtype=float)
+        far = np.maximum(k, self.i0) - 1.0 - self.alpha
+        u = np.where(
+            k <= self.i0,
+            2.0 ** (1.0 - np.maximum(k, 1.0)),
+            self._scale() / _gamma_ratio(far, 1.0 + self.alpha),
+        )
+        return u / self._upper(0.0)
+
+    def tail(self, s) -> np.ndarray:
+        """``pi(X > s)`` at every real level ``s``."""
+        return self._upper(np.floor(s) + 1.0) / self._upper(0.0)
+
+    def table_truncation(self) -> int:
+        """The last state of the reference table: the first ``1024 * 2^k``
+        whose tail is at most ``TABLE_TAIL``.  The tail falls like
+        ``s^{-alpha}`` with ``alpha > 1``, so the doubling ends."""
+        n = 1024
+        while self.tail(n) > TABLE_TAIL:
+            n *= 2
+        return n
+
+    def _scale(self) -> float:
+        # u_k Gamma(k) / Gamma(k-1-alpha) for k >= i0
+        return 2.0 ** (1 - self.i0) * _gamma_ratio(self.i0 - 1.0 - self.alpha, 1.0 + self.alpha)
+
+    def _upper(self, n) -> np.ndarray:
+        """``sum_{k>=n} u_k`` at integer ``n``: the closed-form sum from
+        ``max(n, i0)`` on, the geometric states ``max(n, 1) .. i0-1`` and
+        ``u_0``."""
+        n = np.asarray(n, dtype=float)
+        far = self._scale() / (
+            self.alpha * _gamma_ratio(np.maximum(n, self.i0) - 1.0 - self.alpha, self.alpha)
+        )
+        head = 2.0 ** (2.0 - np.clip(n, 1.0, self.i0)) - 2.0 ** (2 - self.i0)
+        return far + head + (n <= 0)
 
     def check_start(self, x0) -> None:
         super().check_start(x0)
@@ -586,22 +664,6 @@ def _cms(alpha: float, skew: float, rng: np.random.Generator, size) -> np.ndarra
     )
 
 
-def sample_stable(alpha: float, skew: float, scale: float, n: int, seed: int) -> np.ndarray:
-    """Stable samples via the Chambers–Mallows–Stuck transform.
-
-    ``alpha = 2`` degenerates to a centered Gaussian with variance
-    ``2 * scale**2``; ``alpha = 1, skew = 0`` is Cauchy; ``alpha < 1, skew = 1``
-    is spectrally positive (all samples positive).
-    """
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError(f"alpha must lie in (0,2], got {alpha}")
-    if not -1.0 <= skew <= 1.0:
-        raise DomainError(f"skew must lie in [-1,1], got {skew}")
-    if not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    return scale * _cms(alpha, skew, _block_rng(seed, 0), int(n))
-
-
 def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """One-sided stable with Laplace transform ``E[exp(-u S)] = exp(-u^alpha)``.
 
@@ -625,7 +687,7 @@ CSV_MAX_VALUES = 2_000_000  # trajectory CSV: paths x grid times x dimension
 PATH_MAX_VALUES = 50_000_000  # experiment path block: paths x grid times x dimension
 BOOT_MAX_VALUES = 10_000_000  # couple bootstrap table: n_boot x grid times
 LEVEL_MAX_POINTS = 1_000_000  # lower s_grid levels
-QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference quantile_points
+QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference atoms
 CLOCK_MAX_SAMPLES = 10_000_000  # subordinate n_mc, clock samples per time
 DRIFT_MAX_NODES = 50_000_000  # driftcheck grid points x (1 + jump nodes per point)
 JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one point's batch
@@ -837,63 +899,22 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _recurrence_series(spec: BackwardRecurrence, n_terms: int):
-    """Unnormalized masses u_i = prod_{j=1}^{i-1} p_j for i >= 1 (u_1 = 1).
-
-    Built in one array, ``u[i-1]`` for state ``i``, and returned read-only:
-    the last series is cached, so truncations that need the same number of
-    terms share it.
-    """
-    u = np.arange(n_terms, dtype=float)
-    p = u[1:]  # p[j-1] = p_j, formed in place from j
-    np.divide(1.0 + spec.alpha, p, out=p)
-    np.subtract(1.0, p, out=p)
-    p[: spec.i0 - 1] = 0.5
-    u[0] = 1.0
-    np.multiply.accumulate(p, out=p)
-    u.flags.writeable = False
-    return u
-
-
 def invariant_exact(spec: BackwardRecurrence, truncation: int):
-    """Exact invariant distribution on {0, ..., truncation}, renormalized.
+    """The chain's invariant law tabulated on {0, ..., truncation}, renormalized.
 
-    Raises :class:`ConfigError` when the truncated tail mass exceeds 1e-12 of
-    the total.
+    Raises :class:`ConfigError` when the tail ``pi(X > truncation)`` left out
+    exceeds ``TABLE_TAIL``.
     """
     from .wasserstein import EmpiricalMeasure
 
     if truncation < 2:
         raise ConfigError("truncation must be at least 2")
-    n_terms = max(4 * truncation, 2_000_000)
-    u = _recurrence_series(spec, n_terms)
-    # c = sum_{m>=1} prod_{j=1}^m p_j; since u[i-1] = prod_{j=1}^{i-1} p_j the
-    # series terms are u[1], u[2], ...
-    series_terms = u[1:]
-    c_partial = float(series_terms.sum())
-    # tail completion: terms decay like C m^{-(1+alpha)}; complete with the
-    # Euler-Maclaurin head of sum_{m > N} C m^{-(1+alpha)}
-    last = float(series_terms[-1])
-    n_last = float(n_terms - 1)
-    s = 1.0 + spec.alpha
-    coef = last * n_last**s
-    tail = coef * (n_last ** (1.0 - s) / (s - 1.0) - n_last ** (-s) / 2.0)
-    c = c_partial + tail
-    norm = 2.0 + c
-    masses = np.empty(truncation + 1)
-    masses[0] = 1.0
-    masses[1] = 1.0
-    masses[2 : truncation + 1] = u[1:truncation]
-    # mass beyond the truncation: exact partial sum plus the same completion
-    tail_mass = (float(u[truncation:].sum()) + tail) / norm
-    if tail_mass > 1e-12:
-        raise ConfigError(
-            f"truncation {truncation} leaves tail mass ~{tail_mass:.2e} > 1e-12"
-        )
-    masses /= norm
-    masses /= masses.sum()
+    tail = spec.tail(truncation)
+    if tail > TABLE_TAIL:
+        raise ConfigError(f"truncation {truncation} leaves tail mass ~{tail:.2e} > {TABLE_TAIL}")
     points = np.arange(truncation + 1, dtype=float)[:, None]
+    masses = spec.mass(points[:, 0])
+    masses /= masses.sum()
     # frozen here, the measure shares both arrays instead of copying them
     masses.flags.writeable = False
     points.flags.writeable = False

@@ -25,7 +25,7 @@ from ergolab.coupling import (
     prop35_cp,
     synchronous_pair_sim,
 )
-from ergolab.lowerbound import LipschitzFn, LowerBoundInstance, lower_bound_curve
+from ergolab.lowerbound import LowerBoundInstance, lower_bound_curve
 from ergolab.lyapunov import (
     CustomFn,
     ExpNorm,
@@ -44,7 +44,6 @@ from ergolab.processes import (
     LevyMeasureSpec,
     OUJump,
     PiecewiseOU,
-    invariant_exact,
     simulate,
 )
 from ergolab.rates import (
@@ -390,19 +389,18 @@ def test_criterion_05_subexponential_bracket(chain_experiment):
 
     # (b) explicit lower bounds at the constructed times: the level-to-time
     # map is inverted so the matched times land exactly on the small integer
-    # grid points, and the invariant law is resolved far beyond the top level
+    # grid points, and the invariant tail is exact at every level
     theta = CHAIN_PARAMS.theta
     v_scalar = lambda i: 1.0 + float(i) ** theta
     b = _exact_drift_constant(spec, v_scalar)
     assert b > 0
-    pi = invariant_exact(spec, 2**22)
     delta = theta - CHAIN_PARAMS.vartheta - CHAIN_PARAMS.eps_var - CHAIN_PARAMS.eps_small
     levels = np.array(
         [((b * k + v_scalar(0)) * 2.0 ** (theta - 1.0)) ** (1.0 / delta) for k in (1, 2, 3, 4, 5)]
     )
     instance = LowerBoundInstance(
-        pi=pi,
-        L=LipschitzFn(fn=lambda pts: np.abs(np.asarray(pts, dtype=float)[:, 0]), lip=1.0),
+        tail=spec.tail,
+        lip=1.0,
         lyapunov=lambda x: 1.0 + abs(float(np.asarray(x, dtype=float).ravel()[0])) ** theta,
         c=1.0,
         b=b,

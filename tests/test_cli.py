@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,6 @@ from ergolab.cli import (
     RateFit,
     Sinkhorn,
     W1D,
-    _chain_invariant,
     config_hash,
     config_to_dict,
     fit_rate,
@@ -32,7 +32,6 @@ from ergolab.errors import (
     DomainError,
     SizeError,
 )
-from ergolab.processes import BackwardRecurrence, invariant_exact
 from ergolab.wasserstein import EmpiricalMeasure
 
 
@@ -838,8 +837,27 @@ def test_config_refuses_a_cost_matrix_above_the_budget():
             parse_experiment_config(
                 _ou_config(distance=distance, n_paths=n_paths + 1, reference=reference)
             )
+    # the chain's table holds 8,193 states at alpha = 3, i0 = 5: 511 x 8,193 <= 2^22
+    sinkhorn = {"kind": "sinkhorn", "epsilon": 0.1}
+    parse_experiment_config(_chain_config(distance=sinkhorn, n_paths=511))
+    with pytest.raises(SizeError):
+        parse_experiment_config(_chain_config(distance=sinkhorn, n_paths=512))
     # w1d forms no cost matrix
     parse_experiment_config(_ou_config(n_paths=10**5, reference={"kind": "exact_invariant"}))
+
+
+def test_cli_chain_reference_above_budget_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    # at alpha = 1.5 the tail falls below 1e-12 only past 1.6e7 states, above
+    # the 10^7 reference atoms; the table size is known when the config is read
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized reference must be refused before anything is built")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    monkeypatch.setattr("ergolab.cli.invariant_exact", never)
+    payload = _chain_config(process={"family": "backward_recurrence", "alpha": 1.5, "i0": 3})
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "reference table" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_deterministic_csv(tmp_path):
@@ -1099,28 +1117,49 @@ def test_cli_lower_bound_curve(tmp_path):
     assert main(["lower", "--config", cfg_bad, "--out-dir", str(tmp_path)]) == 3
 
 
+def _mp_lower_bounds(payload, rows):
+    """50-digit bounds at the levels and times of ``rows``, from the chain's
+    invariant tail in closed form (the sum of Gamma ratios telescopes)."""
+    with mpmath.workdps(50):
+        a, i0 = mpmath.mpf(payload["process"]["alpha"]), payload["process"]["i0"]
+        par = {k: mpmath.mpf(v) for k, v in payload["params"].items()}
+        scale = mpmath.mpf(2) ** (1 - i0) * mpmath.gamma(i0) / mpmath.gamma(i0 - 1 - a)
+
+        def upper(n):  # sum_{k >= n} u_k for n >= i0
+            return scale * mpmath.gamma(n - 1 - a) / (a * mpmath.gamma(n - 1))
+
+        z = 1 + mpmath.fsum(mpmath.mpf(2) ** (1 - k) for k in range(1, i0)) + upper(i0)
+        bounds = []
+        for row in rows:
+            s, t = mpmath.mpf(row[1]), mpmath.mpf(row[2])
+            tail = upper(mpmath.floor(s) + 1) / z
+            p, theta = par["p"], par["theta"]
+            # V(x0) = 1 + 0^theta = 1 at x0 = 0
+            second = ((2 ** (theta - p) / payload["c"]) * (payload["b"] * t + 1)) ** (1 / p)
+            bounds.append(((s / 2) ** p * tail) ** (1 / p) - second * s ** ((p - theta) / p))
+        return bounds
+
+
 def test_cli_lower_auto_truncation_reaches_the_levels(tmp_path):
-    auto, explicit = tmp_path / "auto", tmp_path / "explicit"
-    auto.mkdir(), explicit.mkdir()
-    cfg = _write(tmp_path / "auto.json", _lower_config(truncation="auto"))
-    assert main(["lower", "--config", cfg, "--out-dir", str(auto)]) == 0
-    # levels up to 1e5: the doubling starts at 2^17 = 131072, where the tail test passes
-    cfg = _write(tmp_path / "explicit.json", _lower_config(truncation=131072))
-    assert main(["lower", "--config", cfg, "--out-dir", str(explicit)]) == 0
-    assert (auto / "lower.csv").read_bytes() == (explicit / "lower.csv").read_bytes()
-    # levels beyond 2^22 states would need a larger table than the cap allows
-    cfg = _write(tmp_path / "far.json", _lower_config(s_grid=[1e4, 1e7]))
-    assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-
-
-def test_cli_lower_refuses_truncation_above_the_cap(tmp_path, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("invariant_exact must not run for a truncation above the cap")
-
-    monkeypatch.setattr("ergolab.cli.invariant_exact", never)
-    cfg = _write(tmp_path / "huge.json", _lower_config(truncation=2**30))
-    assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-    assert not (tmp_path / "lower.csv").exists()
+    # the tails are exact at every level, so levels up to 10^9 are reached,
+    # and ``truncation`` is accepted but changes nothing
+    far = _lower_config(s_grid=[1e4, 1e7, 1e9])
+    outputs = []
+    for truncation in ("auto", 65536, 2**22):
+        out = tmp_path / str(truncation)
+        out.mkdir()
+        cfg = _write(out / "lower.json", {**far, "truncation": truncation})
+        assert main(["lower", "--config", cfg, "--out-dir", str(out)]) == 0
+        outputs.append((out / "lower.csv").read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    rows = [r.split(",") for r in outputs[0].decode().strip().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [1e4, 1e7, 1e9]
+    for row, want in zip(rows, _mp_lower_bounds(far, rows)):
+        assert abs(float(row[3]) - want) <= 1e-13 * abs(want)
+    # anything but "auto" or a positive integer is still refused
+    for bad in ("big", 1.5, 0, -4):
+        cfg = _write(tmp_path / "bad.json", _lower_config(truncation=bad))
+        assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
 
 def _sha256(path):
@@ -1129,7 +1168,8 @@ def _sha256(path):
 
 def test_cli_chain_outputs_are_pinned(tmp_path):
     # digests of the artifacts as the float-state recursion and the
-    # per-truncation series computed them
+    # closed-form invariant law computed them; the lower.csv bounds agree
+    # with 50-digit mpmath to 1e-15 (a 65536-state table cut 0.4 % off them)
     cfg = _write(tmp_path / "experiment.json", _chain_config())
     assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "distances.csv") == (
@@ -1138,7 +1178,7 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     cfg = _write(tmp_path / "lower.json", _lower_config(truncation=65536))
     assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "lower.csv") == (
-        "256a5c219fcc36f26c42cd74be055b559e0073a3c4278d2b4645ccd09e364adc"
+        "47b571ea69405b25906ed1da6174fbc3949a15238a3dd11a024b775eaf6c0e0c"
     )
 
 
@@ -1201,14 +1241,6 @@ def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, a
     cfg = _write(tmp_path / f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / artifact) == digest
-
-
-def test_chain_invariant_doubles_to_the_first_passing_truncation():
-    spec = BackwardRecurrence(alpha=3.0, i0=5)
-    # 1024, 2048 and 4096 leave too much tail mass for alpha = 3
-    law, direct = _chain_invariant(spec), invariant_exact(spec, 8192)
-    assert np.array_equal(law.points, direct.points)
-    assert np.array_equal(law.weights, direct.weights)
 
 
 def test_cli_subordinate(tmp_path):

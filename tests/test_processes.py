@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,12 +24,13 @@ from ergolab.processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
+    _block_rng,
+    _cms,
     invariant_exact,
     langevin_coeffs,
     langevin_density,
     ou_exact_transition,
     piecewise_drift,
-    sample_stable,
     sigma_at,
     simulate,
     standard_one_sided_stable,
@@ -131,29 +133,20 @@ def test_langevin_validation():
 
 
 def test_stable_alpha2_is_gaussian_variance():
-    x = sample_stable(alpha=2.0, skew=0.0, scale=0.7, n=1_000_000, seed=11)
+    x = 0.7 * _cms(2.0, 0.0, _block_rng(11, 0), 1_000_000)
     assert np.var(x) == pytest.approx(2 * 0.7**2, rel=0.02)
     assert np.mean(x) == pytest.approx(0.0, abs=0.01)
 
 
 def test_stable_alpha1_is_cauchy():
-    x = sample_stable(alpha=1.0, skew=0.0, scale=1.0, n=1_000_000, seed=7)
+    x = _cms(1.0, 0.0, _block_rng(7, 0), 1_000_000)
     stat = kstest(x, "cauchy").statistic
     assert stat < 0.005
 
 
 def test_stable_one_sided_positive():
-    x = sample_stable(alpha=0.5, skew=1.0, scale=1.0, n=100_000, seed=3)
+    x = _cms(0.5, 1.0, _block_rng(3, 0), 100_000)
     assert np.all(x > 0)
-
-
-def test_stable_domain_checks():
-    with pytest.raises(DomainError):
-        sample_stable(alpha=2.5, skew=0.0, scale=1.0, n=10, seed=0)
-    with pytest.raises(DomainError):
-        sample_stable(alpha=1.0, skew=2.0, scale=1.0, n=10, seed=0)
-    with pytest.raises(DomainError):
-        sample_stable(alpha=1.0, skew=0.0, scale=-1.0, n=10, seed=0)
 
 
 def test_standard_one_sided_stable_laplace_transform():
@@ -191,6 +184,56 @@ def test_invariant_exact_tail_gate():
     spec = BackwardRecurrence(alpha=2.0, i0=4)
     with pytest.raises(ConfigError):
         invariant_exact(spec, truncation=100)
+
+
+@pytest.mark.parametrize("alpha, i0", [(3.0, 5), (2.5, 4), (2.0, 4), (1.5, 3)])
+def test_backward_recurrence_closed_form_matches_mpmath(alpha, i0):
+    # 40-digit oracle: u_k = prod_{j<k} p_j multiplied out below k = 40, and
+    # the Gamma ratios beyond; the tail sum_{k>=n} u_k is checked to telescope
+    # to the masses before the closed form is compared with it
+    spec = BackwardRecurrence(alpha=alpha, i0=i0)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        scale = mpmath.mpf(2) ** (1 - i0) * mpmath.gamma(i0) / mpmath.gamma(i0 - 1 - a)
+
+        def u(k):
+            if k < 40:
+                ps = [mpmath.mpf(1) / 2 if j < i0 else 1 - (1 + a) / j for j in range(1, k)]
+                return mpmath.fprod([mpmath.mpf(1)] + ps)
+            return scale * mpmath.gamma(k - 1 - a) / mpmath.gamma(k)
+
+        def upper(n):
+            m = max(n, i0)
+            head = mpmath.fsum(u(k) for k in range(max(n, 0), m))
+            return head + scale * mpmath.gamma(m - 1 - a) / (a * mpmath.gamma(m - 1))
+
+        for n in (i0, 39, 40, 10**6):
+            assert abs(upper(n) - upper(n + 1) - u(n)) <= mpmath.mpf(10) ** -30 * u(n)
+        z = upper(0)
+        assert abs(1.0 / float(spec.mass(0)) - z) <= 1e-13 * z
+        states = [0, 1, 2, i0 - 1, i0, i0 + 1, 39, 40, 10**3, 10**6, 10**9]
+        for k, got in zip(states, spec.mass(states)):
+            want = u(k) / z
+            assert abs(got - want) <= 1e-13 * want
+        levels = [-0.5] + [0.5 * j for j in range(2 * i0 + 2)]
+        levels += np.geomspace(i0 + 1, 1e9, 30).tolist()
+        for s, got in zip(levels, spec.tail(np.array(levels))):
+            want = upper(math.floor(s) + 1) / z
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_backward_recurrence_tail_constant():
+    # pi(X > s) ~ C s^{-alpha} with C = 0.169 at alpha = 3, i0 = 5
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    assert abs(1e18 * spec.tail(1e6) - 0.169) <= 1e-3
+
+
+def test_backward_recurrence_masses_halve_below_i0():
+    # u_k = prod_{j<k} p_j: 1, p_1, p_1 p_2, ... with p_j = 1/2 below i0
+    spec = BackwardRecurrence(alpha=2.0, i0=4)
+    m = spec.mass(np.arange(1, 6))
+    assert np.array_equal(m / m[0], [1.0, 0.5, 0.25, 0.125, 0.125 * (1.0 - 3.0 / 4.0)])
+    assert spec.mass(0) == m[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +574,6 @@ def test_backward_recurrence_refuses_non_integer_starts():
             simulate(spec, bad, [0, 1], n_paths=2, seed=0)
     batch = simulate(spec, [12.0], [0, 1], n_paths=4, seed=0)
     assert np.all(batch.paths[:, 0, 0] == 12.0)
-
-
-def test_recurrence_series_is_cached_and_read_only():
-    from ergolab.processes import _recurrence_series
-
-    spec = BackwardRecurrence(alpha=2.0, i0=4)
-    u = _recurrence_series(spec, 1000)
-    assert _recurrence_series(spec, 1000) is u
-    assert not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0] = 2.0
-    # u[i-1] = prod_{j<i} p_j: 1, p_1, p_1 p_2, ... with p_j = 1/2 below i0
-    assert np.array_equal(u[:5], [1.0, 0.5, 0.25, 0.125, 0.125 * (1.0 - 3.0 / 4.0)])
 
 
 def test_backward_recurrence_occupation_matches_invariant():
