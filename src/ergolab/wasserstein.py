@@ -6,10 +6,13 @@ Three independent routes to the same number are kept deliberately separate:
   breakpoints (no optimization, pure order statistics);
 * :func:`w_exact_lp` — exact optimal plan on the bipartite transport polytope
   (simplex on the flattened LP), desk-scale guarded;
-* :func:`sinkhorn` — log-domain entropic regularization (Schmitzer 2019),
-  reporting the cost of the rounded, exactly feasible plan together with
-  epsilon and the marginal-violation trace.  That plan is a coupling, so the
-  cost bounds ``W_p^p`` from above.
+* :func:`sinkhorn` — entropic regularization by the stabilized scaling
+  iteration (Schmitzer 2019): two matrix-vector products an iteration on a
+  kernel that absorbs the log potentials, with a half-step redone in the log
+  domain whenever a scaling leaves a fixed range.  It reports the cost of
+  the rounded, exactly feasible plan together with epsilon and the
+  marginal-violation trace.  That plan is a coupling, so the cost bounds
+  ``W_p^p`` from above.
 
 :func:`w2_gaussian` supplies the closed-form Gaussian distance used as an
 oracle by the experiment layer.
@@ -48,6 +51,11 @@ _SINKHORN_SIZE_GUARD = 2**22
 # annealing schedule of sinkhorn_annealed: epsilon times 3^9, 3^8, ..., 1
 _N_STAGES = 10
 _STAGE_FACTOR = 3.0
+# a scaling that leaves [e^-tau, e^tau] (or is not finite) sends its
+# half-step back to the log domain, which absorbs it into the kernel; so a
+# kernel entry stays within e^(2 tau) = e^100 of its plan entry, far inside
+# the range of a double
+_SCALING_TAU = 50.0
 
 
 def _frozen(a) -> np.ndarray:
@@ -215,6 +223,7 @@ class SinkhornResult:
     log_u: np.ndarray
     log_v: np.ndarray
     converged: bool
+    absorptions: int
 
 
 def _round_to_feasible(plan, a, b):
@@ -238,37 +247,80 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
     (by 0 where that maximum is not finite, as ``scipy.special.logsumexp``)."""
     top = m.max(axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    shifted = m - top
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(m - top).sum(axis=axis))
+        out = np.log(np.exp(shifted, out=shifted).sum(axis=axis))
     return out + top.reshape(out.shape)
+
+
+def _bounded(scaling: np.ndarray) -> bool:
+    """Every entry of ``scaling`` lies in ``[e^-tau, e^tau]`` (false on NaN)."""
+    bound = math.exp(_SCALING_TAU)
+    return bool(1.0 / bound <= scaling.min() and scaling.max() <= bound)
+
+
+def _kernel(mr, u, v):
+    """The Gibbs kernel with the log potentials absorbed, ``exp(mr + u_i + v_j)``."""
+    kernel = np.add(mr, u[:, None])
+    kernel += v[None, :]
+    return np.exp(kernel, out=kernel)
 
 
 def _sinkhorn_raw(cost, loga, logb, epsilon, max_iter, tol, warm=None):
     mr = -cost / epsilon
     a, b = np.exp(loga), np.exp(logb)
     u = np.zeros_like(loga) if warm is None else warm[0].copy()
-    v = np.zeros_like(logb) if warm is None else warm[1].copy()
+    # the potentials are u + log(alpha), v + log(beta): (u, v) sit in the
+    # kernel and each half-step updates a scaling by one matrix-vector
+    # product, an einsum, which sums in a fixed order (a threaded BLAS gemv
+    # splits its sums by the thread count).  The first v-update is exact, so
+    # the kernel's columns hold the b_j whatever the warm start
+    v = logb - _logsumexp(mr + u[:, None], axis=0)
+    kernel = _kernel(mr, u, v)
+    alpha, beta = np.ones_like(a), np.ones_like(b)
+    col = None
+    absorptions = 0
     trace: list[float] = []
     violation = math.inf
     it = 0
-    # each half-step fixes one marginal; after the u-update the plan's column
-    # sums are exp(v + col), with the col that the next v-update needs anyway
-    col = _logsumexp(mr + u[:, None], axis=0)
-    for it in range(1, max_iter + 1):
-        v = logb - col
-        row = _logsumexp(mr + v[None, :], axis=1)
-        u = loga - row
-        col = _logsumexp(mr + u[:, None], axis=0)
-        if it % 5 == 0 or it == max_iter:
-            violation = float(
-                np.abs(np.exp(u + row) - a).sum() + np.abs(np.exp(v + col) - b).sum()
-            )
-            trace.append(violation)
-            if violation < tol:
-                break
-    plan = _round_to_feasible(np.exp(mr + u[:, None] + v[None, :]), a, b)
+    with np.errstate(divide="ignore", over="ignore"):
+        for it in range(1, max_iter + 1):
+            if col is not None:
+                beta = b / col
+                if not _bounded(beta):
+                    # a column mass left the range: redo the half-step
+                    # exactly and absorb it into the kernel
+                    u += np.log(alpha)
+                    v = logb - _logsumexp(mr + u[:, None], axis=0)
+                    kernel = _kernel(mr, u, v)
+                    alpha, beta = np.ones_like(a), np.ones_like(b)
+                    absorptions += 1
+            row = np.einsum("ij,j->i", kernel, beta)
+            alpha = a / row
+            if not _bounded(alpha):
+                v += np.log(beta)
+                log_row = _logsumexp(mr + v[None, :], axis=1)
+                u = loga - log_row
+                kernel = _kernel(mr, u, v)
+                alpha, beta = np.ones_like(a), np.ones_like(b)
+                absorptions += 1
+                # the plan's row sums, as the log-domain half-step gives them
+                row_mass = np.exp(u + log_row)
+            else:
+                row_mass = alpha * row
+            # the plan's column sums are beta * col, with the col that the
+            # next v-update needs anyway
+            col = np.einsum("i,ij->j", alpha, kernel)
+            if it % 5 == 0 or it == max_iter:
+                violation = float(np.abs(row_mass - a).sum() + np.abs(beta * col - b).sum())
+                trace.append(violation)
+                if violation < tol:
+                    break
+    kernel *= alpha[:, None]
+    kernel *= beta[None, :]
+    plan = _round_to_feasible(kernel, a, b)
     raw_cost = float(np.sum(plan * cost))
-    return raw_cost, u, v, it, violation, trace
+    return raw_cost, u + np.log(alpha), v + np.log(beta), it, violation, trace, absorptions
 
 
 def sinkhorn(
@@ -280,7 +332,15 @@ def sinkhorn(
     tol: float = 1e-9,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SinkhornResult:
-    """Log-domain Sinkhorn for cost ``d^p``; stops on marginal L1 violation < tol.
+    """Stabilized Sinkhorn for cost ``d^p``; stops on marginal L1 violation < tol.
+
+    Each iteration updates the scalings ``beta = b / (K^T alpha)`` and
+    ``alpha = a / (K beta)`` on the kernel ``K = exp(-C/epsilon + u_i + v_j)``.
+    The first half-step, and any half-step whose scaling leaves
+    ``[e^-tau, e^tau]`` or is not finite, is taken exactly in the log domain
+    and absorbed into ``(u, v)``; ``absorptions`` counts the latter, each a
+    kernel rebuild.  ``log_u``/``log_v`` are the full log potentials, the
+    form ``warm_start`` takes.
 
     The reported cost is evaluated on the final plan after rounding it onto
     the transport polytope (rows/columns scaled to their targets, residual on
@@ -300,7 +360,7 @@ def sinkhorn(
     cost = _cost_matrix(mu_p, nu_p, p)
     loga = np.log(mu_p.weights)
     logb = np.log(nu_p.weights)
-    raw_cost, u, v, it, violation, trace = _sinkhorn_raw(
+    raw_cost, u, v, it, violation, trace, absorptions = _sinkhorn_raw(
         cost, loga, logb, epsilon, max_iter, tol, warm=warm_start
     )
     result = SinkhornResult(
@@ -313,6 +373,7 @@ def sinkhorn(
         log_u=u,
         log_v=v,
         converged=violation < tol,
+        absorptions=absorptions,
     )
     if not result.converged:
         raise NonConvergenceError(

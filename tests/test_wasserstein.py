@@ -285,6 +285,127 @@ def test_sinkhorn_annealed_pinned_cost_and_iterations(monkeypatch):
     assert stage_iterations == [5, 5, 5, 5, 5, 5, 5, 10, 30, 85]
 
 
+def _stage_results(monkeypatch, mu, nu, p, epsilon):
+    # every stage's SinkhornResult, as sinkhorn_annealed passes through the
+    # module's sinkhorn
+    stages = []
+    inner = wasserstein.sinkhorn
+
+    def recorded(*args, **kwargs):
+        try:
+            result = inner(*args, **kwargs)
+        except NonConvergenceError as exc:
+            stages.append(exc.report)
+            raise
+        stages.append(result)
+        return result
+
+    monkeypatch.setattr(wasserstein, "sinkhorn", recorded)
+    sinkhorn_annealed(mu, nu, p, epsilon, max_iter=20000, tol=2e-4)
+    return stages
+
+
+def _log_domain_annealed(mu, nu, p, epsilon):
+    # the log-domain iteration on scipy's logsumexp, the arithmetic the pinned
+    # values came from, at max_iter=20000 and tol=2e-4: (iterations, rounded
+    # cost, u, v) per stage
+    max_iter, tol = 20000, 2e-4
+    mu, nu = mu.pruned(), nu.pruned()
+    cost = wasserstein._cost_matrix(mu, nu, p)
+    a, b = mu.weights, nu.weights
+    loga, logb = np.log(a), np.log(b)
+    u = np.zeros_like(loga)
+    stages = []
+    for stage in range(wasserstein._N_STAGES):
+        eps = epsilon * wasserstein._STAGE_FACTOR ** (wasserstein._N_STAGES - 1 - stage)
+        mr = -cost / eps
+        col = logsumexp(mr + u[:, None], axis=0)
+        for it in range(1, max_iter + 1):
+            v = logb - col
+            row = logsumexp(mr + v[None, :], axis=1)
+            u = loga - row
+            col = logsumexp(mr + u[:, None], axis=0)
+            if it % 5 == 0 or it == max_iter:
+                violation = np.abs(np.exp(u + row) - a).sum() + np.abs(np.exp(v + col) - b).sum()
+                if violation < tol:
+                    break
+        plan = wasserstein._round_to_feasible(np.exp(mr + u[:, None] + v[None, :]), a, b)
+        stages.append((it, float(np.sum(plan * cost)), u, v))
+    return stages
+
+
+def _cloud_pair(kind):
+    rng = np.random.default_rng(17)
+    if kind == "1d":
+        return uniform_on(rng.normal(size=20)), uniform_on(rng.normal(1.0, 0.5, size=16))
+    if kind == "2d":
+        return uniform_on(rng.normal(size=(20, 2))), uniform_on(rng.normal(0.7, 1.0, size=(16, 2)))
+    if kind == "weighted":
+        wa, wb = rng.random(20), rng.random(16)
+        wa[[1, 17]] = 0.0
+        wb[[0, 15]] = 0.0
+        return (
+            EmpiricalMeasure(points=rng.normal(size=(20, 2)), weights=wa / wa.sum()),
+            EmpiricalMeasure(points=rng.normal(0.5, 1.5, size=(16, 2)), weights=wb / wb.sum()),
+        )
+    # kind == "far": two clouds 20 apart
+    return (
+        uniform_on(rng.normal(size=(24, 2))),
+        uniform_on(rng.normal(size=(20, 2)) + np.array([20.0, 0.0])),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, p, eps_scale",
+    [
+        ("1d", 1.0, 1e-3),
+        ("1d", 2.0, 1e-2),
+        ("2d", 1.0, 1e-3),
+        ("2d", 2.0, 1e-2),
+        ("weighted", 1.0, 1e-2),
+        ("weighted", 2.0, 1e-2),
+        ("far", 1.0, 1e-4),
+        ("far", 2.0, 1e-4),
+    ],
+)
+def test_sinkhorn_annealed_matches_the_log_domain_iteration(monkeypatch, kind, p, eps_scale):
+    mu, nu = _cloud_pair(kind)
+    # scale^p: the mean pairwise cost between the clouds
+    epsilon = eps_scale * float(np.mean(wasserstein._cost_matrix(mu.pruned(), nu.pruned(), p)))
+    ours = _stage_results(monkeypatch, mu, nu, p, epsilon)
+    ref = _log_domain_annealed(mu, nu, p, epsilon)
+    assert [r.iterations for r in ours] == [it for it, _, _, _ in ref]
+    for r, (_, cost, u, v) in zip(ours, ref):
+        assert r.cost == pytest.approx(cost, rel=1e-10, abs=0.0)
+        # relative to the potential's largest entry: entries near 0 carry
+        # the same absolute rounding
+        assert np.max(np.abs(r.log_u - u)) <= 1e-10 * np.max(np.abs(u))
+        assert np.max(np.abs(r.log_v - v)) <= 1e-10 * np.max(np.abs(v))
+
+
+def test_sinkhorn_far_clouds_take_the_exact_half_step(monkeypatch):
+    # at the last stage, the warm start's first half-step leaves whole kernel
+    # rows below the smallest double, so alpha = a / (K beta) is not finite
+    # there and the stage must redo its half-steps in the log domain
+    mu, nu = _cloud_pair("far")
+    cost = wasserstein._cost_matrix(mu, nu, 2.0)
+    epsilon = 1e-4 * float(np.mean(cost))
+    stages = _stage_results(monkeypatch, mu, nu, 2.0, epsilon)
+    mr = -cost / epsilon
+    u = stages[-2].log_u
+    v = np.log(nu.weights) - logsumexp(mr + u[:, None], axis=0)
+    assert (np.exp(mr + u[:, None] + v[None, :]).max(axis=1) == 0.0).any()
+    assert stages[-1].absorptions > 0
+
+
+def test_sinkhorn_pinned_instance_runs_on_the_scaling_path(monkeypatch):
+    # no stage of the pinned instance leaves the scaling range: a fallback to
+    # the log domain on every half-step would count 2 per iteration
+    mu, nu = _ou_against_gaussian_quantiles()
+    stages = _stage_results(monkeypatch, mu, nu, 2.0, 0.08)
+    assert [r.absorptions for r in stages] == [0] * 10
+
+
 # ---------------------------------------------------------------------------
 # w2_gaussian
 # ---------------------------------------------------------------------------
