@@ -39,6 +39,7 @@ from scipy import special
 from .coupling import (
     DissipativityParams,
     NotFound,
+    check_estimate,
     contraction_estimate,
     find_q,
     prop35_cp,
@@ -65,7 +66,6 @@ from .lyapunov import (
 from .processes import (
     BackwardRecurrence,
     CompoundPoisson,
-    ConstantControl,
     DiscreteJumps,
     LangevinTempered,
     LevyMeasureSpec,
@@ -145,7 +145,8 @@ def _within_plan(spec, times, max_step: float, n_paths: int, starts: int = 1) ->
 
 
 # A distance kind states ``max_cells``, the largest cost matrix (support
-# sizes multiplied) it accepts, or None when it forms none.
+# sizes multiplied) it accepts, or None when it forms none, and ``max_dim``,
+# the largest dimension of the measures it compares, or None for any.
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,7 @@ class W1D:
     """Exact ``W_p`` between one-dimensional measures (quantile coupling)."""
 
     max_cells: ClassVar[int | None] = None
+    max_dim: ClassVar[int | None] = 1
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
         return w_1d(mu, nu, p)
@@ -163,6 +165,7 @@ class ExactLP:
     """Exact ``W_p`` from the transport linear program."""
 
     max_cells: ClassVar[int | None] = _LP_SIZE_GUARD
+    max_dim: ClassVar[int | None] = None
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
         return w_exact_lp(mu, nu, p).distance
@@ -174,6 +177,7 @@ class Sinkhorn:
 
     epsilon: float
     max_cells: ClassVar[int | None] = _SINKHORN_SIZE_GUARD
+    max_dim: ClassVar[int | None] = None
 
     def __post_init__(self):
         if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
@@ -308,6 +312,12 @@ class ExperimentConfig:
         _within(
             self.n_paths * (len(t_grid) + 1) * self.process.dim, PATH_MAX_VALUES, "the path block"
         )
+        max_dim = self.distance.max_dim
+        if max_dim is not None and self.process.dim > max_dim:
+            raise ConfigError(
+                f"distance {_to_json(self.distance)['kind']!r} compares measures of dimension "
+                f"at most {max_dim}, but the process has dimension {self.process.dim}"
+            )
         atoms = self.reference.atoms(self)
         if self.distance.max_cells is not None:
             _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
@@ -550,7 +560,7 @@ _SCHEMA = {
             _Key("l", _vector),
             _Key("M", _matrix),
             _Key("Gamma", _matrix),
-            _Key("v", lambda v, label: ConstantControl(_vector(v, label)), attr="control.v"),
+            _Key("v", _vector),
             _Key("sigma", _matrix, default=None),
             _LEVY,
         )),
@@ -986,6 +996,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     grid = _resolve_grid(data["t_grid"], "arithmetic")
     n_paths = _as_int(data["n_paths"], "n_paths")
     n_boot = _as_int(data.get("n_boot", 200), "n_boot")
+    check_estimate(p, n_boot, n_paths)
     max_step = _as_float(data.get("max_step", 0.01), "max_step")
     _within(2 * n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
     _within_plan(spec, grid, max_step, n_paths, starts=2)
@@ -1004,7 +1015,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
                     f"{spec.dim}"
                 )
         else:
-            q = find_q(spec.M, spec.Gamma, spec.control.v)
+            q = find_q(spec.M, spec.Gamma, spec.v)
             if isinstance(q, NotFound):
                 raise NotDissipativeError(
                     f"no diagonal quadratic form certifies dissipativity: {q.reason}"
@@ -1012,7 +1023,7 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         c_p = prop35_cp(
             spec.M,
             spec.Gamma,
-            spec.control.v,
+            spec.v,
             q,
             _as_float(cert["lip_sqrtq_sigma"], "lip_sqrtq_sigma"),
             p,
@@ -1085,11 +1096,10 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
     inst = LowerBoundInstance(
         tail=spec.tail,
         lip=lip,
-        lyapunov=lambda x: 1.0 + float(np.abs(np.asarray(x, dtype=float).ravel()[0])) ** theta_v,
+        v0=1.0 + abs(float(x0[0])) ** theta_v,  # V(x) = 1 + |x|^theta_v at the start
         c=_as_float(data["c"], "c"),
         b=_as_float(data["b"], "b"),
         params=params,
-        x0=x0,
     )
     curve = lower_bound_curve(inst, _as_int(data["n_terms"], "n_terms"), s_grid=s_grid)
     curve.to_csv(out / "lower.csv")

@@ -1,4 +1,4 @@
-"""Synchronous-coupling contraction experiments and the dissipativity calculus.
+"""Synchronous-coupling contraction experiments and their certificates.
 
 Two processes started from ``x`` and ``y`` are driven by the *same* noise
 realization (identical Brownian increments and identical jump events per
@@ -13,10 +13,8 @@ This module provides
 * :func:`synchronous_pair_sim` — the shared-noise pair simulation;
 * :func:`contraction_estimate` — empirical moment curves of the pair
   difference, with bootstrap confidence bands, a least-squares rate fit and
-  the analytic envelope comparison;
-* :func:`dissipativity_lhs` — pointwise evaluation of the dissipativity
-  form (drift difference, diffusion-difference corrections, and
-  jump-difference integrals);
+  the analytic envelope comparison (:func:`check_estimate` refuses what it
+  cannot estimate from before anything is simulated);
 * :func:`prop35_cp` / :func:`find_q` — the closed-form contraction constant
   ``c(p)`` for piecewise-linear queueing drifts, and a diagonal grid search
   for a quadratic form that certifies it.
@@ -31,23 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    InsufficientPathsError,
-    IntegrabilityError,
-    NotDissipativeError,
-)
+from .errors import ConfigError, DomainError, InsufficientPathsError, NotDissipativeError
 from .lyapunov import QuadForm
-from .processes import TrajectoryBatch, sigma_at, simulate
+from .processes import TrajectoryBatch, simulate
 
 __all__ = [
     "CoupledBatch",
     "CouplingReport",
     "DissipativityParams",
     "NotFound",
+    "check_estimate",
     "contraction_estimate",
-    "dissipativity_lhs",
     "find_q",
     "prop35_cp",
     "synchronous_pair_sim",
@@ -206,98 +198,6 @@ def find_q(M, Gamma, v):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise dissipativity form
-# ---------------------------------------------------------------------------
-
-
-def dissipativity_lhs(
-    spec,
-    Q: QuadForm,
-    p: float,
-    x,
-    z,
-    jump_coeff=None,
-    jump_marks=None,
-    jump_weights=None,
-) -> float:
-    """Left side of the dissipativity inequality at displacement ``z``.
-
-    Evaluates
-
-    ``2 <Delta btilde, Qz> + tr(Delta sigma Delta sigma' Q)
-    + (p-2) |sqrt(Q) Delta sigma|^2
-    + 2^{p-3} (1 + (p-2)|Q^{-1}|) * integral |Delta k|_Q^2
-    + 2^{p-2}/(p(p-1)) (1 + (p-2)|Q^{-1}|) |z|_Q^{2-p} * integral |Delta k|_Q^p``
-
-    where ``Delta`` differences the coefficient between ``x + z`` and ``x``,
-    and ``Delta btilde`` includes the compensation of jumps landing outside
-    the unit ball.  Additive (state-independent) jumps difference to zero and
-    contribute nothing.  State-dependent jump coefficients are supplied as
-    ``jump_coeff(x, v)`` together with a finite mark representation
-    ``jump_marks`` / ``jump_weights`` of the driving measure.
-    """
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if not np.any(z):
-        return 0.0
-    if spec.discrete_time:
-        raise ConfigError(
-            f"dissipativity evaluation needs a continuous-time process, got {type(spec).__name__}"
-        )
-    qm = Q.Q
-    qz = qm @ z
-    db = spec.drift((x + z)[None, :])[0] - spec.drift(x[None, :])[0]
-
-    j2 = jp = 0.0
-    if jump_coeff is not None:
-        if jump_marks is None or jump_weights is None:
-            raise IntegrabilityError(
-                "state-dependent jump coefficients need a finite mark "
-                "representation (jump_marks and jump_weights)"
-            )
-        marks = np.asarray(jump_marks, dtype=float).ravel()
-        weights = np.asarray(jump_weights, dtype=float).ravel()
-        comp = np.zeros_like(x)
-        for v, w in zip(marks, weights):
-            k_far = np.asarray(jump_coeff(x + z, v), dtype=float).ravel()
-            k_near = np.asarray(jump_coeff(x, v), dtype=float).ravel()
-            if np.linalg.norm(k_far) > 1.0:
-                comp = comp + w * k_far
-            if np.linalg.norm(k_near) > 1.0:
-                comp = comp - w * k_near
-            dk = k_far - k_near
-            dk_q2 = float(dk @ qm @ dk)
-            j2 += w * dk_q2
-            jp += w * dk_q2 ** (p / 2.0)
-        db = db + comp
-
-    total = 2.0 * float(db @ qz)
-
-    if callable(spec.sigma):  # a constant sigma has zero difference
-        far, near = sigma_at(spec.sigma, np.stack([x + z, x]))
-        ds = far - near
-        if np.any(ds):
-            total += float(np.trace(qm @ ds @ ds.T))
-            vals, vecs = np.linalg.eigh(qm)
-            sqrt_q = (vecs * np.sqrt(vals)) @ vecs.T
-            total += (p - 2.0) * float(np.linalg.norm(sqrt_q @ ds, 2)) ** 2
-
-    if j2 > 0.0 or jp > 0.0:
-        if p * (p - 1.0) == 0.0:
-            raise IntegrabilityError(
-                "the p-th jump-difference term is undefined at p = 1; "
-                "state-dependent jumps need p > 1"
-            )
-        weight = 1.0 + (p - 2.0) / Q.lam_min
-        zq = Q.norm(z)
-        total += 2.0 ** (p - 3.0) * weight * j2
-        total += (2.0 ** (p - 2.0) / (p * (p - 1.0))) * weight * zq ** (2.0 - p) * jp
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Empirical contraction reports
 # ---------------------------------------------------------------------------
 
@@ -360,6 +260,17 @@ class CouplingReport:
                 writer.writerow(row)
 
 
+def check_estimate(p: float, n_boot: int, n_paths: int) -> None:
+    """Refuse what :func:`contraction_estimate` cannot estimate from: a moment
+    order ``p < 1``, fewer than 2 bootstrap draws or fewer than 100 paths."""
+    if not p >= 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if n_boot < 2:
+        raise DomainError(f"n_boot must be >= 2 for a bootstrap standard error, got {n_boot}")
+    if n_paths < 100:
+        raise InsufficientPathsError(f"need at least 100 coupled paths, got {n_paths}")
+
+
 def contraction_estimate(
     pairs: CoupledBatch,
     p: float,
@@ -376,13 +287,8 @@ def contraction_estimate(
     compares the curve against the analytic envelope anchored at the initial
     separation.
     """
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if n_boot < 2:
-        raise DomainError(f"n_boot must be >= 2 for a bootstrap standard error, got {n_boot}")
     n = pairs.n_paths
-    if n < 100:
-        raise InsufficientPathsError(f"need at least 100 coupled paths, got {n}")
+    check_estimate(p, n_boot, n)
     times = pairs.times
     separations = pairs.separations()
     dist_p = separations**p

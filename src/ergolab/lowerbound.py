@@ -19,7 +19,9 @@ under the time-``t`` law, and the difference of the two ``p``-th roots is a
 ``(s/2)^p pi(L > s) >= 2^p s^{p - vartheta - eps - eps'}``,
 
 and ``t_n`` solves the matching equation
-``s^{theta - vartheta - eps - eps'} = (2^{theta-p}/c)(b t + V(x0))``.
+``s^{theta - vartheta - eps - eps'} = (2^{theta-p}/c)(b t + V(x0))``.  Of
+``V`` the construction reads only ``V(x0)``, so an instance carries that one
+number.
 """
 
 from __future__ import annotations
@@ -47,21 +49,22 @@ class LowerBoundInstance:
     ``tail`` maps an array of levels ``s`` to the invariant tail
     ``pi(L > s)`` of the observable ``L`` (read at the grid levels only, so
     an exact tail such as the chain's closed form holds at any level), and
-    ``lip`` is ``L``'s Lipschitz constant.  ``lyapunov`` is evaluated only
-    at ``x0``.  The growth constants assert ``V >= c L^theta`` and ``phi(V) >= c L^vartheta``
-    with the exponents carried by ``params``; ``b`` is the constant in the
-    moment bound ``E V(X_t) <= b t + V(x0)``.  The premise that
-    ``L^{vartheta + eps}`` is not ``pi``-integrable is a declared modeling
-    assertion — only the finite grid inequality is ever verified.
+    ``lip`` is ``L``'s Lipschitz constant.  ``v0`` is ``V(x0)``, the
+    Lyapunov function at the start, the only value of ``V`` the
+    construction reads.  The growth constants assert ``V >= c L^theta`` and
+    ``phi(V) >= c L^vartheta`` with the exponents carried by ``params``;
+    ``b`` is the constant in the moment bound ``E V(X_t) <= b t + V(x0)``.
+    The premise that ``L^{vartheta + eps}`` is not ``pi``-integrable is a
+    declared modeling assertion — only the finite grid inequality is ever
+    verified.
     """
 
     tail: Callable[[np.ndarray], np.ndarray]
     lip: float
-    lyapunov: object
+    v0: float
     c: float
     b: float
     params: LowerRateParams
-    x0: np.ndarray
 
     def __post_init__(self):
         if not callable(self.tail):
@@ -72,14 +75,6 @@ class LowerBoundInstance:
             raise DomainError(f"growth constant c must be positive, got {self.c}")
         if not self.b > 0:
             raise DomainError(f"drift constant b must be positive, got {self.b}")
-        x0 = np.asarray(self.x0, dtype=float).ravel()
-        x0.flags.writeable = False
-        object.__setattr__(self, "x0", x0)
-
-    def v_at_start(self) -> float:
-        """``V(x0)``, accepting either a callable or an object with .value."""
-        fn = getattr(self.lyapunov, "value", self.lyapunov)
-        return float(fn(self.x0))
 
 
 def _select(inst: LowerBoundInstance, n_terms: int, s_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +149,7 @@ def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid) -> LowerBo
     """
     s, tails = _select(inst, n_terms, s_grid)
     par = inst.params
-    v0 = inst.v_at_start()
+    v0 = inst.v0
     delta = par.theta - par.vartheta - par.eps_var - par.eps_small
     t = (inst.c * s**delta * 2.0 ** (par.p - par.theta) - v0) / inst.b
     if np.any(t < 0):

@@ -7,8 +7,8 @@ The central objects:
 * :func:`chi_q` — a smooth nonnegative symmetric convex function equal to
   ``|x|_Q`` outside the unit ball (a quadratic-in-``<x,Qx>`` blend inside);
 * Lyapunov function families built on it: :class:`PolyNorm` (``chi^theta``),
-  :class:`PolyNormPlusOne` (``1 + chi^theta``), :class:`ExpNorm`
-  (``exp(zeta chi)``), and :class:`CustomFn`;
+  :class:`PolyNormPlusOne` (``1 + chi^theta``) and :class:`ExpNorm`
+  (``exp(zeta chi)``);
 * :func:`generator_apply` — evaluate
   ``L f(x) = <b, grad f> + 1/2 tr(a hess f) + J f(x)`` at a point or, in one
   pass, at every row of a batch (the families' ``value``, ``grad`` and
@@ -54,7 +54,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy import special
@@ -81,7 +81,6 @@ __all__ = [
     "PolyNorm",
     "PolyNormPlusOne",
     "ExpNorm",
-    "CustomFn",
     "LyapunovFn",
     "GeneratorResult",
     "generator_apply",
@@ -128,13 +127,6 @@ class QuadForm:
     @property
     def lam_max(self) -> float:
         return self._lam_max
-
-    def norm(self, x) -> np.ndarray | float:
-        """``|x|_Q`` for a point ``(n,)`` or batch ``(m, n)``."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return math.sqrt(float(x @ self.Q @ x))
-        return np.sqrt(np.einsum("mi,ij,mj->m", x, self.Q, x))
 
 
 def _blend_coeffs(qf: QuadForm):
@@ -302,81 +294,7 @@ class ExpNorm(_NormFn):
         return v, self.zeta * v, self.zeta**2 * v
 
 
-@dataclass(frozen=True)
-class CustomFn:
-    """User-supplied function with optional analytic derivatives and growth class."""
-
-    value_fn: Callable
-    grad_fn: Callable | None = None
-    hess_fn: Callable | None = None
-    growth: Growth = None
-
-    def __post_init__(self):
-        if not callable(self.value_fn):
-            raise ConfigError("value_fn must be callable")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.array([float(self.value_fn(row)) for row in x])
-        return float(self.value_fn(x))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.array([self.grad(row) for row in x]).reshape(x.shape)
-        x = x.ravel()
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(x), dtype=float).ravel()
-        return _fd_grad(self.value_fn, x)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.array([self.hess(row) for row in x]).reshape(x.shape + x.shape[-1:])
-        x = x.ravel()
-        if self.hess_fn is not None:
-            return np.atleast_2d(np.asarray(self.hess_fn(x), dtype=float))
-        return _fd_hess(self.value_fn, x)
-
-    def kinks(self, x, d):
-        """No known points of reduced smoothness: ``(m, 0)``."""
-        return np.empty((_batch(x)[0].shape[0], 0))
-
-
-LyapunovFn = Union[PolyNorm, PolyNormPlusOne, ExpNorm, CustomFn]
-
-
-def _fd_grad(f, x, h=1e-6):
-    n = x.shape[0]
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h * max(1.0, abs(x[i]))
-        g[i] = (float(f(x + e)) - float(f(x - e))) / (2.0 * e[i])
-    return g
-
-
-def _fd_hess(f, x, h=1e-4):
-    n = x.shape[0]
-    out = np.empty((n, n))
-    steps = [h * max(1.0, abs(x[i])) for i in range(n)]
-    f0 = float(f(x))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        out[i, i] = (float(f(x + ei)) - 2.0 * f0 + float(f(x - ei))) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            mixed = (
-                float(f(x + ei + ej))
-                - float(f(x + ei - ej))
-                - float(f(x - ei + ej))
-                + float(f(x - ei - ej))
-            ) / (4.0 * steps[i] * steps[j])
-            out[i, j] = out[j, i] = mixed
-    return out
+LyapunovFn = Union[PolyNorm, PolyNormPlusOne, ExpNorm]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +323,7 @@ class GeneratorResult(tuple):
 def _check_growth(alpha: float, fn) -> None:
     """The function's declared growth must integrate against an ``alpha``-stable
     tail: polynomial of order below ``alpha``, never exponential."""
-    growth = getattr(fn, "growth", None)
+    growth = fn.growth
     if growth is None:
         raise IntegrabilityError(
             "cannot verify jump integrability: declare the function's growth class"
@@ -434,10 +352,6 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
 def _jump_cp_discrete(kind: CompoundPoisson, fn, x):
     atoms, probs = kind.jump_dist.atoms, kind.jump_dist.probs
     m, n = x.shape
-    if atoms.shape[1] != n:
-        raise ConfigError(
-            f"jump dimension {atoms.shape[1]} does not match state dimension {n}"
-        )
     landed = fn.value((x[:, None, :] + atoms).reshape(-1, n)).reshape(m, -1)
     diff = landed - fn.value(x)[:, None]
     return kind.rate * (diff @ probs), np.zeros(m)
@@ -680,8 +594,6 @@ def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad):
     ``f'(x) int_0^1 r nu(dr) = f'(x) A / (1 - alpha)``, added back here."""
     alpha = kind.alpha
     a_const = alpha / math.gamma(1.0 - alpha)  # Laplace exponent u^alpha
-    if x.shape[1] != 1:
-        raise ConfigError("subordinator jump measures are one-dimensional")
     integral, err = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
     value = a_const * integral + a_const * grad[:, 0] / (1.0 - alpha)
     return value, a_const * err

@@ -5,10 +5,10 @@ The module couples two layers:
 * specification types — immutable descriptions of a driving Lévy process
   (:class:`LevyMeasureSpec`: drift, Gaussian part, jump measure kind) and of a
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
-  :class:`BackwardRecurrence`, :class:`GenericIto`), each a
-  :class:`ProcessSpec` that states the facts its callers need
-  (``BackwardRecurrence`` also its invariant masses and tails in closed
-  form);
+  :class:`BackwardRecurrence`), each a :class:`ProcessSpec` that states the
+  facts its callers need (``BackwardRecurrence`` also its invariant masses
+  and tails in closed form) and refuses, when it is built, a part sized for
+  another dimension;
 * numerics — :func:`simulate` (one block loop over the family's
   ``walker``: Euler–Maruyama with exact-in-law noise increments per step,
   stable increments by Chambers–Mallows–Stuck; exact recursion for the
@@ -71,13 +71,10 @@ __all__ = [
     "SymmetricStable",
     "StableSubordinatorMeasure",
     "LevyMeasureSpec",
-    "ConstantControl",
-    "MarkovControl",
     "LangevinTempered",
     "OUJump",
     "PiecewiseOU",
     "BackwardRecurrence",
-    "GenericIto",
     "ProcessSpec",
     "TrajectoryBatch",
     "simulate",
@@ -102,12 +99,15 @@ _BLOCK_SIZE = 16384
 #
 # Every jump kind answers ``increment(dim, dt, rng, m)`` (exact-in-law jump
 # increments of ``m`` paths over one step of length ``dt``, or None when there
-# are no jumps).
+# are no jumps) and states ``dim``, the dimension its jumps live in, or None
+# when they fit any.
 
 
 @dataclass(frozen=True)
 class NoJumps:
     """Empty jump measure."""
+
+    dim: ClassVar[None] = None
 
     def increment(self, dim: int, dt: float, rng, m: int) -> None:
         return None
@@ -154,6 +154,10 @@ class CompoundPoisson:
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"rate must be positive, got {self.rate}")
 
+    @property
+    def dim(self) -> int:
+        return self.jump_dist.dim
+
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
         counts = rng.poisson(self.rate * dt, m)
         total = int(counts.sum())
@@ -172,6 +176,7 @@ class SymmetricStable:
     alpha: float
     scale: float = 1.0
     structure: Literal["isotropic", "independent"] = "isotropic"
+    dim: ClassVar[None] = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
@@ -196,14 +201,13 @@ class StableSubordinatorMeasure:
     """One-sided alpha-stable jump measure (increments positive), alpha in (0,1)."""
 
     alpha: float
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
 
     def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
-        if dim != 1:
-            raise ConfigError("subordinator jump measures are one-dimensional")
         amp = dt ** (1.0 / self.alpha)
         return amp * standard_one_sided_stable(self.alpha, rng, (m, 1))
 
@@ -233,47 +237,25 @@ class LevyMeasureSpec:
             a.flags.writeable = False
             object.__setattr__(self, "a_L", a)
 
+    def check_dim(self, dim: int) -> None:
+        """Refuse a part sized for another dimension than the process's ``dim``."""
+        if self.b_L is not None and self.b_L.shape != (dim,):
+            raise ConfigError(
+                f"levy.b_L has {self.b_L.size} entries but the process has dimension {dim}"
+            )
+        if self.a_L is not None and self.a_L.shape != (dim, dim):
+            raise ConfigError(
+                f"levy.a_L has shape {self.a_L.shape} but the process has dimension {dim}"
+            )
+        if self.kind.dim not in (None, dim):
+            raise ConfigError(
+                f"levy.jumps are {self.kind.dim}-dimensional but the process has dimension {dim}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # Process specifications
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantControl:
-    """Fixed allocation vector on the simplex."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float).ravel()
-        if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
-            raise ConfigError("control vector must lie on the probability simplex")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-
-    def value(self, x):
-        return self.v
-
-
-@dataclass(frozen=True)
-class MarkovControl:
-    """State-dependent allocation ``v(x)``; only locally Lipschitz maps accepted."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    locally_lipschitz: bool = True
-
-    def __post_init__(self):
-        if not callable(self.fn):
-            raise ConfigError("control fn must be callable")
-        if not self.locally_lipschitz:
-            raise ConfigError(
-                "merely measurable Markov controls are rejected: strong-solution "
-                "simulation requires a locally Lipschitz control"
-            )
-
-    def value(self, x):
-        return np.asarray(self.fn(x), dtype=float)
 
 
 class ProcessSpec:
@@ -291,7 +273,9 @@ class ProcessSpec:
     callable), from which :meth:`advance` builds the substep and
     :func:`ergolab.lyapunov.generator_apply` the generator; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
-    ``"gaussian"`` (centred, ``invariant_sd()``) or None.
+    ``"gaussian"`` (centred, ``invariant_sd()``) or None.  A family refuses,
+    when it is built, a part sized for another dimension, the Lévy part
+    through :meth:`LevyMeasureSpec.check_dim`.
     """
 
     discrete_time: ClassVar[bool] = False
@@ -398,6 +382,7 @@ class OUJump(ProcessSpec):
         h = np.atleast_2d(np.array(self.H, dtype=float))
         if h.shape[0] != h.shape[1]:
             raise ConfigError("H must be square")
+        self.levy.check_dim(h.shape[0])
         h.flags.writeable = False
         object.__setattr__(self, "H", h)
 
@@ -440,12 +425,13 @@ class OUJump(ProcessSpec):
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseOU(ProcessSpec):
-    """Piecewise linear drift ``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` plus noise."""
+    """Piecewise linear drift ``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` plus noise,
+    under the constant control ``v``, an allocation on the probability simplex."""
 
     l: np.ndarray
     M: np.ndarray
     Gamma: np.ndarray
-    control: Union[ConstantControl, MarkovControl]
+    v: np.ndarray
     sigma: np.ndarray | Callable[[np.ndarray], np.ndarray] | None
     levy: LevyMeasureSpec
 
@@ -465,11 +451,21 @@ class PiecewiseOU(ProcessSpec):
             raise ConfigError("e'M must be componentwise nonnegative")
         if np.any(g != np.diag(np.diag(g))) or np.any(np.diag(g) < 0):
             raise ConfigError("Gamma must be a nonnegative diagonal matrix")
+        v = np.array(self.v, dtype=float).ravel()
+        if v.shape != (n,):
+            raise ConfigError(f"v has {v.size} entries but the process has dimension {n}")
+        if not (np.all(v >= 0) and abs(v.sum() - 1.0) <= 1e-12):  # NaN fails too
+            raise ConfigError("control vector v must lie on the probability simplex")
         sigma = self.sigma
         if sigma is not None and not callable(sigma):
             sigma = np.atleast_2d(np.array(sigma, dtype=float))
+            if sigma.shape != (n, n):
+                raise ConfigError(
+                    f"sigma has shape {sigma.shape} but the process has dimension {n}"
+                )
             sigma.flags.writeable = False
-        for name, val in (("l", l), ("M", m), ("Gamma", g)):
+        self.levy.check_dim(n)
+        for name, val in (("l", l), ("M", m), ("Gamma", g), ("v", v)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "sigma", sigma)
@@ -479,7 +475,7 @@ class PiecewiseOU(ProcessSpec):
         return self.l.shape[0]
 
     def drift(self, x):
-        return piecewise_drift(self.l, self.M, self.Gamma, self.control.value(x), x)
+        return piecewise_drift(self.l, self.M, self.Gamma, self.v, x)
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma
@@ -620,23 +616,6 @@ class BackwardRecurrence(ProcessSpec):
         return "chain"
 
 
-@dataclass(frozen=True)
-class GenericIto(ProcessSpec):
-    """User-specified coefficients plus a driving Lévy spec: a batched drift
-    ``b`` (None for zero) and ``sigma`` (see the module notes), which the
-    simulator steps and a drift check reads as its generator."""
-
-    b: Callable[[np.ndarray], np.ndarray] | None
-    sigma: np.ndarray | Callable[[np.ndarray], np.ndarray] | None
-    levy: LevyMeasureSpec
-    dim: int = 1
-
-    def drift(self, x):
-        if self.b is None:
-            return np.zeros_like(x)
-        return np.asarray(self.b(x), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Stable sampling (Chambers–Mallows–Stuck)
 # ---------------------------------------------------------------------------
@@ -721,10 +700,6 @@ class TrajectoryBatch:
     @property
     def dim(self) -> int:
         return self.paths.shape[2]
-
-    def marginal(self, k: int) -> np.ndarray:
-        """States of all paths at grid index ``k`` (shape n_paths x dim)."""
-        return self.paths[:, k, :]
 
     def to_csv(self, path) -> None:
         import csv as _csv
@@ -954,11 +929,10 @@ def ou_exact_transition(H, a_L, t: float, x0):
 
 
 def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
-    """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch.
-
-    ``v`` is one allocation ``(n,)`` or one per state ``(m, n)``.  Formed
-    column by column, each sum left to right, so a state's drift is the
-    same bits in any batch and no ``(m, 1) x (n,)`` broadcast is made.
+    """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch,
+    with the allocation ``v`` ``(n,)``.  Formed column by column, each sum
+    left to right, so a state's drift is the same bits in any batch and no
+    ``(m, 1) x (n,)`` broadcast is made.
     """
     l = np.asarray(l, dtype=float).ravel()
     m = np.atleast_2d(np.asarray(M, dtype=float))
@@ -968,14 +942,14 @@ def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
     cols = [x[..., j] for j in range(x.shape[-1])]
     s = np.clip(functools.reduce(operator.add, cols), 0.0, None)
     tmp = np.empty_like(s)
-    shifted = [np.subtract(c, np.multiply(s, v[..., j], out=tmp)) for j, c in enumerate(cols)]
+    shifted = [np.subtract(c, np.multiply(s, v[j], out=tmp)) for j, c in enumerate(cols)]
     g_v = _rows_times(g, v)
-    out = np.empty(np.broadcast_shapes(x.shape, v.shape))
+    out = np.empty(x.shape)
     for i, row in enumerate(m):
         # out_i = l_i - (m_i0 y_0 + m_i1 y_1 + ...) - s (G v)_i, formed in place
         o = _row_sum_into(row, shifted, out[..., i], tmp)
         np.subtract(l[i], o, out=o)
-        o -= np.multiply(s, g_v[..., i], out=tmp)
+        o -= np.multiply(s, g_v[i], out=tmp)
     return out
 
 

@@ -27,7 +27,6 @@ from ergolab.coupling import (
 )
 from ergolab.lowerbound import LowerBoundInstance, lower_bound_curve
 from ergolab.lyapunov import (
-    CustomFn,
     ExpNorm,
     PolyNorm,
     PolyNormPlusOne,
@@ -38,7 +37,6 @@ from ergolab.lyapunov import (
 from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
-    ConstantControl,
     DiscreteJumps,
     LangevinTempered,
     LevyMeasureSpec,
@@ -70,6 +68,7 @@ from ergolab.wasserstein import (
     w_1d,
     w_exact_lp,
 )
+from user_callables import CustomFn
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -290,7 +289,7 @@ def test_criterion_04_synchronous_coupling():
         l=np.array([0.0]),
         M=M,
         Gamma=Gamma,
-        control=ConstantControl(v),
+        v=v,
         sigma=np.array([[1.0]]),
         levy=LevyMeasureSpec(kind=jumps),
     )
@@ -401,11 +400,10 @@ def test_criterion_05_subexponential_bracket(chain_experiment):
     instance = LowerBoundInstance(
         tail=spec.tail,
         lip=1.0,
-        lyapunov=lambda x: 1.0 + abs(float(np.asarray(x, dtype=float).ravel()[0])) ** theta,
+        v0=v_scalar(0),
         c=1.0,
         b=b,
         params=CHAIN_PARAMS,
-        x0=np.array([0.0]),
     )
     curve = lower_bound_curve(instance, 5, s_grid=levels)
     matched = np.rint(curve.t)

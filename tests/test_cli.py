@@ -353,15 +353,14 @@ def test_schema_keys_follow_constructor_order():
 
 
 def test_config_to_dict_refuses_specs_json_cannot_hold():
-    from ergolab.processes import GenericIto, LevyMeasureSpec, MarkovControl, PiecewiseOU
+    from ergolab.processes import LevyMeasureSpec, PiecewiseOU
+    from user_callables import GenericIto
 
     base = parse_experiment_config(_zero_noise_config())
     pw = base.process
-    markov = PiecewiseOU(pw.l, pw.M, pw.Gamma, MarkovControl(lambda x: np.ones_like(x)),
-                         None, pw.levy)
-    state_sigma = PiecewiseOU(pw.l, pw.M, pw.Gamma, pw.control, lambda x: x, pw.levy)
+    state_sigma = PiecewiseOU(pw.l, pw.M, pw.Gamma, pw.v, lambda x: x, pw.levy)
     generic = GenericIto(b=None, sigma=None, levy=LevyMeasureSpec())
-    for spec in (markov, state_sigma, generic):
+    for spec in (state_sigma, generic):
         with pytest.raises(ConfigError):
             config_to_dict(dataclasses.replace(base, process=spec))
 
@@ -758,6 +757,35 @@ MALFORMED = {
     "ratefit-bracket-params-number": (
         "ratefit", {**_RATEFIT, "bracket": [-3, -1], "bracket_params": 5}
     ),
+    # a part sized for another dimension than the 2-D process's
+    "simulate-piecewise-v-1d-on-2d": (
+        "simulate", {**_SIMULATE, "process": {**_PIECEWISE_2D, "v": [1.0]}, "x0": [1.0, 0.0]}
+    ),
+    "simulate-piecewise-sigma-1x1-on-2d": (
+        "simulate",
+        {**_SIMULATE, "process": {**_PIECEWISE_2D, "sigma": [[0.5]]}, "x0": [1.0, 0.0]},
+    ),
+    "simulate-piecewise-b-l-3d-on-2d": (
+        "simulate",
+        {**_SIMULATE, "process": {**_PIECEWISE_2D, "levy": {"b_L": [1.0, 1.0, 1.0]}},
+         "x0": [1.0, 0.0]},
+    ),
+    "simulate-piecewise-a-l-1x1-on-2d": (
+        "simulate",
+        {**_SIMULATE, "process": {**_PIECEWISE_2D, "levy": {"a_L": [[1.0]]}}, "x0": [1.0, 0.0]},
+    ),
+    "simulate-ou-a-l-1x1-on-2d": (
+        "simulate", {**_SIMULATE, "process": {**_OU_2D, "levy": {"a_L": [[1.0]]}}, "x0": [1.0, 0.0]}
+    ),
+    "simulate-ou-b-l-1d-on-2d": (
+        "simulate", {**_SIMULATE, "process": {**_OU_2D, "levy": {"b_L": [1.0]}}, "x0": [1.0, 0.0]}
+    ),
+    "simulate-ou-atoms-1d-on-2d": (
+        "simulate",
+        {**_SIMULATE, "x0": [1.0, 0.0], "process": {**_OU_2D, "levy": {"jumps": {
+            "kind": "compound_poisson", "rate": 1.0, "atoms": [[1.0], [-1.0]],
+            "probs": [0.5, 0.5]}}}},
+    ),
 }
 
 
@@ -800,6 +828,21 @@ MALFORMED_PLANS = {
         "experiment",
         _ou_config(n_paths=100, t_grid=[0.5, 1.0, 1.5, 2.0], max_step=1e-6,
                    reference={"kind": "long_run_empirical", "t_burn": 1e4}),
+    ),
+    # configs the estimate or the distance cannot use, refused before the
+    # paths are simulated rather than after
+    "couple-p-below-one": ("couple", {**_COUPLE, "p": 0.5}),
+    "couple-n-boot-one-before-simulating": ("couple", {**_COUPLE, "n_boot": 1}),
+    "couple-n-paths-below-100": ("couple", {**_COUPLE, "n_paths": 99}),
+    "experiment-w1d-on-2d": (
+        "experiment",
+        _ou_config(process=_OU_2D, x0=[1.0, 0.0], n_paths=100,
+                   reference={"kind": "long_run_empirical", "t_burn": 1.0}),
+    ),
+    "wdist-w1d-on-2d": (
+        "wdist",
+        _ou_config(process=_OU_2D, x0=[1.0, 0.0], n_paths=100,
+                   reference={"kind": "long_run_empirical", "t_burn": 1.0}),
     ),
 }
 

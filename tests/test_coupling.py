@@ -1,4 +1,4 @@
-"""Tests for synchronous-coupling experiments and the dissipativity calculus.
+"""Tests for synchronous-coupling experiments and their certificates.
 
 Hand-derived oracles:
 
@@ -8,8 +8,6 @@ Hand-derived oracles:
   second matrix is ``[[4, 1], [1, 2]]`` with smallest eigenvalue
   ``3 - sqrt(2)``, which is below ``2`` (the first matrix's), so
   ``c(2) = 3 - sqrt(2)``;
-* linear drift ``b(x) = Hx``: the dissipativity left side is
-  ``2 <Hz, Qz>`` exactly; with ``Q = I`` this is ``<(H + H')z, z>``;
 * a 1-D Ornstein-Uhlenbeck pair coupled through shared noise has difference
   path ``(x - y) e^{-t}`` up to floating-point roundoff, so the fitted decay
   rate equals 1 and the p-moment curve equals ``|x - y| e^{-t}``.
@@ -28,7 +26,6 @@ from ergolab.coupling import (
     DissipativityParams,
     NotFound,
     contraction_estimate,
-    dissipativity_lhs,
     find_q,
     prop35_cp,
     synchronous_pair_sim,
@@ -37,7 +34,6 @@ from ergolab.errors import (
     ConfigError,
     DomainError,
     InsufficientPathsError,
-    IntegrabilityError,
     NotDissipativeError,
 )
 from ergolab.lyapunov import QuadForm
@@ -45,9 +41,7 @@ from ergolab.processes import (
     _BLOCK_SIZE,
     BackwardRecurrence,
     CompoundPoisson,
-    ConstantControl,
     DiscreteJumps,
-    GenericIto,
     LangevinTempered,
     LevyMeasureSpec,
     OUJump,
@@ -55,6 +49,7 @@ from ergolab.processes import (
     SymmetricStable,
     simulate,
 )
+from user_callables import GenericIto
 
 
 def _ou_1d(noise=1.0):
@@ -68,7 +63,7 @@ def _scalar_queue(sigma=0.8, rate=1.0):
         l=np.array([0.5]),
         M=np.array([[1.0]]),
         Gamma=np.array([[1.0]]),
-        control=ConstantControl(np.array([1.0])),
+        v=np.array([1.0]),
         sigma=np.array([[sigma]]),
         levy=LevyMeasureSpec(kind=CompoundPoisson(rate, jumps)),
     )
@@ -141,157 +136,6 @@ def test_dissipativity_params_validation_and_envelope():
 
 
 # ---------------------------------------------------------------------------
-# dissipativity_lhs
-# ---------------------------------------------------------------------------
-
-
-def _linear_spec(h, levy=None):
-    mat = np.atleast_2d(np.asarray(h, dtype=float))
-    return GenericIto(
-        b=lambda x: x @ mat.T,
-        sigma=None,
-        levy=levy if levy is not None else LevyMeasureSpec(),
-        dim=mat.shape[0],
-    )
-
-
-def test_dissipativity_lhs_linear_drift_closed_form():
-    h = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    qm = np.array([[2.0, 0.3], [0.3, 1.0]])
-    q = QuadForm(qm)
-    x = np.array([0.3, 0.9])
-    z = np.array([0.7, -1.2])
-    got = dissipativity_lhs(_linear_spec(h), q, 2.0, x, z)
-    assert got == pytest.approx(2.0 * (h @ z) @ (qm @ z), abs=1e-13)
-
-
-def test_dissipativity_lhs_identity_q_symmetrized_drift():
-    h = np.array([[-1.0, 2.0, 0.1], [0.0, -3.0, 0.5], [0.2, 0.0, -0.7]])
-    q = QuadForm(np.eye(3))
-    z = np.array([0.4, -1.1, 0.9])
-    got = dissipativity_lhs(_linear_spec(h), q, 2.0, np.zeros(3), z)
-    assert got == pytest.approx((h + h.T) @ z @ z, abs=1e-13)
-
-
-def test_dissipativity_lhs_scalar_ou_meets_contraction_bound():
-    q = QuadForm(np.array([[1.0]]))
-    got = dissipativity_lhs(_linear_spec([[-1.0]]), q, 2.0, np.array([0.7]), np.array([1.0]))
-    assert got == pytest.approx(-2.0, abs=1e-14)
-    c2 = prop35_cp(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), q, 0.0, 2.0)
-    assert got <= -(2.0 * c2 / 2.0) * 1.0 + 1e-14
-
-
-def test_dissipativity_lhs_state_dependent_diffusion():
-    # b(x) = -x, sigma(x) = x, p = 2, Q = 1: LHS = -2 z^2 + z^2 = -z^2.
-    spec = GenericIto(b=lambda x: -x, sigma=lambda x: 1.0 * x, levy=LevyMeasureSpec(), dim=1)
-    q = QuadForm(np.array([[1.0]]))
-    z = 1.5
-    got = dissipativity_lhs(spec, q, 2.0, np.array([0.4]), np.array([z]))
-    assert got == pytest.approx(-z * z, abs=1e-13)
-
-
-def test_dissipativity_lhs_state_independent_jumps_add_nothing():
-    levy = LevyMeasureSpec(
-        kind=CompoundPoisson(2.0, DiscreteJumps(np.array([[0.5]]), np.array([1.0])))
-    )
-    q = QuadForm(np.array([[1.0]]))
-    x, z = np.array([0.7]), np.array([1.3])
-    without = dissipativity_lhs(_linear_spec([[-1.0]]), q, 2.0, x, z)
-    with_jumps = dissipativity_lhs(_linear_spec([[-1.0]], levy), q, 2.0, x, z)
-    assert with_jumps == without
-
-
-def test_dissipativity_lhs_multiplicative_jump_oracle():
-    # k(x, v) = x v with marks +-1, weight 1 each, b(x) = -x, p = 2, Q = 1:
-    # drift term -2 z^2, each jump integral equals 2 z^2 with coefficient 1/2,
-    # so the total vanishes.
-    spec = GenericIto(b=lambda x: -x, sigma=None, levy=LevyMeasureSpec(), dim=1)
-    q = QuadForm(np.array([[1.0]]))
-    got = dissipativity_lhs(
-        spec,
-        q,
-        2.0,
-        np.array([0.4]),
-        np.array([1.0]),
-        jump_coeff=lambda x, v: v * x,
-        jump_marks=np.array([1.0, -1.0]),
-        jump_weights=np.array([1.0, 1.0]),
-    )
-    assert got == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dissipativity_lhs_asymmetric_marks_compensate_drift():
-    # Single mark v = 1, weight 2: the large-jump compensation enters the
-    # drift difference.  k(1.4, 1) = 1.4 leaves the unit ball, k(0.4, 1)
-    # does not: Delta btilde = -1 + 2 * 1.4 = 1.8, jump integrals both 2.
-    # LHS = 2 * 1.8 + 1 + 1 = 5.6.
-    spec = GenericIto(b=lambda x: -x, sigma=None, levy=LevyMeasureSpec(), dim=1)
-    q = QuadForm(np.array([[1.0]]))
-    got = dissipativity_lhs(
-        spec,
-        q,
-        2.0,
-        np.array([0.4]),
-        np.array([1.0]),
-        jump_coeff=lambda x, v: v * x,
-        jump_marks=np.array([1.0]),
-        jump_weights=np.array([2.0]),
-    )
-    assert got == pytest.approx(5.6, abs=1e-12)
-
-
-def test_dissipativity_lhs_jump_coeff_requires_marks():
-    spec = GenericIto(b=lambda x: -x, sigma=None, levy=LevyMeasureSpec(), dim=1)
-    q = QuadForm(np.array([[1.0]]))
-    with pytest.raises(IntegrabilityError):
-        dissipativity_lhs(
-            spec, q, 2.0, np.array([0.0]), np.array([1.0]), jump_coeff=lambda x, v: v * x
-        )
-
-
-def test_dissipativity_lhs_jump_coeff_rejected_at_p_one():
-    spec = GenericIto(b=lambda x: -x, sigma=None, levy=LevyMeasureSpec(), dim=1)
-    q = QuadForm(np.array([[1.0]]))
-    with pytest.raises(IntegrabilityError):
-        dissipativity_lhs(
-            spec,
-            q,
-            1.0,
-            np.array([0.0]),
-            np.array([1.0]),
-            jump_coeff=lambda x, v: v * x,
-            jump_marks=np.array([1.0]),
-            jump_weights=np.array([1.0]),
-        )
-
-
-def test_dissipativity_lhs_zero_displacement():
-    q = QuadForm(np.array([[1.0]]))
-    got = dissipativity_lhs(_linear_spec([[-1.0]]), q, 2.0, np.array([0.3]), np.array([0.0]))
-    assert got == 0.0
-
-
-def test_dissipativity_lhs_quadratic_homogeneity():
-    h = np.array([[-1.0, 0.4], [0.2, -2.0]])
-    spec = GenericIto(b=lambda x: x @ h.T, sigma=lambda x: 0.3 * x, levy=LevyMeasureSpec(), dim=2)
-    q = QuadForm(np.array([[1.5, 0.2], [0.2, 0.8]]))
-    x = np.array([0.5, -0.3])
-    z = np.array([1.1, 0.7])
-    lam = 2.37
-    base = dissipativity_lhs(spec, q, 2.0, x, z)
-    scaled = dissipativity_lhs(spec, q, 2.0, x, lam * z)
-    assert scaled == pytest.approx(lam * lam * base, rel=1e-12)
-
-
-def test_dissipativity_lhs_piecewise_drift_spec():
-    # Scalar queue with m = gamma: the drift difference is -(x + z - x) = -z.
-    spec = _scalar_queue()
-    q = QuadForm(np.array([[1.0]]))
-    got = dissipativity_lhs(spec, q, 2.0, np.array([0.3]), np.array([0.9]))
-    assert got == pytest.approx(2.0 * (-0.9) * 0.9, abs=1e-13)
-
-
-# ---------------------------------------------------------------------------
 # find_q
 # ---------------------------------------------------------------------------
 
@@ -347,7 +191,7 @@ def test_pair_sim_marginals_match_simulate_in_law():
     ind_x = simulate(_ou_1d(), x, grid, 4000, seed=77)
     ind_y = simulate(_ou_1d(), y, grid, 4000, seed=78)
     for got, ref in ((pair.first, ind_x), (pair.second, ind_y)):
-        p_val = stats.ks_2samp(got.marginal(1).ravel(), ref.marginal(1).ravel()).pvalue
+        p_val = stats.ks_2samp(got.paths[:, 1, :].ravel(), ref.paths[:, 1, :].ravel()).pvalue
         assert p_val > 0.001
 
 
@@ -359,7 +203,7 @@ def _network_2d():
         l=np.array([0.2, -0.1]),
         M=np.array([[2.0, -0.5], [-0.8, 1.5]]),
         Gamma=np.diag([0.5, 1.0]),
-        control=ConstantControl(np.array([0.6, 0.4])),
+        v=np.array([0.6, 0.4]),
         sigma=np.array([[0.5, 0.1], [0.2, 0.4]]),
         levy=LevyMeasureSpec(kind=CompoundPoisson(3.0, jumps)),
     )
@@ -460,7 +304,7 @@ def test_contraction_estimate_queueing_network_meets_prop35_rate():
         l=np.array([0.2, 0.2]),
         M=np.eye(2),
         Gamma=np.eye(2),
-        control=ConstantControl(np.array([1.0, 0.0])),
+        v=np.array([1.0, 0.0]),
         sigma=0.5 * np.eye(2),
         levy=LevyMeasureSpec(kind=CompoundPoisson(1.0, jumps)),
     )

@@ -42,11 +42,10 @@ def _instance(tail, params, c=1.0, b=1.0, v0=1.0, lip=1.0):
     return LowerBoundInstance(
         tail=tail,
         lip=lip,
-        lyapunov=lambda x: v0,
+        v0=v0,
         c=c,
         b=b,
         params=params,
-        x0=np.array([0.0]),
     )
 
 
@@ -109,11 +108,10 @@ def test_select_sn_light_tail_raises_with_diagnostics():
     inst = LowerBoundInstance(
         tail=lambda s: 2.0 * ndtr(-s),
         lip=1.0,
-        lyapunov=lambda x: 1.0,
+        v0=1.0,
         c=1.0,
         b=1.0,
         params=params,
-        x0=np.array([0.0]),
     )
     with pytest.raises(InsufficientTailError) as err:
         lower_bound_curve(inst, 5, np.geomspace(10.0, 1e4, 50))

@@ -7,7 +7,6 @@ import pytest
 
 from ergolab.errors import ConfigError, IntegrabilityError
 from ergolab.lyapunov import (
-    CustomFn,
     DriftReport,
     ExpNorm,
     PolyNorm,
@@ -22,9 +21,7 @@ from ergolab.lyapunov import (
 from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
-    ConstantControl,
     DiscreteJumps,
-    GenericIto,
     LevyMeasureSpec,
     OUJump,
     PiecewiseOU,
@@ -32,6 +29,7 @@ from ergolab.processes import (
     SymmetricStable,
 )
 from ergolab.rates import LinearPhi
+from user_callables import CustomFn, GenericIto
 
 
 def levy_only(dim=1, **levy):
@@ -46,6 +44,11 @@ def quadratic_fn():
         hess_fn=lambda x: np.array([[2.0]]),
         growth=("poly", 2.0),
     )
+
+
+def q_norm(qf, x):
+    """``|x|_Q = sqrt(<x, Qx>)``."""
+    return math.sqrt(float(x @ qf.Q @ x))
 
 
 def cosine_fn(u):
@@ -71,7 +74,6 @@ def test_quadform_validation_and_eigens():
     qf = QuadForm(np.array([[2.0, 0.0], [0.0, 0.5]]))
     assert qf.lam_min == pytest.approx(0.5)
     assert qf.lam_max == pytest.approx(2.0)
-    assert qf.norm(np.array([1.0, 0.0])) == pytest.approx(math.sqrt(2.0))
 
 
 def test_chi_q_equals_norm_outside_ball():
@@ -80,7 +82,7 @@ def test_chi_q_equals_norm_outside_ball():
     for _ in range(50):
         x = rng.normal(size=2)
         x = x / np.linalg.norm(x) * rng.uniform(1.0, 8.0)
-        assert chi_q(qf, x) == pytest.approx(qf.norm(x), abs=1e-14)
+        assert chi_q(qf, x) == pytest.approx(q_norm(qf, x), abs=1e-14)
 
 
 def test_chi_q_symmetric_positive_smooth():
@@ -92,7 +94,7 @@ def test_chi_q_symmetric_positive_smooth():
     # C2 junction: gradient and hessian continuous across |x|_Q = sqrt(lam_min)
     w0 = math.sqrt(qf.lam_min)
     direction = np.array([0.3, 1.0])
-    direction /= qf.norm(direction)
+    direction /= q_norm(qf, direction)
     for eps in (1e-7,):
         lo = (w0 - eps) * direction
         hi = (w0 + eps) * direction
@@ -146,7 +148,7 @@ def test_batched_derivatives_equal_per_point_calls(family):
     rng = np.random.default_rng(4)
     xs = np.concatenate([0.4 * rng.normal(size=(20, 2)), 3.0 * rng.normal(size=(20, 2))])
     # both sides of the blend sphere |x|_Q = sqrt(lam_min)
-    inside = np.array([qf.norm(x) for x in xs]) < math.sqrt(qf.lam_min)
+    inside = np.array([q_norm(qf, x) for x in xs]) < math.sqrt(qf.lam_min)
     assert 5 <= inside.sum() <= 35
     assert np.array_equal(fn.value(xs), [fn.value(x) for x in xs])
     assert np.array_equal(fn.grad(xs), [fn.grad(x) for x in xs])
@@ -320,7 +322,7 @@ _STABLE_2D_V = PolyNormPlusOne(QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), 0.8
 _GRID_2D = [[a, b] for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-2.1, 1.7, 5)]
 _NETWORK_2D = PiecewiseOU(
     l=[0.2, -0.1], M=[[2.0, -0.5], [-0.8, 1.5]], Gamma=np.diag([0.5, 1.0]),
-    control=ConstantControl([0.6, 0.4]), sigma=[[0.5, 0.1], [0.2, 0.4]],
+    v=[0.6, 0.4], sigma=[[0.5, 0.1], [0.2, 0.4]],
     levy=LevyMeasureSpec(),
 )
 

@@ -13,12 +13,9 @@ from ergolab.errors import BlowUpError, ConfigError, DomainError
 from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
-    ConstantControl,
     DiscreteJumps,
-    GenericIto,
     LangevinTempered,
     LevyMeasureSpec,
-    MarkovControl,
     NoJumps,
     OUJump,
     PiecewiseOU,
@@ -36,6 +33,7 @@ from ergolab.processes import (
     standard_one_sided_stable,
     step_plan,
 )
+from user_callables import GenericIto
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +70,12 @@ def test_process_specs_state_their_facts():
     b, sig = langevin_coeffs(lang, x)
     assert np.array_equal(lang.drift(x), b) and np.array_equal(lang.sigma(x), sig)
     pw = PiecewiseOU(
-        l=[1.0, 0.0], M=np.eye(2), Gamma=np.eye(2), control=ConstantControl([0.5, 0.5]),
+        l=[1.0, 0.0], M=np.eye(2), Gamma=np.eye(2), v=[0.5, 0.5],
         sigma=None, levy=LevyMeasureSpec(),
     )
     assert pw.dim == 2
     assert np.array_equal(pw.drift(x), piecewise_drift(pw.l, pw.M, pw.Gamma, [0.5, 0.5], x))
     assert np.allclose(ou.drift(np.array([[3.0]])), [[-6.0]])
-
-
-def test_markov_control_requires_local_lipschitz():
-    with pytest.raises(ConfigError):
-        MarkovControl(fn=lambda x: x, locally_lipschitz=False)
-    MarkovControl(fn=lambda x: x)  # accepted
 
 
 def test_piecewise_ou_validation():
@@ -92,13 +84,15 @@ def test_piecewise_ou_validation():
         l=np.zeros(2),
         M=np.eye(2),
         Gamma=np.eye(2),
-        control=ConstantControl(np.array([1.0, 0.0])),
+        v=np.array([1.0, 0.0]),
         sigma=None,
         levy=levy,
     )
     PiecewiseOU(**ok)
     with pytest.raises(ConfigError):  # control off the simplex
-        ConstantControl(np.array([0.5, 0.1]))
+        PiecewiseOU(**{**ok, "v": np.array([0.5, 0.1])})
+    with pytest.raises(ConfigError):  # nor is a NaN entry on it
+        PiecewiseOU(**{**ok, "v": np.array([np.nan, 1.0])})
     with pytest.raises(ConfigError):  # positive off-diagonal: not an M-matrix
         PiecewiseOU(**{**ok, "M": np.array([[1.0, 0.5], [0.0, 1.0]])})
     with pytest.raises(ConfigError):  # eigenvalue in the left half-plane
@@ -107,6 +101,36 @@ def test_piecewise_ou_validation():
         PiecewiseOU(**{**ok, "M": np.array([[1.0, -2.0], [0.0, 1.0]])})
     with pytest.raises(ConfigError):  # Gamma not nonnegative diagonal
         PiecewiseOU(**{**ok, "Gamma": np.array([[1.0, 0.2], [0.2, 1.0]])})
+
+
+def test_process_parts_must_match_the_dimension():
+    # each part sized for another dimension than the 2-D process is refused
+    # when the spec is built, by the family or, for the Lévy part, by the
+    # one check both families call
+    pw = dict(l=np.zeros(2), M=np.eye(2), Gamma=np.eye(2), v=[0.5, 0.5], sigma=None,
+              levy=LevyMeasureSpec())
+    cases = [
+        ("v", {"v": [1.0]}),
+        ("sigma", {"sigma": [[0.5]]}),
+        ("sigma", {"sigma": np.eye(3)}),
+    ]
+    bad_levies = [
+        ("b_L", LevyMeasureSpec(b_L=[1.0, 1.0, 1.0])),
+        ("b_L", LevyMeasureSpec(b_L=[1.0])),
+        ("a_L", LevyMeasureSpec(a_L=[[1.0]])),
+        ("jumps", LevyMeasureSpec(kind=CompoundPoisson(1.0, DiscreteJumps([1, -1], [0.5, 0.5])))),
+        ("jumps", LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))),
+    ]
+    for part, change in cases + [(part, {"levy": levy}) for part, levy in bad_levies]:
+        with pytest.raises(ConfigError, match=part):
+            PiecewiseOU(**{**pw, **change})
+    for part, levy in bad_levies:
+        with pytest.raises(ConfigError, match=part):
+            OUJump(H=-np.eye(2), levy=levy)
+    # parts of the right size, and jumps that fit any dimension, are accepted
+    fits = LevyMeasureSpec(kind=SymmetricStable(alpha=1.5), b_L=[1.0, 0.0], a_L=np.eye(2))
+    OUJump(H=-np.eye(2), levy=fits)
+    PiecewiseOU(**{**pw, "sigma": np.eye(2), "levy": fits})
 
 
 def test_backward_recurrence_validation_and_up_prob():
@@ -275,7 +299,7 @@ def test_ou_exact_transition_matches_quadrature():
 def test_ou_simulated_mean_within_mc_band():
     spec = OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec(a_L=np.array([[2.0]])))
     batch = simulate(spec, x0=[2.0], t_grid=[0.0, 1.0], n_paths=4000, seed=21, max_step=0.05)
-    xs = batch.marginal(1)[:, 0]
+    xs = batch.paths[:, 1, 0]
     mean, cov = ou_exact_transition([[-1.0]], [[2.0]], 1.0, [2.0])
     se = xs.std(ddof=1) / math.sqrt(len(xs))
     assert abs(xs.mean() - mean[0]) < 3 * se
@@ -443,7 +467,7 @@ def test_simulate_piecewise_single_euler_step_exact():
     g = np.diag([1.0, 1.0])
     v = np.array([0.5, 0.5])
     spec = PiecewiseOU(
-        l=l, M=m, Gamma=g, control=ConstantControl(v), sigma=None, levy=LevyMeasureSpec()
+        l=l, M=m, Gamma=g, v=v, sigma=None, levy=LevyMeasureSpec()
     )
     x0 = np.array([1.0, -0.2])
     batch = simulate(spec, x0, [0.0, 0.01], n_paths=2, seed=9, max_step=0.01)
@@ -476,7 +500,7 @@ def test_simulate_euler_weak_error_halves():
     ratio = abs(v_rec[0.1] - v_true) / abs(v_rec[0.05] - v_true)
     assert 1.6 <= ratio <= 2.4
     batch = simulate(spec_noise, [0.0], [0.0, 1.0], n_paths=200_000, seed=5, max_step=0.1)
-    sample_var = batch.marginal(1)[:, 0].var(ddof=1)
+    sample_var = batch.paths[:, 1, 0].var(ddof=1)
     se = v_rec[0.1] * math.sqrt(2.0 / 200_000)
     assert abs(sample_var - v_rec[0.1]) < 4 * se
 
@@ -488,7 +512,7 @@ def test_simulate_compound_poisson_rate():
     )
     spec = GenericIto(b=None, sigma=None, levy=levy, dim=1)
     batch = simulate(spec, [0.0], [0.0, 1.0], n_paths=20_000, seed=8, max_step=0.05)
-    xs = batch.marginal(1)[:, 0]
+    xs = batch.paths[:, 1, 0]
     assert xs.mean() == pytest.approx(2.0, rel=0.05)
     assert xs.var(ddof=1) == pytest.approx(2.0, rel=0.05)
     assert np.all(xs == np.round(xs))
@@ -507,7 +531,7 @@ def test_simulate_stable_increment_scaling():
     levy = LevyMeasureSpec(kind=SymmetricStable(alpha=1.99999999, scale=1.0))
     spec = GenericIto(b=None, sigma=None, levy=levy, dim=1)
     batch = simulate(spec, [0.0], [0.0, 1.0], n_paths=50_000, seed=6, max_step=0.05)
-    xs = batch.marginal(1)[:, 0]
+    xs = batch.paths[:, 1, 0]
     assert xs.var(ddof=1) == pytest.approx(2.0, rel=0.05)
 
 

@@ -1,5 +1,6 @@
-"""The README's command examples run as written, so a renamed or removed
-config key fails here instead of leaving the documentation stale."""
+"""The README's command examples run as written, and its process objects
+parse, so a renamed or removed config key fails here instead of leaving the
+documentation stale."""
 
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ergolab.cli import main
+from ergolab.cli import _SCHEMA, main, parse_process
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ARTIFACTS = {
@@ -30,6 +31,27 @@ def _examples() -> dict:
         command = re.findall(r"\*\*`(\w+)`\*\*", text[: block.start()])[-1]
         examples[command] = config
     return examples
+
+
+def _process_objects() -> list:
+    """The objects of the json block under "Process description", which
+    lists several, one after another."""
+    text = README.read_text()
+    section = text[text.index("### Process description"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    decoder, objects, at = json.JSONDecoder(), [], 0
+    while block[at:].strip():
+        at = len(block) - len(block[at:].lstrip())
+        obj, at = decoder.raw_decode(block, at)
+        objects.append(obj)
+    return objects
+
+
+def test_process_description_parses_and_covers_every_family():
+    objects = _process_objects()
+    for obj in objects:
+        parse_process(obj)
+    assert sorted(obj["family"] for obj in objects) == sorted(_SCHEMA["process"][1])
 
 
 def test_every_command_example_is_found():
