@@ -16,8 +16,9 @@ generated references — and prints it alongside every fit.
 
 The :func:`main` entry point exposes thin subcommand bindings over the
 library modules (``simulate``, ``wdist``, ``driftcheck``, ``couple``,
-``lower``, ``subordinate``, ``ratefit``).  Exit codes: 0 on success, 2 for
-configuration/validation errors, 3 for numerical or data failures.
+``lower``, ``subordinate``, ``ratefit``); each reads its config through one
+``_SCHEMA`` entry.  Exit codes: 0 on success, 2 for configuration/validation
+errors, 3 for numerical or data failures.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -369,8 +371,6 @@ def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit
         raise DomainError(f"times and values disagree in length: {t.shape} vs {v.shape}")
     if t.size < 4:
         raise DomainError(f"need at least 4 points to fit a rate, got {t.size}")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-        raise DomainError("times and values must be finite")
     if np.any(v <= 0):
         raise DomainError("values must be strictly positive")
     if np.any(np.diff(t) <= 0):
@@ -419,18 +419,6 @@ def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(data: dict, required: set, optional: set, label: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{label} must be a JSON object, got {type(data).__name__}")
-    keys = set(data)
-    missing = required - keys
-    if missing:
-        raise ConfigError(f"{label} is missing required keys: {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ConfigError(f"{label} has unknown keys: {sorted(unknown)}")
-
-
 def _as_int(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label} must be an integer, got {value!r}")
@@ -440,14 +428,23 @@ def _as_int(value, label: str) -> int:
 def _as_float(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{label} must be finite, got {number!r}")
+    return number
 
 
 def _array(value, label: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must hold numbers, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{label} must hold finite numbers")
+    return arr
 
 
 def _vector(value, label: str) -> np.ndarray:
@@ -464,40 +461,59 @@ def _matrix(value, label: str) -> np.ndarray:
     return arr
 
 
+def _points(value, label: str) -> np.ndarray:
+    """A non-empty list of points: numbers (1-D) or coordinate lists."""
+    arr = _array(value, label)
+    if arr.ndim not in (1, 2) or arr.shape[0] == 0:
+        raise ConfigError(f"{label} must be a non-empty list of points")
+    return arr
+
+
 def _bracket(value, label: str) -> tuple:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{label} must be a [lower_exponent, upper_exponent] pair")
     lo, hi = _as_float(value[0], f"{label}[0]"), _as_float(value[1], f"{label}[1]")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise DomainError(f"{label} must be an ordered finite pair, got {value}")
+    if not lo <= hi:
+        raise DomainError(f"{label} must be an ordered pair, got {value}")
     return (lo, hi)
 
 
 def _resolve_grid(obj, default_kind: str) -> np.ndarray:
     """A time grid given either explicitly or as start/stop/points."""
-    if isinstance(obj, dict):
-        _require_keys(obj, {"start", "stop", "points"}, {"kind"}, "t_grid")
-        start = _as_float(obj["start"], "t_grid.start")
-        stop = _as_float(obj["stop"], "t_grid.stop")
-        points = _as_int(obj["points"], "t_grid.points")
-        kind = obj.get("kind", default_kind)
-        if kind not in ("geometric", "arithmetic"):
-            raise ConfigError(f"unknown grid kind {kind!r}")
-        if points < 2:
-            raise DomainError(f"t_grid.points must be >= 2, got {points}")
-        if not start < stop:
-            raise DomainError(f"t_grid needs start < stop, got [{start}, {stop}]")
-        if kind == "geometric":
-            if not start > 0:
-                raise DomainError("a geometric grid needs a positive start")
-            return np.geomspace(start, stop, points)
-        return np.linspace(start, stop, points)
-    grid = _vector(obj, "t_grid")
-    if np.any(grid < 0):
-        raise DomainError("grid times must be nonnegative")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise DomainError("grid times must be strictly increasing")
-    return grid
+    if not isinstance(obj, dict):
+        grid = _vector(obj, "t_grid")
+        if np.any(grid < 0):
+            raise DomainError("grid times must be nonnegative")
+        if grid.size > 1 and np.any(np.diff(grid) <= 0):
+            raise DomainError("grid times must be strictly increasing")
+        return grid
+    span = _from_json("t_grid", obj, kind=default_kind)
+    if span.kind not in ("geometric", "arithmetic"):
+        raise ConfigError(f"unknown grid kind {span.kind!r}")
+    if span.points < 2:
+        raise DomainError(f"t_grid.points must be >= 2, got {span.points}")
+    # no path block holds more grid times than values
+    _within(span.points, PATH_MAX_VALUES, "t_grid")
+    if not span.start < span.stop:
+        raise DomainError(f"t_grid needs start < stop, got [{span.start}, {span.stop}]")
+    if span.kind == "geometric":
+        if not span.start > 0:
+            raise DomainError("a geometric grid needs a positive start")
+        return np.geomspace(span.start, span.stop, span.points)
+    return np.linspace(span.start, span.stop, span.points)
+
+
+def _levels(value, label: str) -> np.ndarray:
+    """Lower-bound levels, given either explicitly or as min/max/points (geometric)."""
+    if not isinstance(value, dict):
+        return _vector(value, label)
+    span = _from_json("s_grid", value, label)
+    if not (span.min > 0 and span.max > 0):
+        raise DomainError(f"{label} levels must be positive, got [{span.min}, {span.max}]")
+    if span.points < 1:
+        raise DomainError(f"{label}.points must be >= 1, got {span.points}")
+    _within(span.points, LEVEL_MAX_POINTS, label)
+    return np.geomspace(span.min, span.max, span.points)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +538,21 @@ class _Key:
 @dataclass(frozen=True)
 class _Entry:
     """A class and its JSON keys, listed in constructor order; ``build``
-    replaces the constructor when the JSON is flatter than the object."""
+    replaces the constructor when the JSON is flatter than the object.  An
+    entry with no class reads into a plain record of its values by key name."""
 
-    cls: type
+    cls: type | None
     keys: tuple = ()
     build: object = None
 
 
 def _nested(group: str):
     return lambda value, label: _from_json(group, value, label)
+
+
+def _record(*keys) -> tuple:
+    """An untagged group of one classless entry: a subcommand's config or a span."""
+    return (None, {None: _Entry(None, keys)})
 
 
 def _as_str(value, label: str) -> str:
@@ -545,11 +567,24 @@ def _as_object(value, label: str) -> dict:
     return value
 
 
+def _truncation(value, label: str):
+    if value != "auto" and _as_int(value, label) < 1:
+        raise DomainError(f"{label} must be 'auto' or a positive integer, got {value}")
+    return value
+
+
 _ALPHA = _Key("alpha", _as_float)
 _SCALE = _Key("scale", _as_float, default=1.0)
 _LEVY = _Key("levy", _nested("levy"), default=LevyMeasureSpec())
-# Q defaults to the identity of the process dimension, which the caller passes
-_Q = _Key("Q", lambda v, label: QuadForm(_array(v, label)), default=None, attr="qf.Q")
+# optional where the caller passes its default, the identity of the process dimension
+_Q = _Key("Q", lambda v, label: QuadForm(_array(v, label)), attr="qf.Q")
+# looked up at call time, so a wrapper installed on ``parse_process`` sees every process
+_PROCESS = _Key("process", lambda v, label: parse_process(v))
+_SEED = _Key("seed", _as_int)
+_MAX_STEP = _Key("max_step", _as_float, default=0.01)
+_T_GRID = _Key("t_grid", lambda v, label: _resolve_grid(v, "arithmetic"))
+_BRACKET = _Key("bracket", _bracket, default=None)
+_BRACKET_PARAMS = _Key("bracket_params", _as_object, default=None)
 
 # group -> (tag key or None, {tag: entry}); the canonical JSON form of an
 # object lists every key of its entry, optional ones included
@@ -622,20 +657,20 @@ _SCHEMA = {
     }),
     "experiment config": (None, {
         None: _Entry(ExperimentConfig, (
-            _Key("process", _nested("process")),
+            _PROCESS,
             _Key("x0", lambda v, label: tuple(float(x) for x in _vector(v, label))),
             # resolved by ExperimentConfig: its default spacing follows rate_model
             _Key("t_grid", lambda v, label: v),
             _Key("n_paths", _as_int),
-            _Key("seed", _as_int),
+            _SEED,
             _Key("distance", _nested("distance")),
             _Key("p", _as_float),
             _Key("reference", _nested("reference")),
             _Key("rate_model", _as_str),
             _Key("outputs", _as_str, default=None),
-            _Key("bracket", _bracket, default=None),
-            _Key("bracket_params", _as_object, default=None),
-            _Key("max_step", _as_float, default=0.01),
+            _BRACKET,
+            _BRACKET_PARAMS,
+            _MAX_STEP,
         )),
     }),
     "lower params": (None, {
@@ -648,19 +683,74 @@ _SCHEMA = {
         "gamma": _Entry(GammaSub, (_Key("a", _as_float), _Key("b_hat", _as_float))),
         "drift_only": _Entry(DriftOnly),
     }),
+    # the other subcommands' configs, and the spans a grid may be given as;
+    # the handler checks what ties keys together and what needs a budget
+    "simulate config": _record(
+        _PROCESS, _Key("x0", _vector), _T_GRID, _Key("n_paths", _as_int), _SEED, _MAX_STEP
+    ),
+    "ratefit config": _record(
+        _Key("times", _array), _Key("values", _array), _Key("model", _as_str),
+        _BRACKET, _BRACKET_PARAMS,
+    ),
+    "driftcheck config": _record(
+        _PROCESS,
+        # read by the handler, which passes the default Q of the process dimension
+        _Key("lyapunov", _as_object),
+        _Key("phi", _nested("phi")),
+        # a span's points are budgeted before the grid is built
+        _Key("grid", lambda v, label: (
+            _from_json("grid", v, label) if isinstance(v, dict) else _points(v, label)
+        )),
+        _Key("ball_radius", _as_float),
+        _Key("jump_mc_samples", _as_int, default=20000),
+        _Key("seed", _as_int, default=0),
+    ),
+    "couple config": _record(
+        _PROCESS, _Key("x", _vector), _Key("y", _vector), _T_GRID, _Key("n_paths", _as_int),
+        _SEED, _Key("p", _as_float), _MAX_STEP, _Key("n_boot", _as_int, default=200),
+        _Key("certificate", _nested("certificate"), default=None),
+    ),
+    "certificate": _record(
+        _Key("lip_sqrtq_sigma", _as_float),
+        _Key("Q", lambda v, label: QuadForm(_matrix(v, label)), default=None),
+    ),
+    "lower config": _record(
+        _PROCESS, _Key("params", _nested("lower params")), _Key("c", _as_float),
+        _Key("b", _as_float), _Key("x0", _vector), _Key("n_terms", _as_int),
+        _Key("s_grid", _levels),
+        # the tails are exact at every level; ``truncation`` once sized a table
+        # they were read from, and is still accepted, but has no effect
+        _Key("truncation", _truncation, default="auto"),
+        _Key("lipschitz", _as_float, default=1.0),
+        _Key("lyapunov_exponent", _as_float, default=None),  # None: params.theta
+    ),
+    "subordinate config": _record(
+        _Key("rate", _nested("rate")), _Key("p", _as_float),
+        _Key("subordinator", _nested("subordinator")), _Key("t", _vector),
+        _Key("n_mc", _as_int), _SEED, _Key("b_s", _as_float, default=0.0),
+    ),
+    # the kind of a t_grid span defaults to the spacing its caller passes
+    "t_grid": _record(
+        _Key("start", _as_float), _Key("stop", _as_float), _Key("points", _as_int),
+        _Key("kind", _as_str),
+    ),
+    "grid": _record(_Key("lo", _as_float), _Key("hi", _as_float), _Key("points", _as_int)),
+    "s_grid": _record(_Key("min", _as_float), _Key("max", _as_float), _Key("points", _as_int)),
 }
 _GROUP_OF = {
     entry.cls: (group, tag)
     for group, (_, entries) in _SCHEMA.items()
     for tag, entry in entries.items()
+    if entry.cls is not None
 }
 
 
 def _from_json(group: str, data, label: str | None = None, **defaults):
     """Build the object a JSON value of ``group`` describes.
 
-    ``defaults`` override the table's default of an optional key where it
-    depends on context (the identity ``Q`` of the process dimension).
+    ``defaults`` supply the default of a key where it depends on context
+    (the identity ``Q`` of the process dimension, a grid's spacing); a key
+    named there is optional.
     """
     tag_key, entries = _SCHEMA[group]
     label = label or group
@@ -672,18 +762,25 @@ def _from_json(group: str, data, label: str | None = None, **defaults):
     if tag not in entries:
         raise ConfigError(f"unknown {label} {tag_key} {tag!r}")
     entry = entries[tag]
-    required = {key.name for key in entry.keys if key.default is _REQUIRED}
-    optional = {key.name for key in entry.keys} - required
+    optional = {k.name for k in entry.keys if k.default is not _REQUIRED or k.name in defaults}
+    required = {k.name for k in entry.keys} - optional
     if tag_key is not None:
         required.add(tag_key)
-    _require_keys(data, required, optional, label)
+    missing = required - set(data)
+    if missing:
+        raise ConfigError(f"{label} is missing required keys: {sorted(missing)}")
+    unknown = set(data) - required - optional
+    if unknown:
+        raise ConfigError(f"{label} has unknown keys: {sorted(unknown)}")
     args = []
     for key in entry.keys:
         value = data.get(key.name)
-        if value is None and key.default is not _REQUIRED:
+        if value is None and key.name in optional:
             args.append(defaults.get(key.name, key.default))
         else:
             args.append(key.read(value, f"{label}.{key.name}"))
+    if entry.cls is None:
+        return SimpleNamespace(**{key.name: arg for key, arg in zip(entry.keys, args)})
     return (entry.build or entry.cls)(*args)
 
 
@@ -721,9 +818,11 @@ def parse_process(data: dict):
 # ---------------------------------------------------------------------------
 
 
-def parse_experiment_config(data: dict) -> ExperimentConfig:
-    """Validate a JSON experiment description into an :class:`ExperimentConfig`."""
-    return _from_json("experiment config", data)
+def parse_experiment_config(data: dict, **defaults) -> ExperimentConfig:
+    """Validate a JSON experiment description into an :class:`ExperimentConfig`;
+    ``defaults`` make keys optional that a caller can do without (``wdist``'s
+    ``rate_model``)."""
+    return _from_json("experiment config", data, **defaults)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -850,44 +949,24 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _override_seed(data: dict, seed) -> dict:
-    if seed is None:
-        return data
-    merged = dict(data)
-    merged["seed"] = seed
-    return merged
+def _check_q(q: QuadForm, dim: int, label: str) -> QuadForm:
+    if q.dim != dim:
+        raise ConfigError(f"{label} is {q.dim} x {q.dim} but the process has dimension {dim}")
+    return q
 
 
-def _cmd_simulate(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    _require_keys(
-        data, {"process", "x0", "t_grid", "n_paths", "seed"}, {"max_step"}, "simulate config"
-    )
-    spec = parse_process(data["process"])
-    grid = _resolve_grid(data["t_grid"], "arithmetic")
-    n_paths = _as_int(data["n_paths"], "n_paths")
-    _within(n_paths * grid.size * spec.dim, CSV_MAX_VALUES, "the trajectory CSV")
-    max_step = _as_float(data.get("max_step", 0.01), "max_step")
-    _within_plan(spec, grid, max_step, n_paths)
-    batch = simulate(
-        spec,
-        _vector(data["x0"], "x0"),
-        grid,
-        n_paths,
-        _as_int(data["seed"], "seed"),
-        max_step=max_step,
-    )
+def _cmd_simulate(cfg, out: Path) -> int:
+    spec, grid = cfg.process, cfg.t_grid
+    _within(cfg.n_paths * grid.size * spec.dim, CSV_MAX_VALUES, "the trajectory CSV")
+    _within_plan(spec, grid, cfg.max_step, cfg.n_paths)
+    batch = simulate(spec, cfg.x0, grid, cfg.n_paths, cfg.seed, max_step=cfg.max_step)
     dest = out / "trajectories.csv"
     batch.to_csv(dest)
-    print(f"simulated {n_paths} paths at {grid.size} grid times -> {dest}")
+    print(f"simulated {cfg.n_paths} paths at {grid.size} grid times -> {dest}")
     return 0
 
 
-def _cmd_wdist(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    payload = dict(data)
-    payload.setdefault("rate_model", "exponential")
-    cfg = parse_experiment_config(payload)
+def _cmd_wdist(cfg: ExperimentConfig, out: Path) -> int:
     times, dists, floor = _experiment_curve(cfg)
     _write_distances(out / "wdist.csv", times, dists)
     for t, d in zip(times, dists):
@@ -896,17 +975,9 @@ def _cmd_wdist(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_ratefit(data: dict, out: Path, seed) -> int:
-    _require_keys(
-        data, {"times", "values", "model"}, {"bracket", "bracket_params"}, "ratefit config"
-    )
-    params = data.get("bracket_params")
+def _cmd_ratefit(cfg, out: Path) -> int:
     fit = fit_rate(
-        data["times"],
-        data["values"],
-        data["model"],
-        bracket=data.get("bracket"),
-        bracket_params=None if params is None else _as_object(params, "bracket_params"),
+        cfg.times, cfg.values, cfg.model, bracket=cfg.bracket, bracket_params=cfg.bracket_params
     )
     result = {
         "model": fit.model,
@@ -925,54 +996,30 @@ def _cmd_ratefit(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    _require_keys(
-        data,
-        {"process", "lyapunov", "phi", "grid", "ball_radius"},
-        {"jump_mc_samples", "seed"},
-        "driftcheck config",
-    )
-    spec = parse_process(data["process"])
+def _cmd_driftcheck(cfg, out: Path) -> int:
+    spec, samples = cfg.process, cfg.jump_mc_samples
     # a chain has no levy part for the jump budget below to read
     if spec.discrete_time:
         raise ConfigError(f"driftcheck needs a continuous-time process, got {type(spec).__name__}")
-    fn = _from_json("lyapunov", data["lyapunov"], Q=QuadForm(np.eye(spec.dim)))
-    phi = _from_json("phi", data["phi"])
-    samples = _as_int(data.get("jump_mc_samples", 20000), "jump_mc_samples")
+    fn = _from_json("lyapunov", cfg.lyapunov, Q=QuadForm(np.eye(spec.dim)))
+    _check_q(fn.qf, spec.dim, "lyapunov.Q")
     if samples < 1:
         raise DomainError(f"jump_mc_samples must be >= 1, got {samples}")
     _within(samples * spec.dim**2, JUMP_MC_MAX_VALUES, "one grid point's Monte Carlo batch")
-    grid_obj = data["grid"]
-    if isinstance(grid_obj, dict):
-        _require_keys(grid_obj, {"lo", "hi", "points"}, set(), "grid")
-        points = _as_int(grid_obj["points"], "grid.points")
-        if points < 1:
-            raise DomainError(f"grid.points must be >= 1, got {points}")
-    else:
-        grid = _array(grid_obj, "grid")
-        if grid.size == 0:
-            raise DomainError("grid must hold at least one point")
-        points = grid.shape[0]
+    grid = cfg.grid
+    points = grid.shape[0] if isinstance(grid, np.ndarray) else grid.points
+    if points < 1:
+        raise DomainError(f"grid.points must be >= 1, got {points}")
     nodes = points * (1 + jump_nodes(spec.levy, spec.dim, samples))
     _within(nodes, DRIFT_MAX_NODES, "the drift check's grid points x jump nodes")
-    if isinstance(grid_obj, dict):
-        grid = np.linspace(
-            _as_float(grid_obj["lo"], "grid.lo"), _as_float(grid_obj["hi"], "grid.hi"), points
-        )
-    coords = grid[:, None] if grid.ndim == 1 else grid
-    if coords.ndim != 2 or coords.shape[1] != spec.dim:
+    if not isinstance(grid, np.ndarray):
+        grid = np.linspace(grid.lo, grid.hi, points)
+    if (1 if grid.ndim == 1 else grid.shape[1]) != spec.dim:
         raise ConfigError(
             f"grid points must have {spec.dim} coordinates, the process dimension"
         )
     report = drift_check(
-        spec,
-        fn,
-        phi,
-        grid,
-        ball_radius=_as_float(data["ball_radius"], "ball_radius"),
-        jump_mc_samples=samples,
-        seed=_as_int(data.get("seed", 0), "seed"),
+        spec, fn, cfg.phi, grid, cfg.ball_radius, jump_mc_samples=samples, seed=cfg.seed
     )
     report.to_csv(out / "driftcheck.csv")
     print(
@@ -982,52 +1029,26 @@ def _cmd_driftcheck(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_couple(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    _require_keys(
-        data,
-        {"process", "x", "y", "t_grid", "n_paths", "seed", "p"},
-        {"max_step", "n_boot", "certificate"},
-        "couple config",
-    )
-    spec = parse_process(data["process"])
-    p = _as_float(data["p"], "p")
-    run_seed = _as_int(data["seed"], "seed")
-    grid = _resolve_grid(data["t_grid"], "arithmetic")
-    n_paths = _as_int(data["n_paths"], "n_paths")
-    n_boot = _as_int(data.get("n_boot", 200), "n_boot")
-    check_estimate(p, n_boot, n_paths)
-    max_step = _as_float(data.get("max_step", 0.01), "max_step")
-    _within(2 * n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
-    _within_plan(spec, grid, max_step, n_paths, starts=2)
-    _within(n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
+def _cmd_couple(cfg, out: Path) -> int:
+    spec, grid, p = cfg.process, cfg.t_grid, cfg.p
+    check_estimate(p, cfg.n_boot, cfg.n_paths)
+    _within(2 * cfg.n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
+    _within_plan(spec, grid, cfg.max_step, cfg.n_paths, starts=2)
+    _within(cfg.n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
     params = None
-    cert = data.get("certificate")
+    cert = cfg.certificate
     if cert is not None:
         if not isinstance(spec, PiecewiseOU):
             raise ConfigError("contraction certificates apply to the piecewise_ou family")
-        _require_keys(cert, {"lip_sqrtq_sigma"}, {"Q"}, "certificate")
-        if "Q" in cert:
-            q = QuadForm(_matrix(cert["Q"], "certificate.Q"))
-            if q.dim != spec.dim:
-                raise ConfigError(
-                    f"certificate.Q is {q.dim} x {q.dim} but the process has dimension "
-                    f"{spec.dim}"
-                )
+        if cert.Q is not None:
+            q = _check_q(cert.Q, spec.dim, "certificate.Q")
         else:
             q = find_q(spec.M, spec.Gamma, spec.v)
             if isinstance(q, NotFound):
                 raise NotDissipativeError(
                     f"no diagonal quadratic form certifies dissipativity: {q.reason}"
                 )
-        c_p = prop35_cp(
-            spec.M,
-            spec.Gamma,
-            spec.v,
-            q,
-            _as_float(cert["lip_sqrtq_sigma"], "lip_sqrtq_sigma"),
-            p,
-        )
+        c_p = prop35_cp(spec.M, spec.Gamma, spec.v, q, cert.lip_sqrtq_sigma, p)
         if c_p <= 0:
             raise NotDissipativeError(
                 f"certificate constant c(p) = {c_p:.6g} is not positive; the "
@@ -1036,20 +1057,10 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
         params = DissipativityParams(q=q, p=p, c_p=c_p)
         print(f"c(p) = {c_p:.6g} at p = {p:g}")
     pairs = synchronous_pair_sim(
-        spec,
-        _vector(data["x"], "x"),
-        _vector(data["y"], "y"),
-        grid,
-        n_paths,
-        run_seed,
-        max_step=max_step,
+        spec, cfg.x, cfg.y, grid, cfg.n_paths, cfg.seed, max_step=cfg.max_step
     )
     report = contraction_estimate(
-        pairs,
-        p,
-        params=params,
-        n_boot=n_boot,
-        seed=_derive_seed(run_seed, "bootstrap"),
+        pairs, p, params=params, n_boot=cfg.n_boot, seed=_derive_seed(cfg.seed, "bootstrap")
     )
     report.to_csv(out / "couple.csv")
     print(
@@ -1059,49 +1070,19 @@ def _cmd_couple(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_lower(data: dict, out: Path, seed) -> int:
-    _require_keys(
-        data,
-        {"process", "params", "c", "b", "x0", "n_terms", "s_grid"},
-        {"truncation", "lipschitz", "lyapunov_exponent"},
-        "lower config",
-    )
-    spec = parse_process(data["process"])
+def _cmd_lower(cfg, out: Path) -> int:
+    spec = cfg.process
     if not isinstance(spec, BackwardRecurrence):
         raise ConfigError("the lower-bound construction applies to backward_recurrence")
-    x0 = _vector(data["x0"], "x0")
-    spec.check_start(x0)
-    s_obj = data["s_grid"]
-    if isinstance(s_obj, dict):
-        _require_keys(s_obj, {"min", "max", "points"}, set(), "s_grid")
-        lo = _as_float(s_obj["min"], "s_grid.min")
-        hi = _as_float(s_obj["max"], "s_grid.max")
-        points = _as_int(s_obj["points"], "s_grid.points")
-        if not (0 < lo < math.inf and 0 < hi < math.inf):
-            raise DomainError(f"s_grid levels must be positive and finite, got [{lo}, {hi}]")
-        if points < 1:
-            raise DomainError(f"s_grid.points must be >= 1, got {points}")
-        _within(points, LEVEL_MAX_POINTS, "s_grid")
-        s_grid = np.geomspace(lo, hi, points)
-    else:
-        s_grid = _vector(s_obj, "s_grid")
-    # the tails are exact at every level; ``truncation`` once sized a table
-    # they were read from, and is still accepted, but has no effect
-    trunc = data.get("truncation", "auto")
-    if trunc != "auto" and _as_int(trunc, "truncation") < 1:
-        raise DomainError(f"truncation must be 'auto' or a positive integer, got {trunc}")
-    params = _from_json("lower params", data["params"])
-    theta_v = _as_float(data.get("lyapunov_exponent", params.theta), "lyapunov_exponent")
-    lip = _as_float(data.get("lipschitz", 1.0), "lipschitz")
+    spec.check_start(cfg.x0)
+    theta_v = cfg.params.theta if cfg.lyapunov_exponent is None else cfg.lyapunov_exponent
     inst = LowerBoundInstance(
         tail=spec.tail,
-        lip=lip,
-        v0=1.0 + abs(float(x0[0])) ** theta_v,  # V(x) = 1 + |x|^theta_v at the start
-        c=_as_float(data["c"], "c"),
-        b=_as_float(data["b"], "b"),
-        params=params,
+        lip=cfg.lipschitz,
+        v0=1.0 + abs(float(cfg.x0[0])) ** theta_v,  # V(x) = 1 + |x|^theta_v at the start
+        c=cfg.c, b=cfg.b, params=cfg.params,
     )
-    curve = lower_bound_curve(inst, _as_int(data["n_terms"], "n_terms"), s_grid=s_grid)
+    curve = lower_bound_curve(inst, cfg.n_terms, s_grid=cfg.s_grid)
     curve.to_csv(out / "lower.csv")
     print(
         f"{curve.s.size} qualifying levels; matched times in "
@@ -1110,22 +1091,13 @@ def _cmd_lower(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_subordinate(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    _require_keys(
-        data, {"rate", "p", "subordinator", "t", "n_mc", "seed"}, {"b_s"}, "subordinate config"
-    )
-    r = _from_json("rate", data["rate"])
-    kind = _from_json("subordinator", data["subordinator"])
-    spec = SubordinatorSpec(kind=kind, b_S=_as_float(data.get("b_s", 0.0), "b_s"))
-    p = _as_float(data["p"], "p")
-    n_mc = _as_int(data["n_mc"], "n_mc")
-    _within(n_mc, CLOCK_MAX_SAMPLES, "n_mc")
-    run_seed = _as_int(data["seed"], "seed")
-    times = _vector(data["t"], "t")
+def _cmd_subordinate(cfg, out: Path) -> int:
+    _within(cfg.n_mc, CLOCK_MAX_SAMPLES, "n_mc")
+    spec = SubordinatorSpec(kind=cfg.subordinator, b_S=cfg.b_s)
     lines = ["t,value,ci_lo,ci_hi,se"]
-    for k, t in enumerate(times):
-        est = subordinate_rate(r, p, spec, float(t), n_mc, _derive_seed(run_seed, f"subordinate-{k}"))
+    for k, t in enumerate(cfg.t):
+        seed = _derive_seed(cfg.seed, f"subordinate-{k}")
+        est = subordinate_rate(cfg.rate, cfg.p, spec, float(t), cfg.n_mc, seed)
         lines.append(
             f"{t:.17g},{est.value:.17g},{est.ci_lo:.17g},{est.ci_hi:.17g},{est.se:.17g}"
         )
@@ -1134,22 +1106,28 @@ def _cmd_subordinate(data: dict, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_experiment(data: dict, out: Path, seed) -> int:
-    data = _override_seed(data, seed)
-    cfg = parse_experiment_config(data)
+def _cmd_experiment(cfg: ExperimentConfig, out: Path) -> int:
     run_experiment(cfg, out_dir=out)
     return 0
 
 
+# subcommand -> (handler, config group, defaults the command supplies, help);
+# ``main`` reads the config through its group and hands the handler the result
 _HANDLERS = {
-    "simulate": (_cmd_simulate, "simulate trajectories and write them as CSV"),
-    "wdist": (_cmd_wdist, "measure a distance-to-reference curve (no fit)"),
-    "experiment": (_cmd_experiment, "full experiment: curve, fit, summary"),
-    "driftcheck": (_cmd_driftcheck, "certify a drift inequality on a grid"),
-    "couple": (_cmd_couple, "synchronous-coupling contraction estimate"),
-    "lower": (_cmd_lower, "explicit Wasserstein lower-bound curve"),
-    "subordinate": (_cmd_subordinate, "Monte Carlo time-changed rate profile"),
-    "ratefit": (_cmd_ratefit, "fit a decay model to external (t, value) data"),
+    "simulate": (_cmd_simulate, "simulate config", {},
+                 "simulate trajectories and write them as CSV"),
+    "wdist": (_cmd_wdist, "experiment config", {"rate_model": "exponential"},
+              "measure a distance-to-reference curve (no fit)"),
+    "experiment": (_cmd_experiment, "experiment config", {},
+                   "full experiment: curve, fit, summary"),
+    "driftcheck": (_cmd_driftcheck, "driftcheck config", {},
+                   "certify a drift inequality on a grid"),
+    "couple": (_cmd_couple, "couple config", {}, "synchronous-coupling contraction estimate"),
+    "lower": (_cmd_lower, "lower config", {}, "explicit Wasserstein lower-bound curve"),
+    "subordinate": (_cmd_subordinate, "subordinate config", {},
+                    "Monte Carlo time-changed rate profile"),
+    "ratefit": (_cmd_ratefit, "ratefit config", {},
+                "fit a decay model to external (t, value) data"),
 }
 
 
@@ -1159,7 +1137,7 @@ def main(argv=None) -> int:
         description="Numerical laboratory for Markov-process convergence rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, desc) in _HANDLERS.items():
+    for name, (*_, desc) in _HANDLERS.items():
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", required=True, help="path to a JSON configuration file")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -1168,12 +1146,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler, _ = _HANDLERS[args.command]
+    handler, group, defaults, _ = _HANDLERS[args.command]
     try:
         data = _load_config(args.config)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return handler(data, out, args.seed)
+        # --seed applies to the commands whose config has a seed
+        if args.seed is not None and "seed" in {k.name for k in _SCHEMA[group][1][None].keys}:
+            data = {**data, "seed": args.seed}
+        if group == "experiment config":  # the public parser, which perfbench times
+            return handler(parse_experiment_config(data, **defaults), out)
+        return handler(_from_json(group, data, **defaults), out)
     except (ConfigError, DomainError, SizeError, InsufficientPathsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

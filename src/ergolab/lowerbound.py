@@ -117,10 +117,6 @@ class LowerBoundCurve:
     t: np.ndarray
     bound: np.ndarray
 
-    def pairs(self) -> list[tuple[float, float]]:
-        """The curve as ``(t_n, bound_n)`` tuples."""
-        return [(float(a), float(b)) for a, b in zip(self.t, self.bound)]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

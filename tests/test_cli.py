@@ -5,6 +5,7 @@ import filecmp
 import hashlib
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from ergolab.cli import (
+    _HANDLERS,
+    _REQUIRED,
     _SCHEMA,
     ExactLP,
     ExperimentConfig,
@@ -343,10 +346,11 @@ def test_config_round_trip_per_family(name):
 
 
 def test_schema_keys_follow_constructor_order():
-    # the generic parse passes the keys of an entry positionally
+    # the generic parse passes the keys of an entry positionally; an entry
+    # with no class reads into a record by key name, so has no order to keep
     for _, entries in _SCHEMA.values():
         for entry in entries.values():
-            if entry.build is None:
+            if entry.cls is not None and entry.build is None:
                 names = [f.name for f in dataclasses.fields(entry.cls)]
                 keys = [(key.attr or key.name).split(".")[0] for key in entry.keys]
                 assert names[: len(keys)] == keys, entry.cls.__name__
@@ -687,6 +691,7 @@ MALFORMED = {
     "couple-y-too-short": ("couple", {**_COUPLE, "process": _OU_2D, "x": [1.0, 0.0]}),
     "subordinate-t-text": ("subordinate", {**_SUBORDINATE, "t": ["x"]}),
     "driftcheck-grid-text": ("driftcheck", {**_DRIFTCHECK, "grid": ["a"]}),
+    "driftcheck-grid-scalar": ("driftcheck", {**_DRIFTCHECK, "grid": 5.0}),
     "driftcheck-grid-no-points": (
         "driftcheck", {**_DRIFTCHECK, "grid": {"lo": 1.0, "hi": 2.0, "points": 0}}
     ),
@@ -786,6 +791,35 @@ MALFORMED = {
             "kind": "compound_poisson", "rate": 1.0, "atoms": [[1.0], [-1.0]],
             "probs": [0.5, 0.5]}}}},
     ),
+    # non-finite numbers, refused when the config is read
+    "experiment-t-grid-nan": (
+        "experiment",
+        _ou_config(t_grid=[0.5, math.nan, 2.0], n_paths=8,
+                   reference={"kind": "exact_invariant", "quantile_points": 16}),
+    ),
+    "simulate-compound-poisson-probs-nan": (
+        "simulate",
+        {**_SIMULATE, "process": {**_OU_1D, "levy": {"jumps": {
+            "kind": "compound_poisson", "rate": 1.0, "atoms": [[1.0]], "probs": [math.nan]}}}},
+    ),
+    "couple-p-infinite": ("couple", {**_COUPLE, "p": math.inf}),
+    "lower-lyapunov-exponent-nan": ("lower", _lower_config(lyapunov_exponent=math.nan)),
+    "driftcheck-grid-lo-nan": (
+        "driftcheck", {**_DRIFTCHECK, "grid": {"lo": math.nan, "hi": 2.0, "points": 3}}
+    ),
+    "subordinate-t-nan": ("subordinate", {**_SUBORDINATE, "t": [math.nan]}),
+    # integers past the float range
+    "subordinate-p-int-huge": ("subordinate", {**_SUBORDINATE, "p": 10**400}),
+    "subordinate-t-int-huge": ("subordinate", {**_SUBORDINATE, "t": [10**400]}),
+    "driftcheck-q-2x2-on-1d": (
+        "driftcheck",
+        {**_DRIFTCHECK, "process": _OU_1D,
+         "lyapunov": {"family": "poly_plus_one", "theta": 1.0, "Q": [[2.0, 0.0], [0.0, 2.0]]}},
+    ),
+    # refused before the grid's 10^12 times are built
+    "simulate-t-grid-points-huge": (
+        "simulate", {**_SIMULATE, "t_grid": {"start": 0.0, "stop": 1.0, "points": 10**12}}
+    ),
 }
 
 
@@ -859,6 +893,63 @@ def test_cli_step_plan_above_budget_exits_2(name, tmp_path, capsys, monkeypatch)
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# one accepted config per subcommand
+COMMAND_CONFIGS = {
+    "simulate": _SIMULATE,
+    "wdist": _ou_config(n_paths=64, reference={"kind": "exact_invariant", "quantile_points": 64}),
+    "experiment": _ou_config(
+        n_paths=64, reference={"kind": "exact_invariant", "quantile_points": 64}
+    ),
+    "driftcheck": _DRIFTCHECK,
+    "couple": _COUPLE,
+    "lower": _lower_config(),
+    "subordinate": _SUBORDINATE,
+    "ratefit": _RATEFIT,
+}
+
+
+def test_every_subcommand_reads_its_config_through_a_schema_group(tmp_path, capsys):
+    assert set(COMMAND_CONFIGS) == set(_HANDLERS)
+    # wdist is an experiment without the fit
+    assert _HANDLERS["wdist"][1] == _HANDLERS["experiment"][1] == "experiment config"
+    for command, (_, group, _, _) in _HANDLERS.items():
+        tag_key, entries = _SCHEMA[group]
+        assert tag_key is None
+        assert set(COMMAND_CONFIGS[command]) <= {key.name for key in entries[None].keys}
+        cfg = _write(tmp_path / "cfg.json", {**COMMAND_CONFIGS[command], "unlisted": 1})
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"{group} has unknown keys: ['unlisted']" in capsys.readouterr().err
+
+
+def _run_outputs(command, payload, tmp_path, capsys):
+    """Exit code, stdout and artifacts of one run (summary.json without its runtime)."""
+    out = tmp_path / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    code = main([command, "--config", _write(tmp_path / "cfg.json", payload), "--out-dir", str(out)])
+    artifacts = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            summary.pop("runtime_s")
+            artifacts[path.name] = summary
+        else:
+            artifacts[path.name] = path.read_bytes()
+    return code, capsys.readouterr().out, artifacts
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_null_selects_the_default_of_every_optional_key(command, tmp_path, capsys):
+    _, group, defaults, _ = _HANDLERS[command]
+    keys = _SCHEMA[group][1][None].keys
+    optional = [key.name for key in keys if key.default is not _REQUIRED or key.name in defaults]
+    assert optional
+    base = {k: v for k, v in COMMAND_CONFIGS[command].items() if k not in optional}
+    absent = _run_outputs(command, base, tmp_path, capsys)
+    assert absent[0] == 0
+    for name in optional:
+        assert _run_outputs(command, {**base, name: None}, tmp_path, capsys) == absent, name
 
 
 def test_config_refuses_a_cost_matrix_above_the_budget():
