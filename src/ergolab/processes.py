@@ -29,7 +29,11 @@ Conventions
   paths follow (the generator :mod:`ergolab.lyapunov` certifies is this one).
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own counter-based
-  substream keyed on (master seed, block index).
+  substream keyed on (master seed, block index).  A walk's draws read no
+  state, so one worker thread per block makes them, in the order a walk
+  that drew as it went would, a few steps ahead of the arithmetic, which
+  (with every drift, ``sigma`` and user callable) stays on the calling
+  thread.
 * ``x0`` is one start ``(dim,)`` or a stack of starts ``(k, dim)``, and a walk
   moves the stack as one ``(k, m, dim)`` state.  Every draw is made once per
   path, as ``(m, dim)`` (``(m,)`` for the chain's uniforms), and applied to
@@ -53,8 +57,10 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
 
@@ -91,6 +97,10 @@ _BLOWUP_GUARD = 1e12
 # Tail mass a tabulated chain law may leave out (see :func:`invariant_exact`).
 TABLE_TAIL = 1e-12
 _BLOCK_SIZE = 16384
+# A walk's draws are made on a worker thread at most this many substeps (the
+# chain: chunks of at most _CHUNK_VALUES uniforms) ahead of its arithmetic.
+_DRAW_DEPTH = 2
+_CHUNK_VALUES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +277,12 @@ class ProcessSpec:
     returns ``walk(m, rng)``, a generator of the ``(k, m, dim)`` states of
     ``m`` paths from each start at each grid time, every start driven by the
     same draws (the first grid time carries ``x0`` in continuous time; in
-    discrete time the times count steps from 0); for continuous time
+    discrete time the times count steps from 0; a yielded state holds until
+    the next is asked for); for continuous time
     ``levy``, a batched
     ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
-    callable), from which :meth:`advance` builds the substep and
+    callable), from which :meth:`advance` (with :meth:`walk_drift`) builds
+    the substep and
     :func:`ergolab.lyapunov.generator_apply` the generator; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
     ``"gaussian"`` (centred, ``invariant_sd()``) or None.  A family refuses,
@@ -292,52 +304,88 @@ class ProcessSpec:
     def walker(self, x0, times, max_step):
         """Continuous time: the :func:`step_plan`'s equal substeps per grid
         interval, each the continuous part's :meth:`advance` plus the jump
-        increment, with the blow-up guard after every substep."""
+        increment, with the blow-up guard after every substep.  A substep's
+        draws (its :meth:`advance` noise, then the jump increment, which
+        reads no state) are made on one worker thread, ahead of the
+        arithmetic (see :func:`_drawn_ahead`); the state is updated in place,
+        so a yielded state holds until the next is asked for."""
         counts = step_plan(self, times, max_step)[1:]
         plans = [(int(n_sub), span / n_sub) for n_sub, span in zip(counts, np.diff(times))]
-        step = self.advance({dt for _, dt in plans})
+        draw, stepper = self.advance({dt for _, dt in plans})
         jumps, dim = self.levy.kind, self.dim
+
+        def draws(m, rng):
+            for n_sub, dt in plans:
+                for _ in range(n_sub):
+                    yield draw(dt, rng, m), jumps.increment(dim, dt, rng, m)
 
         def walk(m, rng):
             x = np.repeat(x0[:, None, :], m, axis=1)
             yield x
-            for n_sub, dt in plans:
-                for _ in range(n_sub):
-                    x = step(x, dt, rng)
-                    jump = jumps.increment(dim, dt, rng, m)
-                    if jump is not None:
-                        x += jump
-                    _check_blowup(x)
-                yield x
+            step = stepper(x.shape)
+            drawn = _drawn_ahead(draws(m, rng))
+            try:
+                for n_sub, dt in plans:
+                    for _ in range(n_sub):
+                        noise, jump = next(drawn)
+                        step(x, dt, noise)
+                        if jump is not None:
+                            x += jump
+                        _check_blowup(x)
+                    yield x
+            finally:
+                drawn.close()
 
         return walk
 
     def advance(self, dts):
-        """``step(x, dt, rng)`` for one substep of the continuous part on a
-        ``(k, m, dim)`` state: Euler–Maruyama in the drift, ``sigma`` and the
-        Gaussian Lévy part, each ``(m, dim)`` noise draw shared by the ``k``
-        starts."""
-        drift, sigma, levy = self.drift, self.sigma, self.levy
+        """``(draw, stepper)`` for one substep of the continuous part.
+        ``draw(dt, rng, m)`` makes the substep's noise without reading the
+        state: the Brownian draw and the Gaussian Lévy part's, each ``(m,
+        dim)`` or None.  ``stepper(shape)`` gives ``step(x, dt, noise)``,
+        which moves a ``(k, m, dim)`` state ``x`` in place by
+        Euler–Maruyama in the drift, ``sigma`` and the Gaussian Lévy part,
+        each draw shared by the ``k`` starts, through work buffers made once
+        for that shape."""
+        sigma, levy, dim = self.sigma, self.levy, self.dim
         sqrt_al = None
         if levy.a_L is not None and np.any(levy.a_L):
             sqrt_al = _psd_sqrt_matrix(levy.a_L)
 
-        def step(x, dt, rng):
-            inc = drift(x.reshape(-1, x.shape[-1])).reshape(x.shape) * dt
-            if levy.b_L is not None:
-                inc += levy.b_L * dt
-            if sigma is not None:
-                z = rng.standard_normal(x.shape[1:])
-                noise = _sigma_apply(sigma, x, z)
-                noise *= math.sqrt(dt)
-                inc += noise
-            if sqrt_al is not None:
-                z2 = rng.standard_normal(x.shape[1:])
-                inc += (z2 @ sqrt_al.T) * math.sqrt(dt)
-            inc += x
-            return inc
+        def draw(dt, rng, m):
+            z = None if sigma is None else rng.standard_normal((m, dim))
+            z2 = None if sqrt_al is None else rng.standard_normal((m, dim))
+            return z, z2
 
-        return step
+        def stepper(shape):
+            drift = self.walk_drift(shape[0] * shape[1])
+            inc_rows = np.empty((shape[0] * shape[1], dim))
+            term_buf = np.empty(shape[1:])
+
+            def step(x, dt, noise):
+                z, z2 = noise
+                inc = np.multiply(drift(x.reshape(-1, dim)), dt, out=inc_rows).reshape(shape)
+                if levy.b_L is not None:
+                    inc += levy.b_L * dt
+                if z is not None:
+                    term = _sigma_apply(sigma, x, z, term_buf)
+                    term *= math.sqrt(dt)
+                    inc += term
+                if z2 is not None:
+                    term = np.matmul(z2, sqrt_al.T, out=term_buf)
+                    term *= math.sqrt(dt)
+                    inc += term
+                x += inc
+
+            return step
+
+        return draw, stepper
+
+    def walk_drift(self, rows):
+        """``drift`` for ``(rows, dim)`` states, in the form a walk calls
+        every substep: a family may hand back one buffer it reuses, which
+        holds until the next call."""
+        return self.drift
 
 
 @dataclass(frozen=True)
@@ -394,17 +442,23 @@ class OUJump(ProcessSpec):
         return _rows_times(self.H, x)
 
     def advance(self, dts):
-        """Exact integration of the linear drift and the Gaussian part per substep."""
+        """Exact integration of the linear drift and the Gaussian part per
+        substep: ``draw`` makes the Gaussian part's ``(m, dim)`` draw (None
+        without ``a_L``), and ``step`` moves the state in place, as in
+        :meth:`ProcessSpec.advance`."""
         terms = {dt: _ou_step_terms(self, dt) for dt in dts}
+        noisy = self.levy.a_L is not None and np.any(self.levy.a_L)
 
-        def step(x, dt, rng):
+        def draw(dt, rng, m):
+            return rng.standard_normal((m, self.dim)) if noisy else None
+
+        def step(x, dt, z):
             prop, drift_term, noise_sqrt = terms[dt]
-            x = _rows_times(prop, x) + drift_term
-            if noise_sqrt is not None:
-                x = x + rng.standard_normal(x.shape[1:]) @ noise_sqrt.T
-            return x
+            np.add(_rows_times(prop, x), drift_term, out=x)
+            if z is not None:
+                x += z @ noise_sqrt.T
 
-        return step
+        return draw, lambda shape: step
 
     def invariant_sd(self) -> float | None:
         """Standard deviation of the invariant law when it is a centred scalar Gaussian."""
@@ -476,6 +530,14 @@ class PiecewiseOU(ProcessSpec):
 
     def drift(self, x):
         return piecewise_drift(self.l, self.M, self.Gamma, self.v, x)
+
+    def walk_drift(self, rows):
+        """:func:`piecewise_drift` into buffers made once per walk, as is ``Gamma v``."""
+        g_v = _rows_times(self.Gamma, self.v)
+        work = np.empty((self.dim + 2, rows))
+        out = np.empty((rows, self.dim))
+        return functools.partial(_piecewise_drift_into, self.l, self.M, g_v, self.v,
+                                 work=work, out=out)
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma
@@ -591,7 +653,8 @@ class BackwardRecurrence(ProcessSpec):
         """Integer walk over a table of ``p_i``, ``n`` the horizon: index
         ``i <= n`` is state ``i`` (reached after a reset), and index
         ``(j + 1)(n + 1) + i`` is state ``x0[j] + i`` (start ``j``, no reset
-        yet).  One uniform per path and step, shared by all starts."""
+        yet).  One uniform per path and step, shared by all starts, drawn on
+        one worker thread ahead of the walk (see :func:`_drawn_ahead`)."""
         counts = [int(c) for c in step_plan(self, times, max_step)]
         n = sum(counts)
         starts = x0[:, 0].astype(np.int64)
@@ -601,14 +664,26 @@ class BackwardRecurrence(ProcessSpec):
         )
         shift = (starts - base)[:, None]
 
+        def draws(m, rng):
+            # the n uniforms of each path, drawn in chunks of whole steps: a
+            # (rows, m) draw is the stream of rows (m,) draws
+            rows = max(1, _CHUNK_VALUES // m)
+            for done in range(0, n, rows):
+                yield rng.random((min(rows, n - done), m))
+
         def walk(m, rng):
             k = np.repeat(base[:, None], m, axis=1)
-            for count in counts:
-                for _ in range(count):
-                    up = rng.random(m) < table[k]
-                    k += 1
-                    k *= up
-                yield np.where(k > n, k + shift, k)[..., None]
+            chunks = _drawn_ahead(draws(m, rng))
+            uniforms = itertools.chain.from_iterable(chunks)
+            try:
+                for count in counts:
+                    for u in itertools.islice(uniforms, count):
+                        up = u < table[k]
+                        k += 1
+                        k *= up
+                    yield np.where(k > n, k + shift, k)[..., None]
+            finally:
+                chunks.close()
 
         return walk
 
@@ -729,22 +804,67 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+def _drawn_ahead(draws):
+    """Yield the items of the generator ``draws``, run on one worker thread
+    up to ``_DRAW_DEPTH`` items ahead of the caller.
+
+    A walk's draws read no state, so its worker makes them while the caller
+    does the arithmetic that uses them; only the worker touches the block's
+    ``Generator``, and the draws come out in the order they were made, so
+    the paths are those of a walk that draws as it goes.  When this
+    generator ends, is closed or raises, the worker stops and is joined;
+    an exception raised on the worker is raised here.
+    """
+    handoff = queue.Queue(_DRAW_DEPTH)
+    stop = threading.Event()
+
+    def work():
+        # each put follows a look at ``stop``; after the caller sets it and
+        # empties the queue, at most one put is under way and it finds room
+        try:
+            for item in draws:
+                if stop.is_set():
+                    return
+                handoff.put((True, item))
+            last = (False, None)
+        except BaseException as exc:  # handed over: the caller raises it
+            last = (False, exc)
+        if not stop.is_set():
+            handoff.put(last)
+
+    worker = threading.Thread(target=work, name="ergolab-draws", daemon=True)
+    worker.start()
+    try:
+        while True:
+            more, item = handoff.get()
+            if not more:
+                if item is not None:
+                    raise item
+                return
+            yield item
+    finally:
+        stop.set()
+        while not handoff.empty():
+            handoff.get_nowait()
+        worker.join()
+
+
 def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _sigma_apply(sigma, x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``sigma(x) @ z`` per path of a ``(k, m, n)`` state, for a constant
-    ``sigma`` or a batched callable; ``z`` ``(m, n)`` is shared by the
-    ``k`` starts."""
+    ``sigma`` (written into ``out``, ``z.shape``) or a batched callable;
+    ``z`` ``(m, n)`` is shared by the ``k`` starts."""
     if callable(sigma):
         mat = np.asarray(sigma(x.reshape(-1, x.shape[-1])), dtype=float)
         mat = mat.reshape(x.shape[:-1] + mat.shape[1:])
         if mat.ndim == x.ndim:  # diagonal-free shorthand: per-path scalar rows
             return mat * z
         return np.einsum("...ij,...j->...i", mat, z)
-    return z @ np.asarray(sigma, dtype=float).T
+    return np.matmul(z, np.asarray(sigma, dtype=float).T, out=out)
 
 
 def _rows_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -848,6 +968,12 @@ def simulate(
     stack of starts ``(k, dim)``, which gives a tuple of ``k`` batches
     walked as one block: one noise stream drives every start, path by path,
     and each batch is bit for bit the one-start call's.
+
+    Each block's draws are made on one worker thread, a few steps ahead of
+    the arithmetic that uses them and in the same order, so the paths are
+    those of a walk that draws as it goes.  The worker is joined before
+    the block's walk returns or raises (:class:`BlowUpError` included),
+    and an error raised while drawing reaches the caller with its own type.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
@@ -939,12 +1065,24 @@ def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
     g = np.atleast_2d(np.asarray(Gamma, dtype=float))
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    cols = [x[..., j] for j in range(x.shape[-1])]
-    s = np.clip(functools.reduce(operator.add, cols), 0.0, None)
-    tmp = np.empty_like(s)
-    shifted = [np.subtract(c, np.multiply(s, v[j], out=tmp)) for j, c in enumerate(cols)]
-    g_v = _rows_times(g, v)
-    out = np.empty(x.shape)
+    work = np.empty((x.shape[-1] + 2,) + x.shape[:-1])
+    return _piecewise_drift_into(l, m, _rows_times(g, v), v, x, work, np.empty(x.shape))
+
+
+def _piecewise_drift_into(l, m, g_v, v, x, work, out) -> np.ndarray:
+    """:func:`piecewise_drift` of ``x`` ``(..., n)`` written into ``out``,
+    with ``g_v = Gamma v`` and ``work`` ``(n + 2,) + x.shape[:-1]`` as
+    scratch: ``<e,x>^+``, a spare column and the shifted columns."""
+    n = x.shape[-1]
+    cols = [x[..., j] for j in range(n)]
+    s, tmp = work[0, ...], work[1, ...]
+    shifted = [work[2 + j, ...] for j in range(n)]
+    np.copyto(s, cols[0])
+    for col in cols[1:]:
+        s += col
+    np.clip(s, 0.0, None, out=s)
+    for j, col in enumerate(cols):
+        np.subtract(col, np.multiply(s, v[j], out=tmp), out=shifted[j])
     for i, row in enumerate(m):
         # out_i = l_i - (m_i0 y_0 + m_i1 y_1 + ...) - s (G v)_i, formed in place
         o = _row_sum_into(row, shifted, out[..., i], tmp)

@@ -1365,13 +1365,14 @@ _COUPLE_2D = {
         ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
          "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
         ("couple", _COUPLE_2D, "couple.csv",
-         "d352a9611ab82c29a229cdfc21600a21c9b07dc0bc497af1b753ae85477de340"),
+         "3a3a723778ae2569b2a4d6d6835f98bbaa358fa2af93a059ce4bb6bc6ce03af0"),
     ],
     ids=["driftcheck", "subordinate", "couple"],
 )
 def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, artifact, digest):
     # digests of a small certify-style drift check and clock, and of a small
-    # 2-D coupling with compound-Poisson jumps
+    # 2-D coupling with compound-Poisson jumps (its bootstrap means summed
+    # as per-path counts against the moments, by einsum)
     cfg = _write(tmp_path / f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / artifact) == digest

@@ -1,6 +1,10 @@
 """Tests for process specifications, simulation, and exact reference objects."""
 
+import hashlib
 import math
+import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -589,6 +593,146 @@ def test_backward_recurrence_stepper_matches_float_recursion(alpha, i0, x0, seed
             if step in grid:
                 expected.append(x.copy())
         assert np.array_equal(batch.paths[lo:hi, :, 0], np.stack(expected, axis=1))
+
+
+_PIN_GRID = [0.0, 0.1, 0.35, 1.0]
+
+
+def _pinned_walks():
+    # (spec, x0, t_grid, n_paths, seed, max_step, sha256 of the paths) for
+    # each walker: a 2-D piecewise OU with non-diagonal M, dense sigma, both
+    # Lévy Gaussian parts and compound-Poisson jumps from a stack of starts;
+    # a 2-D OU with a_L, b_L and isotropic stable jumps; a Langevin spec
+    # (callable sigma); the chain from a stack of starts over two blocks
+    from ergolab.processes import _BLOCK_SIZE
+
+    piecewise = PiecewiseOU(
+        l=[0.5, -0.2],
+        M=[[1.2, -0.3], [-0.4, 1.0]],
+        Gamma=[[0.5, 0.0], [0.0, 0.8]],
+        v=[0.3, 0.7],
+        sigma=[[0.5, 0.1], [0.2, 0.4]],
+        levy=LevyMeasureSpec(
+            kind=CompoundPoisson(
+                rate=2.0,
+                jump_dist=DiscreteJumps([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], [0.4, 0.4, 0.2]),
+            ),
+            b_L=[0.1, -0.1],
+            a_L=[[0.2, 0.05], [0.05, 0.1]],
+        ),
+    )
+    ou = OUJump(
+        H=[[-1.0, 0.3], [0.2, -0.8]],
+        levy=LevyMeasureSpec(
+            kind=SymmetricStable(alpha=1.5, scale=0.5),
+            b_L=[0.2, -0.1],
+            a_L=[[0.3, 0.1], [0.1, 0.2]],
+        ),
+    )
+    return {
+        "piecewise_ou": (
+            piecewise, [[3.0, 1.0], [-1.0, -2.0]], _PIN_GRID, 300, 7, 0.05,
+            "9a21b3d7696552ed36b123c225b89ae1f198d4005c944e6b0841dd9b868bc3cc",
+        ),
+        "ou_jump": (
+            ou, [1.0, -1.0], _PIN_GRID, 300, 8, 0.05,
+            "e826d1c0c2d92ac02f903bd6307bd8983a3b3d59593c40df50d7f0665d7dd767",
+        ),
+        "langevin": (
+            LangevinTempered(alpha=0.3, beta=0.25, dim=2), [[0.5, 0.2], [2.0, -1.0]],
+            _PIN_GRID, 300, 9, 0.05,
+            "98a1cab389f90101a7b379f9061581ce4c1d605574bbe9a3593363fcad40f6c8",
+        ),
+        "chain": (
+            BackwardRecurrence(alpha=3.0, i0=5), [[0.0], [7.0]], [0, 1, 5, 40],
+            _BLOCK_SIZE + 300, 3, 0.01,
+            "8722117fee3e8d9a0491f2200fc5486f7f2f39ec3d942ccbe837c9ca53211fe7",
+        ),
+    }
+
+
+@pytest.mark.parametrize("family", ["piecewise_ou", "ou_jump", "langevin", "chain"])
+def test_walker_outputs_are_pinned(family):
+    # every walker's paths, bit for bit: the digests of the paths as the
+    # walkers drew and stepped them one substep after another on one thread
+    spec, x0, grid, n_paths, seed, max_step, digest = _pinned_walks()[family]
+    out = simulate(spec, x0, grid, n_paths=n_paths, seed=seed, max_step=max_step)
+    batches = out if isinstance(out, tuple) else (out,)
+    sha = hashlib.sha256(b"".join(batch.paths.tobytes() for batch in batches))
+    assert sha.hexdigest() == digest
+
+
+def test_simulate_leaves_no_thread_behind(monkeypatch):
+    spec = _pinned_walks()["piecewise_ou"][0]
+    before = threading.active_count()
+    simulate(spec, [1.0, 0.0], [0.0, 0.5, 1.0], n_paths=50, seed=0, max_step=0.05)
+    assert threading.active_count() == before
+    # a blow-up in the middle of a walk stops and joins the worker
+    blowup = GenericIto(b=lambda x: x**3, sigma=np.eye(1), levy=LevyMeasureSpec(), dim=1)
+    with pytest.raises(BlowUpError):
+        simulate(blowup, [10.0], [0.0, 1.0], n_paths=2, seed=0, max_step=0.01)
+    assert threading.active_count() == before
+
+    # an error raised while drawing reaches the caller as its own type
+    class Refused(RuntimeError):
+        pass
+
+    drawn = []
+
+    def increment(self, dim, dt, rng, m):
+        drawn.append(threading.current_thread())
+        if len(drawn) == 3:
+            raise Refused("no jumps today")
+        return np.zeros((m, dim))
+
+    monkeypatch.setattr(CompoundPoisson, "increment", increment)
+    with pytest.raises(Refused, match="no jumps today"):
+        simulate(spec, [1.0, 0.0], [0.0, 0.5, 1.0], n_paths=50, seed=0, max_step=0.05)
+    assert threading.active_count() == before
+    assert threading.main_thread() not in drawn
+
+
+def test_walks_closed_early_or_run_side_by_side_keep_their_streams():
+    # four callers (two cores) walk at once, each closing some walks after a
+    # few steps, with thread switches forced often: every worker is joined
+    # and every full walk keeps its pinned bits
+    spec, x0, grid, n_paths, seed, max_step, digest = _pinned_walks()["piecewise_ou"]
+    chain = BackwardRecurrence(alpha=3.0, i0=5)
+    before = threading.active_count()
+    results, errors = [], []
+
+    def caller(index):
+        try:
+            # many more draws than the handoff holds, so a closed walk's
+            # worker is mostly blocked on a full queue
+            walks = [chain.walker(np.array([[0.0]]), np.arange(0.0, 200.0), 0.01),
+                     spec.walker(np.array(x0), np.array(grid), 0.001)]
+            for round_ in range(3):
+                for walk in walks:
+                    states = walk(4096 + index, _block_rng(index, round_))
+                    for _ in range(round_ + 1):
+                        next(states)
+                    states.close()
+            out = simulate(spec, x0, grid, n_paths=n_paths, seed=seed, max_step=max_step)
+            results.append(hashlib.sha256(b"".join(b.paths.tobytes() for b in out)).hexdigest())
+        except Exception as exc:  # failed by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)]
+        for thread in callers:
+            thread.start()
+        deadline = time.monotonic() + 60.0
+        for thread in callers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert errors == []
+    assert results == [digest] * 4
+    assert threading.active_count() == before
 
 
 def test_backward_recurrence_refuses_non_integer_starts():
