@@ -3,9 +3,10 @@
 The centerpiece is :func:`run_experiment`: given a JSON-serializable
 configuration it simulates a process, measures the Wasserstein distance of
 the time-t marginal empirical measure to a reference measure along a time
-grid, fits a decay-rate model, and writes the curve plus a machine-readable
-summary to disk.  Every random ingredient is derived from the single config
-seed, so identical configurations produce byte-identical CSV outputs.
+grid, fits a decay-rate model when the config names one, and writes the
+curve plus a machine-readable summary to disk.  Every random ingredient is
+derived from the single config seed, so identical configurations produce
+byte-identical CSV outputs.
 
 The reference measure is either the exact invariant law (available for the
 backward recurrence chain and the scalar Gaussian Ornstein-Uhlenbeck case)
@@ -15,7 +16,7 @@ measures that floor directly — as the distance between two independently
 generated references — and prints it alongside every fit.
 
 The :func:`main` entry point exposes thin subcommand bindings over the
-library modules (``simulate``, ``wdist``, ``driftcheck``, ``couple``,
+library modules (``simulate``, ``experiment``, ``driftcheck``, ``couple``,
 ``lower``, ``subordinate``, ``ratefit``); each reads its config through one
 ``_SCHEMA`` entry.  Exit codes: 0 on success, 2 for configuration/validation
 errors, 3 for numerical or data failures.
@@ -275,6 +276,7 @@ class ExperimentConfig:
 
     ``t_grid`` may be given as a list or as a start/stop/points object, whose
     default spacing follows ``rate_model`` (geometric for a polynomial fit).
+    Without a ``rate_model`` the curve is measured and not fitted.
     """
 
     process: object
@@ -285,14 +287,11 @@ class ExperimentConfig:
     distance: W1D | ExactLP | Sinkhorn
     p: float
     reference: ExactInvariant | LongRunEmpirical
-    rate_model: str
-    outputs: str | None = None
-    bracket: tuple | None = None
-    bracket_params: dict | None = None
+    rate_model: str | None = None
     max_step: float = 0.01
 
     def __post_init__(self):
-        if self.rate_model not in ("polynomial", "exponential"):
+        if self.rate_model not in (None, "polynomial", "exponential"):
             raise ConfigError(f"unknown rate model {self.rate_model!r}")
         default_kind = "geometric" if self.rate_model == "polynomial" else "arithmetic"
         t_grid = _resolve_grid(self.t_grid, default_kind)
@@ -323,8 +322,6 @@ class ExperimentConfig:
         atoms = self.reference.atoms(self)
         if self.distance.max_cells is not None:
             _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
-        if self.bracket_params is not None and self.bracket is None:
-            raise ConfigError("bracket_params supplied without a bracket")
         if not self.max_step > 0:
             raise DomainError(f"max_step must be positive, got {self.max_step}")
         _within_plan(self.process, _curve_grid(t_grid), self.max_step, self.n_paths)
@@ -334,15 +331,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class RateFit:
-    """Least-squares decay fit with optional theoretical exponent bracket."""
+    """Least-squares decay fit."""
 
     model: str
     rate: float
     intercept: float
     r_squared: float
     residuals: np.ndarray
-    bracket: tuple | None = None
-    bracket_params: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +345,7 @@ class RateFit:
 # ---------------------------------------------------------------------------
 
 
-def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit:
+def fit_rate(times, values, model) -> RateFit:
     """Fit ``values ~ intercept * t^rate`` or ``intercept * exp(-rate t)``.
 
     Least squares in the transformed domain (log-log for ``polynomial``,
@@ -361,12 +356,8 @@ def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit
     """
     if model not in ("polynomial", "exponential"):
         raise ConfigError(f"unknown rate model {model!r}")
-    if bracket is None and bracket_params is not None:
-        raise ConfigError("bracket_params supplied without a bracket")
-    if bracket is not None:
-        bracket = _bracket(bracket, "bracket")
-    t = _array(times, "times").ravel()
-    v = _array(values, "values").ravel()
+    t = _vector(times, "times")
+    v = _vector(values, "values")
     if t.shape != v.shape:
         raise DomainError(f"times and values disagree in length: {t.shape} vs {v.shape}")
     if t.size < 4:
@@ -409,8 +400,6 @@ def fit_rate(times, values, model, bracket=None, bracket_params=None) -> RateFit
         intercept=float(np.exp(c0)),
         r_squared=r2,
         residuals=resid,
-        bracket=bracket,
-        bracket_params=bracket_params,
     )
 
 
@@ -467,15 +456,6 @@ def _points(value, label: str) -> np.ndarray:
     if arr.ndim not in (1, 2) or arr.shape[0] == 0:
         raise ConfigError(f"{label} must be a non-empty list of points")
     return arr
-
-
-def _bracket(value, label: str) -> tuple:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{label} must be a [lower_exponent, upper_exponent] pair")
-    lo, hi = _as_float(value[0], f"{label}[0]"), _as_float(value[1], f"{label}[1]")
-    if not lo <= hi:
-        raise DomainError(f"{label} must be an ordered pair, got {value}")
-    return (lo, hi)
 
 
 def _resolve_grid(obj, default_kind: str) -> np.ndarray:
@@ -583,8 +563,6 @@ _PROCESS = _Key("process", lambda v, label: parse_process(v))
 _SEED = _Key("seed", _as_int)
 _MAX_STEP = _Key("max_step", _as_float, default=0.01)
 _T_GRID = _Key("t_grid", lambda v, label: _resolve_grid(v, "arithmetic"))
-_BRACKET = _Key("bracket", _bracket, default=None)
-_BRACKET_PARAMS = _Key("bracket_params", _as_object, default=None)
 
 # group -> (tag key or None, {tag: entry}); the canonical JSON form of an
 # object lists every key of its entry, optional ones included
@@ -666,10 +644,7 @@ _SCHEMA = {
             _Key("distance", _nested("distance")),
             _Key("p", _as_float),
             _Key("reference", _nested("reference")),
-            _Key("rate_model", _as_str),
-            _Key("outputs", _as_str, default=None),
-            _BRACKET,
-            _BRACKET_PARAMS,
+            _Key("rate_model", _as_str, default=None),
             _MAX_STEP,
         )),
     }),
@@ -689,8 +664,7 @@ _SCHEMA = {
         _PROCESS, _Key("x0", _vector), _T_GRID, _Key("n_paths", _as_int), _SEED, _MAX_STEP
     ),
     "ratefit config": _record(
-        _Key("times", _array), _Key("values", _array), _Key("model", _as_str),
-        _BRACKET, _BRACKET_PARAMS,
+        _Key("times", _vector), _Key("values", _vector), _Key("model", _as_str)
     ),
     "driftcheck config": _record(
         _PROCESS,
@@ -818,11 +792,9 @@ def parse_process(data: dict):
 # ---------------------------------------------------------------------------
 
 
-def parse_experiment_config(data: dict, **defaults) -> ExperimentConfig:
-    """Validate a JSON experiment description into an :class:`ExperimentConfig`;
-    ``defaults`` make keys optional that a caller can do without (``wdist``'s
-    ``rate_model``)."""
-    return _from_json("experiment config", data, **defaults)
+def parse_experiment_config(data: dict) -> ExperimentConfig:
+    """Validate a JSON experiment description into an :class:`ExperimentConfig`."""
+    return _from_json("experiment config", data)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -831,10 +803,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the experiment content (the output destination is excluded)."""
-    payload = config_to_dict(cfg)
-    payload.pop("outputs")
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Hash of the experiment's canonical JSON form."""
+    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -872,61 +842,43 @@ def _measure_curve(cfg: ExperimentConfig, ref: EmpiricalMeasure) -> np.ndarray:
     return dists
 
 
-def _experiment_curve(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    ref = cfg.reference.measure(cfg)
-    floor = cfg.distance.distance(cfg.reference.redraw(cfg, ref), ref, cfg.p)
-    dists = _measure_curve(cfg, ref)
-    return np.array(cfg.t_grid), dists, floor
-
-
-def _write_distances(path: Path, times: np.ndarray, dists: np.ndarray) -> None:
-    lines = ["time,distance"]
-    lines += [f"{t:.17g},{d:.17g}" for t, d in zip(times, dists)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
-    """Measure a distance-to-reference curve, fit its decay, write artifacts.
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RateFit | None:
+    """Measure a distance-to-reference curve, fit its decay if asked, write artifacts.
 
     Writes ``distances.csv`` (before fitting, so the measured curve survives
-    a failed fit) and ``summary.json`` into ``out_dir`` (or ``cfg.outputs``);
-    identical configurations produce byte-identical CSVs.  Returns the
-    :class:`RateFit`; the noise floor is printed and recorded in the summary.
+    a failed fit) and ``summary.json`` into ``out_dir``; identical
+    configurations produce byte-identical CSVs.  The noise floor is printed
+    and recorded in the summary.  Returns the :class:`RateFit`, or None when
+    the config has no ``rate_model``; the summary's ``fit`` is then null.
     """
     start = time.perf_counter()
-    times, dists, floor = _experiment_curve(cfg)
-    target = out_dir if out_dir is not None else cfg.outputs
-    out = None
-    if target is not None:
-        out = Path(target)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_distances(out / "distances.csv", times, dists)
+    ref = cfg.reference.measure(cfg)
+    floor = cfg.distance.distance(cfg.reference.redraw(cfg, ref), ref, cfg.p)
+    times, dists = np.array(cfg.t_grid), _measure_curve(cfg, ref)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["time,distance"] + [f"{t:.17g},{d:.17g}" for t, d in zip(times, dists)]
+    (out / "distances.csv").write_text("\n".join(lines) + "\n")
     print(f"noise floor ({_to_json(cfg.reference)['kind']}, p={cfg.p:g}) = {floor:.6g}")
-    fit = fit_rate(times, dists, cfg.rate_model, bracket=cfg.bracket, bracket_params=cfg.bracket_params)
-    print(
-        f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
-        f"r2 = {fit.r_squared:.6g}"
-    )
-    if out is not None:
-        summary = {
-            "config_hash": config_hash(cfg),
-            "fit": {
-                "model": fit.model,
-                "rate": fit.rate,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-            },
-            "bracket": None
-            if fit.bracket is None
-            else {
-                "lower_exponent": fit.bracket[0],
-                "upper_exponent": fit.bracket[1],
-                "params": fit.bracket_params,
-            },
-            "noise_floor": floor,
-            "runtime_s": time.perf_counter() - start,
-        }
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    fit = None
+    if cfg.rate_model is not None:
+        fit = fit_rate(times, dists, cfg.rate_model)
+        print(
+            f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
+            f"r2 = {fit.r_squared:.6g}"
+        )
+    summary = {
+        "config_hash": config_hash(cfg),
+        "fit": None if fit is None else {
+            "model": fit.model,
+            "rate": fit.rate,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+        },
+        "noise_floor": floor,
+        "runtime_s": time.perf_counter() - start,
+    }
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return fit
 
 
@@ -966,26 +918,13 @@ def _cmd_simulate(cfg, out: Path) -> int:
     return 0
 
 
-def _cmd_wdist(cfg: ExperimentConfig, out: Path) -> int:
-    times, dists, floor = _experiment_curve(cfg)
-    _write_distances(out / "wdist.csv", times, dists)
-    for t, d in zip(times, dists):
-        print(f"t = {t:g}: distance = {d:.6g}")
-    print(f"noise floor ({_to_json(cfg.reference)['kind']}, p={cfg.p:g}) = {floor:.6g}")
-    return 0
-
-
 def _cmd_ratefit(cfg, out: Path) -> int:
-    fit = fit_rate(
-        cfg.times, cfg.values, cfg.model, bracket=cfg.bracket, bracket_params=cfg.bracket_params
-    )
+    fit = fit_rate(cfg.times, cfg.values, cfg.model)
     result = {
         "model": fit.model,
         "rate": fit.rate,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "bracket": None if fit.bracket is None else list(fit.bracket),
-        "bracket_params": fit.bracket_params,
     }
     (out / "ratefit.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(
@@ -1031,6 +970,9 @@ def _cmd_driftcheck(cfg, out: Path) -> int:
 
 def _cmd_couple(cfg, out: Path) -> int:
     spec, grid, p = cfg.process, cfg.t_grid, cfg.p
+    # the pair starts at x and y at the first grid time, a certificate's envelope at t = 0
+    if grid[0] != 0.0:
+        raise ConfigError(f"couple's t_grid must start at 0, got {grid[0]:g}")
     check_estimate(p, cfg.n_boot, cfg.n_paths)
     _within(2 * cfg.n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
     _within_plan(spec, grid, cfg.max_step, cfg.n_paths, starts=2)
@@ -1107,27 +1049,22 @@ def _cmd_subordinate(cfg, out: Path) -> int:
 
 
 def _cmd_experiment(cfg: ExperimentConfig, out: Path) -> int:
-    run_experiment(cfg, out_dir=out)
+    run_experiment(cfg, out)
     return 0
 
 
-# subcommand -> (handler, config group, defaults the command supplies, help);
-# ``main`` reads the config through its group and hands the handler the result
+# subcommand -> (handler, config group, help); ``main`` reads the config
+# through its group and hands the handler the result
 _HANDLERS = {
-    "simulate": (_cmd_simulate, "simulate config", {},
-                 "simulate trajectories and write them as CSV"),
-    "wdist": (_cmd_wdist, "experiment config", {"rate_model": "exponential"},
-              "measure a distance-to-reference curve (no fit)"),
-    "experiment": (_cmd_experiment, "experiment config", {},
-                   "full experiment: curve, fit, summary"),
-    "driftcheck": (_cmd_driftcheck, "driftcheck config", {},
-                   "certify a drift inequality on a grid"),
-    "couple": (_cmd_couple, "couple config", {}, "synchronous-coupling contraction estimate"),
-    "lower": (_cmd_lower, "lower config", {}, "explicit Wasserstein lower-bound curve"),
-    "subordinate": (_cmd_subordinate, "subordinate config", {},
+    "simulate": (_cmd_simulate, "simulate config", "simulate trajectories and write them as CSV"),
+    "experiment": (_cmd_experiment, "experiment config",
+                   "distance-to-reference curve, noise floor, optional fit, summary"),
+    "driftcheck": (_cmd_driftcheck, "driftcheck config", "certify a drift inequality on a grid"),
+    "couple": (_cmd_couple, "couple config", "synchronous-coupling contraction estimate"),
+    "lower": (_cmd_lower, "lower config", "explicit Wasserstein lower-bound curve"),
+    "subordinate": (_cmd_subordinate, "subordinate config",
                     "Monte Carlo time-changed rate profile"),
-    "ratefit": (_cmd_ratefit, "ratefit config", {},
-                "fit a decay model to external (t, value) data"),
+    "ratefit": (_cmd_ratefit, "ratefit config", "fit a decay model to external (t, value) data"),
 }
 
 
@@ -1146,7 +1083,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler, group, defaults, _ = _HANDLERS[args.command]
+    handler, group, _ = _HANDLERS[args.command]
     try:
         data = _load_config(args.config)
         out = Path(args.out_dir)
@@ -1155,8 +1092,8 @@ def main(argv=None) -> int:
         if args.seed is not None and "seed" in {k.name for k in _SCHEMA[group][1][None].keys}:
             data = {**data, "seed": args.seed}
         if group == "experiment config":  # the public parser, which perfbench times
-            return handler(parse_experiment_config(data, **defaults), out)
-        return handler(_from_json(group, data, **defaults), out)
+            return handler(parse_experiment_config(data), out)
+        return handler(_from_json(group, data), out)
     except (ConfigError, DomainError, SizeError, InsufficientPathsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ def test_fit_rate_power_law_exact():
     assert fit.r_squared == 1.0
     assert np.max(np.abs(fit.residuals)) < 1e-12
     assert fit.model == "polynomial"
-    assert fit.bracket is None
 
 
 def test_fit_rate_exponential_exact():
@@ -103,6 +102,8 @@ def test_fit_rate_rejects_bad_inputs():
         fit_rate(np.array([1.0, 2.0, 2.0, 8.0]), good_v, "polynomial")
     with pytest.raises(ConfigError):
         fit_rate(good_t, good_v, "loglinear")
+    with pytest.raises(ConfigError):
+        fit_rate(good_t.reshape(2, 2), good_v.reshape(2, 2), "polynomial")
 
 
 def test_fit_rate_r_squared_always_in_unit_interval():
@@ -118,19 +119,6 @@ def test_fit_rate_r_squared_always_in_unit_interval():
             continue
         fit = fit_rate(times, values, model)
         assert 0.0 <= fit.r_squared <= 1.0
-
-
-def test_fit_rate_records_bracket():
-    times = np.geomspace(1.0, 100.0, 6)
-    values = times**-2.0
-    params = {"theta": 3.95, "vartheta": 2.95, "p": 1.0}
-    fit = fit_rate(times, values, "polynomial", bracket=(0.0, 4.9), bracket_params=params)
-    assert fit.bracket == (0.0, 4.9)
-    assert fit.bracket_params == params
-    with pytest.raises(DomainError):
-        fit_rate(times, values, "polynomial", bracket=(5.0, 1.0))
-    with pytest.raises(ConfigError):
-        fit_rate(times, values, "polynomial", bracket_params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +261,9 @@ def _family_config(process, **overrides):
     return cfg
 
 
-# one config per process family and jump kind, with its config_hash as the
-# hand-written parser and serialiser computed it
+# one config per process family and jump kind, with its config_hash: the
+# sha256 of the canonical form the hand-written parser and serialiser gave,
+# less the since-deleted keys outputs, bracket and bracket_params
 FAMILY_CONFIGS = {
     "ou_jump-none": (
         _family_config(
@@ -282,7 +271,7 @@ FAMILY_CONFIGS = {
              "levy": {"a_L": [[1.0]], "jumps": {"kind": "none"}}},
             reference={"kind": "exact_invariant", "quantile_points": 128},
         ),
-        "c72db10a701bf84f",
+        "680276d1a55cfd66",
     ),
     "ou_jump-compound_poisson-2d": (
         _family_config(
@@ -291,7 +280,7 @@ FAMILY_CONFIGS = {
                                 "atoms": [[1.0, 0.0], [0.0, -1.0]], "probs": [0.25, 0.75]}}},
             x0=[0.5, -0.5], distance={"kind": "exact_lp"},
         ),
-        "f7e75710895f7d4d",
+        "6c1b23e6226bf2e1",
     ),
     "ou_jump-symmetric_stable": (
         _family_config(
@@ -299,14 +288,14 @@ FAMILY_CONFIGS = {
              "levy": {"jumps": {"kind": "symmetric_stable", "alpha": 1.5, "scale": 0.5,
                                 "structure": "independent"}}},
         ),
-        "15ccd61d4654c4b9",
+        "7c59d249732a747b",
     ),
     "ou_jump-stable_subordinator": (
         _family_config(
             {"family": "ou_jump", "H": [[-2.0]],
              "levy": {"b_L": [-0.5], "jumps": {"kind": "stable_subordinator", "alpha": 0.5}}},
         ),
-        "5e7ac254e166f3fb",
+        "31b811e97a9cc94c",
     ),
     "piecewise_ou": (
         _family_config(
@@ -315,7 +304,7 @@ FAMILY_CONFIGS = {
              "sigma": [[0.3, 0.0], [0.1, 0.2]], "levy": {"b_L": [0.1, 0.0]}},
             x0=[1.0, 2.0], distance={"kind": "exact_lp"},
         ),
-        "6661f5a310d1d4b8",
+        "81d166a18486ea21",
     ),
     "backward_recurrence": (
         _family_config(
@@ -323,14 +312,14 @@ FAMILY_CONFIGS = {
             x0=[0.0], t_grid=[1.0, 10.0, 100.0, 1000.0],
             reference={"kind": "exact_invariant"}, rate_model="polynomial",
         ),
-        "142deba25d65a4d8",
+        "728f8da8a43aa821",
     ),
     "langevin-2d": (
         _family_config(
             {"family": "langevin", "alpha": 0.2, "beta": 0.1, "dim": 2},
             x0=[1.0, -1.0], distance={"kind": "sinkhorn", "epsilon": 0.05}, p=2.0,
         ),
-        "5d6477c04b7df4d0",
+        "ec9bb2908c064e57",
     ),
 }
 
@@ -500,9 +489,8 @@ def test_run_experiment_zero_noise_contraction(tmp_path, capsys):
     assert np.all(np.diff(dists) < 0.0)
 
     summary = json.loads((out1 / "summary.json").read_text())
-    assert set(summary) == {"config_hash", "fit", "bracket", "noise_floor", "runtime_s"}
+    assert set(summary) == {"config_hash", "fit", "noise_floor", "runtime_s"}
     assert summary["config_hash"] == config_hash(cfg)
-    assert summary["bracket"] is None
     # both long runs of a noiseless contraction hit the same point exactly
     assert summary["noise_floor"] == 0.0
     assert summary["fit"]["rate"] == fit.rate
@@ -534,7 +522,7 @@ def test_run_experiment_ou_matches_gaussian_curve(tmp_path):
     assert 0.0 < summary["noise_floor"] < 0.03
 
 
-def test_run_experiment_chain_records_bracket(tmp_path):
+def test_run_experiment_chain_rate_range_and_noise_floor(tmp_path):
     cfg = parse_experiment_config(
         {
             "process": {"family": "backward_recurrence", "alpha": 3.0, "i0": 5},
@@ -546,18 +534,12 @@ def test_run_experiment_chain_records_bracket(tmp_path):
             "p": 1.0,
             "reference": {"kind": "exact_invariant"},
             "rate_model": "polynomial",
-            "bracket": [0.0, 4.9],
-            "bracket_params": {"theta": 3.95, "vartheta": 2.95},
         }
     )
     out = tmp_path / "chain"
     fit = run_experiment(cfg, out_dir=out)
     assert -3.0 < fit.rate < -0.3
-    assert fit.bracket == (0.0, 4.9)
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["bracket"]["lower_exponent"] == 0.0
-    assert summary["bracket"]["upper_exponent"] == 4.9
-    assert summary["bracket"]["params"] == {"theta": 3.95, "vartheta": 2.95}
     assert summary["noise_floor"] > 0.0
 
 
@@ -696,6 +678,14 @@ MALFORMED = {
         "driftcheck", {**_DRIFTCHECK, "grid": {"lo": 1.0, "hi": 2.0, "points": 0}}
     ),
     "ratefit-times-text": ("ratefit", {**_RATEFIT, "times": ["a", 2.0, 4.0, 8.0]}),
+    # nested lists, which a flattening read would fit as four points
+    "ratefit-times-values-nested": (
+        "ratefit",
+        {**_RATEFIT, "times": [[1.0, 2.0], [3.0, 4.0]], "values": [[1.0, 0.1], [0.01, 0.001]]},
+    ),
+    "ratefit-values-nested": (
+        "ratefit", {**_RATEFIT, "values": [[1.0, 0.25], [0.0625, 0.015625]]}
+    ),
     "ratefit-bracket-short": ("ratefit", {**_RATEFIT, "bracket": [1]}),
     "simulate-chain-x0-negative": ("simulate", {**_SIMULATE, "process": _CHAIN, "x0": [-1.0]}),
     "experiment-chain-x0-fraction": (
@@ -873,10 +863,17 @@ MALFORMED_PLANS = {
         _ou_config(process=_OU_2D, x0=[1.0, 0.0], n_paths=100,
                    reference={"kind": "long_run_empirical", "t_burn": 1.0}),
     ),
-    "wdist-w1d-on-2d": (
-        "wdist",
-        _ou_config(process=_OU_2D, x0=[1.0, 0.0], n_paths=100,
+    "experiment-no-fit-w1d-on-2d": (
+        "experiment",
+        _ou_config(process=_OU_2D, x0=[1.0, 0.0], n_paths=100, rate_model=None,
                    reference={"kind": "long_run_empirical", "t_burn": 1.0}),
+    ),
+    # the pair starts at the first grid time, a certificate's envelope at t = 0
+    "couple-grid-starts-after-zero": (
+        "couple",
+        {**_COUPLE, "process": _PIECEWISE_2D, "x": [1.0, 0.0], "y": [0.0, 1.0],
+         "t_grid": {"start": 1.0, "stop": 4.0, "points": 7},
+         "certificate": {"lip_sqrtq_sigma": 0.0}},
     ),
 }
 
@@ -898,7 +895,6 @@ def test_cli_step_plan_above_budget_exits_2(name, tmp_path, capsys, monkeypatch)
 # one accepted config per subcommand
 COMMAND_CONFIGS = {
     "simulate": _SIMULATE,
-    "wdist": _ou_config(n_paths=64, reference={"kind": "exact_invariant", "quantile_points": 64}),
     "experiment": _ou_config(
         n_paths=64, reference={"kind": "exact_invariant", "quantile_points": 64}
     ),
@@ -912,9 +908,7 @@ COMMAND_CONFIGS = {
 
 def test_every_subcommand_reads_its_config_through_a_schema_group(tmp_path, capsys):
     assert set(COMMAND_CONFIGS) == set(_HANDLERS)
-    # wdist is an experiment without the fit
-    assert _HANDLERS["wdist"][1] == _HANDLERS["experiment"][1] == "experiment config"
-    for command, (_, group, _, _) in _HANDLERS.items():
+    for command, (_, group, _) in _HANDLERS.items():
         tag_key, entries = _SCHEMA[group]
         assert tag_key is None
         assert set(COMMAND_CONFIGS[command]) <= {key.name for key in entries[None].keys}
@@ -939,12 +933,29 @@ def _run_outputs(command, payload, tmp_path, capsys):
     return code, capsys.readouterr().out, artifacts
 
 
+# keys the schema no longer has: a config that still holds one is refused by name
+DELETED_KEYS = {
+    "experiment-bracket": ("experiment", "bracket", [0.0, 4.9]),
+    "experiment-bracket-params": ("experiment", "bracket_params", {"theta": 3.95}),
+    "experiment-outputs": ("experiment", "outputs", "out"),
+    "ratefit-bracket-params": ("ratefit", "bracket_params", {"theta": 3.95}),
+}
+
+
+@pytest.mark.parametrize("name", list(DELETED_KEYS))
+def test_deleted_key_exits_2_and_is_named(name, tmp_path, capsys):
+    command, key, value = DELETED_KEYS[name]
+    cfg = _write(tmp_path / "cfg.json", {**COMMAND_CONFIGS[command], key: value})
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert f"has unknown keys: [{key!r}]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
 def test_null_selects_the_default_of_every_optional_key(command, tmp_path, capsys):
-    _, group, defaults, _ = _HANDLERS[command]
+    _, group, _ = _HANDLERS[command]
     keys = _SCHEMA[group][1][None].keys
-    optional = [key.name for key in keys if key.default is not _REQUIRED or key.name in defaults]
-    assert optional
+    optional = [key.name for key in keys if key.default is not _REQUIRED]
+    assert optional or command == "ratefit"  # every ratefit key is required
     base = {k: v for k, v in COMMAND_CONFIGS[command].items() if k not in optional}
     absent = _run_outputs(command, base, tmp_path, capsys)
     assert absent[0] == 0
@@ -1043,26 +1054,35 @@ def test_cli_simulate_refuses_csv_cap_before_simulating(tmp_path, monkeypatch):
     assert not (tmp_path / "trajectories.csv").exists()
 
 
-def test_cli_wdist_seed_override(tmp_path, capsys):
+def test_cli_experiment_without_rate_model(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an experiment without a rate_model fits nothing")
+
+    monkeypatch.setattr("ergolab.cli.fit_rate", never)
     payload = _ou_config(
         n_paths=300,
         t_grid=[0.5, 1.0, 1.5, 2.0],
         reference={"kind": "exact_invariant", "quantile_points": 256},
     )
-    del payload["rate_model"]  # optional for wdist
+    del payload["rate_model"]  # optional: the curve is measured, not fitted
     cfg = _write(tmp_path / "w.json", payload)
     d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for d in (d1, d2, d3):
-        d.mkdir()
-    assert main(["wdist", "--config", cfg, "--out-dir", str(d1)]) == 0
-    assert "noise floor" in capsys.readouterr().out
-    assert main(["wdist", "--config", cfg, "--out-dir", str(d2)]) == 0
-    assert filecmp.cmp(d1 / "wdist.csv", d2 / "wdist.csv", shallow=False)
-    assert main(["wdist", "--config", cfg, "--seed", "123", "--out-dir", str(d3)]) == 0
-    assert (d1 / "wdist.csv").read_bytes() != (d3 / "wdist.csv").read_bytes()
-    rows = (d1 / "wdist.csv").read_text().strip().splitlines()
+    assert main(["experiment", "--config", cfg, "--out-dir", str(d1)]) == 0
+    out = capsys.readouterr().out
+    assert "noise floor" in out
+    assert "fit[" not in out
+    assert json.loads((d1 / "summary.json").read_text())["fit"] is None
+    assert main(["experiment", "--config", cfg, "--out-dir", str(d2)]) == 0
+    assert filecmp.cmp(d1 / "distances.csv", d2 / "distances.csv", shallow=False)
+    assert main(["experiment", "--config", cfg, "--seed", "123", "--out-dir", str(d3)]) == 0
+    assert (d1 / "distances.csv").read_bytes() != (d3 / "distances.csv").read_bytes()
+    rows = (d1 / "distances.csv").read_text().strip().splitlines()
     assert rows[0] == "time,distance"
     assert len(rows) == 5
+    # the bytes of the curve the former wdist command wrote for this config
+    assert _sha256(d1 / "distances.csv") == (
+        "4b8cb34073a89a23783ef591003ea9d5d9d19e3d4f6b13e077eb76b1b4bb5b25"
+    )
 
 
 def test_cli_driftcheck(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ergolab.cli import _SCHEMA, main, parse_process
+from ergolab.cli import _HANDLERS, _SCHEMA, main, parse_process
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ARTIFACTS = {
@@ -52,6 +52,14 @@ def test_process_description_parses_and_covers_every_family():
     for obj in objects:
         parse_process(obj)
     assert sorted(obj["family"] for obj in objects) == sorted(_SCHEMA["process"][1])
+
+
+def test_subcommand_headings_are_the_subcommands():
+    text = README.read_text()
+    start = text.index("### Subcommands")
+    section = text[start:text.index("\n## ", start)]
+    headings = re.findall(r"^\*\*`(\w+)`\*\*", section, re.M)
+    assert sorted(headings) == sorted(_HANDLERS)
 
 
 def test_every_command_example_is_found():
