@@ -101,6 +101,11 @@ _BLOCK_SIZE = 16384
 # chain: chunks of at most _CHUNK_VALUES uniforms) ahead of its arithmetic.
 _DRAW_DEPTH = 2
 _CHUNK_VALUES = 2**15
+# An elementwise pass over more values than _PASS_CHUNK (a clock's Monte
+# Carlo) runs in chunks of that many, on the calling thread and
+# _PASS_HELPERS helper threads (see _in_chunks).
+_PASS_CHUNK = 2**15
+_PASS_HELPERS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ class ProcessSpec:
     the next is asked for); for continuous time
     ``levy``, a batched
     ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
-    callable), from which :meth:`advance` (with :meth:`walk_drift`) builds
+    callable), from which :meth:`advance` (with :meth:`walk_coeffs`) builds
     the substep and
     :func:`ergolab.lyapunov.generator_apply` the generator; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
@@ -358,7 +363,7 @@ class ProcessSpec:
             return z, z2
 
         def stepper(shape):
-            drift = self.walk_drift(shape[0] * shape[1])
+            drift, walk_sigma = self.walk_coeffs(shape[0] * shape[1])
             inc_rows = np.empty((shape[0] * shape[1], dim))
             term_buf = np.empty(shape[1:])
 
@@ -368,7 +373,7 @@ class ProcessSpec:
                 if levy.b_L is not None:
                     inc += levy.b_L * dt
                 if z is not None:
-                    term = _sigma_apply(sigma, x, z, term_buf)
+                    term = _sigma_apply(walk_sigma, x, z, term_buf)
                     term *= math.sqrt(dt)
                     inc += term
                 if z2 is not None:
@@ -381,11 +386,13 @@ class ProcessSpec:
 
         return draw, stepper
 
-    def walk_drift(self, rows):
-        """``drift`` for ``(rows, dim)`` states, in the form a walk calls
-        every substep: a family may hand back one buffer it reuses, which
-        holds until the next call."""
-        return self.drift
+    def walk_coeffs(self, rows):
+        """``(drift, sigma)`` for ``(rows, dim)`` states, in the form a walk
+        uses them every substep, where it calls ``drift`` and then a
+        callable ``sigma`` at the same state: a family may hand back a
+        drift that reuses one buffer, which holds until the next call, or a
+        ``sigma`` that returns what the drift call computed with it."""
+        return self.drift, self.sigma
 
 
 @dataclass(frozen=True)
@@ -415,6 +422,17 @@ class LangevinTempered(ProcessSpec):
 
     def sigma(self, x):
         return langevin_coeffs(self, x)[1]
+
+    def walk_coeffs(self, rows):
+        """One :func:`langevin_coeffs` call per substep: ``sigma`` returns the
+        diffusion that the drift call computed at the same state."""
+        held = {}
+
+        def drift(x):
+            b, held["sigma"] = langevin_coeffs(self, x)
+            return b
+
+        return drift, lambda x: held["sigma"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,13 +549,14 @@ class PiecewiseOU(ProcessSpec):
     def drift(self, x):
         return piecewise_drift(self.l, self.M, self.Gamma, self.v, x)
 
-    def walk_drift(self, rows):
+    def walk_coeffs(self, rows):
         """:func:`piecewise_drift` into buffers made once per walk, as is ``Gamma v``."""
         g_v = _rows_times(self.Gamma, self.v)
         work = np.empty((self.dim + 2, rows))
         out = np.empty((rows, self.dim))
-        return functools.partial(_piecewise_drift_into, self.l, self.M, g_v, self.v,
-                                 work=work, out=out)
+        drift = functools.partial(_piecewise_drift_into, self.l, self.M, g_v, self.v,
+                                  work=work, out=out)
+        return drift, self.sigma
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma
@@ -696,9 +715,14 @@ class BackwardRecurrence(ProcessSpec):
 # ---------------------------------------------------------------------------
 
 
-def _cms(alpha: float, skew: float, rng: np.random.Generator, size) -> np.ndarray:
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    w = rng.exponential(1.0, size)
+def _cms_draws(rng: np.random.Generator, size):
+    """The draws of :func:`_cms`, in stream order: every uniform angle,
+    then every standard exponential."""
+    return rng.uniform(-math.pi / 2.0, math.pi / 2.0, size), rng.exponential(1.0, size)
+
+
+def _cms_transform(alpha: float, skew: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The CMS map of the angles ``u`` and exponentials ``w``, elementwise."""
     if alpha == 1.0:
         if skew == 0.0:
             return np.tan(u)
@@ -718,6 +742,15 @@ def _cms(alpha: float, skew: float, rng: np.random.Generator, size) -> np.ndarra
     )
 
 
+def _one_sided_transform(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`standard_one_sided_stable` of the draws :func:`_cms_draws` made."""
+    return math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha) * _cms_transform(alpha, 1.0, u, w)
+
+
+def _cms(alpha: float, skew: float, rng: np.random.Generator, size) -> np.ndarray:
+    return _cms_transform(alpha, skew, *_cms_draws(rng, size))
+
+
 def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """One-sided stable with Laplace transform ``E[exp(-u S)] = exp(-u^alpha)``.
 
@@ -727,7 +760,7 @@ def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> n
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    return math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha) * _cms(alpha, 1.0, rng, size)
+    return _one_sided_transform(alpha, *_cms_draws(rng, size))
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +775,9 @@ PATH_MAX_VALUES = 50_000_000  # experiment path block: paths x grid times x dime
 BOOT_MAX_VALUES = 10_000_000  # couple bootstrap table: n_boot x grid times
 LEVEL_MAX_POINTS = 1_000_000  # lower s_grid levels
 QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference atoms
-CLOCK_MAX_SAMPLES = 10_000_000  # subordinate n_mc, clock samples per time
+# subordinate n_mc, clock samples per time; one estimate peaks near 24 B a
+# sample (stable clock; 16 B gamma or drift only), about 240 MB at the budget
+CLOCK_MAX_SAMPLES = 10_000_000
 DRIFT_MAX_NODES = 50_000_000  # driftcheck grid points x (1 + jump nodes per point)
 JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one point's batch
 # Work budgets of one simulation, from its step_plan: a config over one is
@@ -847,6 +882,54 @@ def _drawn_ahead(draws):
         while not handoff.empty():
             handoff.get_nowait()
         worker.join()
+
+
+def _in_chunks(n: int, fill) -> None:
+    """Call ``fill(lo, hi)`` once for each chunk ``[lo, hi)`` of ``range(n)``,
+    ``_PASS_CHUNK`` long but the last.
+
+    ``n`` up to one chunk runs inline, with no thread.  A longer range is
+    shared by the calling thread and ``_PASS_HELPERS`` helper threads, each
+    taking the next chunk when it is done with one; numpy lets go of the
+    GIL in its elementwise loops, so the chunks are computed side by side.
+    A ``fill`` that writes only its chunk's slice, from values computed
+    elementwise, gives the same bits whoever runs it; every chunk runs
+    under the caller's numpy error handling.  When this returns
+    or raises, every helper has stopped and been joined; an exception
+    raised in a helper's chunk is raised here, and no chunk is begun after
+    one has raised.
+    """
+    if n <= _PASS_CHUNK:
+        fill(0, n)
+        return
+    starts = iter(range(0, n, _PASS_CHUNK))
+    take = threading.Lock()
+    failed = []
+    errors = np.geterr()  # a new thread starts from numpy's default error handling
+
+    def run():
+        try:
+            with np.errstate(**errors):
+                while not failed:
+                    with take:
+                        lo = next(starts, None)
+                    if lo is None:
+                        return
+                    fill(lo, min(lo + _PASS_CHUNK, n))
+        except BaseException as exc:  # handed over: the caller raises it
+            failed.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(_PASS_HELPERS):
+            helpers.append(threading.Thread(target=run, name="ergolab-pass", daemon=True))
+            helpers[-1].start()
+        run()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
 
 
 def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .processes import standard_one_sided_stable
+from .errors import ConfigError, DomainError, NumericalError
+from .processes import _cms_draws, _in_chunks, _one_sided_transform
 
 __all__ = [
     "DriftOnly",
@@ -46,8 +46,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _ClockKind:
+    """A kind states the jump part of its clock: ``laplace_exponent(u)``, and
+    an exact-in-law ``increment(dt, rng, n)`` over ``dt > 0`` as two steps.
+    ``draws(dt, rng, n)`` makes every random draw whole, in stream order, as
+    a tuple of ``(n,)`` arrays; ``transform(dt, *draws)`` maps them
+    elementwise, so it may be applied to any slice of them alike."""
+
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return self.transform(dt, *self.draws(dt, rng, n))
+
+
 @dataclass(frozen=True)
-class StableSub:
+class StableSub(_ClockKind):
     """One-sided stable subordinator, Laplace exponent ``u^alpha``."""
 
     alpha: float
@@ -59,12 +70,15 @@ class StableSub:
     def laplace_exponent(self, u):
         return u**self.alpha
 
-    def increment(self, dt: float, rng, n: int) -> np.ndarray:
-        return dt ** (1.0 / self.alpha) * standard_one_sided_stable(self.alpha, rng, n)
+    def draws(self, dt: float, rng, n: int):
+        return _cms_draws(rng, n)
+
+    def transform(self, dt: float, u, w) -> np.ndarray:
+        return dt ** (1.0 / self.alpha) * _one_sided_transform(self.alpha, u, w)
 
 
 @dataclass(frozen=True)
-class GammaSub:
+class GammaSub(_ClockKind):
     """Gamma subordinator, Laplace exponent ``a log(1 + u/b_hat)``."""
 
     a: float
@@ -77,23 +91,27 @@ class GammaSub:
     def laplace_exponent(self, u):
         return self.a * np.log1p(u / self.b_hat)
 
-    def increment(self, dt: float, rng, n: int) -> np.ndarray:
-        return rng.gamma(self.a * dt, 1.0 / self.b_hat, n)
+    def draws(self, dt: float, rng, n: int):
+        return (rng.gamma(self.a * dt, 1.0 / self.b_hat, n),)
+
+    def transform(self, dt: float, g) -> np.ndarray:
+        return g
 
 
 @dataclass(frozen=True)
-class DriftOnly:
+class DriftOnly(_ClockKind):
     """Deterministic clock ``S(t) = b_S t`` (drift supplied by the spec)."""
 
     def laplace_exponent(self, u):
         return 0.0
 
-    def increment(self, dt: float, rng, n: int) -> np.ndarray:
-        return np.zeros(n)
+    def draws(self, dt: float, rng, n: int):
+        return (np.zeros(n),)
+
+    def transform(self, dt: float, z) -> np.ndarray:
+        return z
 
 
-# a kind states the jump part of its clock: ``laplace_exponent(u)`` and an
-# exact-in-law ``increment(dt, rng, n)`` over ``dt > 0``
 SubordinatorKind = Union[StableSub, GammaSub, DriftOnly]
 
 
@@ -168,12 +186,16 @@ def rate_value(r: RateFunction, t) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_subordinator(spec: SubordinatorSpec, t: float, n: int, seed: int) -> np.ndarray:
-    """``n`` exact-in-law samples of ``S(t)``; always ``>= b_S t``."""
+def _check_clock(t: float, n: int) -> None:
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
     if n < 1:
         raise DomainError(f"sample count must be positive, got {n}")
+
+
+def sample_subordinator(spec: SubordinatorSpec, t: float, n: int, seed: int) -> np.ndarray:
+    """``n`` exact-in-law samples of ``S(t)``; always ``>= b_S t``."""
+    _check_clock(t, n)
     t = float(t)
     if t == 0.0:
         return np.full(n, 0.0)
@@ -204,14 +226,40 @@ class SubordinatedRate:
 def subordinate_rate(
     r: RateFunction, p: float, spec: SubordinatorSpec, t: float, n_mc: int, seed: int
 ) -> SubordinatedRate:
-    """Estimate ``r_psi(t) = (E[r(S(t))^p])^{1/p}`` by Monte Carlo."""
+    """Estimate ``r_psi(t) = (E[r(S(t))^p])^{1/p}`` by Monte Carlo.
+
+    The clock's draws are those of :func:`sample_subordinator` with the same
+    seed, made whole; each chunk of them is taken to ``r(S(t))^p`` in one
+    pass on two threads (see :func:`ergolab.processes._in_chunks`), which
+    gives the bits of the whole-array computation.  Raises NumericalError
+    when a clock sample is NaN, as a stable clock of very small ``alpha``
+    gives when both factors of its transform leave the float range.
+    """
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if n_mc < 2:
         raise DomainError("need at least two Monte Carlo samples")
-    samples = sample_subordinator(spec, t, n_mc, seed)
-    vals = np.asarray(rate_value(r, samples), dtype=float) ** p
+    _check_clock(t, n_mc)
+    t, kind = float(t), spec.kind
+    if t == 0.0:
+        draws = (np.full(n_mc, 0.0),)
+    else:
+        draws = kind.draws(t, np.random.default_rng(seed), n_mc)
+    # each chunk's values are written over its first draws, which nothing reads again
+    vals = draws[0]
+
+    def fill(lo, hi):
+        chunk = [d[lo:hi] for d in draws]
+        samples = chunk[0] if t == 0.0 else spec.b_S * t + kind.transform(t, *chunk)
+        vals[lo:hi] = np.asarray(rate_value(r, samples), dtype=float) ** p
+
+    _in_chunks(n_mc, fill)
     mean = float(np.mean(vals))
+    if math.isnan(mean):  # the values are >= 0, so only a NaN sample makes it NaN
+        raise NumericalError(
+            f"{int(np.count_nonzero(np.isnan(vals)))} of {n_mc} samples of the "
+            f"{kind} clock at t = {t:g} are NaN: its draws left the float range"
+        )
     se = 0.0 if np.ptp(vals) == 0.0 else float(np.std(vals, ddof=1) / math.sqrt(n_mc))
     lo = max(mean - 1.96 * se, 0.0)
     hi = mean + 1.96 * se

@@ -1398,6 +1398,54 @@ def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, a
     assert _sha256(tmp_path / artifact) == digest
 
 
+_CLOCKS_MULTI_CHUNK = {
+    "stable-polynomial": {
+        "rate": {"kind": "polynomial", "exponent": 1.5, "scale": 2.0}, "p": 3.0,
+        "subordinator": {"kind": "stable", "alpha": 0.3}, "b_s": 0.25,
+        "t": [0.0, 0.5, 2.0], "n_mc": 200007, "seed": 11,
+    },
+    "certify": {**_CERTIFY_SUBORDINATE, "t": [0.5, 1.0, 2.0, 4.0], "n_mc": 500000},
+    "gamma": {
+        "rate": {"kind": "exponential", "gamma": 0.8, "scale": 1.5}, "p": 2.0,
+        "subordinator": {"kind": "gamma", "a": 1.2, "b_hat": 3.0}, "b_s": 0.1,
+        "t": [0.5, 3.0], "n_mc": 150001, "seed": 12,
+    },
+    "drift_only": {
+        "rate": {"kind": "polynomial", "exponent": 2.0}, "p": 1.5,
+        "subordinator": {"kind": "drift_only"}, "b_s": 1.5,
+        "t": [0.0, 1.0, 4.0], "n_mc": 100003, "seed": 13,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("stable-polynomial", "923dcaf3388650fef15aa894c939f3466ae1bc6d7131853d0360a924cefbbcca"),
+        ("certify", "ec79cb0512ba8ca583daf4571d37e2c44a4b8e4b3d34797deee8c155e2190723"),
+        ("gamma", "1a0bdaff045b2f7609996b7bbae35a4891cdb10f3f39c5626822d4379661d89c"),
+        ("drift_only", "d6e6f253ca51082b0a6c130727644f538ce2f95811934a7a3fda8f3e44d2ffb3"),
+    ],
+)
+def test_cli_subordinate_multi_chunk_outputs_are_pinned(tmp_path, name, digest):
+    # digests of clocks of many chunks, as the whole-array computation gave
+    # them: the chunked pass on two threads keeps every bit
+    cfg = _write(tmp_path / "subordinate.json", _CLOCKS_MULTI_CHUNK[name])
+    assert main(["subordinate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "subordinate.csv") == digest
+
+
+def test_cli_subordinate_nan_clock_exits_3(tmp_path, capsys):
+    cfg = _write(tmp_path / "subordinate.json", {
+        **_CERTIFY_SUBORDINATE, "subordinator": {"kind": "stable", "alpha": 0.01},
+        "t": [1.0], "n_mc": 100000,
+    })
+    with np.errstate(all="ignore"):
+        assert main(["subordinate", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "subordinate.csv").exists()
+
+
 def test_cli_subordinate(tmp_path):
     cfg = _write(
         tmp_path / "sub.json",

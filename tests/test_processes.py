@@ -25,8 +25,12 @@ from ergolab.processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
+    _PASS_CHUNK,
     _block_rng,
     _cms,
+    _cms_draws,
+    _cms_transform,
+    _in_chunks,
     invariant_exact,
     langevin_coeffs,
     langevin_density,
@@ -732,6 +736,160 @@ def test_walks_closed_early_or_run_side_by_side_keep_their_streams():
     assert not any(thread.is_alive() for thread in callers)
     assert errors == []
     assert results == [digest] * 4
+    assert threading.active_count() == before
+
+
+def test_langevin_walk_computes_its_coefficients_once_per_substep(monkeypatch):
+    # 100 substeps of a 2-D walk: one langevin_coeffs call each, and the
+    # paths of the walk that called it for the drift and again for sigma
+    import ergolab.processes as processes
+
+    calls = []
+    coeffs = processes.langevin_coeffs
+    monkeypatch.setattr(processes, "langevin_coeffs",
+                        lambda spec, x: calls.append(1) or coeffs(spec, x))
+    out = simulate(LangevinTempered(alpha=0.3, beta=0.25, dim=2), [0.5, 0.2], [0.0, 1.0],
+                   n_paths=64, seed=5, max_step=0.01)
+    assert len(calls) == 100
+    assert hashlib.sha256(out.paths.tobytes()).hexdigest() == (
+        "0ee9fad7c442b8f72b3c30acdbc1220c6951bbe24cb35bfeff27c8004cf219d2"
+    )
+
+
+def _cms_one_expression(alpha, skew, rng, size):
+    # the CMS sampler as one expression, draws and transform together
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    w = rng.exponential(1.0, size)
+    if alpha == 1.0:
+        if skew == 0.0:
+            return np.tan(u)
+        half_pi = math.pi / 2.0
+        return (2.0 / math.pi) * (
+            (half_pi + skew * u) * np.tan(u)
+            - skew * np.log((half_pi * w * np.cos(u)) / (half_pi + skew * u))
+        )
+    t = math.tan(math.pi * alpha / 2.0)
+    b = math.atan(skew * t) / alpha
+    s = (1.0 + skew * skew * t * t) ** (1.0 / (2.0 * alpha))
+    return (
+        s
+        * np.sin(alpha * (u + b))
+        / np.cos(u) ** (1.0 / alpha)
+        * (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("skew", [0.0, 1.0])
+def test_stable_draws_split_into_draws_and_chunked_transform_keep_their_bits(alpha, skew):
+    # the split sampler, and its transform run chunk by chunk on two
+    # threads, give the one-expression sampler's bits at every chunk edge
+    for n in (1, 7, _PASS_CHUNK - 1, _PASS_CHUNK, _PASS_CHUNK + 1, 3 * _PASS_CHUNK + 7):
+        for shape in ((n,), (n, 1), (n, 3)):
+            want = _cms_one_expression(alpha, skew, _block_rng(n, 1), shape).view(np.int64)
+            assert np.array_equal(_cms(alpha, skew, _block_rng(n, 1), shape).view(np.int64), want)
+            u, w = _cms_draws(_block_rng(n, 1), shape)
+            flat_u, flat_w = u.reshape(-1), w.reshape(-1)
+            got = np.empty(u.size)
+
+            def fill(lo, hi):
+                got[lo:hi] = _cms_transform(alpha, skew, flat_u[lo:hi], flat_w[lo:hi])
+
+            _in_chunks(u.size, fill)
+            assert np.array_equal(got.reshape(shape).view(np.int64), want)
+
+
+def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
+    before = threading.active_count()
+    n = 3 * _PASS_CHUNK + 7
+    seen = []
+    assert _in_chunks(n, lambda lo, hi: seen.append((lo, hi))) is None
+    assert sorted(seen) == [(lo, min(lo + _PASS_CHUNK, n)) for lo in range(0, n, _PASS_CHUNK)]
+    assert threading.active_count() == before
+    # every chunk, the helper's too, runs under the caller's numpy error handling
+    states = []
+    with np.errstate(over="raise"):
+        _in_chunks(n, lambda lo, hi: states.append(np.geterr()["over"]))
+    assert states == ["raise"] * 4
+    # one chunk runs inline, on the calling thread
+    inline = []
+    _in_chunks(_PASS_CHUNK, lambda lo, hi: inline.append(threading.current_thread()))
+    assert inline == [threading.current_thread()]
+
+    class Refused(RuntimeError):
+        pass
+
+    # the caller holds its first chunk until the helper has failed on one
+    helper_failed = threading.Event()
+
+    def fill(lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=30.0)
+            return
+        helper_failed.set()
+        raise Refused(f"chunk at {lo}")
+
+    with pytest.raises(Refused, match="chunk at"):
+        _in_chunks(n, fill)
+    assert threading.active_count() == before
+
+    # a chunk failing on the calling thread stops and joins the helper too;
+    # the helper holds its first chunk until the caller has failed on one
+    caller_failed = threading.Event()
+    helper_chunks = []
+
+    def fill_main_fails(lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            caller_failed.set()
+            raise Refused("caller's chunk")
+        helper_chunks.append(lo)
+        assert caller_failed.wait(timeout=30.0)
+
+    with pytest.raises(Refused, match="caller's chunk"):
+        _in_chunks(n, fill_main_fails)
+    assert threading.active_count() == before
+    assert len(helper_chunks) <= 1  # no chunk is begun after one has raised
+
+
+def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
+    # four callers (two cores) each run a pass with its own helper, with
+    # thread switches forced often: every chunk is taken exactly once and
+    # every pass keeps the bits of the whole-array transform
+    n = 5 * _PASS_CHUNK + 3
+    u, w = _cms_draws(_block_rng(21, 0), n)
+    want = _cms_transform(0.7, 1.0, u, w).view(np.int64)
+    before = threading.active_count()
+    results, errors = [], []
+
+    def caller():
+        try:
+            got, taken = np.empty(n), []
+
+            def fill(lo, hi):
+                taken.append(lo)
+                got[lo:hi] = _cms_transform(0.7, 1.0, u[lo:hi], w[lo:hi])
+
+            for _ in range(3):
+                taken.clear()
+                _in_chunks(n, fill)
+                results.append((sorted(taken), np.array_equal(got.view(np.int64), want)))
+        except Exception as exc:  # failed by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        deadline = time.monotonic() + 60.0
+        for thread in callers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert errors == []
+    assert results == [(list(range(0, n, _PASS_CHUNK)), True)] * 12
     assert threading.active_count() == before
 
 

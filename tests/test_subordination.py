@@ -11,11 +11,12 @@ Closed-form oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ergolab.errors import DomainError
+from ergolab.errors import DomainError, NumericalError
 from ergolab.subordination import (
     DriftOnly,
     Exponential,
@@ -147,3 +148,32 @@ def test_subordinate_rate_p1_is_monte_carlo_mean():
     est = subordinate_rate(r, 1.0, spec, 2.0, n_mc=4000, seed=9)
     samples = sample_subordinator(spec, 2.0, 4000, seed=9)
     assert est.value == pytest.approx(float(np.mean(2.0 * np.exp(-0.1 * samples))), rel=1e-14)
+
+
+def test_subordinate_rate_refuses_a_nan_clock():
+    # at alpha = 0.01 both factors of the CMS transform leave the float
+    # range for some draws, and inf * 0 is NaN
+    spec = SubordinatorSpec(kind=StableSub(alpha=0.01))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"alpha=0.01.* NaN"):
+        subordinate_rate(Exponential(gamma=0.5), 2.0, spec, 1.0, n_mc=100_000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kind, parent_bytes",
+    [(StableSub(alpha=0.5), 40.0), (GammaSub(a=1.2, b_hat=3.0), 24.0), (DriftOnly(), 24.0)],
+    ids=["stable", "gamma", "drift_only"],
+)
+def test_subordinate_rate_memory_per_sample(kind, parent_bytes):
+    # the traced peak of one estimate, per clock sample, stays within what
+    # the whole-array computation took (stable clock: 40 B at 500,000)
+    spec = SubordinatorSpec(kind=kind, b_S=0.25)
+    r = Polynomial(exponent=1.5)
+    n_mc = 200_000
+    subordinate_rate(r, 3.0, spec, 1.0, n_mc=1000, seed=1)
+    tracemalloc.start()
+    try:
+        subordinate_rate(r, 3.0, spec, 1.0, n_mc=n_mc, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_mc <= parent_bytes
