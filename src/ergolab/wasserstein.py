@@ -12,7 +12,10 @@ Three independent routes to the same number are kept deliberately separate:
   domain whenever a scaling leaves a fixed range.  It reports the cost of
   the rounded, exactly feasible plan together with epsilon and the
   marginal-violation trace.  That plan is a coupling, so the cost bounds
-  ``W_p^p`` from above.
+  ``W_p^p`` from above.  :func:`sinkhorn_annealed` reaches a small epsilon
+  through stages ``epsilon * 3^k, ..., 3 epsilon, epsilon`` that start at the
+  scale of the largest cost, each warm-started from the last stage's dual
+  potentials.
 
 :func:`w2_gaussian` supplies the closed-form Gaussian distance used as an
 oracle by the experiment layer.
@@ -22,8 +25,10 @@ All operations are pure; measures are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,12 +50,16 @@ _WEIGHT_TOL = 1e-12
 _MARGINAL_TOL = 1e-9
 # cost-matrix cells (support sizes k1 x k2) each solver accepts: the LP holds
 # a dense (k1 + k2 - 1) x k1 k2 constraint matrix, Sinkhorn a few k1 x k2
-# float arrays (about 40 bytes a cell)
+# float arrays (about 40 bytes a cell at the peak of a kernel rebuild)
 _LP_SIZE_GUARD = 10_000
 _SINKHORN_SIZE_GUARD = 2**22
-# annealing schedule of sinkhorn_annealed: epsilon times 3^9, 3^8, ..., 1
+# annealing schedule of sinkhorn_annealed: epsilon times 3^k, ..., 3, 1, with
+# epsilon 3^k the smallest at or above the largest cost and k < _N_STAGES
 _N_STAGES = 10
 _STAGE_FACTOR = 3.0
+# the cost matrix a running sinkhorn_annealed call built for all its stages,
+# as (mu, nu, p, cost), in the context (thread) that runs it; None otherwise
+_cost_memo: ContextVar[tuple | None] = ContextVar("_cost_memo", default=None)
 # a scaling that leaves [e^-tau, e^tau] (or is not finite) sends its
 # half-step back to the log domain, which absorbs it into the kernel; so a
 # kernel entry stays within e^(2 tau) = e^100 of its plan entry, far inside
@@ -144,6 +153,9 @@ class TransportPlan:
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
+    memo = _cost_memo.get()
+    if memo is not None and memo[0] is mu and memo[1] is nu and memo[2] == p:
+        return memo[3]
     if mu.dim != nu.dim:
         raise DomainError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     diff = mu.points[:, None, :] - nu.points[None, :, :]
@@ -212,9 +224,13 @@ def w_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> Transpor
 
 @dataclass(frozen=True, eq=False)
 class SinkhornResult:
-    """Entropic OT output: raw cost (no entropy term), with epsilon recorded."""
+    """Entropic OT output: raw cost (no entropy term), with epsilon recorded.
 
-    cost: float
+    ``cost`` is that of the final plan rounded onto the transport polytope.
+    The rounding runs when ``cost`` is first read, which then drops the
+    unrounded plan; a stage whose cost nobody reads is never rounded.
+    """
+
     epsilon: float
     p: float
     iterations: int
@@ -224,6 +240,14 @@ class SinkhornResult:
     log_v: np.ndarray
     converged: bool
     absorptions: int
+    # (unrounded plan, cost matrix, a, b) until ``cost`` is first read
+    _unrounded: tuple | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def cost(self) -> float:
+        plan, cost, a, b = self._unrounded
+        object.__setattr__(self, "_unrounded", None)
+        return float(np.sum(_round_to_feasible(plan, a, b) * cost))
 
 
 def _round_to_feasible(plan, a, b):
@@ -316,11 +340,10 @@ def _sinkhorn_raw(cost, loga, logb, epsilon, max_iter, tol, warm=None):
                 trace.append(violation)
                 if violation < tol:
                     break
+    # the unrounded plan
     kernel *= alpha[:, None]
     kernel *= beta[None, :]
-    plan = _round_to_feasible(kernel, a, b)
-    raw_cost = float(np.sum(plan * cost))
-    return raw_cost, u + np.log(alpha), v + np.log(beta), it, violation, trace, absorptions
+    return (kernel, a, b), u + np.log(alpha), v + np.log(beta), it, violation, trace, absorptions
 
 
 def sinkhorn(
@@ -350,21 +373,14 @@ def sinkhorn(
     :class:`NonConvergenceError` after ``max_iter`` with the partial result
     attached as ``report``.
     """
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    mu_p, nu_p = mu.pruned(), nu.pruned()
-    if mu_p.size * nu_p.size > _SINKHORN_SIZE_GUARD:
-        raise SizeError(
-            f"instance size {mu_p.size}x{nu_p.size} exceeds the guard {_SINKHORN_SIZE_GUARD}"
-        )
+    mu_p, nu_p = _sinkhorn_supports(mu, nu, epsilon)
     cost = _cost_matrix(mu_p, nu_p, p)
     loga = np.log(mu_p.weights)
     logb = np.log(nu_p.weights)
-    raw_cost, u, v, it, violation, trace, absorptions = _sinkhorn_raw(
+    (plan, a, b), u, v, it, violation, trace, absorptions = _sinkhorn_raw(
         cost, loga, logb, epsilon, max_iter, tol, warm=warm_start
     )
     result = SinkhornResult(
-        cost=raw_cost,
         epsilon=epsilon,
         p=p,
         iterations=it,
@@ -374,6 +390,7 @@ def sinkhorn(
         log_v=v,
         converged=violation < tol,
         absorptions=absorptions,
+        _unrounded=(plan, cost, a, b),
     )
     if not result.converged:
         raise NonConvergenceError(
@@ -382,6 +399,30 @@ def sinkhorn(
             report=result,
         )
     return result
+
+
+def _sinkhorn_supports(mu, nu, epsilon):
+    """The pruned measures, once epsilon and the instance size are accepted."""
+    if epsilon <= 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    mu_p, nu_p = mu.pruned(), nu.pruned()
+    if mu_p.size * nu_p.size > _SINKHORN_SIZE_GUARD:
+        raise SizeError(
+            f"instance size {mu_p.size}x{nu_p.size} exceeds the guard {_SINKHORN_SIZE_GUARD}"
+        )
+    return mu_p, nu_p
+
+
+def _next_warm_start(mu, nu, p, epsilon, max_iter, tol, warm):
+    """One intermediate stage at ``epsilon``: its dual potentials ``epsilon u``,
+    ``epsilon v`` as log potentials of the next stage, at ``epsilon / _STAGE_FACTOR``.
+
+    Only the potentials leave this frame, so no stage's plan outlives it."""
+    try:
+        stage = sinkhorn(mu, nu, p, epsilon, max_iter=max_iter, tol=tol, warm_start=warm)
+    except NonConvergenceError as exc:
+        stage = exc.report
+    return stage.log_u * _STAGE_FACTOR, stage.log_v * _STAGE_FACTOR
 
 
 def sinkhorn_annealed(
@@ -394,24 +435,32 @@ def sinkhorn_annealed(
 ) -> SinkhornResult:
     """Sinkhorn with a geometric epsilon schedule, warm-starting the potentials.
 
-    Stages run at ``epsilon * _STAGE_FACTOR^(_N_STAGES-1), ..., epsilon``; only
-    the final stage must converge.
+    Stages run at ``epsilon * _STAGE_FACTOR^k, ..., epsilon``, where
+    ``epsilon * _STAGE_FACTOR^k`` is the smallest such value at or above the
+    largest cost entry, and ``k < _N_STAGES``: one stage when ``epsilon`` is
+    already at the cost's scale, ``_N_STAGES`` when it is ``_STAGE_FACTOR^9``
+    or more below it.  Each stage starts from the last one's dual potentials
+    ``epsilon u``, ``epsilon v``, that is its log potentials times
+    ``_STAGE_FACTOR``; only the final stage must converge.  Every stage is one
+    call of :func:`sinkhorn`, on one cost matrix built for all of them, and
+    only the final stage's plan is rounded.
     """
-    warm = None
-    result = None
-    for stage in range(_N_STAGES):
-        eps_stage = epsilon * _STAGE_FACTOR ** (_N_STAGES - 1 - stage)
-        try:
-            result = sinkhorn(
-                mu, nu, p, eps_stage, max_iter=max_iter, tol=tol, warm_start=warm
+    mu, nu = _sinkhorn_supports(mu, nu, epsilon)
+    cost = _cost_matrix(mu, nu, p)
+    top = float(cost.max())
+    k = 0
+    while k < _N_STAGES - 1 and epsilon * _STAGE_FACTOR**k < top:
+        k += 1
+    token = _cost_memo.set((mu, nu, p, cost))
+    try:
+        warm = None
+        for stage in range(k, 0, -1):
+            warm = _next_warm_start(
+                mu, nu, p, epsilon * _STAGE_FACTOR**stage, max_iter, tol, warm
             )
-        except NonConvergenceError as exc:
-            if stage < _N_STAGES - 1:
-                result = exc.report
-            else:
-                raise
-        warm = (result.log_u, result.log_v)
-    return result
+        return sinkhorn(mu, nu, p, epsilon, max_iter=max_iter, tol=tol, warm_start=warm)
+    finally:
+        _cost_memo.reset(token)
 
 
 def _psd_sqrt(mat: np.ndarray, label: str) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,9 +281,87 @@ def test_sinkhorn_annealed_pinned_cost_and_iterations(monkeypatch):
 
     monkeypatch.setattr(wasserstein, "sinkhorn", counted)
     res = sinkhorn_annealed(mu, nu, p=2.0, epsilon=0.08, max_iter=20000, tol=2e-4)
-    assert res.cost == pytest.approx(0.5755425208102791, rel=1e-12, abs=0.0)
-    assert res.iterations == 85
-    assert stage_iterations == [5, 5, 5, 5, 5, 5, 5, 10, 30, 85]
+    assert res.cost == pytest.approx(0.5753953922273356, rel=1e-12, abs=0.0)
+    assert res.iterations == 35
+    # the largest cost, 17.16, lies between 0.08 * 3^4 and 0.08 * 3^5
+    assert stage_iterations == [5, 5, 5, 5, 15, 35]
+    # a coupling's cost, no further above the exact W_2^2 than the 0.03823 of
+    # ten stages warm-started with the raw log potential (cost 0.5755425208102791)
+    exact = w_1d(mu, nu, 2.0) ** 2
+    assert exact <= res.cost <= exact + 0.03823
+
+
+@pytest.mark.parametrize(
+    "epsilon, powers",
+    [
+        (100.0, [0]),
+        (81.0, [0]),
+        (27.0, [1, 0]),
+        (1.0, [4, 3, 2, 1, 0]),
+        (81.0 / 3**9, list(range(9, -1, -1))),
+        (81.0 / 3**12, list(range(9, -1, -1))),
+    ],
+)
+def test_sinkhorn_annealed_starts_at_the_cost_scale(monkeypatch, epsilon, powers):
+    # the largest cost is 9^2 = 81 = 3^4: the first stage is the smallest
+    # epsilon 3^k at or above it, and there are at most _N_STAGES stages
+    mu, nu = uniform_on([0.0, 1.0, 3.0]), uniform_on([0.0, 9.0])
+    stages = _stage_results(monkeypatch, mu, nu, 2.0, epsilon)
+    assert [r.epsilon for r in stages] == [epsilon * 3.0**k for k in powers]
+
+
+def test_sinkhorn_annealed_on_an_all_zero_cost():
+    mu, nu = uniform_on([2.0, 2.0, 2.0]), uniform_on([2.0, 2.0])
+    res = sinkhorn_annealed(mu, nu, 2.0, 0.1, max_iter=20000, tol=2e-4)
+    assert res.epsilon == 0.1
+    assert res.cost == 0.0
+
+
+def test_sinkhorn_annealed_builds_one_cost_matrix_and_rounds_one_plan(monkeypatch):
+    mu, nu = _ou_against_gaussian_quantiles()
+    costs, roundings = [], []
+    build, round_plan = wasserstein._cost_matrix, wasserstein._round_to_feasible
+
+    def built(*args):
+        costs.append(build(*args))
+        return costs[-1]
+
+    def rounded(*args):
+        roundings.append(args)
+        return round_plan(*args)
+
+    monkeypatch.setattr(wasserstein, "_cost_matrix", built)
+    monkeypatch.setattr(wasserstein, "_round_to_feasible", rounded)
+    stages = _stage_results(monkeypatch, mu, nu, 2.0, 0.08)
+    assert len(stages) == 6
+    # one matrix for the schedule and every stage, released after the call
+    assert len(costs) == 7 and all(c is costs[0] for c in costs)
+    assert wasserstein._cost_memo.get() is None
+    assert roundings == []
+    # the final plan is rounded on the first read of its cost, and only then
+    assert stages[-1].cost == pytest.approx(0.5753953922273356, rel=1e-12, abs=0.0)
+    assert stages[-1].cost == stages[-1].cost
+    assert len(roundings) == 1
+
+
+def test_sinkhorn_annealed_holds_one_plan_at_a_time():
+    # traced peak of one annealed call, its cost read, in bytes per cost
+    # cell: the cost matrix, the stage's -C/epsilon and kernel, and two
+    # temporaries of its first half-step (40.8 when every stage rounded its
+    # plan before -C/epsilon was freed; 48 if a stage's plan outlived it)
+    n = 512
+    rng = np.random.default_rng(1)
+    mu = uniform_on(0.7 + 0.6 * rng.standard_normal(n))
+    nu = uniform_on(ndtri((np.arange(n) + 0.5) / n) * math.sqrt(0.5))
+    tracemalloc.start()
+    try:
+        cost = sinkhorn_annealed(mu, nu, 2.0, 0.08, max_iter=20000, tol=2e-4).cost
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(cost)
+    assert peak / n**2 <= 36.0
+    assert held / n**2 <= 0.1
 
 
 def _stage_results(monkeypatch, mu, nu, p, epsilon):
@@ -305,32 +384,42 @@ def _stage_results(monkeypatch, mu, nu, p, epsilon):
     return stages
 
 
-def _log_domain_annealed(mu, nu, p, epsilon):
-    # the log-domain iteration on scipy's logsumexp, the arithmetic the pinned
-    # values came from, at max_iter=20000 and tol=2e-4: (iterations, rounded
-    # cost, u, v) per stage
+def _log_domain_stage(cost, a, b, eps, u):
+    # one stage of the log-domain iteration on scipy's logsumexp, the
+    # arithmetic the pinned values came from, at max_iter=20000 and tol=2e-4,
+    # started from the log potential u: (iterations, rounded cost, u, v)
     max_iter, tol = 20000, 2e-4
+    loga, logb = np.log(a), np.log(b)
+    mr = -cost / eps
+    col = logsumexp(mr + u[:, None], axis=0)
+    for it in range(1, max_iter + 1):
+        v = logb - col
+        row = logsumexp(mr + v[None, :], axis=1)
+        u = loga - row
+        col = logsumexp(mr + u[:, None], axis=0)
+        if it % 5 == 0 or it == max_iter:
+            violation = np.abs(np.exp(u + row) - a).sum() + np.abs(np.exp(v + col) - b).sum()
+            if violation < tol:
+                break
+    plan = wasserstein._round_to_feasible(np.exp(mr + u[:, None] + v[None, :]), a, b)
+    return it, float(np.sum(plan * cost)), u, v
+
+
+def _log_domain_annealed(mu, nu, p, epsilon):
+    # the annealed log-domain iteration, one _log_domain_stage per stage.  The
+    # schedule is written out here: epsilon 3^k, ..., 3 epsilon, epsilon, from
+    # the smallest epsilon 3^k (k <= 9) at or above the largest cost, each
+    # stage starting from the last one's dual potential epsilon u, so from 3 u
     mu, nu = mu.pruned(), nu.pruned()
     cost = wasserstein._cost_matrix(mu, nu, p)
-    a, b = mu.weights, nu.weights
-    loga, logb = np.log(a), np.log(b)
-    u = np.zeros_like(loga)
+    k = 0
+    while k < 9 and epsilon * 3.0**k < cost.max():
+        k += 1
+    u = np.zeros(mu.size)
     stages = []
-    for stage in range(wasserstein._N_STAGES):
-        eps = epsilon * wasserstein._STAGE_FACTOR ** (wasserstein._N_STAGES - 1 - stage)
-        mr = -cost / eps
-        col = logsumexp(mr + u[:, None], axis=0)
-        for it in range(1, max_iter + 1):
-            v = logb - col
-            row = logsumexp(mr + v[None, :], axis=1)
-            u = loga - row
-            col = logsumexp(mr + u[:, None], axis=0)
-            if it % 5 == 0 or it == max_iter:
-                violation = np.abs(np.exp(u + row) - a).sum() + np.abs(np.exp(v + col) - b).sum()
-                if violation < tol:
-                    break
-        plan = wasserstein._round_to_feasible(np.exp(mr + u[:, None] + v[None, :]), a, b)
-        stages.append((it, float(np.sum(plan * cost)), u, v))
+    for j in range(k, -1, -1):
+        stages.append(_log_domain_stage(cost, mu.weights, nu.weights, epsilon * 3.0**j, u))
+        u = 3.0 * stages[-1][2]
     return stages
 
 
@@ -383,19 +472,24 @@ def test_sinkhorn_annealed_matches_the_log_domain_iteration(monkeypatch, kind, p
         assert np.max(np.abs(r.log_v - v)) <= 1e-10 * np.max(np.abs(v))
 
 
-def test_sinkhorn_far_clouds_take_the_exact_half_step(monkeypatch):
-    # at the last stage, the warm start's first half-step leaves whole kernel
-    # rows below the smallest double, so alpha = a / (K beta) is not finite
-    # there and the stage must redo its half-steps in the log domain
+def test_sinkhorn_far_clouds_take_the_exact_half_step():
+    # a cold start at an epsilon 1.5e4 times below the largest cost: the
+    # first half-step leaves whole kernel rows below the smallest double, so
+    # alpha = a / (K beta) is not finite there and the call must redo its
+    # half-steps in the log domain
     mu, nu = _cloud_pair("far")
     cost = wasserstein._cost_matrix(mu, nu, 2.0)
     epsilon = 1e-4 * float(np.mean(cost))
-    stages = _stage_results(monkeypatch, mu, nu, 2.0, epsilon)
     mr = -cost / epsilon
-    u = stages[-2].log_u
-    v = np.log(nu.weights) - logsumexp(mr + u[:, None], axis=0)
-    assert (np.exp(mr + u[:, None] + v[None, :]).max(axis=1) == 0.0).any()
-    assert stages[-1].absorptions > 0
+    v = np.log(nu.weights) - logsumexp(mr, axis=0)
+    assert (np.exp(mr + v[None, :]).max(axis=1) == 0.0).any()
+    ours = sinkhorn(mu, nu, 2.0, epsilon, max_iter=20000, tol=2e-4)
+    assert ours.absorptions > 0
+    it, cost_ref, u, v = _log_domain_stage(cost, mu.weights, nu.weights, epsilon, np.zeros(mu.size))
+    assert ours.iterations == it
+    assert ours.cost == pytest.approx(cost_ref, rel=1e-10, abs=0.0)
+    assert np.max(np.abs(ours.log_u - u)) <= 1e-10 * np.max(np.abs(u))
+    assert np.max(np.abs(ours.log_v - v)) <= 1e-10 * np.max(np.abs(v))
 
 
 def test_sinkhorn_pinned_instance_runs_on_the_scaling_path(monkeypatch):
@@ -403,7 +497,7 @@ def test_sinkhorn_pinned_instance_runs_on_the_scaling_path(monkeypatch):
     # the log domain on every half-step would count 2 per iteration
     mu, nu = _ou_against_gaussian_quantiles()
     stages = _stage_results(monkeypatch, mu, nu, 2.0, 0.08)
-    assert [r.absorptions for r in stages] == [0] * 10
+    assert [r.absorptions for r in stages] == [0] * 6
 
 
 # ---------------------------------------------------------------------------
