@@ -88,7 +88,7 @@ def synchronous_pair_sim(
 
     One :func:`simulate` call walks the stack of the two starts as one
     ``(2, m, dim)`` state: every per-path draw (Brownian increment, jump
-    count and marks, stable draw, chain uniform) is made once and applied
+    count and marks, stable draw, chain word) is made once and applied
     to both components.  Each row of the state is computed alone, so each
     marginal is bit for bit the :func:`simulate` output from its own start
     with the same seed, provided the spec's callables compute each row

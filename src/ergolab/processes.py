@@ -36,13 +36,14 @@ Conventions
   thread.
 * ``x0`` is one start ``(dim,)`` or a stack of starts ``(k, dim)``, and a walk
   moves the stack as one ``(k, m, dim)`` state.  Every draw is made once per
-  path, as ``(m, dim)`` (``(m,)`` for the chain's uniforms), and applied to
+  path, as ``(m, dim)`` (``(m,)`` for the chain's raw words), and applied to
   all ``k`` starts, so the stack is a synchronous coupling.  A row of the state
   is computed alone (matrix products are summed left to right over the
   columns, not by BLAS), so each start's paths are bit for bit those of a
   one-start :func:`simulate` with the same seed.
 * A discrete-time family's walk holds whatever state suits it
-  (``BackwardRecurrence``: an integer index into a table of ``p_i``) and
+  (``BackwardRecurrence``: an integer index into a table of thresholds,
+  which each step's raw 64-bit draw is tested against) and
   hands back float states only at the grid's step counts.
 * ``OUJump`` integrates the linear drift and the Gaussian part exactly per
   step (the marginal law of the continuous part is exact on the grid); jump
@@ -98,7 +99,7 @@ _BLOWUP_GUARD = 1e12
 TABLE_TAIL = 1e-12
 _BLOCK_SIZE = 16384
 # A walk's draws are made on a worker thread at most this many substeps (the
-# chain: chunks of at most _CHUNK_VALUES uniforms) ahead of its arithmetic.
+# chain: chunks of at most _CHUNK_VALUES raw words) ahead of its arithmetic.
 _DRAW_DEPTH = 2
 _CHUNK_VALUES = 2**15
 # An elementwise pass over more values than _PASS_CHUNK (a clock's Monte
@@ -112,10 +113,13 @@ _PASS_HELPERS = 1
 # Lévy measure specifications
 # ---------------------------------------------------------------------------
 #
-# Every jump kind answers ``increment(dim, dt, rng, m)`` (exact-in-law jump
-# increments of ``m`` paths over one step of length ``dt``, or None when there
-# are no jumps) and states ``dim``, the dimension its jumps live in, or None
-# when they fit any.
+# Every jump kind answers ``increment(dim, dt, rng, m)``, the exact-in-law
+# jump increments of ``m`` paths over one step of length ``dt`` as ``(rows,
+# jumps)``: ``jumps`` ``(len, dim)`` are the increments of the paths ``rows``
+# picks (a slice or an index array without repeats), and every other path's
+# increment is 0, so a walk adds ``jumps`` to ``x[..., rows, :]`` alone.  A
+# kind also states ``dim``, the dimension its jumps live in, or None when
+# they fit any.
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ class NoJumps:
 
     dim: ClassVar[None] = None
 
-    def increment(self, dim: int, dt: float, rng, m: int) -> None:
-        return None
+    def increment(self, dim: int, dt: float, rng, m: int):
+        return slice(0, 0), np.empty((0, dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +177,17 @@ class CompoundPoisson:
     def dim(self) -> int:
         return self.jump_dist.dim
 
-    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+    def increment(self, dim: int, dt: float, rng, m: int):
+        """Only the paths that jump: their rows, and each one's jumps summed
+        from 0 in the order they were drawn."""
         counts = rng.poisson(self.rate * dt, m)
-        total = int(counts.sum())
-        inc = np.zeros((m, dim))
-        if total > 0:
-            jumps = self.jump_dist.sample(rng, total)
-            idx = np.repeat(np.arange(m), counts)
-            np.add.at(inc, idx, jumps)
-        return inc
+        rows = np.flatnonzero(counts > 0)  # nonzero of a bool mask: 4x faster than of int64
+        inc = np.zeros((rows.size, dim))
+        if rows.size:
+            counts = counts[rows]
+            jumps = self.jump_dist.sample(rng, int(counts.sum()))
+            np.add.at(inc, np.repeat(np.arange(rows.size), counts), jumps)
+        return rows, inc
 
 
 @dataclass(frozen=True)
@@ -201,14 +207,14 @@ class SymmetricStable:
         if self.structure not in ("isotropic", "independent"):
             raise ConfigError(f"unknown structure {self.structure!r}")
 
-    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+    def increment(self, dim: int, dt: float, rng, m: int):
         amp = dt ** (1.0 / self.alpha) * self.scale
         if dim == 1 or self.structure == "independent":
-            return amp * _cms(self.alpha, 0.0, rng, (m, dim))
+            return slice(None), amp * _cms(self.alpha, 0.0, rng, (m, dim))
         # isotropic: Gaussian subordinated by a one-sided (alpha/2)-stable factor
         lam = standard_one_sided_stable(self.alpha / 2.0, rng, (m, 1))
         z = rng.standard_normal((m, dim))
-        return amp * np.sqrt(2.0 * lam) * z
+        return slice(None), amp * np.sqrt(2.0 * lam) * z
 
 
 @dataclass(frozen=True)
@@ -222,9 +228,9 @@ class StableSubordinatorMeasure:
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
 
-    def increment(self, dim: int, dt: float, rng, m: int) -> np.ndarray:
+    def increment(self, dim: int, dt: float, rng, m: int):
         amp = dt ** (1.0 / self.alpha)
-        return amp * standard_one_sided_stable(self.alpha, rng, (m, 1))
+        return slice(None), amp * standard_one_sided_stable(self.alpha, rng, (m, 1))
 
 
 JumpKind = Union[NoJumps, CompoundPoisson, SymmetricStable, StableSubordinatorMeasure]
@@ -309,7 +315,8 @@ class ProcessSpec:
     def walker(self, x0, times, max_step):
         """Continuous time: the :func:`step_plan`'s equal substeps per grid
         interval, each the continuous part's :meth:`advance` plus the jump
-        increment, with the blow-up guard after every substep.  A substep's
+        increment, added to the paths that jump only, with the blow-up
+        guard after every substep.  A substep's
         draws (its :meth:`advance` noise, then the jump increment, which
         reads no state) are made on one worker thread, ahead of the
         arithmetic (see :func:`_drawn_ahead`); the state is updated in place,
@@ -332,10 +339,9 @@ class ProcessSpec:
             try:
                 for n_sub, dt in plans:
                     for _ in range(n_sub):
-                        noise, jump = next(drawn)
+                        noise, (rows, jumps) = next(drawn)
                         step(x, dt, noise)
-                        if jump is not None:
-                            x += jump
+                        x[:, rows] += jumps
                         _check_blowup(x)
                     yield x
             finally:
@@ -669,35 +675,42 @@ class BackwardRecurrence(ProcessSpec):
             raise ConfigError(f"the chain starts at a nonnegative integer state, got x0 = {x!r}")
 
     def walker(self, x0, times, max_step):
-        """Integer walk over a table of ``p_i``, ``n`` the horizon: index
-        ``i <= n`` is state ``i`` (reached after a reset), and index
+        """Integer walk over a table of up-thresholds, ``n`` the horizon:
+        index ``i <= n`` is state ``i`` (reached after a reset), and index
         ``(j + 1)(n + 1) + i`` is state ``x0[j] + i`` (start ``j``, no reset
-        yet).  One uniform per path and step, shared by all starts, drawn on
-        one worker thread ahead of the walk (see :func:`_drawn_ahead`)."""
+        yet).  One raw 64-bit Philox word ``r`` per path and step, shared by
+        all starts, drawn on one worker thread ahead of the walk (see
+        :func:`_drawn_ahead`); the path goes up when ``r <= table[k]``.
+        numpy's uniform is ``u = (r >> 11) 2^-53``, and ``u < p`` exactly
+        when ``r <= ceil(p 2^53) 2^11 - 1``, the table's entry (see
+        :func:`_up_thresholds`), so the paths are those of a walk that
+        draws ``rng.random`` and tests ``u < p``.  The table is built one
+        start's stretch at a time, so no float table of its size is made."""
         counts = [int(c) for c in step_plan(self, times, max_step)]
         n = sum(counts)
         starts = x0[:, 0].astype(np.int64)
         base = (n + 1) * np.arange(1, starts.size + 1)
-        table = self.up_prob(
-            np.concatenate([np.arange(n + 1.0)] + [np.arange(s, s + n + 1.0) for s in starts])
-        )
+        table = np.empty((starts.size + 1, n + 1), dtype=np.uint64)
+        for row, start in zip(table, itertools.chain([0], starts)):
+            row[:] = _up_thresholds(self.up_prob(np.arange(start, start + n + 1.0)))
+        table = table.ravel()
         shift = (starts - base)[:, None]
 
         def draws(m, rng):
-            # the n uniforms of each path, drawn in chunks of whole steps: a
+            # the n words of each path, drawn in chunks of whole steps: a
             # (rows, m) draw is the stream of rows (m,) draws
             rows = max(1, _CHUNK_VALUES // m)
             for done in range(0, n, rows):
-                yield rng.random((min(rows, n - done), m))
+                yield rng.bit_generator.random_raw((min(rows, n - done), m))
 
         def walk(m, rng):
             k = np.repeat(base[:, None], m, axis=1)
             chunks = _drawn_ahead(draws(m, rng))
-            uniforms = itertools.chain.from_iterable(chunks)
+            words = itertools.chain.from_iterable(chunks)
             try:
                 for count in counts:
-                    for u in itertools.islice(uniforms, count):
-                        up = u < table[k]
+                    for r in itertools.islice(words, count):
+                        up = r <= table[k]
                         k += 1
                         k *= up
                     yield np.where(k > n, k + shift, k)[..., None]
@@ -708,6 +721,19 @@ class BackwardRecurrence(ProcessSpec):
 
     def exact_invariant(self) -> str | None:
         return "chain"
+
+
+def _up_thresholds(p: np.ndarray) -> np.ndarray:
+    """``ceil(p 2^53) 2^11 - 1`` as ``uint64``, for up-probabilities ``p`` in
+    ``(0, 1]``: the largest raw Philox word whose uniform ``(r >> 11)
+    2^-53`` is below ``p`` (``2^64 - 1`` at ``p = 1``, always up).  Scaling
+    by ``2^53`` and taking ``ceil`` are exact, and ``p > 0`` keeps the
+    ceiling at least 1, so the shift does not wrap."""
+    words = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    words -= np.uint64(1)
+    words <<= np.uint64(11)
+    words |= np.uint64(2**11 - 1)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +809,7 @@ JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one 
 # Work budgets of one simulation, from its step_plan: a config over one is
 # refused the same way.  Five times criterion 5's 10^5 paths x 10^4 steps.
 PATH_MAX_STEPS = 5_000_000_000  # paths x steps
-STEP_TABLE_MAX_VALUES = 20_000_000  # a discrete horizon n's step table, (starts + 1)(n + 1) floats
+STEP_TABLE_MAX_VALUES = 20_000_000  # a discrete horizon n's step table, (starts + 1)(n + 1) words
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,6 +88,9 @@ class EmpiricalMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DomainError(f"points must be a nonempty k x n array, got shape {pts.shape}")
+        # min and max carry any nan or inf, with no temporary the size of pts
+        if pts.size and not (math.isfinite(pts.min()) and math.isfinite(pts.max())):
+            raise DomainError("points must be finite")
         w = _frozen(np.ravel(self.weights))
         if w.shape[0] != pts.shape[0]:
             raise DomainError("weights length must match number of points")

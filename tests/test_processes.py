@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from ergolab.processes import (
     _cms_draws,
     _cms_transform,
     _in_chunks,
+    _up_thresholds,
     invariant_exact,
     langevin_coeffs,
     langevin_density,
@@ -526,6 +528,27 @@ def test_simulate_compound_poisson_rate():
     assert np.all(xs == np.round(xs))
 
 
+@pytest.mark.parametrize("rate_dt", [0.01, 1.5])
+def test_compound_poisson_increment_is_the_dense_increment_on_the_rows_that_jump(rate_dt):
+    # the dense increment, every path's jumps summed into a zero row in the
+    # order drawn, from the same stream: its nonzero rows are the rows
+    # returned, with the same bits, and the stream ends in the same place
+    kind = CompoundPoisson(
+        rate=rate_dt / 0.1,
+        jump_dist=DiscreteJumps([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], [0.4, 0.4, 0.2]),
+    )
+    stream = _block_rng(3, 0)
+    rows, jumps = kind.increment(2, 0.1, stream, 5000)
+    rng = _block_rng(3, 0)
+    counts = rng.poisson(rate_dt, 5000)
+    dense = np.zeros((5000, 2))
+    np.add.at(dense, np.repeat(np.arange(5000), counts), kind.jump_dist.sample(rng, counts.sum()))
+    assert rows.tolist() == np.flatnonzero(counts).tolist()
+    assert np.array_equal(jumps, dense[rows])
+    assert not dense[counts == 0].any()
+    assert stream.random() == rng.random()
+
+
 def test_simulate_subordinator_paths_nondecreasing():
     levy = LevyMeasureSpec(kind=StableSubordinatorMeasure(alpha=0.5))
     spec = GenericIto(b=None, sigma=None, levy=levy, dim=1)
@@ -687,7 +710,7 @@ def test_simulate_leaves_no_thread_behind(monkeypatch):
         drawn.append(threading.current_thread())
         if len(drawn) == 3:
             raise Refused("no jumps today")
-        return np.zeros((m, dim))
+        return slice(0, 0), np.empty((0, dim))
 
     monkeypatch.setattr(CompoundPoisson, "increment", increment)
     with pytest.raises(Refused, match="no jumps today"):
@@ -891,6 +914,72 @@ def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
     assert errors == []
     assert results == [(list(range(0, n, _PASS_CHUNK)), True)] * 12
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, 2**40 + 3])
+@pytest.mark.parametrize("n", [1, 7, 1000, 2**15 + 1])
+def test_random_is_the_raw_philox_word_shifted_and_scaled(seed, n):
+    # the chain walk compares raw words against thresholds because numpy's
+    # random() is (r >> 11) 2^-53 of one 64-bit Philox word a draw
+    uniforms = np.random.Generator(np.random.Philox(seed)).random(n)
+    words = np.random.Philox(seed).random_raw(n)
+    assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+
+
+def test_up_thresholds_agree_with_the_uniform_test_at_the_boundary():
+    # every distinct up-probability of a few chains up to state i0 + 2, the
+    # largest probabilities, and the floats beside each: the words on either
+    # side of the threshold go up exactly when their uniform is below p
+    ps = {1.0, 1.0 - 2.0**-53}
+    for alpha, i0 in [(3.0, 5), (2.0, 4), (1.5, 3), (2.5, 8), (1.01, 3)]:
+        ps.update(BackwardRecurrence(alpha=alpha, i0=i0).up_prob(np.arange(i0 + 3.0)).tolist())
+    ps |= {float(np.nextafter(p, toward)) for p in ps for toward in (0.0, 2.0)}
+    ps = np.array(sorted(p for p in ps if 0.0 < p <= 1.0))
+    thresholds = _up_thresholds(ps)
+    assert thresholds.dtype == np.uint64
+    for p, threshold in zip(ps.tolist(), thresholds.tolist()):
+        for r in (0, threshold, threshold + 1):
+            if r < 2**64:  # at p = 1 the threshold is the largest word
+                assert (np.uint64(r) <= np.uint64(threshold)) == ((r >> 11) * 2.0**-53 < p), (p, r)
+    assert _up_thresholds(np.array([1.0])).tolist() == [2**64 - 1]
+
+
+def test_chain_walk_goes_up_on_the_threshold_word_and_resets_above_it():
+    # every draw of path 0 is the threshold of p = 1/2 (uniform just below
+    # 1/2), and of path 1 the word above it (uniform 1/2): path 0 climbs
+    # through the p = 1/2 states and resets at i0 = 5 (p = 0.2), path 1
+    # resets at every state past 0
+    threshold = int(_up_thresholds(np.array([0.5]))[0])
+    words = np.array([threshold, threshold + 1], dtype=np.uint64)
+
+    class Words:
+        def random_raw(self, size):
+            return np.broadcast_to(words, size).copy()
+
+    class Stream:
+        bit_generator = Words()
+
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    walk = spec.walker(np.array([[0.0]]), np.arange(13.0), 0.01)(2, Stream())
+    states = np.array([next(walk)[0, :, 0] for _ in range(13)])
+    assert states[:, 0].tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0]
+    assert states[:, 1].tolist() == [0, 1] * 6 + [0]
+
+
+def test_chain_walker_table_memory_per_value():
+    # the traced peak of building a walk to a horizon of 10^6 steps from two
+    # starts, per table value: 26 B when the up-probabilities were computed
+    # for the whole table at once
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    x0, times = np.array([[0.0], [7.0]]), np.array([0.0, 10.0, 1e6])
+    values = 3 * (1_000_000 + 1)
+    tracemalloc.start()
+    try:
+        spec.walker(x0, times, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values <= 26.0
 
 
 def test_backward_recurrence_refuses_non_integer_starts():

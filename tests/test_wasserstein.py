@@ -48,6 +48,20 @@ def test_measure_validation():
         EmpiricalMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_refuses_non_finite_points(bad):
+    # a non-finite point fails when the measure is built: before, w_1d
+    # returned nan and sinkhorn_annealed ran its whole iteration budget
+    with pytest.raises(DomainError, match="finite"):
+        EmpiricalMeasure(points=np.array([[0.0, 1.0], [bad, 2.0]]), weights=np.full(2, 0.5))
+    two_atoms = uniform_on([0.25, 0.75])
+    with pytest.raises(DomainError, match="finite"):
+        w_1d(EmpiricalMeasure.from_samples([0.0, bad, 1.0]), two_atoms, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        sinkhorn_annealed(EmpiricalMeasure.from_samples([0.0, bad, 1.0]), two_atoms, 2.0,
+                          epsilon=0.1, max_iter=50)
+
+
 def test_measure_shares_read_only_arrays_and_copies_writeable_ones():
     points = np.arange(4.0)[:, None]
     weights = np.full(4, 0.25)
