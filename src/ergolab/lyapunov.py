@@ -37,9 +37,12 @@ nodes, whose difference is its error:
   ``r^{1-alpha}``) × Gauss–Legendre tensor rule in one Hessian call;
 - ``[1, R]``: doubling blocks of composite Gauss–Legendre panels, whose
   panels double until the block's pair agrees;
-- ``r > R``: ``r = R/u^2`` and one ``scipy.integrate.quad`` (QAGS) per grid
-  point, whose extrapolation handles the algebraic endpoint singularity;
-  its error estimate joins the rule pairs'.
+- ``r > R``: ``r = R/w`` and, for all grid points in one call of
+  :func:`quad`, a Gauss–Jacobi pair (128 against 256 nodes) for the weight
+  ``w^{alpha-theta-1}``, which takes up the algebraic endpoint singularity of
+  a spread growing like ``r^theta``.  A point whose pair disagrees falls back
+  to one ``scipy.integrate.quad`` (QAGS) of its own, with scipy.integrate
+  loaded then; its error estimate joins the rule pairs'.
 
 Both fixed rules cut their panels where ``x +- r d`` crosses the sphere on
 which ``chi_Q`` is only C^2, so each panel integrates a smooth function. The
@@ -57,8 +60,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
-from scipy.integrate import IntegrationWarning, quad
+from scipy import linalg
 
 from .errors import ConfigError, IntegrabilityError
 from .processes import (
@@ -211,7 +213,11 @@ Growth = Union[tuple, None]  # ("poly", order) | ("exp", rate) | None
 class _NormFn:
     """``V = g(chi_Q(x))``: a family states ``outer(c) = (g(c), g'(c), g''(c))``
     and the chain rule gives the value, the gradient and the Hessian, at a
-    point ``(n,)`` or per row of a batch ``(m, n)``."""
+    point ``(n,)`` or per row of a batch ``(m, n)``.  ``offset`` is the
+    constant term of ``g``, which the jump integral's far tail integrates in
+    closed form."""
+
+    offset = 0.0
 
     def value(self, x):
         xb, single = _batch(x)
@@ -261,16 +267,14 @@ class PolyNorm(_NormFn):
 
     def outer(self, c):
         t = self.theta
-        return c**t, t * c ** (t - 1.0), t * (t - 1.0) * c ** (t - 2.0)
+        return self.offset + c**t, t * c ** (t - 1.0), t * (t - 1.0) * c ** (t - 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class PolyNormPlusOne(PolyNorm):
     """``V = 1 + chi_Q(x)^theta`` (always >= 1, suitable for drift checks)."""
 
-    def outer(self, c):
-        g, d1, d2 = super().outer(c)
-        return 1.0 + g, d1, d2
+    offset = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,12 +308,17 @@ LyapunovFn = Union[PolyNorm, PolyNormPlusOne, ExpNorm]
 
 class GeneratorResult(tuple):
     """(value, error) pair with named access: floats for a point, ``(m,)``
-    arrays for a batch."""
+    arrays for a batch.  ``far_qags`` says whether the jump integral's far
+    tail fell back to QAGS (a bool, or ``(m,)`` bools), and is None where
+    no quadrature far tail was computed."""
 
-    def __new__(cls, value, error):
+    def __new__(cls, value, error, far_qags=None):
         if np.ndim(value) == 0:
             value, error = float(value), float(error)
-        return super().__new__(cls, (value, error))
+            far_qags = None if far_qags is None else bool(far_qags)
+        result = super().__new__(cls, (value, error))
+        result.far_qags = far_qags
+        return result
 
     @property
     def value(self):
@@ -370,6 +379,7 @@ _PANEL_NODES = 16  # per panel of a doubling block
 _MAX_PANELS = 64  # uniform panels per block; past that a block keeps its pair error
 _BLOCK_EPSABS, _BLOCK_EPSREL = 1e-12, 1e-10  # a block's pair agrees within these
 _MIN_BLOCKS = 16  # the panels cover [1, R] with R >= 2^16, and at least 4 (1 + |x|)
+_FAR_NODES = 128  # the far tail's Gauss–Jacobi pair: 128 against 256 nodes
 _BATCH_ROWS = 1 << 18  # function evaluations per batched call, which bounds memory
 _ROUNDING = 256 * np.finfo(float).eps  # rounding charged per unit of sum |weight * value|
 
@@ -404,10 +414,21 @@ def _along(fn, d, signs):
     return curvature, spread
 
 
-def _jacobi01(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jacobi nodes and weights on [0, 1] for the weight ``r^{1-alpha}``."""
-    xi, w = special.roots_jacobi(n, 0.0, 1.0 - alpha)
-    return 0.5 * (xi + 1.0), 2.0 ** (alpha - 2.0) * w
+@functools.cache
+def _jacobi01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Jacobi nodes and weights on [0, 1] for the weight ``r^beta``,
+    ``beta > -1`` (read-only, shared), by Golub–Welsch: the eigenvalues of the
+    Jacobi recurrence matrix on [-1, 1] and the first components of its
+    eigenvectors.  (scipy's ``roots_jacobi`` is off by up to 1e-7 in a
+    moment at 256 nodes as beta nears -1; these rules stay within 1e-13.)"""
+    k = np.arange(1, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = linalg.eigh_tridiagonal(diag, off)
+    t, w = 0.5 * (x + 1.0), v[0] ** 2 / (beta + 1.0)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _panels(lo, hi, cuts, t):
@@ -449,7 +470,7 @@ def _taylor_part(curvature, x, cuts, alpha):
     first = np.arange(cuts.shape[1] + 1)[:, None] == 0
     rules = []
     for n in (_TENSOR_NODES, 2 * _TENSOR_NODES):
-        rho, w_rho = _jacobi01(n, alpha)
+        rho, w_rho = _jacobi01(n, 1.0 - alpha)
         t, w_t = _gauss01(n)
         r, width = _panels(np.zeros((b, 1)), np.ones((b, 1)), cuts, np.where(first, rho, t))
         w_r = np.where(first, width ** (2.0 - alpha) * w_rho, width * w_t * r ** (1.0 - alpha))
@@ -497,11 +518,14 @@ def _panel_part(spread, x, centre, kinks, alpha, blocks):
 
 def _remainder(spread, x, centre, alpha, reach):
     """``int_R^inf D(r) r^{-1-alpha} dr``, ``D = spread - centre``, for one point
-    ``x`` ``(1, n)``.  The centre integrates in closed form to
+    ``x`` ``(1, n)`` by QAGS.  The centre integrates in closed form to
     ``centre R^{-alpha} / alpha``; with ``r = R/u^2`` the spread's part is
     ``2 R^{-alpha} int_0^1 spread(R/u^2) u^{2 alpha - 1} du``.  A spread that
     grows like ``r^theta`` leaves an algebraic singularity ``u^{2(alpha -
     theta) - 1}`` at 0, which QAGS extrapolates away."""
+    # imported on first use: only a far tail the Gauss–Jacobi pair leaves
+    # unresolved needs scipy.integrate
+    from scipy.integrate import IntegrationWarning, quad as qags
 
     def integrand(u):
         return float(spread(x, np.array([[reach / (u * u)]]))[0, 0]) * u ** (2.0 * alpha - 1.0)
@@ -510,17 +534,57 @@ def _remainder(spread, x, centre, alpha, reach):
         # an under-resolved remainder surfaces through the error estimate,
         # which the caller reports
         warnings.simplefilter("ignore", IntegrationWarning)
-        v, e = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
+        v, e = qags(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
     scale = reach**-alpha
     return scale * (2.0 * v - centre / alpha), 2.0 * scale * e
 
 
-def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray]:
+def quad(fn, x, d, signs, alpha, reach) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The far tail ``int_R^inf D(r) r^{-1-alpha} dr``, ``D(r) = sum_s f(x + s r
+    d) - len(signs) f(x)``, its error and whether it fell back to QAGS, for
+    every point of ``x`` ``(m, n)`` with its ``R = reach`` ``(m,)``.
+
+    With ``r = R/w`` the tail is ``R^{-alpha} (int_0^1 S(R/w) w^{alpha-1} dw
+    - C / alpha)``, where ``S`` is the spread less the family's constant
+    term in each ``f`` and ``C`` the centre less the same; the constant
+    cancels in ``D``.  A spread growing like ``r^theta`` (``fn.growth``,
+    ``theta < alpha``) makes ``S(R/w) w^theta`` smooth on [0, 1], so the
+    Gauss–Jacobi pair for the weight ``w^{alpha-theta-1}`` integrates it; no
+    kink lies beyond ``R >= 4 (1 + |x|)``.  The error is the pair's
+    difference plus a rounding allowance.  A point whose pair differs by
+    more than a doubling block's tolerance is redone by :func:`_remainder`,
+    one QAGS on ``spread - centre`` as given."""
+    _, spread = _along(fn, d, signs)
+    centre = len(signs) * fn.value(x)
+    theta, constant = fn.growth[1], len(signs) * fn.offset
+    t_n, w_n = _jacobi01(_FAR_NODES, alpha - theta - 1.0)
+    t_2n, w_2n = _jacobi01(2 * _FAR_NODES, alpha - theta - 1.0)
+    w = np.concatenate([t_n, t_2n])
+    value, error = np.empty(x.shape[0]), np.empty(x.shape[0])
+    chunk = max(1, _BATCH_ROWS // (len(signs) * w.size))
+    for lo in range(0, x.shape[0], chunk):
+        part = slice(lo, lo + chunk)
+        g = (spread(x[part], reach[part, None] / w) - constant) * w**theta
+        fine, pair, rounding = _pair_sum(g[:, :_FAR_NODES] * w_n, g[:, _FAR_NODES:] * w_2n)
+        rest = (centre[part] - constant) / alpha
+        value[part] = fine - rest
+        error[part] = pair + rounding + _ROUNDING * np.abs(rest)
+    scale = reach**-alpha
+    value, error = scale * value, scale * error
+    qags = ~(error <= np.maximum(_BLOCK_EPSABS, _BLOCK_EPSREL * np.abs(value)))
+    for i in np.flatnonzero(qags):
+        value[i], error[i] = _remainder(spread, x[i : i + 1], centre[i], alpha, reach[i])
+    return value, error, qags
+
+
+def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``int_0^inf D(r) r^{-1-alpha} dr`` and its error, for every point of
     ``x`` ``(m, n)``, with ``D(r) = sum_s f(x + s r d) - len(signs) f(x)``:
     the Taylor-remainder tensor rule on ``(0, 1)``, Gauss–Legendre panels on
-    ``[1, R]`` and one ``quad`` per point beyond ``R``.  ``R`` depends on the
-    point alone, so a point's value does not depend on the rest of the batch."""
+    ``[1, R]`` and one :func:`quad` call for every point beyond ``R``, whose
+    mask of points that fell back to QAGS is returned too.  ``R`` depends on
+    the point alone, so a point's value does not depend on the rest of the
+    batch."""
     curvature, spread = _along(fn, d, signs)
     centre = len(signs) * fn.value(x)
     kinks = fn.kinks(x, d)
@@ -535,22 +599,20 @@ def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray]:
         near, near_err = _taylor_part(curvature, x[part], cuts[part], alpha)
         mid, mid_err = _panel_part(spread, x[part], centre[part], kinks[part], alpha, blocks[part])
         value[part], error[part] = near + mid, near_err + mid_err
-    for i in range(x.shape[0]):
-        far, far_err = _remainder(spread, x[i : i + 1], centre[i], alpha, 2.0 ** blocks[i])
-        value[i] += far
-        error[i] += far_err
-    return value, error
+    far, far_err, qags = quad(fn, x, d, signs, alpha, 2.0**blocks)
+    return value + far, error + far_err, qags
 
 
 def _jump_stable_1d_axes(kind: SymmetricStable, fn, x):
     """Deterministic quadrature: 1-D measures along each coordinate axis."""
     c = kind.scale**kind.alpha * _c_alpha_1d(kind.alpha)
-    total, err = 0.0, 0.0
+    total, err, qags = 0.0, 0.0, False
     for d in np.eye(x.shape[1]):
-        v, ev = _split_quad(fn, x, d, (1.0, -1.0), kind.alpha)
+        v, ev, q = _split_quad(fn, x, d, (1.0, -1.0), kind.alpha)
         total = total + v
         err = err + ev
-    return c * total, c * err
+        qags = qags | q
+    return c * total, c * err, qags
 
 
 def _isotropic_stable_constant(alpha: float, n: int) -> float:
@@ -594,9 +656,9 @@ def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad):
     ``f'(x) int_0^1 r nu(dr) = f'(x) A / (1 - alpha)``, added back here."""
     alpha = kind.alpha
     a_const = alpha / math.gamma(1.0 - alpha)  # Laplace exponent u^alpha
-    integral, err = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
+    integral, err, qags = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
     value = a_const * integral + a_const * grad[:, 0] / (1.0 - alpha)
-    return value, a_const * err
+    return value, a_const * err, qags
 
 
 def _isotropic_mc(kind, dim: int) -> bool:
@@ -605,17 +667,19 @@ def _isotropic_mc(kind, dim: int) -> bool:
 
 
 def _jump_part(kind, fn, x, grad, m, rng):
-    """The jump integral of ``fn`` and its error at every row of ``x``, after
-    checking that it is defined for this kind."""
+    """The jump integral of ``fn``, its error and, where a quadrature far tail
+    was computed, the mask of rows whose far tail fell back to QAGS (else
+    None), at every row of ``x``, after checking that the integral is
+    defined for this kind."""
     if isinstance(kind, NoJumps):
-        return np.zeros(x.shape[0]), np.zeros(x.shape[0])
+        return np.zeros(x.shape[0]), np.zeros(x.shape[0]), None
     if isinstance(kind, CompoundPoisson):
         # finite measure, bounded jumps: every growth integrates
-        return _jump_cp_discrete(kind, fn, x)
+        return *_jump_cp_discrete(kind, fn, x), None
     _check_growth(kind.alpha, fn)
     if isinstance(kind, SymmetricStable):
         if _isotropic_mc(kind, x.shape[1]):
-            return _jump_stable_isotropic_mc(kind, fn, x, m, rng)
+            return *_jump_stable_isotropic_mc(kind, fn, x, m, rng), None
         return _jump_stable_1d_axes(kind, fn, x)
     if isinstance(kind, StableSubordinatorMeasure):
         return _jump_subordinator(kind, fn, x, grad)
@@ -625,7 +689,7 @@ def _jump_part(kind, fn, x, grad, m, rng):
 def jump_nodes(levy: LevyMeasureSpec, dim: int, jump_mc_samples: int) -> int:
     """Function evaluations per grid point that the jump integral makes, for
     size budgets: the atoms, the Monte Carlo samples, or the Taylor-remainder
-    tensor rules' nodes on each axis (the panels and the remainder add a few
+    tensor rules' nodes on each axis (the panels and the far tail add a few
     thousand more); 0 without jumps."""
     kind = levy.kind
     if isinstance(kind, NoJumps):
@@ -653,10 +717,11 @@ def generator_apply(
 
     The error is zero for exact finite sums. For the deterministic 1-D jump
     integrals it is the difference of each fixed rule pair (n against 2n
-    nodes) with a rounding allowance, plus the remainder's ``quad`` error
-    estimate. Otherwise it is a Monte Carlo standard error; row ``i`` draws
-    from the RNG keyed on ``(seed, point_index + i)``, so its draws do not
-    depend on the batch.
+    nodes) with a rounding allowance; a far tail that fell back to QAGS
+    (``far_qags``) adds QAGS's error estimate instead of its pair's.
+    Otherwise it is a Monte Carlo standard error; row ``i`` draws from the
+    RNG keyed on ``(seed, point_index + i)``, so its draws do not depend on
+    the batch.
     """
     if spec.discrete_time:
         raise ConfigError(
@@ -675,11 +740,13 @@ def generator_apply(
         a_total = levy.a_L if a_total is None else a_total + levy.a_L
     if a_total is not None and np.any(a_total):
         value += 0.5 * np.sum(a_total * np.swapaxes(fn.hess(xb), 1, 2), axis=(1, 2))
-    jump, error = _jump_part(
+    jump, error, qags = _jump_part(
         levy.kind, fn, xb, grad, jump_mc_samples, lambda i: _block_rng(seed, point_index + i)
     )
     value = value + jump
-    return GeneratorResult(value[0], error[0]) if single else GeneratorResult(value, error)
+    if single:
+        return GeneratorResult(value[0], error[0], None if qags is None else qags[0])
+    return GeneratorResult(value, error, qags)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +762,9 @@ class DriftReport:
     computed as ``b 1_ball - (phi(V) + L V)``; ``b`` is the smallest constant
     making the margin nonnegative at every grid point inside the closed ball
     of radius ``ball_radius``. ``errors`` holds the error estimate of each
-    ``L V`` (see :func:`generator_apply`).
+    ``L V`` (see :func:`generator_apply`).  ``far_qags`` counts the grid
+    points whose jump integral's far tail fell back to QAGS, and is None
+    where no quadrature far tail was computed.
     """
 
     grid: np.ndarray
@@ -708,6 +777,7 @@ class DriftReport:
     ball_radius: float
     b: float
     worst_margin: float
+    far_qags: int | None = None
 
     def to_csv(self, path) -> None:
         n = self.grid.shape[1]
@@ -747,7 +817,8 @@ def drift_check(
     if not ball_radius >= 0:
         raise ConfigError("ball_radius must be nonnegative")
     v_vals = np.asarray(fn.value(grid), dtype=float)
-    lhs, errs = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
+    res = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
+    lhs, errs = res
     phi_vals = np.array([phi_eval(phi, v) for v in v_vals])
     inside = np.linalg.norm(grid, axis=1) <= ball_radius
     need = phi_vals + lhs
@@ -767,4 +838,5 @@ def drift_check(
         ball_radius=float(ball_radius),
         b=b,
         worst_margin=float(np.min(margin)),
+        far_qags=None if res.far_qags is None else int(np.sum(res.far_qags)),
     )

@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .errors import BlowUpError, ConfigError, DomainError
@@ -1209,6 +1208,9 @@ def _langevin_blend_coeffs(alpha: float):
 
 @functools.lru_cache(maxsize=32)
 def _langevin_norm_const(spec: LangevinTempered) -> float:
+    # imported on first use, so a run without a Langevin constant starts without scipy.integrate
+    from scipy.integrate import quad
+
     n = spec.dim
     k, kk = _langevin_blend_coeffs(spec.alpha)
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

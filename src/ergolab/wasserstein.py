@@ -31,7 +31,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, NonConvergenceError, NumericalError, SizeError
 
@@ -193,6 +192,9 @@ def w_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
 
 def w_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> TransportPlan:
     """Exact optimal transport plan for cost ``d^p`` (size-guarded LP)."""
+    # imported on first use, so a run without exact_lp starts without scipy.optimize
+    from scipy.optimize import linprog
+
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     mu_p, nu_p = mu.pruned(), nu.pruned()

@@ -1181,7 +1181,7 @@ def test_cli_driftcheck_records_an_error_per_margin(tmp_path):
     base = {"lyapunov": {"family": "poly_plus_one", "theta": 0.5},
             "phi": {"family": "linear", "c_hat": 0.2}, "ball_radius": 3.0}
     cases = {
-        # deterministic quadrature: the rule pairs' differences plus the remainder's
+        # deterministic quadrature: the rule pairs' differences, far tail included
         "quadrature": {**base, "process": stable, "grid": [-20.0, 0.0, 2.5]},
         # isotropic Monte Carlo: the standard error
         "mc": {**base, "process": _STABLE_2D, "grid": [[0.0, 0.5], [4.0, 1.0]],
@@ -1381,7 +1381,7 @@ _COUPLE_2D = {
     "command, payload, artifact, digest",
     [
         ("driftcheck", _CERTIFY_DRIFTCHECK, "driftcheck.csv",
-         "5dca04285fcf3a4aba304a69794df9ac19483b84b23f094086710f5f57681e99"),
+         "16bb5868c85a9484c31a2b02723372f530abc95fb71d65534f9e7b7b77113ba2"),
         ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
          "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
         ("couple", _COUPLE_2D, "couple.csv",

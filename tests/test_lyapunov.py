@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from ergolab import lyapunov
 from ergolab.errors import ConfigError, IntegrabilityError
 from ergolab.lyapunov import (
     DriftReport,
@@ -383,6 +385,85 @@ def test_certify_jump_integral_within_its_reported_error():
     exact = np.array(list(_CERTIFY_JUMP.values()))
     assert np.all(np.abs(res.value - exact) <= res.error)
     assert np.all(res.error < 1e-12)
+
+
+# the far tail int_R^inf D(r) r^{-1-alpha} dr beyond R = 2^16, the smallest
+# reach, which keeps |x +- r d| >= 3 (1 + |x|) for |x| up to 1e3
+_FAR_REACH = 2.0**16
+_FAR_POINTS = {
+    1: (QuadForm(np.eye(1)), [[0.3], [-7.0], [1e3]]),
+    2: (QuadForm(np.array([[2.0, 0.3], [0.3, 1.0]])), [[0.2, -0.1], [-700.0, 700.0]]),
+}
+
+
+def _far_tail_oracle(fn, x, d, signs, alpha):
+    """The far tail of ``V = offset + |y|_Q^theta`` along ``d`` at ``x``, in 20
+    digits: with ``r = R/w`` and ``w = v^{1/(alpha - theta)}`` it is
+    ``R^{-alpha} / (alpha - theta) int_0^1 D(R/w) w^theta dv``, whose
+    integrand is bounded; V(x) is the library's double."""
+    theta, q = fn.growth[1], fn.qf.Q
+    with mp.workdps(20):
+        a, b, c = (mp.mpf(float(u @ q @ v)) for u, v in ((d, d), (x, d), (x, x)))
+        reach, alpha_, theta_ = mp.mpf(_FAR_REACH), mp.mpf(alpha), mp.mpf(theta)
+        centre = mp.mpf(float(fn.value(x))) - fn.offset
+        k = 1 / (alpha_ - theta_)
+
+        def scaled_difference(v):  # D(R/w) w^theta
+            w = v**k
+            landed = sum((a * reach**2 + 2 * s * b * reach * w + c * w * w) ** (theta_ / 2)
+                         for s in signs)
+            return landed - len(signs) * centre * w**theta_
+
+        return float(reach**-alpha_ * k * mp.quad(scaled_difference, [0, 1]))
+
+
+@pytest.mark.parametrize(
+    "alpha, signs",
+    [(0.6, (1.0, -1.0)), (1.2, (1.0, -1.0)), (1.5, (1.0, -1.0)), (1.9, (1.0, -1.0)),
+     (0.3, (1.0,)), (0.7, (1.0,))],
+    ids=["stable-0.6", "stable-1.2", "stable-1.5", "stable-1.9", "subordinator-0.3",
+         "subordinator-0.7"],
+)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_far_tail_pair_within_its_error_of_an_mpmath_oracle(alpha, signs, dim):
+    # the batched Gauss–Jacobi pair of lyapunov.quad, per axis, for growth
+    # orders up to just below alpha, with and without a constant term
+    qf, points = _FAR_POINTS[dim]
+    x = np.array(points)
+    for theta in (0.05 * alpha, 0.5 * alpha, 0.97 * alpha):
+        for d in np.eye(dim):
+            exact = [_far_tail_oracle(PolyNorm(qf, theta), xi, d, signs, alpha) for xi in x]
+            for fn in (PolyNorm(qf, theta), PolyNormPlusOne(qf, theta)):
+                value, error, qags = lyapunov.quad(
+                    fn, x, d, signs, alpha, np.full(len(x), _FAR_REACH))
+                assert not np.any(qags)
+                assert np.all(np.abs(value - exact) <= error)
+
+
+def test_certify_far_tails_need_no_qags():
+    # the certify workload's 17-point drift check
+    spec = OUJump(H=[[-1.0]], levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5)))
+    grid = np.linspace(-20.0, 20.0, 17)
+    report = drift_check(spec, _CERTIFY_V, LinearPhi(c_hat=0.2), grid, ball_radius=3.0)
+    assert report.far_qags == 0
+    assert report.worst_margin == 0.0
+
+
+def test_oscillating_far_tail_falls_back_to_qags_unchanged():
+    # cos(u x) keeps oscillating beyond R, so the pair disagrees and each
+    # point is integrated by QAGS as before, bit for bit
+    x = np.array([[0.5]])
+    before = {0.7: (-7.184900236955781e-09, 8.498637013075657e-10),
+              1.3: (-5.836185344721802e-09, 1.3797501189636823e-09)}
+    for u, (value, error) in before.items():
+        far = lyapunov.quad(cosine_fn([u]), x, np.ones(1), (1.0, -1.0), 1.7, np.array([2.0**16]))
+        assert far[2].tolist() == [True]
+        assert (far[0][0], far[1][0]) == (value, error)
+    spec = levy_only(kind=SymmetricStable(alpha=1.7, scale=0.8))
+    res = generator_apply(spec, cosine_fn([0.7]), np.array([[0.5], [1.5]]))
+    assert res.far_qags.tolist() == [True, True]
+    # no far tail is computed without stable jumps
+    assert generator_apply(levy_only(a_L=[[1.0]]), _CERTIFY_V, [0.5]).far_qags is None
 
 
 def test_generator_integrability_gates():

@@ -50,6 +50,7 @@ class CustomFn:
     grad_fn: Callable | None = None
     hess_fn: Callable | None = None
     growth: tuple | None = None
+    offset = 0.0  # no constant term split off in the jump integral's far tail
 
     def __post_init__(self):
         if not callable(self.value_fn):
