@@ -41,7 +41,6 @@ from scipy import special
 
 from .coupling import (
     DissipativityParams,
-    NotFound,
     check_estimate,
     contraction_estimate,
     find_q,
@@ -695,7 +694,6 @@ _SCHEMA = {
         # the tails are exact at every level; ``truncation`` once sized a table
         # they were read from, and is still accepted, but has no effect
         _Key("truncation", _truncation, default="auto"),
-        _Key("lipschitz", _as_float, default=1.0),
         _Key("lyapunov_exponent", _as_float, default=None),  # None: params.theta
     ),
     "subordinate config": _record(
@@ -987,12 +985,8 @@ def _cmd_couple(cfg, out: Path) -> int:
         if cert.Q is not None:
             q = _check_q(cert.Q, spec.dim, "certificate.Q")
         else:
-            q = find_q(spec.M, spec.Gamma, spec.v)
-            if isinstance(q, NotFound):
-                raise NotDissipativeError(
-                    f"no diagonal quadratic form certifies dissipativity: {q.reason}"
-                )
-        c_p = prop35_cp(spec.M, spec.Gamma, spec.v, q, cert.lip_sqrtq_sigma, p)
+            q = find_q(spec)
+        c_p = prop35_cp(spec, q, cert.lip_sqrtq_sigma, p)
         if c_p <= 0:
             raise NotDissipativeError(
                 f"certificate constant c(p) = {c_p:.6g} is not positive; the "
@@ -1022,7 +1016,7 @@ def _cmd_lower(cfg, out: Path) -> int:
     theta_v = cfg.params.theta if cfg.lyapunov_exponent is None else cfg.lyapunov_exponent
     inst = LowerBoundInstance(
         tail=spec.tail,
-        lip=cfg.lipschitz,
+        lip=1.0,  # the observable is X itself, 1-Lipschitz
         v0=1.0 + abs(float(cfg.x0[0])) ** theta_v,  # V(x) = 1 + |x|^theta_v at the start
         c=cfg.c, b=cfg.b, params=cfg.params,
     )
@@ -1076,10 +1070,12 @@ def main(argv=None) -> int:
         description="Numerical laboratory for Markov-process convergence rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (*_, desc) in _HANDLERS.items():
+    for name, (_, group, desc) in _HANDLERS.items():
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", required=True, help="path to a JSON configuration file")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        # only the commands whose config has a seed take one
+        if "seed" in {k.name for k in _SCHEMA[group][1][None].keys}:
+            sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out-dir", default=".", help="directory for output artifacts")
     try:
         args = parser.parse_args(argv)
@@ -1090,8 +1086,7 @@ def main(argv=None) -> int:
         data = _load_config(args.config)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # --seed applies to the commands whose config has a seed
-        if args.seed is not None and "seed" in {k.name for k in _SCHEMA[group][1][None].keys}:
+        if getattr(args, "seed", None) is not None:
             data = {**data, "seed": args.seed}
         if group == "experiment config":  # the public parser, which perfbench times
             return handler(parse_experiment_config(data), out)

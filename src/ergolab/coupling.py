@@ -16,8 +16,9 @@ This module provides
   the analytic envelope comparison (:func:`check_estimate` refuses what it
   cannot estimate from before anything is simulated);
 * :func:`prop35_cp` / :func:`find_q` — the closed-form contraction constant
-  ``c(p)`` for piecewise-linear queueing drifts, and a diagonal grid search
-  for a quadratic form that certifies it.
+  ``c(p)`` of a :class:`~ergolab.processes.PiecewiseOU` spec, read off its
+  ``M``, ``Gamma`` and ``v``, and a diagonal grid search for a quadratic form
+  that certifies it.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InsufficientPathsError, NotDissipativeError
 from .lyapunov import QuadForm
-from .processes import TrajectoryBatch, simulate
+from .processes import PiecewiseOU, TrajectoryBatch, simulate
 
 __all__ = [
     "CoupledBatch",
     "CouplingReport",
     "DissipativityParams",
-    "NotFound",
     "check_estimate",
     "contraction_estimate",
     "find_q",
@@ -106,22 +106,19 @@ def synchronous_pair_sim(
 # ---------------------------------------------------------------------------
 
 
-def _dissipativity_matrices(M, Gamma, v, Q):
+def _dissipativity_matrices(spec: PiecewiseOU, Q):
     """Symmetric parts of ``MQ + QM`` and ``(M - ev'(M-G))Q + Q(M - (M-G)ve')``."""
-    m = np.atleast_2d(np.asarray(M, dtype=float))
-    g = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    vv = np.asarray(v, dtype=float).ravel()
-    n = m.shape[0]
-    e = np.ones(n)
+    m, g, v = spec.M, spec.Gamma, spec.v
+    e = np.ones(spec.dim)
     first = m @ Q + Q @ m
-    right = m - (m - g) @ np.outer(vv, e)
-    left = m - np.outer(e, vv) @ (m - g)
+    right = m - (m - g) @ np.outer(v, e)
+    left = m - np.outer(e, v) @ (m - g)
     second = left @ Q + Q @ right
     return 0.5 * (first + first.T), 0.5 * (second + second.T)
 
 
-def prop35_cp(M, Gamma, v, Q: QuadForm, lip_sqrtQ_sigma: float, p: float) -> float:
-    """Contraction constant ``c(p)`` for the piecewise-linear drift.
+def prop35_cp(spec: PiecewiseOU, Q: QuadForm, lip_sqrtQ_sigma: float, p: float) -> float:
+    """Contraction constant ``c(p)`` for the piecewise-linear drift of ``spec``.
 
     ``kappa`` is the smallest eigenvalue over the two dissipativity matrices
     (both must be positive definite), and
@@ -137,7 +134,7 @@ def prop35_cp(M, Gamma, v, Q: QuadForm, lip_sqrtQ_sigma: float, p: float) -> flo
         raise DomainError(f"p must be >= 1, got {p}")
     if lip_sqrtQ_sigma < 0:
         raise DomainError("Lipschitz constant must be nonnegative")
-    s1, s2 = _dissipativity_matrices(M, Gamma, v, Q.Q)
+    s1, s2 = _dissipativity_matrices(spec, Q.Q)
     kappa = math.inf
     for name, mat in (("MQ + QM", s1), ("coupled-drift matrix", s2)):
         low = float(np.linalg.eigvalsh(mat)[0])
@@ -151,38 +148,26 @@ def prop35_cp(M, Gamma, v, Q: QuadForm, lip_sqrtQ_sigma: float, p: float) -> flo
     )
 
 
-@dataclass(frozen=True)
-class NotFound:
-    """Negative (non-error) search result carrying a human-readable reason."""
-
-    reason: str = ""
-
-
 # the values find_q tries for each diagonal entry of Q after the first
 _DIAGONAL_AXIS = np.logspace(-1.0, 1.0, 9)
 
 
-def find_q(M, Gamma, v):
-    """Search diagonal quadratic forms for one certifying dissipativity.
+def find_q(spec: PiecewiseOU) -> QuadForm:
+    """Search diagonal quadratic forms for one certifying the dissipativity
+    of ``spec`` (whose ``M`` the spec has already checked is a nonsingular
+    M-matrix).
 
     The objective ``kappa / lam_max(Q)`` is invariant under scaling of ``Q``,
     so the first diagonal entry is pinned to 1 and the remaining entries run
     over the 9-point log grid from 0.1 to 10.  Returns the best valid
-    :class:`QuadForm`, or :class:`NotFound` when no candidate makes both
-    matrices positive definite.
+    :class:`QuadForm`; raises :class:`NotDissipativeError` when no candidate
+    makes both matrices positive definite.
     """
-    m = np.atleast_2d(np.asarray(M, dtype=float))
-    n = m.shape[0]
-    off = m - np.diag(np.diag(m))
-    if np.any(off > 1e-12):
-        raise ConfigError("M must be an M-matrix: off-diagonal entries <= 0")
-    if np.min(np.real(np.linalg.eigvals(m))) <= 0:
-        raise ConfigError("M must be a nonsingular M-matrix: eigenvalues in the right half-plane")
     best_ratio = -math.inf
     best_diag = None
-    for tail in itertools.product(_DIAGONAL_AXIS, repeat=n - 1):
+    for tail in itertools.product(_DIAGONAL_AXIS, repeat=spec.dim - 1):
         diag = np.array((1.0,) + tail)
-        s1, s2 = _dissipativity_matrices(m, Gamma, v, np.diag(diag))
+        s1, s2 = _dissipativity_matrices(spec, np.diag(diag))
         kappa = min(float(np.linalg.eigvalsh(s1)[0]), float(np.linalg.eigvalsh(s2)[0]))
         if kappa <= 1e-10:
             continue
@@ -191,8 +176,9 @@ def find_q(M, Gamma, v):
             best_ratio = ratio
             best_diag = diag
     if best_diag is None:
-        return NotFound(
-            reason="no diagonal Q on the grid makes both dissipativity matrices positive definite"
+        raise NotDissipativeError(
+            "no diagonal quadratic form certifies dissipativity: no diagonal Q on the "
+            "grid makes both dissipativity matrices positive definite"
         )
     return QuadForm(np.diag(best_diag))
 

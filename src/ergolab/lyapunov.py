@@ -13,9 +13,10 @@ The central objects:
   ``L f(x) = <b, grad f> + 1/2 tr(a hess f) + J f(x)`` at a point or, in one
   pass, at every row of a batch (the families' ``value``, ``grad`` and
   ``hess`` take either).  ``L`` is read off the continuous-time process spec
-  :func:`ergolab.processes.simulate` runs, its ``drift``, ``sigma`` and
-  ``levy``, whose jumps enter uncompensated: for compound-Poisson and
-  subordinator jumps ``J f(x)`` integrates the raw difference
+  :func:`ergolab.processes.simulate` runs: the ``drift`` and ``sigma`` its
+  ``coeffs`` hands the walk, and its ``levy``, whose jumps enter
+  uncompensated: for compound-Poisson and subordinator jumps ``J f(x)``
+  integrates the raw difference
   ``f(x+y) - f(x)``, and for symmetric stable jumps the symmetric principal
   value of the same difference;
 * :func:`drift_check` — pointwise certification of
@@ -730,11 +731,13 @@ def generator_apply(
     xb, single = _batch(x)
     levy = spec.levy
     grad = fn.grad(xb)
+    # the walk's own coefficients, drift called before sigma as a substep does
+    drift, sigma = spec.coeffs(xb.shape[0])
     value = np.zeros(xb.shape[0])
-    value += np.sum(spec.drift(xb) * grad, axis=-1)
+    value += np.sum(drift(xb) * grad, axis=-1)
     if levy.b_L is not None:
         value += grad @ levy.b_L
-    s = None if spec.sigma is None else sigma_at(spec.sigma, xb)
+    s = None if sigma is None else sigma_at(sigma, xb)
     a_total = None if s is None else s @ np.swapaxes(s, 1, 2)
     if levy.a_L is not None:
         a_total = levy.a_L if a_total is None else a_total + levy.a_L

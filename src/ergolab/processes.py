@@ -15,8 +15,7 @@ The module couples two layers:
   discrete-time chain), :func:`step_plan` (the steps a path takes, which
   the walkers follow and the config budgets), :func:`invariant_exact` (the
   chain's closed-form law tabulated), :func:`ou_exact_transition` (Gaussian
-  marginal of a linear SDE), :func:`piecewise_drift`, and
-  :func:`langevin_coeffs`.
+  marginal of a linear SDE) and :func:`langevin_coeffs`.
 
 Conventions
 -----------
@@ -88,7 +87,6 @@ __all__ = [
     "standard_one_sided_stable",
     "invariant_exact",
     "ou_exact_transition",
-    "piecewise_drift",
     "langevin_coeffs",
     "sigma_at",
 ]
@@ -291,9 +289,10 @@ class ProcessSpec:
     the next is asked for); for continuous time
     ``levy``, a batched
     ``drift(x)`` and ``sigma`` (None, a constant matrix or a batched
-    callable), from which :meth:`advance` (with :meth:`walk_coeffs`) builds
-    the substep and
-    :func:`ergolab.lyapunov.generator_apply` the generator; and
+    callable), and :meth:`coeffs`, the form of the two that both
+    :meth:`advance`'s substep and :func:`ergolab.lyapunov.generator_apply`'s
+    generator evaluate, so the generator a drift check certifies is built
+    from the functions the walk steps; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
     ``"gaussian"`` (centred, ``invariant_sd()``) or None.  A family refuses,
     when it is built, a part sized for another dimension, the Lévy part
@@ -368,7 +367,7 @@ class ProcessSpec:
             return z, z2
 
         def stepper(shape):
-            drift, walk_sigma = self.walk_coeffs(shape[0] * shape[1])
+            drift, walk_sigma = self.coeffs(shape[0] * shape[1])
             inc_rows = np.empty((shape[0] * shape[1], dim))
             term_buf = np.empty(shape[1:])
 
@@ -391,12 +390,13 @@ class ProcessSpec:
 
         return draw, stepper
 
-    def walk_coeffs(self, rows):
-        """``(drift, sigma)`` for ``(rows, dim)`` states, in the form a walk
-        uses them every substep, where it calls ``drift`` and then a
-        callable ``sigma`` at the same state: a family may hand back a
-        drift that reuses one buffer, which holds until the next call, or a
-        ``sigma`` that returns what the drift call computed with it."""
+    def coeffs(self, rows):
+        """``(drift, sigma)`` for ``(rows, dim)`` states, as a walk's substep
+        and the generator use them: each calls ``drift`` and then a callable
+        ``sigma`` at the same state.  A family may rely on that order: it
+        may hand back a drift that reuses one buffer, which holds until the
+        next call, or a ``sigma`` that returns what the drift call computed
+        with it."""
         return self.drift, self.sigma
 
 
@@ -428,8 +428,8 @@ class LangevinTempered(ProcessSpec):
     def sigma(self, x):
         return langevin_coeffs(self, x)[1]
 
-    def walk_coeffs(self, rows):
-        """One :func:`langevin_coeffs` call per substep: ``sigma`` returns the
+    def coeffs(self, rows):
+        """One :func:`langevin_coeffs` call for both: ``sigma`` returns the
         diffusion that the drift call computed at the same state."""
         held = {}
 
@@ -546,20 +546,26 @@ class PiecewiseOU(ProcessSpec):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_g_v", _rows_times(g, v))
 
     @property
     def dim(self) -> int:
         return self.l.shape[0]
 
     def drift(self, x):
-        return piecewise_drift(self.l, self.M, self.Gamma, self.v, x)
+        """The drift at one state ``(n,)`` or a batch ``(..., n)``.  Formed
+        column by column, each sum left to right, so a state's drift is the
+        same bits in any batch and no ``(m, 1) x (n,)`` broadcast is made."""
+        x = np.asarray(x, dtype=float)
+        work = np.empty((self.dim + 2,) + x.shape[:-1])
+        return _piecewise_ou_drift_into(self.l, self.M, self._g_v, self.v, x, work,
+                                        np.empty(x.shape))
 
-    def walk_coeffs(self, rows):
-        """:func:`piecewise_drift` into buffers made once per walk, as is ``Gamma v``."""
-        g_v = _rows_times(self.Gamma, self.v)
+    def coeffs(self, rows):
+        """The drift written into buffers made once per walk (or generator)."""
         work = np.empty((self.dim + 2, rows))
         out = np.empty((rows, self.dim))
-        drift = functools.partial(_piecewise_drift_into, self.l, self.M, g_v, self.v,
+        drift = functools.partial(_piecewise_ou_drift_into, self.l, self.M, self._g_v, self.v,
                                   work=work, out=out)
         return drift, self.sigma
 
@@ -1162,23 +1168,8 @@ def ou_exact_transition(H, a_L, t: float, x0):
     return mean, cov
 
 
-def piecewise_drift(l, M, Gamma, v, x) -> np.ndarray:
-    """``l - M(x - <e,x>^+ v) - <e,x>^+ Gamma v`` for one state or a batch,
-    with the allocation ``v`` ``(n,)``.  Formed column by column, each sum
-    left to right, so a state's drift is the same bits in any batch and no
-    ``(m, 1) x (n,)`` broadcast is made.
-    """
-    l = np.asarray(l, dtype=float).ravel()
-    m = np.atleast_2d(np.asarray(M, dtype=float))
-    g = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    work = np.empty((x.shape[-1] + 2,) + x.shape[:-1])
-    return _piecewise_drift_into(l, m, _rows_times(g, v), v, x, work, np.empty(x.shape))
-
-
-def _piecewise_drift_into(l, m, g_v, v, x, work, out) -> np.ndarray:
-    """:func:`piecewise_drift` of ``x`` ``(..., n)`` written into ``out``,
+def _piecewise_ou_drift_into(l, m, g_v, v, x, work, out) -> np.ndarray:
+    """:meth:`PiecewiseOU.drift` of ``x`` ``(..., n)`` written into ``out``,
     with ``g_v = Gamma v`` and ``work`` ``(n + 2,) + x.shape[:-1]`` as
     scratch: ``<e,x>^+``, a spare column and the shifted columns."""
     n = x.shape[-1]
@@ -1199,11 +1190,14 @@ def _piecewise_drift_into(l, m, g_v, v, x, work, out) -> np.ndarray:
     return out
 
 
-def _langevin_blend_coeffs(alpha: float):
-    # interior radial profile q(u), u = |x|^2: the polynomial matching
-    # u^{-1/(2 alpha)} at u = 1 to second order; positive on [0, 1]
+def _langevin_blend(alpha: float, u):
+    """The interior radial profile ``q(u)``, ``u = |x|^2``, and ``q'(u) /
+    q(u)``: ``q`` is the quadratic matching ``u^{-1/(2 alpha)}`` at ``u = 1``
+    to second order, positive for every ``u``."""
     k = 1.0 / (2.0 * alpha)
-    return k, k * (k + 1.0)
+    kk = k * (k + 1.0)
+    q = 1.0 - k * (u - 1.0) + 0.5 * kk * (u - 1.0) ** 2
+    return q, (-k + kk * (u - 1.0)) / q
 
 
 @functools.lru_cache(maxsize=32)
@@ -1212,27 +1206,26 @@ def _langevin_norm_const(spec: LangevinTempered) -> float:
     from scipy.integrate import quad
 
     n = spec.dim
-    k, kk = _langevin_blend_coeffs(spec.alpha)
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     i_ext = omega / (1.0 / spec.alpha - n)
-
-    def q(u):
-        return 1.0 - k * (u - 1.0) + 0.5 * kk * (u - 1.0) ** 2
-
-    i_int, _ = quad(lambda r: q(r * r) * r ** (n - 1), 0.0, 1.0, epsrel=1e-12)
+    i_int, _ = quad(
+        lambda r: _langevin_blend(spec.alpha, r * r)[0] * r ** (n - 1), 0.0, 1.0, epsrel=1e-12
+    )
     return 1.0 / (i_ext + omega * i_int)
+
+
+def _langevin_pi(spec: LangevinTempered, r2: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The density at squared radii ``r2``, with ``q`` the blend at ``r2``."""
+    # clamp before the power: the outer branch is only consulted for r2 >= 1
+    outer = np.power(np.maximum(r2, 1.0), -1.0 / (2.0 * spec.alpha))
+    return _langevin_norm_const(spec) * np.where(r2 >= 1.0, outer, q)
 
 
 def langevin_density(spec: LangevinTempered, x) -> np.ndarray:
     """Invariant density: ``c |x|^{-1/alpha}`` outside the unit ball, C2 blend inside."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    c = _langevin_norm_const(spec)
     r2 = np.sum(x * x, axis=1)
-    k, kk = _langevin_blend_coeffs(spec.alpha)
-    inner = 1.0 - k * (r2 - 1.0) + 0.5 * kk * (r2 - 1.0) ** 2
-    # clamp before the power: the outer branch is only consulted for r2 >= 1
-    outer = np.power(np.maximum(r2, 1.0), -1.0 / (2.0 * spec.alpha))
-    return c * np.where(r2 >= 1.0, outer, inner)
+    return _langevin_pi(spec, r2, _langevin_blend(spec.alpha, r2)[0])
 
 
 def langevin_coeffs(spec: LangevinTempered, x):
@@ -1242,14 +1235,11 @@ def langevin_coeffs(spec: LangevinTempered, x):
     single = x.ndim == 1
     xb = np.atleast_2d(x)
     r2 = np.sum(xb * xb, axis=1)
-    k, kk = _langevin_blend_coeffs(spec.alpha)
-    pi_vals = langevin_density(spec, xb)
-    # grad log pi: outside -(1/alpha) x/|x|^2; inside q'(u) 2x / q(u)
-    q = 1.0 - k * (r2 - 1.0) + 0.5 * kk * (r2 - 1.0) ** 2
-    qp = -k + kk * (r2 - 1.0)
-    inner_factor = 2.0 * qp / q
+    q, q_ratio = _langevin_blend(spec.alpha, r2)
+    pi_vals = _langevin_pi(spec, r2, q)
+    # grad log pi: outside -(1/alpha) x/|x|^2; inside 2x q'(u) / q(u)
     outer_factor = -(1.0 / spec.alpha) / np.maximum(r2, 1.0)
-    factor = np.where(r2 >= 1.0, outer_factor, inner_factor)
+    factor = np.where(r2 >= 1.0, outer_factor, 2.0 * q_ratio)
     grad_log = factor[:, None] * xb
     b = 0.5 * (1.0 - 2.0 * spec.beta) * (pi_vals ** (-2.0 * spec.beta))[:, None] * grad_log
     sig = (pi_vals ** (-spec.beta))[:, None] * np.ones_like(xb)

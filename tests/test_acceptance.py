@@ -293,9 +293,9 @@ def test_criterion_04_synchronous_coupling():
         sigma=np.array([[1.0]]),
         levy=LevyMeasureSpec(kind=jumps),
     )
-    q = find_q(M, Gamma, v)
+    q = find_q(spec)
     assert isinstance(q, QuadForm)
-    c2 = prop35_cp(M, Gamma, v, q, 0.0, 2.0)  # constant sigma: Lip(sqrt(Q) sigma) = 0
+    c2 = prop35_cp(spec, q, 0.0, 2.0)  # constant sigma: Lip(sqrt(Q) sigma) = 0
     assert c2 > 0
     pairs = synchronous_pair_sim(
         spec, np.array([2.0]), np.array([-1.0]), np.linspace(0.0, 3.0, 13), 2000, 7, max_step=0.01

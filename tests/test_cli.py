@@ -939,6 +939,8 @@ DELETED_KEYS = {
     "experiment-bracket-params": ("experiment", "bracket_params", {"theta": 3.95}),
     "experiment-outputs": ("experiment", "outputs", "out"),
     "ratefit-bracket-params": ("ratefit", "bracket_params", {"theta": 3.95}),
+    # the observable of the chain's bound is X itself, whose Lipschitz constant is 1
+    "lower-lipschitz": ("lower", "lipschitz", 0.1),
 }
 
 
@@ -948,6 +950,23 @@ def test_deleted_key_exits_2_and_is_named(name, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {**COMMAND_CONFIGS[command], key: value})
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert f"has unknown keys: [{key!r}]" in capsys.readouterr().err
+
+
+def test_seed_flag_only_where_the_config_has_a_seed(tmp_path, capsys):
+    # lower and ratefit have no seed, so they take no --seed either
+    seedless = set()
+    for command, (_, group, _) in _HANDLERS.items():
+        has_seed = "seed" in {key.name for key in _SCHEMA[group][1][None].keys}
+        cfg = _write(tmp_path / "cfg.json", COMMAND_CONFIGS[command])
+        code = main([command, "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        if has_seed:
+            assert code == 0, command
+        else:
+            seedless.add(command)
+            assert code == 2, command
+            assert "unrecognized arguments: --seed 1" in err
+    assert seedless == {"lower", "ratefit"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
@@ -1468,7 +1487,24 @@ def test_cli_subordinate(tmp_path):
         assert abs(v - math.exp(-t)) / math.exp(-t) < 0.1
 
 
-def test_cli_module_entry_point(tmp_path):
+def test_cli_couple_certificate_without_a_diagonal_q_exits_3(tmp_path, capsys):
+    # with Gamma = 0 the coupled-drift matrix S has v'Sv = 0 for every Q, so
+    # the search refuses, with its reason, before anything is simulated
+    process = {**_PIECEWISE_2D, "Gamma": [[0.0, 0.0], [0.0, 0.0]]}
+    payload = {**_COUPLE, "process": process, "x": [1.0, 0.0], "y": [0.0, 1.0],
+               "certificate": {"lip_sqrtq_sigma": 0.0}}
+    cfg = _write(tmp_path / "couple.json", payload)
+    assert main(["couple", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no diagonal quadratic form certifies dissipativity: no diagonal Q on the "
+        "grid makes both dissipativity matrices positive definite\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "couple.csv").exists()
+
+
+def test_cli_module_entry_point(tmp_path, src_env):
     times = np.linspace(0.0, 5.0, 6)
     cfg = _write(
         tmp_path / "fit.json",
@@ -1482,6 +1518,7 @@ def test_cli_module_entry_point(tmp_path):
         [sys.executable, "-m", "ergolab", "ratefit", "--config", cfg, "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads((tmp_path / "ratefit.json").read_text())

@@ -24,7 +24,6 @@ from ergolab.coupling import (
     CoupledBatch,
     CouplingReport,
     DissipativityParams,
-    NotFound,
     contraction_estimate,
     find_q,
     prop35_cp,
@@ -52,6 +51,14 @@ from ergolab.processes import (
 from user_callables import GenericIto
 
 
+def _queue(M, Gamma, v):
+    """The noiseless piecewise-OU spec whose ``M``, ``Gamma`` and ``v`` a
+    certificate reads."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    return PiecewiseOU(l=np.zeros(M.shape[0]), M=M, Gamma=Gamma, v=v, sigma=None,
+                       levy=LevyMeasureSpec())
+
+
 def _ou_1d(noise=1.0):
     a_l = np.array([[noise]]) if noise else None
     return OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec(a_L=a_l))
@@ -76,7 +83,7 @@ def _scalar_queue(sigma=0.8, rate=1.0):
 
 def test_prop35_cp_scalar_oracle():
     q = QuadForm(np.array([[1.0]]))
-    got = prop35_cp(np.array([[1.5]]), np.array([[0.7]]), np.array([1.0]), q, 0.0, 2.0)
+    got = prop35_cp(_queue([[1.5]], [[0.7]], [1.0]), q, 0.0, 2.0)
     assert got == pytest.approx(2.0 * min(1.5, 0.7), abs=1e-14)
 
 
@@ -84,7 +91,7 @@ def test_prop35_cp_matrix_oracle_2d():
     # M = I, Gamma = diag(2, 3), v = e1: second matrix [[4, 1], [1, 2]],
     # eigenvalues 3 +- sqrt(2); first matrix 2I.  kappa = 3 - sqrt(2).
     q = QuadForm(np.eye(2))
-    got = prop35_cp(np.eye(2), np.diag([2.0, 3.0]), np.array([1.0, 0.0]), q, 0.0, 2.0)
+    got = prop35_cp(_queue(np.eye(2), np.diag([2.0, 3.0]), [1.0, 0.0]), q, 0.0, 2.0)
     assert got == pytest.approx(3.0 - math.sqrt(2.0), abs=1e-12)
 
 
@@ -93,35 +100,37 @@ def test_prop35_cp_linear_in_p_without_diffusion():
     m, g = np.array([[2.0]]), np.array([[1.2]])
     kappa = 2.0 * 1.2
     for p in (1.0, 2.0, 3.5):
-        got = prop35_cp(m, g, np.array([1.0]), q, 0.0, p)
+        got = prop35_cp(_queue(m, g, [1.0]), q, 0.0, p)
         assert got == pytest.approx(p * kappa / 2.0, abs=1e-14)
 
 
 def test_prop35_cp_diffusion_penalty():
     # c(3) = (3/2)(2/1 - 2 * 0.25/1) = 2.25 for m = gamma = 1, lip = 0.5.
     q = QuadForm(np.array([[1.0]]))
-    got = prop35_cp(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), q, 0.5, 3.0)
+    got = prop35_cp(_queue([[1.0]], [[1.0]], [1.0]), q, 0.5, 3.0)
     assert got == pytest.approx(2.25, abs=1e-14)
 
 
 def test_prop35_cp_gamma_zero_not_dissipative():
     q = QuadForm(np.array([[1.0]]))
     with pytest.raises(NotDissipativeError):
-        prop35_cp(np.array([[1.0]]), np.array([[0.0]]), np.array([1.0]), q, 0.0, 2.0)
+        prop35_cp(_queue([[1.0]], [[0.0]], [1.0]), q, 0.0, 2.0)
 
 
 def test_prop35_cp_indefinite_first_matrix():
-    # MQ + QM has symmetric part [[2, -3], [-3, 2]] with eigenvalue -1.
-    q = QuadForm(np.eye(2))
-    m = np.array([[1.0, -3.0], [0.0, 1.0]])
-    with pytest.raises(NotDissipativeError):
-        prop35_cp(m, np.eye(2), np.array([1.0, 0.0]), q, 0.0, 2.0)
+    # M is a nonsingular M-matrix with e'M = [1, 0], so the spec takes it;
+    # with Q = diag(1, 0.1), MQ + QM has symmetric part [[2, -1.65],
+    # [-1.65, 0.6]], whose determinant is -1.5225.
+    q = QuadForm(np.diag([1.0, 0.1]))
+    spec = _queue([[1.0, -3.0], [0.0, 3.0]], np.eye(2), [1.0, 0.0])
+    with pytest.raises(NotDissipativeError, match="MQ \\+ QM"):
+        prop35_cp(spec, q, 0.0, 2.0)
 
 
 def test_prop35_cp_may_return_nonpositive_rate():
     # Large diffusion Lipschitz constant: caller must check the sign.
     q = QuadForm(np.array([[1.0]]))
-    got = prop35_cp(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), q, 5.0, 2.0)
+    got = prop35_cp(_queue([[1.0]], [[1.0]], [1.0]), q, 5.0, 2.0)
     assert got < 0
 
 
@@ -141,28 +150,22 @@ def test_dissipativity_params_validation_and_envelope():
 
 
 def test_find_q_symmetric_case_returns_identity():
-    got = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]))
+    got = find_q(_queue(np.eye(2), np.eye(2), [1.0, 0.0]))
     assert isinstance(got, QuadForm)
     assert np.allclose(got.Q, np.eye(2), atol=1e-12)
 
 
 def test_find_q_scalar_matches_prop35():
-    got = find_q(np.array([[3.0]]), np.array([[2.0]]), np.array([1.0]))
+    spec = _queue([[3.0]], [[2.0]], [1.0])
+    got = find_q(spec)
     assert isinstance(got, QuadForm)
-    c2 = prop35_cp(np.array([[3.0]]), np.array([[2.0]]), np.array([1.0]), got, 0.0, 2.0)
+    c2 = prop35_cp(spec, got, 0.0, 2.0)
     assert c2 == pytest.approx(4.0, abs=1e-12)
 
 
 def test_find_q_gamma_zero_not_found():
-    got = find_q(np.eye(2), np.zeros((2, 2)), np.array([1.0, 0.0]))
-    assert isinstance(got, NotFound)
-    assert got.reason
-
-
-def test_find_q_rejects_non_m_matrix():
-    bad = np.array([[1.0, 0.5], [0.0, 1.0]])  # positive off-diagonal entry
-    with pytest.raises(ConfigError):
-        find_q(bad, np.eye(2), np.array([1.0, 0.0]))
+    with pytest.raises(NotDissipativeError, match="no diagonal Q on the grid"):
+        find_q(_queue(np.eye(2), np.zeros((2, 2)), [1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_contraction_estimate_ou_rate_and_envelope():
     grid = np.linspace(0.0, 3.0, 13)
     pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 200, seed=2)
     q = QuadForm(np.array([[1.0]]))
-    c2 = prop35_cp(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), q, 0.0, 2.0)
+    c2 = prop35_cp(_queue([[1.0]], [[1.0]], [1.0]), q, 0.0, 2.0)
     report = contraction_estimate(pair, 2.0, params=DissipativityParams(q=q, p=2.0, c_p=c2))
     assert np.allclose(report.moment_curve, 3.0 * np.exp(-grid), rtol=1e-8)
     assert abs(report.fitted_rate - 1.0) < 0.02
@@ -311,9 +314,9 @@ def test_contraction_estimate_queueing_network_meets_prop35_rate():
     grid = np.linspace(0.0, 2.0, 9)
     x, y = np.array([2.0, 1.0]), np.array([-1.0, 0.5])
     pair = synchronous_pair_sim(spec, x, y, grid, 256, seed=9)
-    q = find_q(np.eye(2), np.eye(2), np.array([1.0, 0.0]))
+    q = find_q(spec)
     assert isinstance(q, QuadForm)
-    c2 = prop35_cp(np.eye(2), np.eye(2), np.array([1.0, 0.0]), q, 0.0, 2.0)
+    c2 = prop35_cp(spec, q, 0.0, 2.0)
     assert c2 == pytest.approx(2.0, abs=1e-12)
     report = contraction_estimate(pair, 2.0, params=DissipativityParams(q=q, p=2.0, c_p=c2))
     assert report.fitted_rate >= c2 / 2.0 - 1e-9

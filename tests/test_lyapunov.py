@@ -24,11 +24,13 @@ from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
     DiscreteJumps,
+    LangevinTempered,
     LevyMeasureSpec,
     OUJump,
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
+    langevin_coeffs,
 )
 from ergolab.rates import LinearPhi
 from user_callables import CustomFn, GenericIto
@@ -496,6 +498,28 @@ def test_generator_refuses_a_discrete_time_process():
         generator_apply(
             BackwardRecurrence(alpha=3.0, i0=5), PolyNormPlusOne(QuadForm(np.eye(1)), 1.0), [1.0]
         )
+
+
+def test_langevin_generator_computes_its_coefficients_once(monkeypatch):
+    # a batch's generator reads the drift and sigma the walk steps: one
+    # langevin_coeffs call for both, and L V = <b, grad V> + 1/2 tr(s s' hess V)
+    import ergolab.processes as processes
+
+    spec = LangevinTempered(alpha=0.3, beta=0.25, dim=2)
+    fn = PolyNormPlusOne(QuadForm(np.eye(2)), 1.5)
+    x = np.array([[0.5, 0.2], [2.0, -1.0], [0.0, 3.0]])
+    b, sig = langevin_coeffs(spec, x)
+    expected = np.sum(b * fn.grad(x), axis=1) + 0.5 * np.einsum(
+        "mi,mii->m", sig * sig, fn.hess(x)
+    )
+    calls = []
+    coeffs = processes.langevin_coeffs
+    monkeypatch.setattr(processes, "langevin_coeffs",
+                        lambda spec, x: calls.append(1) or coeffs(spec, x))
+    res = generator_apply(spec, fn, x)
+    assert len(calls) == 1
+    assert np.allclose(res.value, expected, rtol=1e-13, atol=0.0)
+    assert np.all(res.error == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from ergolab.processes import (
     langevin_coeffs,
     langevin_density,
     ou_exact_transition,
-    piecewise_drift,
     sigma_at,
     simulate,
     standard_one_sided_stable,
@@ -84,7 +83,7 @@ def test_process_specs_state_their_facts():
         sigma=None, levy=LevyMeasureSpec(),
     )
     assert pw.dim == 2
-    assert np.array_equal(pw.drift(x), piecewise_drift(pw.l, pw.M, pw.Gamma, [0.5, 0.5], x))
+    assert np.array_equal(pw.drift(x), [pw.drift(row) for row in x])
     assert np.allclose(ou.drift(np.array([[3.0]])), [[-6.0]])
 
 
@@ -321,34 +320,39 @@ def test_ou_simulated_mean_within_mc_band():
 # ---------------------------------------------------------------------------
 
 
-def test_piecewise_drift_frozen_examples():
+def _queue_drift(l, m, g, v, x):
+    """The drift of the noiseless piecewise-OU spec with these parts."""
+    return PiecewiseOU(l=l, M=m, Gamma=g, v=v, sigma=None, levy=LevyMeasureSpec()).drift(x)
+
+
+def test_piecewise_ou_drift_frozen_examples():
     # all-ones state with l = 0, M = Gamma = I, v = e1 gives -x
-    b = piecewise_drift(np.zeros(2), np.eye(2), np.eye(2), [1.0, 0.0], [1.0, 1.0])
+    b = _queue_drift(np.zeros(2), np.eye(2), np.eye(2), [1.0, 0.0], [1.0, 1.0])
     assert np.allclose(b, [-1.0, -1.0], atol=1e-15)
     # nonpositive total: plain OU drift l - Mx
     l = np.array([0.3, 0.4])
     m = np.array([[2.0, -1.0], [-0.5, 3.0]])
     x = np.array([-1.0, -0.5])
-    b2 = piecewise_drift(l, m, np.eye(2), [0.5, 0.5], x)
+    b2 = _queue_drift(l, m, np.eye(2), [0.5, 0.5], x)
     assert np.allclose(b2, l - m @ x, atol=1e-15)
     # at the origin the drift is l
-    b3 = piecewise_drift(l, m, np.eye(2), [0.5, 0.5], np.zeros(2))
+    b3 = _queue_drift(l, m, np.eye(2), [0.5, 0.5], np.zeros(2))
     assert np.allclose(b3, l, atol=1e-15)
 
 
-def test_piecewise_drift_batch_matches_single():
+def test_piecewise_ou_drift_batch_matches_single():
     rng = np.random.default_rng(5)
     l = rng.normal(size=3)
     m = np.eye(3) * 2.0
     g = np.diag([0.5, 1.0, 1.5])
     v = np.array([0.2, 0.3, 0.5])
     xs = rng.normal(size=(40, 3))
-    batch = piecewise_drift(l, m, g, v, xs)
+    batch = _queue_drift(l, m, g, v, xs)
     for i in range(40):
-        assert np.allclose(batch[i], piecewise_drift(l, m, g, v, xs[i]), atol=1e-14)
+        assert np.allclose(batch[i], _queue_drift(l, m, g, v, xs[i]), atol=1e-14)
 
 
-def test_piecewise_drift_global_lipschitz():
+def test_piecewise_ou_drift_global_lipschitz():
     rng = np.random.default_rng(17)
     m = np.array([[2.0, -0.3], [-0.4, 3.0]])
     g = np.diag([0.5, 2.0])
@@ -358,7 +362,7 @@ def test_piecewise_drift_global_lipschitz():
     )
     for _ in range(200):
         x, y = rng.normal(scale=5.0, size=(2, 2))
-        dx = piecewise_drift(np.zeros(2), m, g, v, x) - piecewise_drift(
+        dx = _queue_drift(np.zeros(2), m, g, v, x) - _queue_drift(
             np.zeros(2), m, g, v, y
         )
         assert np.linalg.norm(dx) <= k_const * np.linalg.norm(x - y) + 1e-9
@@ -481,7 +485,7 @@ def test_simulate_piecewise_single_euler_step_exact():
     )
     x0 = np.array([1.0, -0.2])
     batch = simulate(spec, x0, [0.0, 0.01], n_paths=2, seed=9, max_step=0.01)
-    expected = x0 + piecewise_drift(l, m, g, v, x0) * 0.01
+    expected = x0 + _queue_drift(l, m, g, v, x0) * 0.01
     assert np.array_equal(batch.paths[0, 1], expected)
 
 

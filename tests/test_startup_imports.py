@@ -6,12 +6,9 @@ inside the functions that call them.  A stray top-level import would undo
 that without failing anything else, so a fresh interpreter checks it here."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ["cli", "coupling", "lowerbound", "lyapunov", "processes", "rates",
            "subordination", "wasserstein"]
 DEFERRED = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
@@ -49,13 +46,12 @@ print(json.dumps(sorted(m for m in {deferred} if m in sys.modules)))
 """
 
 
-def test_runs_start_and_certify_without_integrate_or_optimize(tmp_path):
+def test_runs_start_and_certify_without_integrate_or_optimize(tmp_path, src_env):
     (tmp_path / "driftcheck.json").write_text(json.dumps(_DRIFTCHECK))
     (tmp_path / "subordinate.json").write_text(json.dumps(_SUBORDINATE))
     script = _SCRIPT.format(modules=MODULES, deferred=DEFERRED)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert json.loads(lines[0]) == []  # nothing deferred is loaded at start
