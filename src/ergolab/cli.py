@@ -19,7 +19,9 @@ The :func:`main` entry point exposes thin subcommand bindings over the
 library modules (``simulate``, ``experiment``, ``driftcheck``, ``couple``,
 ``lower``, ``subordinate``, ``ratefit``); each reads its config through one
 ``_SCHEMA`` entry.  Exit codes: 0 on success, 2 for configuration/validation
-errors, 3 for numerical or data failures.
+errors, 3 for numerical or data failures.  This is the only module that
+writes files: every CSV goes through :func:`_write_csv` and every JSON
+record through :func:`_write_json`.
 """
 
 from __future__ import annotations
@@ -807,6 +809,42 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
+# artifacts: every file a run writes goes through these
+# ---------------------------------------------------------------------------
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{value:.17g}"
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write ``header`` and then one line per row of ``columns``, equally long
+    iterables, streamed row by row.  Every line ends in ``\\n``; a float is
+    spelled ``%.17g``, which reads back to the same double, an integer as
+    itself and None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*columns))
+
+
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _report_fit(fit: RateFit) -> dict:
+    """Print the fit's stdout line and return its record."""
+    print(
+        f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
+        f"r2 = {fit.r_squared:.6g}"
+    )
+    return {key: getattr(fit, key) for key in ("model", "rate", "intercept", "r_squared")}
+
+
+# ---------------------------------------------------------------------------
 # experiment execution
 # ---------------------------------------------------------------------------
 
@@ -855,28 +893,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RateFit | None:
     times, dists = np.array(cfg.t_grid), _measure_curve(cfg, ref)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["time,distance"] + [f"{t:.17g},{d:.17g}" for t, d in zip(times, dists)]
-    (out / "distances.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "distances.csv", ["time", "distance"], [times, dists])
     print(f"noise floor ({_to_json(cfg.reference)['kind']}, p={cfg.p:g}) = {floor:.6g}")
-    fit = None
-    if cfg.rate_model is not None:
-        fit = fit_rate(times, dists, cfg.rate_model)
-        print(
-            f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
-            f"r2 = {fit.r_squared:.6g}"
-        )
+    fit = None if cfg.rate_model is None else fit_rate(times, dists, cfg.rate_model)
     summary = {
         "config_hash": config_hash(cfg),
-        "fit": None if fit is None else {
-            "model": fit.model,
-            "rate": fit.rate,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-        },
+        "fit": None if fit is None else _report_fit(fit),
         "noise_floor": floor,
         "runtime_s": time.perf_counter() - start,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "summary.json", summary)
     return fit
 
 
@@ -911,24 +937,22 @@ def _cmd_simulate(cfg, out: Path) -> int:
     _within_plan(spec, grid, cfg.max_step, cfg.n_paths)
     batch = simulate(spec, cfg.x0, grid, cfg.n_paths, cfg.seed, max_step=cfg.max_step)
     dest = out / "trajectories.csv"
-    batch.to_csv(dest)
+    # one row per path and grid time, path-major, read off views: no column is copied
+    shape = batch.paths.shape[:2]
+    _write_csv(
+        dest,
+        ["path", "time"] + [f"x{i + 1}" for i in range(spec.dim)],
+        [np.broadcast_to(np.arange(cfg.n_paths)[:, None], shape).flat,
+         np.broadcast_to(batch.times, shape).flat]
+        + [batch.paths[:, :, i].flat for i in range(spec.dim)],
+    )
     print(f"simulated {cfg.n_paths} paths at {grid.size} grid times -> {dest}")
     return 0
 
 
 def _cmd_ratefit(cfg, out: Path) -> int:
     fit = fit_rate(cfg.times, cfg.values, cfg.model)
-    result = {
-        "model": fit.model,
-        "rate": fit.rate,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-    }
-    (out / "ratefit.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(
-        f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
-        f"r2 = {fit.r_squared:.6g}"
-    )
+    _write_json(out / "ratefit.json", _report_fit(fit))
     print("noise floor: not applicable (externally supplied values)")
     return 0
 
@@ -958,7 +982,13 @@ def _cmd_driftcheck(cfg, out: Path) -> int:
     report = drift_check(
         spec, fn, cfg.phi, grid, cfg.ball_radius, jump_mc_samples=samples, seed=cfg.seed
     )
-    report.to_csv(out / "driftcheck.csv")
+    _write_csv(
+        out / "driftcheck.csv",
+        [f"x{i + 1}" for i in range(spec.dim)]
+        + ["lyapunov_value", "generator_value", "phi_of_v", "margin", "error"],
+        [*report.grid.T, report.lyapunov_values, report.lhs, report.phi_values, report.margin,
+         report.errors],
+    )
     print(
         f"b = {report.b:.6g}; worst margin = {report.worst_margin:.6g} "
         f"({'certified' if report.worst_margin >= 0 else 'violated'})"
@@ -980,8 +1010,6 @@ def _cmd_couple(cfg, out: Path) -> int:
     params = None
     cert = cfg.certificate
     if cert is not None:
-        if not isinstance(spec, PiecewiseOU):
-            raise ConfigError("contraction certificates apply to the piecewise_ou family")
         if cert.Q is not None:
             q = _check_q(cert.Q, spec.dim, "certificate.Q")
         else:
@@ -1000,7 +1028,12 @@ def _cmd_couple(cfg, out: Path) -> int:
     report = contraction_estimate(
         pairs, p, params=params, n_boot=cfg.n_boot, seed=_derive_seed(cfg.seed, "bootstrap")
     )
-    report.to_csv(out / "couple.csv")
+    envelope = [None] * grid.size if report.envelope is None else report.envelope
+    _write_csv(
+        out / "couple.csv",
+        ["time", "moment", "ci_lo", "ci_hi", "envelope"],
+        [report.times, report.moment_curve, report.ci_lo, report.ci_hi, envelope],
+    )
     print(
         f"fitted decay rate = {report.fitted_rate:.6g}; envelope violations = "
         f"{report.violations}"
@@ -1010,7 +1043,7 @@ def _cmd_couple(cfg, out: Path) -> int:
 
 def _cmd_lower(cfg, out: Path) -> int:
     spec = cfg.process
-    if not isinstance(spec, BackwardRecurrence):
+    if spec.tail is None:
         raise ConfigError("the lower-bound construction applies to backward_recurrence")
     spec.check_start(cfg.x0)
     theta_v = cfg.params.theta if cfg.lyapunov_exponent is None else cfg.lyapunov_exponent
@@ -1021,7 +1054,11 @@ def _cmd_lower(cfg, out: Path) -> int:
         c=cfg.c, b=cfg.b, params=cfg.params,
     )
     curve = lower_bound_curve(inst, cfg.n_terms, s_grid=cfg.s_grid)
-    curve.to_csv(out / "lower.csv")
+    _write_csv(
+        out / "lower.csv",
+        ["n", "s_n", "t_n", "bound"],
+        [range(1, curve.s.size + 1), curve.s, curve.t, curve.bound],
+    )
     print(
         f"{curve.s.size} qualifying levels; matched times in "
         f"[{curve.t.min():.6g}, {curve.t.max():.6g}]"
@@ -1032,15 +1069,13 @@ def _cmd_lower(cfg, out: Path) -> int:
 def _cmd_subordinate(cfg, out: Path) -> int:
     _within(cfg.n_mc, CLOCK_MAX_SAMPLES, "n_mc")
     spec = SubordinatorSpec(kind=cfg.subordinator, b_S=cfg.b_s)
-    lines = ["t,value,ci_lo,ci_hi,se"]
+    rows = []
     for k, t in enumerate(cfg.t):
         seed = _derive_seed(cfg.seed, f"subordinate-{k}")
         est = subordinate_rate(cfg.rate, cfg.p, spec, float(t), cfg.n_mc, seed)
-        lines.append(
-            f"{t:.17g},{est.value:.17g},{est.ci_lo:.17g},{est.ci_hi:.17g},{est.se:.17g}"
-        )
+        rows.append((t, est.value, est.ci_lo, est.ci_hi, est.se))
         print(f"t = {t:g}: r_psi = {est.value:.6g}  [{est.ci_lo:.6g}, {est.ci_hi:.6g}]")
-    (out / "subordinate.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "subordinate.csv", ["t", "value", "ci_lo", "ci_hi", "se"], zip(*rows))
     return 0
 
 

@@ -17,13 +17,12 @@ This module provides
   cannot estimate from before anything is simulated);
 * :func:`prop35_cp` / :func:`find_q` — the closed-form contraction constant
   ``c(p)`` of a :class:`~ergolab.processes.PiecewiseOU` spec, read off its
-  ``M``, ``Gamma`` and ``v``, and a diagonal grid search for a quadratic form
-  that certifies it.
+  ``M``, ``Gamma`` and ``v`` (a spec of another family is refused), and a
+  diagonal grid search for a quadratic form that certifies it.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,7 +106,11 @@ def synchronous_pair_sim(
 
 
 def _dissipativity_matrices(spec: PiecewiseOU, Q):
-    """Symmetric parts of ``MQ + QM`` and ``(M - ev'(M-G))Q + Q(M - (M-G)ve')``."""
+    """Symmetric parts of ``MQ + QM`` and ``(M - ev'(M-G))Q + Q(M - (M-G)ve')``;
+    a spec of another family, which has no ``M``, ``Gamma`` and ``v``, is
+    refused with ConfigError."""
+    if not isinstance(spec, PiecewiseOU):
+        raise ConfigError("contraction certificates apply to the piecewise_ou family")
     m, g, v = spec.M, spec.Gamma, spec.v
     e = np.ones(spec.dim)
     first = m @ Q + Q @ m
@@ -229,21 +232,6 @@ class CouplingReport:
     fitted_rate: float
     envelope: np.ndarray | None
     violations: int
-
-    def to_csv(self, path) -> None:
-        env = self.envelope
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "moment", "ci_lo", "ci_hi", "envelope"])
-            for k, t in enumerate(self.times):
-                row = [
-                    f"{t:.17g}",
-                    f"{self.moment_curve[k]:.17g}",
-                    f"{self.ci_lo[k]:.17g}",
-                    f"{self.ci_hi[k]:.17g}",
-                    "" if env is None else f"{env[k]:.17g}",
-                ]
-                writer.writerow(row)
 
 
 def check_estimate(p: float, n_boot: int, n_paths: int) -> None:

@@ -26,7 +26,6 @@ number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,15 +115,6 @@ class LowerBoundCurve:
     s: np.ndarray
     t: np.ndarray
     bound: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "s_n", "t_n", "bound"])
-            for k in range(self.s.shape[0]):
-                writer.writerow(
-                    [k + 1, f"{self.s[k]:.17g}", f"{self.t[k]:.17g}", f"{self.bound[k]:.17g}"]
-                )
 
 
 def lower_bound_curve(inst: LowerBoundInstance, n_terms: int, s_grid) -> LowerBoundCurve:

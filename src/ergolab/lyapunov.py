@@ -53,7 +53,6 @@ back in closed form.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -781,26 +780,6 @@ class DriftReport:
     b: float
     worst_margin: float
     far_qags: int | None = None
-
-    def to_csv(self, path) -> None:
-        n = self.grid.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x{i + 1}" for i in range(n)]
-                + ["lyapunov_value", "generator_value", "phi_of_v", "margin", "error"]
-            )
-            for i in range(self.grid.shape[0]):
-                writer.writerow(
-                    [repr(float(v)) for v in self.grid[i]]
-                    + [
-                        repr(float(self.lyapunov_values[i])),
-                        repr(float(self.lhs[i])),
-                        repr(float(self.phi_values[i])),
-                        repr(float(self.margin[i])),
-                        repr(float(self.errors[i])),
-                    ]
-                )
 
 
 def drift_check(

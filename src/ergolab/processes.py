@@ -294,12 +294,15 @@ class ProcessSpec:
     generator evaluate, so the generator a drift check certifies is built
     from the functions the walk steps; and
     ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
-    ``"gaussian"`` (centred, ``invariant_sd()``) or None.  A family refuses,
+    ``"gaussian"`` (centred, ``invariant_sd()``) or None; and ``tail(s)``,
+    the invariant tail ``pi(X > s)`` in closed form at every real level, or
+    None where none is known.  A family refuses,
     when it is built, a part sized for another dimension, the Lévy part
     through :meth:`LevyMeasureSpec.check_dim`.
     """
 
     discrete_time: ClassVar[bool] = False
+    tail = None
 
     def check_start(self, x0) -> None:
         if np.size(x0) != self.dim:
@@ -841,22 +844,6 @@ class TrajectoryBatch:
     @property
     def dim(self) -> int:
         return self.paths.shape[2]
-
-    def to_csv(self, path) -> None:
-        import csv as _csv
-
-        if self.paths.size > CSV_MAX_VALUES:
-            raise ConfigError(
-                f"CSV export holds at most {CSV_MAX_VALUES:,} values, got {self.paths.size:,}"
-            )
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["path", "time"] + [f"x{i + 1}" for i in range(self.dim)])
-            for i in range(self.n_paths):
-                for k, t in enumerate(self.times):
-                    writer.writerow(
-                        [i, repr(float(t))] + [repr(float(v)) for v in self.paths[i, k]]
-                    )
 
 
 # ---------------------------------------------------------------------------

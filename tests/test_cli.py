@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ergolab import cli
 from ergolab.cli import (
     _HANDLERS,
     _REQUIRED,
@@ -1351,7 +1352,7 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     cfg = _write(tmp_path / "lower.json", _lower_config(truncation=65536))
     assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "lower.csv") == (
-        "47b571ea69405b25906ed1da6174fbc3949a15238a3dd11a024b775eaf6c0e0c"
+        "a8b615d2cdc22d23bc2132ca18bc3100584b9b0ea25ca6dc7300594e4ac192df"
     )
 
 
@@ -1400,11 +1401,11 @@ _COUPLE_2D = {
     "command, payload, artifact, digest",
     [
         ("driftcheck", _CERTIFY_DRIFTCHECK, "driftcheck.csv",
-         "16bb5868c85a9484c31a2b02723372f530abc95fb71d65534f9e7b7b77113ba2"),
+         "b56f836ecbf6fc9f15fc56618b9ff0855c2ca32f0cb40625a635e665128a841a"),
         ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
          "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
         ("couple", _COUPLE_2D, "couple.csv",
-         "3a3a723778ae2569b2a4d6d6835f98bbaa358fa2af93a059ce4bb6bc6ce03af0"),
+         "793f9d979ca6af7297d4c273ca7e16e4bba7932260d0b07f12332857717056c8"),
     ],
     ids=["driftcheck", "subordinate", "couple"],
 )
@@ -1415,6 +1416,105 @@ def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, a
     cfg = _write(tmp_path / f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / artifact) == digest
+
+
+def _traj_columns(calls):
+    (_, batch), = calls
+    n, k, dim = batch.paths.shape
+    return (["path", "time"] + [f"x{i + 1}" for i in range(dim)],
+            [np.repeat(np.arange(n), k), np.tile(batch.times, n),
+             *batch.paths.reshape(n * k, dim).T])
+
+
+def _curve_columns(calls):
+    ((cfg, _), dists), = calls
+    return ["time", "distance"], [cfg.t_grid, dists]
+
+
+def _drift_columns(calls):
+    (_, r), = calls
+    return ([f"x{i + 1}" for i in range(r.grid.shape[1])]
+            + ["lyapunov_value", "generator_value", "phi_of_v", "margin", "error"],
+            [*r.grid.T, r.lyapunov_values, r.lhs, r.phi_values, r.margin, r.errors])
+
+
+def _couple_columns(calls):
+    (_, r), = calls
+    env = [None] * r.times.size if r.envelope is None else r.envelope
+    return (["time", "moment", "ci_lo", "ci_hi", "envelope"],
+            [r.times, r.moment_curve, r.ci_lo, r.ci_hi, env])
+
+
+def _lower_columns(calls):
+    (_, c), = calls
+    return ["n", "s_n", "t_n", "bound"], [np.arange(1, c.s.size + 1), c.s, c.t, c.bound]
+
+
+def _subordinate_columns(calls):
+    return (["t", "value", "ci_lo", "ci_hi", "se"],
+            [[args[3] for args, _ in calls]]
+            + [[getattr(est, name) for _, est in calls]
+               for name in ("value", "ci_lo", "ci_hi", "se")])
+
+
+# artifact -> (command, config, the cli name whose calls the file records,
+# the header and columns those calls returned)
+ARTIFACT_CASES = {
+    "trajectories": ("simulate", {**_SIMULATE, "process": _OU_2D, "x0": [1.0, -0.5],
+                                  "t_grid": [0.0, 0.3, 1.0]}, "simulate", _traj_columns),
+    "distances": ("experiment", _ou_config(
+        n_paths=64, reference={"kind": "exact_invariant", "quantile_points": 64}),
+        "_measure_curve", _curve_columns),
+    "driftcheck": ("driftcheck", {
+        "process": _STABLE_2D, "lyapunov": {"family": "poly_plus_one", "theta": 0.5},
+        "phi": {"family": "linear", "c_hat": 0.2}, "ball_radius": 3.0,
+        "grid": [[0.0, 0.5], [4.0, 1.0], [-2.0, 0.0]], "jump_mc_samples": 2000, "seed": 3,
+    }, "drift_check", _drift_columns),
+    "couple-certified": ("couple", _COUPLE_2D, "contraction_estimate", _couple_columns),
+    "couple-uncertified": ("couple", _COUPLE, "contraction_estimate", _couple_columns),
+    "lower": ("lower", _lower_config(), "lower_bound_curve", _lower_columns),
+    "subordinate": ("subordinate", _CERTIFY_SUBORDINATE, "subordinate_rate",
+                    _subordinate_columns),
+}
+_ARTIFACT_OF = {"simulate": "trajectories.csv", "experiment": "distances.csv",
+                "driftcheck": "driftcheck.csv", "couple": "couple.csv", "lower": "lower.csv",
+                "subordinate": "subordinate.csv"}
+
+
+@pytest.mark.parametrize("case", list(ARTIFACT_CASES))
+def test_cli_artifacts_hold_the_library_values(case, tmp_path, monkeypatch):
+    # every CSV: its header, one line per row, each ending in a bare newline,
+    # integers as themselves, floats that read back to the very double the
+    # library returned, and an empty envelope cell exactly without a certificate
+    command, payload, name, columns_of = ARTIFACT_CASES[case]
+    calls, original = [], getattr(cli, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, record)
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    data = (tmp_path / _ARTIFACT_OF[command]).read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().splitlines()
+    header, columns = columns_of(calls)
+    rows = list(zip(*columns))
+    assert lines[0] == ",".join(header)
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, value in zip(cells, row):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, (int, np.integer)):
+                assert cell == str(value)
+            else:
+                assert float(cell).hex() == float(value).hex()
+    if command == "couple":
+        assert all(line.endswith(",") == ("certificate" not in payload) for line in lines[1:])
 
 
 _CLOCKS_MULTI_CHUNK = {
@@ -1485,6 +1585,32 @@ def test_cli_subordinate(tmp_path):
     # E[e^{-S_t}] = e^{-t * 1^(1/2)} = e^{-t} under a 1/2-stable clock
     for t, v in zip([1.0, 2.0], vals):
         assert abs(v - math.exp(-t)) / math.exp(-t) < 0.1
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("lower", _lower_config(process=_OU_1D),
+         "the lower-bound construction applies to backward_recurrence"),
+        ("couple", {**_COUPLE, "certificate": {"lip_sqrtq_sigma": 0.0}},
+         "contraction certificates apply to the piecewise_ou family"),
+    ],
+    ids=["lower-without-tail", "couple-certificate-not-piecewise-ou"],
+)
+def test_cli_refuses_a_family_without_the_facts_it_reads(
+    command, payload, message, tmp_path, capsys, monkeypatch
+):
+    # the handler reads the spec's facts, not its class, and refuses before
+    # anything is simulated or computed
+    def never(*args, **kwargs):
+        raise AssertionError("a family without the facts must be refused first")
+
+    for name in ("ergolab.coupling.simulate", "ergolab.cli.lower_bound_curve"):
+        monkeypatch.setattr(name, never)
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 def test_cli_couple_certificate_without_a_diagonal_q_exits_3(tmp_path, capsys):

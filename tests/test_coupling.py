@@ -13,7 +13,6 @@ Hand-derived oracles:
   rate equals 1 and the p-moment curve equals ``|x - y| e^{-t}``.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -168,6 +167,16 @@ def test_find_q_gamma_zero_not_found():
         find_q(_queue(np.eye(2), np.zeros((2, 2)), [1.0, 0.0]))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certificates_refuse_another_family(dim):
+    # only a piecewise OU spec has the M, Gamma and v the certificate reads
+    spec = LangevinTempered(alpha=0.2, beta=0.1, dim=dim)
+    with pytest.raises(ConfigError, match="apply to the piecewise_ou family"):
+        find_q(spec)
+    with pytest.raises(ConfigError, match="apply to the piecewise_ou family"):
+        prop35_cp(spec, QuadForm(np.eye(dim)), 0.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # synchronous_pair_sim
 # ---------------------------------------------------------------------------
@@ -279,6 +288,7 @@ def test_contraction_estimate_ou_rate_and_envelope():
     c2 = prop35_cp(_queue([[1.0]], [[1.0]], [1.0]), q, 0.0, 2.0)
     report = contraction_estimate(pair, 2.0, params=DissipativityParams(q=q, p=2.0, c_p=c2))
     assert np.allclose(report.moment_curve, 3.0 * np.exp(-grid), rtol=1e-8)
+    assert report.moment_curve[0] == pytest.approx(3.0, rel=1e-12)
     assert abs(report.fitted_rate - 1.0) < 0.02
     assert np.allclose(report.envelope, 3.0 * np.exp(-grid), rtol=1e-12)
     assert report.violations == 0
@@ -355,23 +365,3 @@ def test_contraction_estimate_deterministic_given_seed():
     b = contraction_estimate(pair, 2.0, n_boot=100, seed=21)
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)
     assert a.fitted_rate == b.fitted_rate
-
-
-def test_coupling_report_csv(tmp_path):
-    grid = np.linspace(0.0, 2.0, 9)
-    pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 128, seed=8)
-    with_env = contraction_estimate(
-        pair, 2.0, params=DissipativityParams(q=QuadForm(np.array([[1.0]])), p=2.0, c_p=2.0)
-    )
-    without_env = contraction_estimate(pair, 2.0)
-    path_a = tmp_path / "with_env.csv"
-    path_b = tmp_path / "without_env.csv"
-    with_env.to_csv(path_a)
-    without_env.to_csv(path_b)
-    for path, has_env in ((path_a, True), (path_b, False)):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time", "moment", "ci_lo", "ci_hi", "envelope"]
-        assert len(rows) == 1 + grid.shape[0]
-        assert (rows[1][4] != "") == has_env
-        assert float(rows[1][1]) == pytest.approx(3.0, rel=1e-12)

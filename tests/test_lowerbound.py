@@ -13,7 +13,6 @@ Oracles used below:
   for every qualifying ``s``.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -230,16 +229,3 @@ def test_lower_bound_curve_negative_matched_time_raises():
     with pytest.raises(DomainError):
         lower_bound_curve(inst, 1, s_grid=[2.0, 50.0])
     assert lower_bound_curve(inst, 1, s_grid=[8.0]).t[0] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_lower_bound_curve_csv(tmp_path):
-    inst, knots, _ = _heavy_tail_slope_setup()
-    curve = lower_bound_curve(inst, 5, s_grid=knots)
-    out = tmp_path / "curve.csv"
-    curve.to_csv(out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "s_n", "t_n", "bound"]
-    assert len(rows) == 6
-    assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
-    assert float(rows[1][1]) == pytest.approx(curve.s[0], rel=1e-15)

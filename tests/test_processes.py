@@ -85,6 +85,11 @@ def test_process_specs_state_their_facts():
     assert pw.dim == 2
     assert np.array_equal(pw.drift(x), [pw.drift(row) for row in x])
     assert np.allclose(ou.drift(np.array([[3.0]])), [[-6.0]])
+    # only the chain states its invariant tail in closed form
+    assert chain.tail(np.array([-1.0, 4.5])) == pytest.approx(
+        [1.0, chain.mass(np.arange(5, 100_000)).sum()], rel=1e-4
+    )
+    assert ou.tail is None and jumpy.tail is None and lang.tail is None and pw.tail is None
 
 
 def test_piecewise_ou_validation():
@@ -1005,13 +1010,3 @@ def test_backward_recurrence_occupation_matches_invariant():
     emp = counts / counts.sum()
     tv = 0.5 * np.sum(np.abs(emp[: mu.weights.shape[0]] - mu.weights))
     assert tv < 0.01
-
-
-def test_trajectory_csv_export(tmp_path):
-    spec = OUJump(H=np.array([[-1.0]]), levy=LevyMeasureSpec())
-    batch = simulate(spec, [1.0], [0.0, 1.0], n_paths=3, seed=3)
-    path = tmp_path / "batch.csv"
-    batch.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "path,time,x1"
-    assert len(lines) == 1 + 3 * 2
