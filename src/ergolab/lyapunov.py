@@ -62,7 +62,7 @@ from typing import Union
 import numpy as np
 from scipy import linalg
 
-from .errors import ConfigError, IntegrabilityError
+from .errors import ConfigError, DomainError, IntegrabilityError, NumericalError
 from .processes import (
     CompoundPoisson,
     LevyMeasureSpec,
@@ -792,16 +792,30 @@ def drift_check(
     seed: int = 0,
 ) -> DriftReport:
     """Certify the drift inequality for the generator of the continuous-time
-    ``spec`` pointwise on a grid of states."""
+    ``spec`` pointwise on a grid of states.
+
+    A grid point where ``V`` overflows is refused (DomainError) before the
+    generator is evaluated; one where ``L V`` or ``phi(V)`` is not finite
+    raises NumericalError.  Either message names the first such point."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:  # a flat list of scalars for a 1-D process
         grid = grid[:, None]
     if not ball_radius >= 0:
         raise ConfigError("ball_radius must be nonnegative")
     v_vals = np.asarray(fn.value(grid), dtype=float)
+    if not np.all(np.isfinite(v_vals)):
+        i = np.argmin(np.isfinite(v_vals))
+        raise DomainError(f"V = {v_vals[i]} is not finite at grid point {grid[i].tolist()}")
     res = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
     lhs, errs = res
     phi_vals = np.array([phi_eval(phi, v) for v in v_vals])
+    finite = np.isfinite(lhs) & np.isfinite(phi_vals)
+    if not np.all(finite):
+        i = np.argmin(finite)
+        raise NumericalError(
+            f"L V = {lhs[i]} and phi(V) = {phi_vals[i]} at grid point {grid[i].tolist()}:"
+            " both must be finite"
+        )
     inside = np.linalg.norm(grid, axis=1) <= ball_radius
     need = phi_vals + lhs
     b = float(np.max(need[inside])) if np.any(inside) else 0.0

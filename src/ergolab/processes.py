@@ -59,8 +59,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
 
@@ -858,8 +858,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _drawn_ahead(draws):
-    """Yield the items of the generator ``draws``, run on one worker thread
-    up to ``_DRAW_DEPTH`` items ahead of the caller.
+    """Yield the items of the generator ``draws``, none of them None, run on
+    one worker thread up to ``_DRAW_DEPTH`` items ahead of the caller.
 
     A walk's draws read no state, so its worker makes them while the caller
     does the arithmetic that uses them; only the worker touches the block's
@@ -868,38 +868,15 @@ def _drawn_ahead(draws):
     generator ends, is closed or raises, the worker stops and is joined;
     an exception raised on the worker is raised here.
     """
-    handoff = queue.Queue(_DRAW_DEPTH)
-    stop = threading.Event()
-
-    def work():
-        # each put follows a look at ``stop``; after the caller sets it and
-        # empties the queue, at most one put is under way and it finds room
-        try:
-            for item in draws:
-                if stop.is_set():
-                    return
-                handoff.put((True, item))
-            last = (False, None)
-        except BaseException as exc:  # handed over: the caller raises it
-            last = (False, exc)
-        if not stop.is_set():
-            handoff.put(last)
-
-    worker = threading.Thread(target=work, name="ergolab-draws", daemon=True)
-    worker.start()
+    worker = ThreadPoolExecutor(1, thread_name_prefix="ergolab-draws")
     try:
-        while True:
-            more, item = handoff.get()
-            if not more:
-                if item is not None:
-                    raise item
-                return
+        # one worker runs the calls in the order they were submitted
+        pending = deque(worker.submit(next, draws, None) for _ in range(_DRAW_DEPTH))
+        while (item := pending.popleft().result()) is not None:
+            pending.append(worker.submit(next, draws, None))
             yield item
     finally:
-        stop.set()
-        while not handoff.empty():
-            handoff.get_nowait()
-        worker.join()
+        worker.shutdown(cancel_futures=True)
 
 
 def _in_chunks(n: int, fill) -> None:
@@ -920,34 +897,32 @@ def _in_chunks(n: int, fill) -> None:
     if n <= _PASS_CHUNK:
         fill(0, n)
         return
-    starts = iter(range(0, n, _PASS_CHUNK))
-    take = threading.Lock()
     failed = []
     errors = np.geterr()  # a new thread starts from numpy's default error handling
 
-    def run():
+    def run(lo):
+        if failed:
+            return
         try:
             with np.errstate(**errors):
-                while not failed:
-                    with take:
-                        lo = next(starts, None)
-                    if lo is None:
-                        return
-                    fill(lo, min(lo + _PASS_CHUNK, n))
-        except BaseException as exc:  # handed over: the caller raises it
-            failed.append(exc)
+                fill(lo, min(lo + _PASS_CHUNK, n))
+        except BaseException:
+            failed.append(lo)
+            raise
 
-    helpers = []
+    helpers = ThreadPoolExecutor(_PASS_HELPERS, thread_name_prefix="ergolab-pass")
     try:
-        for _ in range(_PASS_HELPERS):
-            helpers.append(threading.Thread(target=run, name="ergolab-pass", daemon=True))
-            helpers[-1].start()
-        run()
+        chunks = {lo: helpers.submit(run, lo) for lo in range(0, n, _PASS_CHUNK)}
+        # a chunk can be cancelled only before a helper begins it, so whoever
+        # cancels it runs it
+        for lo, chunk in chunks.items():
+            if chunk.cancel():
+                run(lo)
     finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise failed[0]
+        helpers.shutdown(cancel_futures=True)
+    for chunk in chunks.values():
+        if not chunk.cancelled():
+            chunk.result()
 
 
 def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:

@@ -1221,6 +1221,42 @@ def test_cli_driftcheck_records_an_error_per_margin(tmp_path):
     assert all(1e-4 < e < 1.0 for e in errors["mc"])
 
 
+_OU_1D = {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}}
+
+
+@pytest.mark.parametrize(
+    "process, lyapunov, grid, code, message",
+    [
+        # V = e^709 is finite, L V = -709 e^709 is not
+        (_OU_1D, {"family": "exp", "zeta": 1.0}, [1.0, 709.0], 3,
+         "L V = -inf and phi(V) = 4.1"),
+        # 1 + |x|^2 overflows at 1e200
+        (_OU_1D, {"family": "poly_plus_one", "theta": 2.0}, [1.0, 1e200], 2, "V = inf"),
+        # chi_Q's quadratic form overflows too, before the quadrature sizes
+        # its doubling blocks from |x|
+        ({**_OU_1D, "levy": {"a_L": [[1.0]],
+                             "jumps": {"kind": "symmetric_stable", "alpha": 1.5}}},
+         {"family": "poly_plus_one", "theta": 1.0}, [1e200], 2, "V = inf"),
+    ],
+    ids=["exp-generator-overflows", "poly-value-overflows", "stable-value-overflows"],
+)
+def test_cli_driftcheck_refuses_values_that_overflow(
+    tmp_path, capsys, process, lyapunov, grid, code, message
+):
+    cfg = _write(
+        tmp_path / "drift.json",
+        {"process": process, "lyapunov": lyapunov, "phi": {"family": "linear", "c_hat": 0.5},
+         "grid": grid, "ball_radius": 1.0},
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["driftcheck", "--config", cfg, "--out-dir", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict is printed
+    assert message in captured.err
+    assert f"at grid point [{grid[-1]!r}]" in captured.err
+    assert not (tmp_path / "driftcheck.csv").exists()
+
+
 def test_cli_couple_reports_contraction(tmp_path, capsys):
     base = {
         "process": {

@@ -26,11 +26,13 @@ from ergolab.processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
+    _DRAW_DEPTH,
     _PASS_CHUNK,
     _block_rng,
     _cms,
     _cms_draws,
     _cms_transform,
+    _drawn_ahead,
     _in_chunks,
     _up_thresholds,
     invariant_exact,
@@ -728,6 +730,29 @@ def test_simulate_leaves_no_thread_behind(monkeypatch):
     assert threading.main_thread() not in drawn
 
 
+def test_draws_run_at_most_the_draw_depth_ahead_of_the_walk():
+    # a slow consumer gives the worker time to run as far ahead as it may:
+    # it never has more than _DRAW_DEPTH items beyond the one being used
+    made = []
+
+    def draws():
+        for i in range(30):
+            made.append(i)
+            yield i
+
+    before = threading.active_count()
+    drawn = _drawn_ahead(draws())
+    for i, item in enumerate(drawn):
+        time.sleep(0.005)
+        assert item == i
+        assert len(made) <= i + 1 + _DRAW_DEPTH
+        if i == 20:
+            break
+    drawn.close()
+    assert threading.active_count() == before
+    assert len(made) <= 21 + _DRAW_DEPTH  # nothing is drawn after the close
+
+
 def test_walks_closed_early_or_run_side_by_side_keep_their_streams():
     # four callers (two cores) walk at once, each closing some walks after a
     # few steps, with thread switches forced often: every worker is joined
@@ -881,6 +906,28 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
         _in_chunks(n, fill_main_fails)
     assert threading.active_count() == before
     assert len(helper_chunks) <= 1  # no chunk is begun after one has raised
+
+    # a chunk failing on a helper stops the caller too: each holds its first
+    # chunk until the other has begun one, the helper fails on its own, and
+    # the caller, done with its chunk, begins no other
+    caller_began, helper_raised = threading.Event(), threading.Event()
+    begun = []
+
+    def fill_helper_fails(lo, hi):
+        begun.append(lo)
+        if threading.current_thread() is threading.main_thread():
+            caller_began.set()
+            assert helper_raised.wait(timeout=30.0)
+            time.sleep(0.2)  # lets the helper's exception leave its chunk
+            return
+        assert caller_began.wait(timeout=30.0)
+        helper_raised.set()
+        raise Refused("helper's chunk")
+
+    with pytest.raises(Refused, match="helper's chunk"):
+        _in_chunks(n, fill_helper_fails)
+    assert threading.active_count() == before
+    assert len(begun) == 2  # one chunk each; none is begun after one has raised
 
 
 def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
