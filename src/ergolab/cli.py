@@ -51,7 +51,6 @@ from .coupling import (
 )
 from .errors import (
     ConfigError,
-    DegenerateDataError,
     DomainError,
     ErgoLabError,
     InsufficientPathsError,
@@ -92,7 +91,9 @@ from .processes import (
     simulate,
     step_plan,
 )
-from .rates import LinearPhi, LowerRateParams, PowerPhi
+from .rates import (
+    FIT_MIN_POINTS, LinearPhi, LowerRateParams, PowerPhi, RateFit, _array, _vector, fit_rate
+)
 from .subordination import (
     DriftOnly,
     Exponential,
@@ -118,8 +119,6 @@ __all__ = [
     "ExactInvariant",
     "LongRunEmpirical",
     "ExperimentConfig",
-    "RateFit",
-    "fit_rate",
     "parse_experiment_config",
     "config_to_dict",
     "config_hash",
@@ -298,6 +297,8 @@ class ExperimentConfig:
         t_grid = _resolve_grid(self.t_grid, default_kind)
         if self.rate_model == "polynomial" and np.any(t_grid <= 0):
             raise ConfigError("a polynomial rate model requires strictly positive grid times")
+        if self.rate_model is not None and t_grid.size < FIT_MIN_POINTS:
+            raise DomainError(f"a rate fit needs >= {FIT_MIN_POINTS} grid times, got {t_grid.size}")
         object.__setattr__(self, "t_grid", tuple(float(v) for v in t_grid))
         self.process.check_start(self.x0)
         if self.n_paths < 1:
@@ -330,80 +331,6 @@ class ExperimentConfig:
             _within_plan(self.process, self.reference.sim_grid, self.max_step, self.n_paths)
 
 
-@dataclass(frozen=True, eq=False)
-class RateFit:
-    """Least-squares decay fit."""
-
-    model: str
-    rate: float
-    intercept: float
-    r_squared: float
-    residuals: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# rate fitting
-# ---------------------------------------------------------------------------
-
-
-def fit_rate(times, values, model) -> RateFit:
-    """Fit ``values ~ intercept * t^rate`` or ``intercept * exp(-rate t)``.
-
-    Least squares in the transformed domain (log-log for ``polynomial``,
-    semi-log for ``exponential``).  Requires at least four strictly positive
-    finite values; raises :class:`DegenerateDataError` when the values span
-    less than one decade (polynomial) or one e-fold (exponential), since the
-    data then cannot identify the model against a constant.
-    """
-    if model not in ("polynomial", "exponential"):
-        raise ConfigError(f"unknown rate model {model!r}")
-    t = _vector(times, "times")
-    v = _vector(values, "values")
-    if t.shape != v.shape:
-        raise DomainError(f"times and values disagree in length: {t.shape} vs {v.shape}")
-    if t.size < 4:
-        raise DomainError(f"need at least 4 points to fit a rate, got {t.size}")
-    if np.any(v <= 0):
-        raise DomainError("values must be strictly positive")
-    if np.any(np.diff(t) <= 0):
-        raise DomainError("times must be strictly increasing")
-    span = float(v.max() / v.min())
-    if model == "polynomial":
-        if np.any(t <= 0):
-            raise DomainError("polynomial fits need strictly positive times")
-        if span < 10.0:
-            raise DegenerateDataError(
-                f"values span a factor of {span:.3g} < 10; a power law is not "
-                "identifiable over less than a decade"
-            )
-        x = np.log(t)
-    else:
-        if span < math.e:
-            raise DegenerateDataError(
-                f"values span a factor of {span:.3g} < e; an exponential is not "
-                "identifiable over less than one e-fold"
-            )
-        x = t
-    y = np.log(v)
-    slope, c0 = np.polyfit(x, y, 1)
-    resid = y - (slope * x + c0)
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot > 0.0:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res < 1e-24 else 0.0
-    r2 = min(1.0, max(0.0, r2))
-    rate = float(slope) if model == "polynomial" else float(-slope)
-    return RateFit(
-        model=model,
-        rate=rate,
-        intercept=float(np.exp(c0)),
-        r_squared=r2,
-        residuals=resid,
-    )
-
-
 # ---------------------------------------------------------------------------
 # schema helpers
 # ---------------------------------------------------------------------------
@@ -425,23 +352,6 @@ def _as_float(value, label: str) -> float:
     if not math.isfinite(number):
         raise DomainError(f"{label} must be finite, got {number!r}")
     return number
-
-
-def _array(value, label: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{label} must hold numbers, got {value!r}") from None
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{label} must hold finite numbers")
-    return arr
-
-
-def _vector(value, label: str) -> np.ndarray:
-    arr = _array(value, label)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{label} must be a flat non-empty list of numbers")
-    return arr
 
 
 def _matrix(value, label: str) -> np.ndarray:
@@ -832,16 +742,18 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    """Write ``record`` as strict JSON (RFC 8259), which has no NaN or Infinity."""
+    path.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _report_fit(fit: RateFit) -> dict:
-    """Print the fit's stdout line and return its record."""
+    """Print the fit's stdout line and return its record; an infinite intercept is None."""
     print(
         f"fit[{fit.model}] rate = {fit.rate:.6g}  intercept = {fit.intercept:.6g}  "
         f"r2 = {fit.r_squared:.6g}"
     )
-    return {key: getattr(fit, key) for key in ("model", "rate", "intercept", "r_squared")}
+    record = {key: getattr(fit, key) for key in ("model", "rate", "r_squared")}
+    return {**record, "intercept": fit.intercept if math.isfinite(fit.intercept) else None}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ This module provides
 
 * :func:`synchronous_pair_sim` — the shared-noise pair simulation;
 * :func:`contraction_estimate` — empirical moment curves of the pair
-  difference, with bootstrap confidence bands, a least-squares rate fit and
+  difference, with bootstrap confidence bands, a ``fit_rate`` decay fit and
   the analytic envelope comparison (:func:`check_estimate` refuses what it
   cannot estimate from before anything is simulated);
 * :func:`prop35_cp` / :func:`find_q` — the closed-form contraction constant
@@ -29,9 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InsufficientPathsError, NotDissipativeError
+from .errors import (
+    ConfigError, DegenerateDataError, DomainError, InsufficientPathsError, NotDissipativeError
+)
 from .lyapunov import QuadForm
 from .processes import PiecewiseOU, TrajectoryBatch, simulate
+from .rates import FIT_MIN_POINTS, fit_rate
 
 __all__ = [
     "CoupledBatch",
@@ -216,12 +219,12 @@ class DissipativityParams:
 class CouplingReport:
     """Empirical pair-moment curve with bootstrap bands and rate fit.
 
-    ``fitted_rate`` is the decay rate (positive for contraction) from a
-    least-squares line through the log moments, restricted to grid times
-    where the moment exceeds ten times its bootstrap standard error; ``nan``
-    when fewer than two times qualify.  ``violations`` counts grid times
-    where the moment exceeds the analytic envelope by more than three
-    bootstrap standard errors.
+    ``fitted_rate`` is the decay rate (positive for contraction) that
+    :func:`~ergolab.rates.fit_rate` fits, as an exponential, to the moments
+    above ten bootstrap standard errors; ``nan`` where it refuses them
+    (fewer than ``FIT_MIN_POINTS``, or under one e-fold).  ``violations``
+    counts grid times where the moment exceeds the analytic envelope by more
+    than three bootstrap standard errors.
     """
 
     times: np.ndarray
@@ -256,7 +259,7 @@ def contraction_estimate(
 
     Computes the empirical curve ``(E |X^x_t - X^y_t|^p)^{1/p}`` with a
     path-resampling bootstrap confidence band, fits an exponential decay rate
-    by least squares on the log moments (plateau times below ten times the
+    with :func:`~ergolab.rates.fit_rate` (plateau times below ten times the
     Monte Carlo noise floor are excluded), and, when ``params`` is supplied,
     compares the curve against the analytic envelope anchored at the initial
     separation.
@@ -279,13 +282,13 @@ def contraction_estimate(
     ci_lo = np.percentile(boot, 2.5, axis=0)
     ci_hi = np.percentile(boot, 97.5, axis=0)
 
-    usable = moment > np.maximum(10.0 * se, 0.0)
-    usable &= moment > 0.0
-    if usable.sum() >= 2:
-        slope = np.polyfit(times[usable], np.log(moment[usable]), 1)[0]
-        fitted_rate = float(-slope)
-    else:
-        fitted_rate = math.nan
+    usable = moment > 10.0 * se  # se >= 0, so every usable moment is positive
+    fitted_rate = math.nan
+    if usable.sum() >= FIT_MIN_POINTS:
+        try:
+            fitted_rate = fit_rate(times[usable], moment[usable], "exponential").rate
+        except DegenerateDataError:  # less than one e-fold
+            pass
 
     envelope = None
     violations = 0

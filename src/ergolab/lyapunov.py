@@ -116,7 +116,6 @@ class QuadForm:
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "_lam_min", float(vals[0]))
         object.__setattr__(self, "_lam_max", float(vals[-1]))
-        _verify_chi_convexity(self)
 
     @property
     def dim(self) -> int:
@@ -188,18 +187,6 @@ def chi_q_hess(qf: QuadForm, x) -> np.ndarray:
         outside, qf.Q / w - qq / w**3, 2.0 * (a1 + 2.0 * a2 * s) * qf.Q + 8.0 * a2 * qq
     )
     return out[0] if single else out
-
-
-def _verify_chi_convexity(qf: QuadForm, n_segments: int = 128) -> None:
-    """Numerical midpoint-convexity check of chi_Q on random segments."""
-    rng = _block_rng(0xC0, qf.dim)
-    a = rng.normal(scale=2.0, size=(n_segments, qf.dim))
-    b = rng.normal(scale=2.0, size=(n_segments, qf.dim))
-    mid = chi_q(qf, 0.5 * (a + b))
-    ends = 0.5 * (chi_q(qf, a) + chi_q(qf, b))
-    gap = float(np.max(mid - ends))
-    if gap > 1e-9:
-        raise ConfigError(f"chi_Q convexity check failed: midpoint excess {gap:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rate calculus for subexponential convergence bounds.
+"""Rate calculus for subexponential convergence bounds, and the one rate fitter.
 
 The central object is a nondecreasing, concave rate-generating function
 ``phi : [1, oo) -> (0, oo)``. From it we derive
@@ -37,7 +37,7 @@ Public API
 ``UpperRateParams``, ``LowerRateParams``,
 ``phi_eval``, ``big_phi``, ``big_phi_inv``, ``rate_r``,
 ``upper_multiplier_w1``, ``upper_multiplier_wp``, ``upper_multiplier_wp_linear``,
-``lower_exponent``.
+``lower_exponent``, ``RateFit``, ``fit_rate``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ConfigError, DomainError
+import numpy as np
+
+from .errors import ConfigError, DegenerateDataError, DomainError
 
 __all__ = [
     "LinearPhi",
@@ -62,6 +64,8 @@ __all__ = [
     "upper_multiplier_wp",
     "upper_multiplier_wp_linear",
     "lower_exponent",
+    "RateFit",
+    "fit_rate",
 ]
 
 # A ``phi`` family states ``value(t)`` and ``big_phi(t)`` for ``t >= 1`` and
@@ -249,3 +253,97 @@ def lower_exponent(params: LowerRateParams) -> float:
     if denom <= 0.0:
         raise DomainError(f"nonpositive denominator {denom} in lower exponent")
     return (params.vartheta - params.p + params.eps_var + params.eps_small) / denom
+
+
+# the fewest points fit_rate fits a rate to
+FIT_MIN_POINTS = 4
+
+
+@dataclass(frozen=True, eq=False)
+class RateFit:
+    """Least-squares decay fit."""
+
+    model: str
+    rate: float
+    intercept: float
+    r_squared: float
+    residuals: np.ndarray
+
+
+# the checks fit_rate makes of its inputs; the CLI reads config arrays with them
+def _array(value, label: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must hold numbers, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{label} must hold finite numbers")
+    return arr
+
+
+def _vector(value, label: str) -> np.ndarray:
+    arr = _array(value, label)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ConfigError(f"{label} must be a flat non-empty list of numbers")
+    return arr
+
+
+def fit_rate(times, values, model) -> RateFit:
+    """Fit ``values ~ intercept * t^rate`` or ``intercept * exp(-rate t)``.
+
+    Least squares in the transformed domain (log-log for ``polynomial``,
+    semi-log for ``exponential``).  Requires at least ``FIT_MIN_POINTS``
+    strictly positive finite values; raises :class:`DegenerateDataError`
+    when the values span less than one decade (polynomial) or one e-fold
+    (exponential), since the data then cannot identify the model against a
+    constant.  An intercept beyond the float range is ``inf``.
+    """
+    if model not in ("polynomial", "exponential"):
+        raise ConfigError(f"unknown rate model {model!r}")
+    t = _vector(times, "times")
+    v = _vector(values, "values")
+    if t.shape != v.shape:
+        raise DomainError(f"times and values disagree in length: {t.shape} vs {v.shape}")
+    if t.size < FIT_MIN_POINTS:
+        raise DomainError(f"need at least {FIT_MIN_POINTS} points to fit a rate, got {t.size}")
+    if np.any(v <= 0):
+        raise DomainError("values must be strictly positive")
+    if np.any(np.diff(t) <= 0):
+        raise DomainError("times must be strictly increasing")
+    span = float(v.max() / v.min())
+    if model == "polynomial":
+        if np.any(t <= 0):
+            raise DomainError("polynomial fits need strictly positive times")
+        if span < 10.0:
+            raise DegenerateDataError(
+                f"values span a factor of {span:.3g} < 10; a power law is not "
+                "identifiable over less than a decade"
+            )
+        x = np.log(t)
+    else:
+        if span < math.e:
+            raise DegenerateDataError(
+                f"values span a factor of {span:.3g} < e; an exponential is not "
+                "identifiable over less than one e-fold"
+            )
+        x = t
+    y = np.log(v)
+    slope, c0 = np.polyfit(x, y, 1)
+    resid = y - (slope * x + c0)
+    ss_res = float(resid @ resid)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot > 0.0:
+        r2 = 1.0 - ss_res / ss_tot
+    else:
+        r2 = 1.0 if ss_res < 1e-24 else 0.0
+    r2 = min(1.0, max(0.0, r2))
+    rate = float(slope) if model == "polynomial" else float(-slope)
+    with np.errstate(over="ignore"):
+        intercept = float(np.exp(c0))
+    return RateFit(
+        model=model,
+        rate=rate,
+        intercept=intercept,
+        r_squared=r2,
+        residuals=resid,
+    )

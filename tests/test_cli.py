@@ -8,12 +8,13 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from ergolab import cli
+from ergolab import cli, rates
 from ergolab.cli import (
     _HANDLERS,
     _REQUIRED,
@@ -107,6 +108,12 @@ def test_fit_rate_rejects_bad_inputs():
         fit_rate(good_t.reshape(2, 2), good_v.reshape(2, 2), "polynomial")
 
 
+def test_cli_fits_with_the_rates_fitter():
+    # one fitter: the benchmark's tracer and the tests hook it by this name
+    assert cli.fit_rate is rates.fit_rate
+    assert cli.RateFit is rates.RateFit
+
+
 def test_fit_rate_r_squared_always_in_unit_interval():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -186,9 +193,9 @@ def test_grid_kind_follows_rate_model():
     )
     np.testing.assert_allclose(polynomial.t_grid, np.geomspace(10.0, 1000.0, 5))
     explicit = parse_experiment_config(
-        _zero_noise_config(t_grid={"start": 1.0, "stop": 4.0, "points": 3, "kind": "geometric"})
+        _zero_noise_config(t_grid={"start": 1.0, "stop": 4.0, "points": 4, "kind": "geometric"})
     )
-    np.testing.assert_allclose(explicit.t_grid, np.geomspace(1.0, 4.0, 3))
+    np.testing.assert_allclose(explicit.t_grid, np.geomspace(1.0, 4.0, 4))
 
 
 def test_config_schema_errors():
@@ -567,6 +574,25 @@ def test_cli_ratefit_roundtrip(tmp_path, capsys):
     result = json.loads((tmp_path / "ratefit.json").read_text())
     assert abs(result["rate"] - (-2.0)) < 1e-12
     assert result["model"] == "polynomial"
+
+
+def test_cli_ratefit_overflowing_intercept_is_strict_json_null(tmp_path, capsys):
+    times = [1000.0, 1001.0, 1002.0, 1003.0]
+    values = [math.exp(-(t - 1000.0)) for t in times]
+    cfg = _write(tmp_path / "fit.json", {"times": times, "values": values, "model": "exponential"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ratefit", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "intercept = inf" in captured.out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    result = json.loads((tmp_path / "ratefit.json").read_text(), parse_constant=refuse)
+    assert result["intercept"] is None
+    assert abs(result["rate"] - 1.0) < 1e-12
 
 
 def test_cli_exit_codes(tmp_path):
@@ -1074,6 +1100,28 @@ def test_cli_simulate_refuses_csv_cap_before_simulating(tmp_path, monkeypatch):
     assert not (tmp_path / "trajectories.csv").exists()
 
 
+def test_cli_experiment_refuses_a_grid_too_short_to_fit(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a grid too short to fit must be refused before simulating")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    payload = {
+        "process": {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}},
+        "x0": [2.0],
+        "t_grid": [0.5, 1.0, 1.5],
+        "n_paths": 64,
+        "seed": 1,
+        "distance": {"kind": "w1d"},
+        "p": 2.0,
+        "reference": {"kind": "exact_invariant", "quantile_points": 64},
+        "rate_model": "exponential",
+    }
+    cfg = _write(tmp_path / "short.json", payload)
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "needs >= 4 grid times, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "distances.csv").exists()
+
+
 def test_cli_experiment_without_rate_model(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an experiment without a rate_model fits nothing")
@@ -1452,6 +1500,25 @@ def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, a
     cfg = _write(tmp_path / f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / artifact) == digest
+
+
+def test_cli_couple_rate_is_nan_where_fit_rate_refuses(tmp_path, capsys):
+    # two grid times are fewer than fit_rate fits a rate to; the curve is
+    # still measured and written, with the same digest as before
+    payload = {
+        "process": {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}},
+        "x": [1.0],
+        "y": [-1.0],
+        "t_grid": [0.0, 0.5],
+        "n_paths": 200,
+        "seed": 1,
+        "p": 2.0,
+    }
+    cfg = _write(tmp_path / "couple.json", payload)
+    assert main(["couple", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert "fitted decay rate = nan;" in capsys.readouterr().out
+    digest = "ace276b6958fd6c4d0e2551def5e11d5e034a59c75ba4c2792c8b5662b12d41c"
+    assert _sha256(tmp_path / "couple.csv") == digest
 
 
 def _traj_columns(calls):

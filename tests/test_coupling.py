@@ -47,6 +47,7 @@ from ergolab.processes import (
     SymmetricStable,
     simulate,
 )
+from ergolab.rates import FIT_MIN_POINTS, fit_rate
 from user_callables import GenericIto
 
 
@@ -294,6 +295,16 @@ def test_contraction_estimate_ou_rate_and_envelope():
     assert report.violations == 0
 
 
+def test_contraction_estimate_fits_through_fit_rate():
+    grid = np.linspace(0.0, 3.0, 13)
+    pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 200, seed=2)
+    report = contraction_estimate(pair, 2.0)
+    usable = report.moment_curve > 10.0 * report.boot_se
+    assert usable.sum() >= FIT_MIN_POINTS
+    fit = fit_rate(grid[usable], report.moment_curve[usable], "exponential")
+    assert report.fitted_rate == fit.rate
+
+
 def test_contraction_estimate_equal_starts_zero_curve():
     grid = np.linspace(0.0, 2.0, 9)
     pair = synchronous_pair_sim(_ou_1d(), np.array([1.0]), np.array([1.0]), grid, 150, seed=4)
@@ -364,4 +375,6 @@ def test_contraction_estimate_deterministic_given_seed():
     a = contraction_estimate(pair, 2.0, n_boot=100, seed=21)
     b = contraction_estimate(pair, 2.0, n_boot=100, seed=21)
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)
-    assert a.fitted_rate == b.fitted_rate
+    # the 5 moments span less than one e-fold, which fit_rate refuses
+    assert np.array_equal(a.fitted_rate, b.fitted_rate, equal_nan=True)
+    assert math.isnan(a.fitted_rate)

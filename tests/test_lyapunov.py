@@ -107,12 +107,25 @@ def test_chi_q_symmetric_positive_smooth():
 
 
 def test_chi_q_midpoint_convexity():
-    qf = QuadForm(np.array([[3.0, 0.8], [0.8, 0.6]]))
+    base = np.array([[3.0, 0.8], [0.8, 0.6]])
+    qf = QuadForm(base)
     rng = np.random.default_rng(3)
     a = rng.normal(scale=3.0, size=(300, 2))
     b = rng.normal(scale=3.0, size=(300, 2))
     mid = chi_q(qf, 0.5 * (a + b))
     assert np.all(mid <= 0.5 * (chi_q(qf, a) + chi_q(qf, b)) + 1e-12)
+    # convex at every scale, to rounding relative to the values; segments at
+    # the fixed scale above and at the form's own, which crosses the interior
+    # blend |x|_Q < sqrt(lam_min)
+    for q in (np.array([[1.0]]), base):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e9, 1e13, 1e15):
+            qf = QuadForm(scale * q)
+            dim = q.shape[0]
+            for spread in (3.0, 3.0 / math.sqrt(scale)):
+                a = rng.normal(scale=spread, size=(300, dim))
+                b = rng.normal(scale=spread, size=(300, dim))
+                ends = 0.5 * (chi_q(qf, a) + chi_q(qf, b))
+                assert np.all(chi_q(qf, 0.5 * (a + b)) <= ends * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("radius", [0.2, 0.9, 1.1, 10.0])
