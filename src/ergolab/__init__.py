@@ -13,3 +13,11 @@ command-line experiment driver (:mod:`ergolab.cli`).
 from __future__ import annotations
 
 __version__ = "0.1.0"
+
+# numpy 2 loads these submodules on first use: numpy.random at the first
+# generator, numpy.ma under np.unique (so np.union1d and np.percentile too)
+# and numpy.polynomial at the first Gauss–Legendre rule.  Importing any
+# ergolab module loads them here, so no run pays for them midway.
+import numpy.ma  # noqa: E402, F401
+import numpy.polynomial  # noqa: E402, F401
+import numpy.random  # noqa: E402, F401

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401  (argparse's first parser imports it, through gettext, mid-run)
 import math
 import operator
 import sys
@@ -39,7 +40,6 @@ from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .coupling import (
     DissipativityParams,
@@ -87,6 +87,7 @@ from .processes import (
     QUANTILE_MAX_POINTS,
     STEP_TABLE_MAX_VALUES,
     SymmetricStable,
+    _normal_quantile,
     invariant_exact,
     simulate,
     step_plan,
@@ -226,7 +227,7 @@ class ExactInvariant:
             return invariant_exact(cfg.process, cfg.process.table_truncation())
         # midpoint quantiles of the centred Gaussian invariant law
         k = self.quantile_points
-        quantiles = special.ndtri((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
+        quantiles = _normal_quantile((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
         return EmpiricalMeasure(points=quantiles[:, None], weights=np.full(k, 1.0 / k))
 
     def redraw(self, cfg: ExperimentConfig, ref: EmpiricalMeasure) -> EmpiricalMeasure:

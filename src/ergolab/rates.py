@@ -328,7 +328,12 @@ def fit_rate(times, values, model) -> RateFit:
             )
         x = t
     y = np.log(v)
-    slope, c0 = np.polyfit(x, y, 1)
+    # the fit runs in x / 2^e, |x| < 2^e: an exact scaling, under which polyfit's
+    # column-normalised system and so the slope are unchanged bit for bit,
+    # while squares of times past 1e154 no longer overflow
+    e = int(np.frexp(np.abs(x).max())[1])
+    slope, c0 = np.polyfit(np.ldexp(x, -e), y, 1)
+    slope = np.ldexp(slope, -e)
     resid = y - (slope * x + c0)
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

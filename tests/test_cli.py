@@ -394,10 +394,8 @@ def test_distance_kinds_agree_in_one_dimension():
 
 
 def test_kinds_state_their_facts():
-    from scipy import special
-
     from ergolab.cli import ExactInvariant, LongRunEmpirical, _derive_seed
-    from ergolab.processes import simulate, standard_one_sided_stable
+    from ergolab.processes import _normal_quantile, simulate, standard_one_sided_stable
     from ergolab.rates import LinearPhi, PowerPhi
     from ergolab.subordination import DriftOnly, Exponential, GammaSub, Polynomial, StableSub
     from ergolab.wasserstein import sinkhorn_annealed, w_1d, w_exact_lp
@@ -447,7 +445,7 @@ def test_kinds_state_their_facts():
     )
     assert isinstance(cfg.reference, ExactInvariant) and cfg.reference.needs_invariant
     ref = cfg.reference.measure(cfg)
-    quantiles = special.ndtri((np.arange(64) + 0.5) / 64) * cfg.process.invariant_sd()
+    quantiles = _normal_quantile((np.arange(64) + 0.5) / 64) * cfg.process.invariant_sd()
     np.testing.assert_array_equal(ref.points[:, 0], quantiles)
     idx = np.random.default_rng(_derive_seed(cfg.seed, "noise-floor")).choice(
         64, size=12, p=ref.weights
@@ -593,6 +591,21 @@ def test_cli_ratefit_overflowing_intercept_is_strict_json_null(tmp_path, capsys)
     result = json.loads((tmp_path / "ratefit.json").read_text(), parse_constant=refuse)
     assert result["intercept"] is None
     assert abs(result["rate"] - 1.0) < 1e-12
+
+
+def test_cli_ratefit_huge_times_fit_without_overflow(tmp_path, capsys):
+    # squares of these times overflow; the values fall 200 decades over 3e200
+    times = [1e200, 2e200, 3e200, 4e200]
+    values = np.geomspace(1e-100, 1e-300, 4).tolist()
+    cfg = _write(tmp_path / "fit.json", {"times": times, "values": values, "model": "exponential"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ratefit", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads((tmp_path / "ratefit.json").read_text())
+    assert result["rate"] == pytest.approx(200.0 * math.log(10.0) / 3e200, rel=1e-12)
+    assert result["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -1485,7 +1498,7 @@ _COUPLE_2D = {
     "command, payload, artifact, digest",
     [
         ("driftcheck", _CERTIFY_DRIFTCHECK, "driftcheck.csv",
-         "b56f836ecbf6fc9f15fc56618b9ff0855c2ca32f0cb40625a635e665128a841a"),
+         "d052205ee84002cb39d21864b30ab898b0d2bd8b9b284e22ee75536b5066ca32"),
         ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
          "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
         ("couple", _COUPLE_2D, "couple.csv",

@@ -455,6 +455,34 @@ def test_far_tail_pair_within_its_error_of_an_mpmath_oracle(alpha, signs, dim):
                 assert np.all(np.abs(value - exact) <= error)
 
 
+@pytest.mark.parametrize("n", [16, 32, 128, 256])
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.5])
+def test_jacobi_rules_match_eigenvectors_and_integrate_moments(beta, n):
+    from scipy.linalg import eigh_tridiagonal
+
+    t, w = lyapunov._jacobi01(n, beta)
+    # the eigenvector-built rule of the same Jacobi matrix: a node's error is
+    # a rounding of the matrix, and a weight near an endpoint moves by up to
+    # n^2 times that, relative
+    k = np.arange(1, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = eigh_tridiagonal(diag, off)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 2 * eps
+    np.testing.assert_allclose(w, v[0] ** 2 / (beta + 1.0), rtol=n * n * eps, atol=0)
+    # exact for r^j, j < 2n: int_0^1 r^(beta + j) dr = 1 / (beta + j + 1)
+    j = np.arange(2 * n)
+    moments = (w * t ** j[:, None]).sum(axis=1)
+    np.testing.assert_allclose(moments * (beta + j + 1.0), 1.0, rtol=1e-13, atol=0)
+    # and int_0^1 r^beta cos(3 r) dr, in 30 digits, with r = u^(1 / (beta + 1))
+    with mp.workdps(30):
+        power = 1 / (mp.mpf(beta) + 1)
+        exact = power * mp.quad(lambda u: mp.cos(3 * u**power), [0, 1])
+    assert float(w @ np.cos(3.0 * t)) == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_certify_far_tails_need_no_qags():
     # the certify workload's 17-point drift check
     spec = OUJump(H=[[-1.0]], levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5)))

@@ -33,7 +33,9 @@ from ergolab.processes import (
     _cms_draws,
     _cms_transform,
     _drawn_ahead,
+    _expm,
     _in_chunks,
+    _normal_quantile,
     _up_thresholds,
     invariant_exact,
     langevin_coeffs,
@@ -310,6 +312,27 @@ def test_ou_exact_transition_matches_quadrature():
         for j in range(2):
             ref, _ = quad(integrand, 0.0, t, args=(i, j), epsabs=1e-12, epsrel=1e-12)
             assert cov[i, j] == pytest.approx(ref, abs=1e-8)
+
+
+def test_expm_is_np_exp_on_1x1_and_scipy_beyond():
+    # the 1 x 1 exponential every 1-D OU step takes, bit for bit scipy's
+    rng = np.random.default_rng(8)
+    for v in np.concatenate([rng.normal(0.0, 30.0, 500), rng.uniform(-700.0, 700.0, 500),
+                             -1e-3 * rng.exponential(1.0, 500), [0.0, -0.0, 1e-300]]):
+        assert _expm(np.array([[v]])).tobytes() == expm(np.array([[v]])).tobytes()
+    h = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    assert _expm(h).tobytes() == expm(h).tobytes()
+
+
+def test_normal_quantile_matches_ndtri():
+    from scipy.special import ndtri
+
+    # the reference's quantile midpoints, and far tails on both sides
+    for k in (128, 4096, 2**20):
+        p = (np.arange(k) + 0.5) / k
+        np.testing.assert_allclose(_normal_quantile(p), ndtri(p), rtol=2e-15, atol=0)
+    tails = np.array([1e-300, 1e-20, 1.0 - 1e-16])
+    np.testing.assert_allclose(_normal_quantile(tails), ndtri(tails), rtol=2e-15, atol=0)
 
 
 def test_ou_simulated_mean_within_mc_band():
