@@ -724,6 +724,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+_CSV_ROWS = 2**14  # rows of a CSV formatted per call
+# the cell format of a numpy column, by dtype kind; any other column is "%s" of _cell
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -734,12 +739,25 @@ def _cell(value) -> str:
 
 def _write_csv(path: Path, header, columns) -> None:
     """Write ``header`` and then one line per row of ``columns``, equally long
-    iterables, streamed row by row.  Every line ends in ``\\n``; a float is
-    spelled ``%.17g``, which reads back to the same double, an integer as
-    itself and None as an empty cell."""
+    sequences or flat iterators, ``_CSV_ROWS`` rows at a time.  Every line
+    ends in ``\\n``; a float is spelled ``%.17g``, which reads back to the
+    same double, an integer as itself and None as an empty cell.  A block of
+    a float or integer numpy column is formatted by one ``%`` with the rest
+    of its rows, every other value cell by cell (see :func:`_cell`)."""
+    columns = list(columns)
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*columns))
+        for lo in range(0, n, _CSV_ROWS):
+            rows = min(n - lo, _CSV_ROWS)
+            cells = np.empty((rows, len(columns)), dtype=object)
+            formats = []
+            for j, column in enumerate(columns):
+                part = column[lo : lo + rows]
+                kind = part.dtype.kind if isinstance(part, np.ndarray) else "O"
+                formats.append(_CSV_FORMATS.get(kind, "%s"))
+                cells[:, j] = part if kind in _CSV_FORMATS else [_cell(v) for v in part]
+            fh.write((",".join(formats) + "\n") * rows % tuple(cells.ravel().tolist()))
 
 
 def _write_json(path: Path, record: dict) -> None:

@@ -268,16 +268,18 @@ def contraction_estimate(
     check_estimate(p, n_boot, n)
     times = pairs.times
     separations = pairs.separations()
-    dist_p = separations**p
-    moment = np.mean(dist_p, axis=0) ** (1.0 / p)
+    # (n_times, n): each grid time's distances one contiguous row
+    dist_p = separations.T.copy()
+    dist_p **= p
+    moment = np.mean(dist_p, axis=1) ** (1.0 / p)
 
-    # a draw's resample mean is its per-path counts against dist_p; einsum
-    # (not BLAS) sums it in a fixed order at any thread count
+    # a draw's resample mean is its per-path counts against each row of
+    # dist_p; einsum (not BLAS) sums it in a fixed order at any thread count
     rng = np.random.default_rng(seed)
     boot = np.empty((n_boot, times.shape[0]))
     for b in range(n_boot):
         counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        boot[b] = (np.einsum("i,it->t", counts, dist_p) / n) ** (1.0 / p)
+        boot[b] = (np.einsum("i,ti->t", counts, dist_p) / n) ** (1.0 / p)
     se = boot.std(axis=0, ddof=1)
     ci_lo = np.percentile(boot, 2.5, axis=0)
     ci_hi = np.percentile(boot, 97.5, axis=0)

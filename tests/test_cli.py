@@ -1160,9 +1160,9 @@ def test_cli_experiment_without_rate_model(tmp_path, capsys, monkeypatch):
     rows = (d1 / "distances.csv").read_text().strip().splitlines()
     assert rows[0] == "time,distance"
     assert len(rows) == 5
-    # the bytes of the curve the former wdist command wrote for this config
+    # the bytes of the curve, as the block streams draw it
     assert _sha256(d1 / "distances.csv") == (
-        "4b8cb34073a89a23783ef591003ea9d5d9d19e3d4f6b13e077eb76b1b4bb5b25"
+        "c753f7d7e8a7f5562d9ecae62bcd0ec1900f7c21cc0047b84c117ab7643f7db4"
     )
 
 
@@ -1444,7 +1444,7 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     cfg = _write(tmp_path / "experiment.json", _chain_config())
     assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "distances.csv") == (
-        "f11f9c76c9a867af11fc53e28c1527ef7643e8a762461f2b604b6df94688f658"
+        "34c334bb4795012e55cfdfd60ef1154ba9dad7f78d44c83c1d42ab68ba30c33b"
     )
     cfg = _write(tmp_path / "lower.json", _lower_config(truncation=65536))
     assert main(["lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
@@ -1502,7 +1502,7 @@ _COUPLE_2D = {
         ("subordinate", _CERTIFY_SUBORDINATE, "subordinate.csv",
          "eb87b32dd750d308ebade317c803f0310cccf1b1baa535292d7767d66acab8f7"),
         ("couple", _COUPLE_2D, "couple.csv",
-         "793f9d979ca6af7297d4c273ca7e16e4bba7932260d0b07f12332857717056c8"),
+         "9e59733477da151ae9003dbc305ffa0017df1e9215676b04749247225e1d0246"),
     ],
     ids=["driftcheck", "subordinate", "couple"],
 )
@@ -1517,7 +1517,7 @@ def test_cli_certify_and_couple_outputs_are_pinned(tmp_path, command, payload, a
 
 def test_cli_couple_rate_is_nan_where_fit_rate_refuses(tmp_path, capsys):
     # two grid times are fewer than fit_rate fits a rate to; the curve is
-    # still measured and written, with the same digest as before
+    # still measured and written, with its pinned digest
     payload = {
         "process": {"family": "ou_jump", "H": [[-1.0]], "levy": {"a_L": [[1.0]]}},
         "x": [1.0],
@@ -1530,7 +1530,7 @@ def test_cli_couple_rate_is_nan_where_fit_rate_refuses(tmp_path, capsys):
     cfg = _write(tmp_path / "couple.json", payload)
     assert main(["couple", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert "fitted decay rate = nan;" in capsys.readouterr().out
-    digest = "ace276b6958fd6c4d0e2551def5e11d5e034a59c75ba4c2792c8b5662b12d41c"
+    digest = "eb442472a9b75ccc9c8681df9ca5dfb4f9ca90286a7b631c0989fa447f827495"
     assert _sha256(tmp_path / "couple.csv") == digest
 
 
@@ -1633,6 +1633,45 @@ def test_cli_artifacts_hold_the_library_values(case, tmp_path, monkeypatch):
         assert all(line.endswith(",") == ("certificate" not in payload) for line in lines[1:])
 
 
+def _write_csv_row_by_row(path, header, columns):
+    # the reference writer, one call a cell: the bytes _write_csv must give
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(value)
+        return f"{value:.17g}"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, cli._CSV_ROWS, 2 * cli._CSV_ROWS + 5])
+def test_write_csv_formats_whole_columns_to_the_row_by_row_bytes(tmp_path, n):
+    # float, integer and mixed columns, as arrays, flat views, ranges, lists
+    # and tuples, with nan, infinities, -0.0, subnormals, None, numpy scalars
+    # and an integer beyond 2^53, over row blocks cut at every edge
+    rng = np.random.default_rng(5)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1 / 3, 2.0**60]
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[: len(special)] = special[:n]
+    mixed = [None, 1, 2.5, np.float64(-0.0), np.int64(-7), math.nan, 10**20, math.inf]
+    columns = [
+        np.arange(n),
+        floats,
+        np.broadcast_to(floats[::-1], (2, n))[1].flat,
+        range(3, n + 3),
+        [mixed[i % len(mixed)] for i in range(n)],
+        tuple(np.arange(n, dtype=np.uint8)),
+        [None] * n,
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "whole.csv", header, columns)
+    _write_csv_row_by_row(tmp_path / "cells.csv", header, columns)
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 _CLOCKS_MULTI_CHUNK = {
     "stable-polynomial": {
         "rate": {"kind": "polynomial", "exponent": 1.5, "scale": 2.0}, "p": 3.0,
@@ -1657,7 +1696,7 @@ _CLOCKS_MULTI_CHUNK = {
     "name, digest",
     [
         ("stable-polynomial", "923dcaf3388650fef15aa894c939f3466ae1bc6d7131853d0360a924cefbbcca"),
-        ("certify", "ec79cb0512ba8ca583daf4571d37e2c44a4b8e4b3d34797deee8c155e2190723"),
+        ("certify", "11aacc361c598d8ef3626d09f8b52359aad303041fbcc51d7421c752ab8dfbc2"),
         ("gamma", "1a0bdaff045b2f7609996b7bbae35a4891cdb10f3f39c5626822d4379661d89c"),
         ("drift_only", "d6e6f253ca51082b0a6c130727644f538ce2f95811934a7a3fda8f3e44d2ffb3"),
     ],
@@ -1670,14 +1709,25 @@ def test_cli_subordinate_multi_chunk_outputs_are_pinned(tmp_path, name, digest):
     assert _sha256(tmp_path / "subordinate.csv") == digest
 
 
-def test_cli_subordinate_nan_clock_exits_3(tmp_path, capsys):
+def test_cli_subordinate_nan_clock_exits_3(tmp_path, capsys, monkeypatch):
+    # a transform that gives NaN samples (every thousandth one here) leaves
+    # no estimate: exit 3, naming the count, and no subordinate.csv
+    from ergolab import processes
+
+    transform = processes._cms_transform
+
+    def nan_every_thousandth(alpha, skew, u, w):
+        out = transform(alpha, skew, u, w)
+        out[::1000] = np.nan
+        return out
+
+    monkeypatch.setattr(processes, "_cms_transform", nan_every_thousandth)
     cfg = _write(tmp_path / "subordinate.json", {
         **_CERTIFY_SUBORDINATE, "subordinator": {"kind": "stable", "alpha": 0.01},
         "t": [1.0], "n_mc": 100000,
     })
-    with np.errstate(all="ignore"):
-        assert main(["subordinate", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
-    assert "NaN" in capsys.readouterr().err
+    assert main(["subordinate", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert "101 of 100000 samples" in capsys.readouterr().err
     assert not (tmp_path / "subordinate.csv").exists()
 
 

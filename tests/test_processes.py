@@ -562,25 +562,33 @@ def test_simulate_compound_poisson_rate():
     assert np.all(xs == np.round(xs))
 
 
-@pytest.mark.parametrize("rate_dt", [0.01, 1.5])
-def test_compound_poisson_increment_is_the_dense_increment_on_the_rows_that_jump(rate_dt):
-    # the dense increment, every path's jumps summed into a zero row in the
-    # order drawn, from the same stream: its nonzero rows are the rows
-    # returned, with the same bits, and the stream ends in the same place
-    kind = CompoundPoisson(
-        rate=rate_dt / 0.1,
-        jump_dist=DiscreteJumps([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], [0.4, 0.4, 0.2]),
-    )
-    stream = _block_rng(3, 0)
-    rows, jumps = kind.increment(2, 0.1, stream, 5000)
-    rng = _block_rng(3, 0)
-    counts = rng.poisson(rate_dt, 5000)
-    dense = np.zeros((5000, 2))
-    np.add.at(dense, np.repeat(np.arange(5000), counts), kind.jump_dist.sample(rng, counts.sum()))
-    assert rows.tolist() == np.flatnonzero(counts).tolist()
-    assert np.array_equal(jumps, dense[rows])
-    assert not dense[counts == 0].any()
-    assert stream.random() == rng.random()
+@pytest.mark.parametrize("rate_dt, seed", [(0.01, 3), (1.5, 4)])
+def test_compound_poisson_increment_follows_the_compound_poisson_law(rate_dt, seed):
+    # unit marks on three axes, so a row's jumps are its count of each mark:
+    # every path's count is Poisson(rate dt), by its moments and a chi^2 test
+    # of its histogram, and the marks follow probs
+    from scipy.stats import chi2, poisson
+
+    probs = np.array([0.5, 0.3, 0.2])
+    kind = CompoundPoisson(rate=rate_dt / 0.1, jump_dist=DiscreteJumps(np.eye(3), probs))
+    m = 200_000
+    rows, jumps = kind.increment(3, 0.1, _block_rng(seed, 0), m)
+    assert rows.min() >= 0 and rows.max() < m
+    assert np.all(np.diff(rows) > 0)  # sorted, so no row repeats
+    assert np.array_equal(jumps, np.round(jumps)) and jumps.sum(axis=1).min() >= 1
+    counts = np.zeros(m)
+    counts[rows] = jumps.sum(axis=1)
+    # within four standard errors: Var(mean) = mu / m, Var(s^2) ~ (mu + 2 mu^2) / m
+    assert abs(counts.mean() - rate_dt) < 4.0 * math.sqrt(rate_dt / m)
+    assert abs(counts.var(ddof=1) - rate_dt) < 4.0 * math.sqrt((rate_dt + 2 * rate_dt**2) / m)
+    # bins 0, 1, ..., top - 1 and "top or more", each expecting at least 5
+    top = int(np.flatnonzero(m * poisson.pmf(np.arange(40), rate_dt) >= 5.0)[-1])
+    observed = np.bincount(np.minimum(counts, top).astype(int), minlength=top + 1)
+    expected = m * np.append(poisson.pmf(np.arange(top), rate_dt), poisson.sf(top - 1, rate_dt))
+    assert chi2.sf(((observed - expected) ** 2 / expected).sum(), top) > 1e-3
+    marks = jumps.sum(axis=0)
+    total = marks.sum()
+    assert np.all(np.abs(marks - total * probs) < 4.0 * np.sqrt(total * probs * (1 - probs)))
 
 
 def test_simulate_subordinator_paths_nondecreasing():
@@ -693,21 +701,21 @@ def _pinned_walks():
     return {
         "piecewise_ou": (
             piecewise, [[3.0, 1.0], [-1.0, -2.0]], _PIN_GRID, 300, 7, 0.05,
-            "9a21b3d7696552ed36b123c225b89ae1f198d4005c944e6b0841dd9b868bc3cc",
+            "223377d0354e60457152d47a8687d9b7b787a903a4b2b86c873eb8efa2e346d9",
         ),
         "ou_jump": (
             ou, [1.0, -1.0], _PIN_GRID, 300, 8, 0.05,
-            "e826d1c0c2d92ac02f903bd6307bd8983a3b3d59593c40df50d7f0665d7dd767",
+            "2b75ba091611dcb86b8757a8366330494018031c74700f7d110c19e8538b9339",
         ),
         "langevin": (
             LangevinTempered(alpha=0.3, beta=0.25, dim=2), [[0.5, 0.2], [2.0, -1.0]],
             _PIN_GRID, 300, 9, 0.05,
-            "98a1cab389f90101a7b379f9061581ce4c1d605574bbe9a3593363fcad40f6c8",
+            "e75f8d41c72a550fbae077d5a0e8081395aa854ab3e8c8a0339426f5d482cfbe",
         ),
         "chain": (
             BackwardRecurrence(alpha=3.0, i0=5), [[0.0], [7.0]], [0, 1, 5, 40],
             _BLOCK_SIZE + 300, 3, 0.01,
-            "8722117fee3e8d9a0491f2200fc5486f7f2f39ec3d942ccbe837c9ca53211fe7",
+            "d5f6eaf39df0d073bfb0dc4ec8b6bbbf3ccb07022f09e25015855d4ad96275b3",
         ),
     }
 
@@ -832,12 +840,13 @@ def test_langevin_walk_computes_its_coefficients_once_per_substep(monkeypatch):
                    n_paths=64, seed=5, max_step=0.01)
     assert len(calls) == 100
     assert hashlib.sha256(out.paths.tobytes()).hexdigest() == (
-        "0ee9fad7c442b8f72b3c30acdbc1220c6951bbe24cb35bfeff27c8004cf219d2"
+        "aa2f861664ebc6fcca068e930d239c73ee78e0f1efa0d9a95169f0f1f043b492"
     )
 
 
 def _cms_one_expression(alpha, skew, rng, size):
-    # the CMS sampler as one expression, draws and transform together
+    # the CMS sampler as one expression, draws and transform together, its
+    # two powers taken as one exp of their summed logs
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.exponential(1.0, size)
     if alpha == 1.0:
@@ -851,11 +860,14 @@ def _cms_one_expression(alpha, skew, rng, size):
     t = math.tan(math.pi * alpha / 2.0)
     b = math.atan(skew * t) / alpha
     s = (1.0 + skew * skew * t * t) ** (1.0 / (2.0 * alpha))
+    a = alpha * (u + b)
     return (
         s
-        * np.sin(alpha * (u + b))
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha)
+        * np.sin(a)
+        * np.exp(
+            (1.0 - alpha) / alpha * (np.log(np.cos(u - a)) - np.log(w))
+            - np.log(np.cos(u)) / alpha
+        )
     )
 
 
@@ -998,10 +1010,21 @@ def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
 @pytest.mark.parametrize("seed", [0, 1, 12, 2**40 + 3])
 @pytest.mark.parametrize("n", [1, 7, 1000, 2**15 + 1])
 def test_random_is_the_raw_philox_word_shifted_and_scaled(seed, n):
-    # the chain walk compares raw words against thresholds because numpy's
-    # random() is (r >> 11) 2^-53 of one 64-bit Philox word a draw
+    # numpy forms random() from one raw 64-bit word the same way for every
+    # bit generator, so the chain walk's thresholds do not depend on the
+    # family its blocks draw from: Philox here, PCG64 in the test below
     uniforms = np.random.Generator(np.random.Philox(seed)).random(n)
     words = np.random.Philox(seed).random_raw(n)
+    assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+
+
+@pytest.mark.parametrize("seed, block", [(0, 0), (3, 1), (2**40 + 3, 7)])
+@pytest.mark.parametrize("n", [1, 7, 2**15 + 1])
+def test_random_is_the_raw_block_word_shifted_and_scaled(seed, block, n):
+    # the chain walk compares raw words against thresholds because numpy's
+    # random() is (r >> 11) 2^-53 of one 64-bit word of the block generator
+    uniforms = _block_rng(seed, block).random(n)
+    words = _block_rng(seed, block).bit_generator.random_raw(n)
     assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
 
 

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ergolab import processes
 from ergolab.errors import DomainError, NumericalError
 from ergolab.subordination import (
     DriftOnly,
@@ -150,12 +151,39 @@ def test_subordinate_rate_p1_is_monte_carlo_mean():
     assert est.value == pytest.approx(float(np.mean(2.0 * np.exp(-0.1 * samples))), rel=1e-14)
 
 
-def test_subordinate_rate_refuses_a_nan_clock():
-    # at alpha = 0.01 both factors of the CMS transform leave the float
-    # range for some draws, and inf * 0 is NaN
+def nan_every_thousandth(transform):
+    """``transform`` with every thousandth sample of each call NaN."""
+
+    def patched(alpha, skew, u, w):
+        out = transform(alpha, skew, u, w)
+        out[::1000] = np.nan
+        return out
+
+    return patched
+
+
+def test_subordinate_rate_refuses_a_nan_clock(monkeypatch):
+    # a clock sample that is NaN leaves no estimate to make: 100,000 samples
+    # in four chunks, each with every thousandth sample NaN
+    monkeypatch.setattr(processes, "_cms_transform", nan_every_thousandth(processes._cms_transform))
     spec = SubordinatorSpec(kind=StableSub(alpha=0.01))
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"alpha=0.01.* NaN"):
+    with pytest.raises(NumericalError, match=r"101 of 100000 samples .*alpha=0.01.* NaN"):
         subordinate_rate(Exponential(gamma=0.5), 2.0, spec, 1.0, n_mc=100_000, seed=1)
+
+
+def test_subordinate_rate_at_a_small_alpha_is_finite():
+    # at alpha = 0.01 each of the CMS transform's two powers alone leaves
+    # the float range for some draws, and inf * 0 is NaN; their product, taken
+    # in log space, is finite or an honest inf.  The estimate is finite, and
+    # its mean E r(S_t)^p within five standard errors of exp(-t (p gamma)^alpha)
+    spec = SubordinatorSpec(kind=StableSub(alpha=0.01))
+    with np.errstate(invalid="raise"):  # no operation gives NaN
+        samples = sample_subordinator(spec, 1.0, 100_000, seed=1)
+        est = subordinate_rate(Exponential(gamma=0.5), 2.0, spec, 1.0, n_mc=100_000, seed=1)
+    assert not np.isnan(samples).any() and np.isinf(samples).any()
+    assert math.isfinite(est.value) and 0.0 < est.se < 0.01
+    exact = math.exp(-((2.0 * 0.5) ** 0.01) / 2.0)
+    assert abs(est.value**2 - exact**2) < 5.0 * est.se
 
 
 @pytest.mark.parametrize(
