@@ -924,8 +924,6 @@ def _cmd_driftcheck(cfg, out: Path) -> int:
         f"b = {report.b:.6g}; worst margin = {report.worst_margin:.6g} "
         f"({'certified' if report.worst_margin >= 0 else 'violated'})"
     )
-    if report.far_qags is not None:
-        print(f"far tail: {report.far_qags} of {len(grid)} points by QAGS")
     return 0
 
 

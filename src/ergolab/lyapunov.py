@@ -41,9 +41,9 @@ nodes, whose difference is its error:
 - ``r > R``: ``r = R/w`` and, for all grid points in one call of
   :func:`quad`, a Gauss–Jacobi pair (128 against 256 nodes) for the weight
   ``w^{alpha-theta-1}``, which takes up the algebraic endpoint singularity of
-  a spread growing like ``r^theta``.  A point whose pair disagrees falls back
-  to one ``scipy.integrate.quad`` (QAGS) of its own, with scipy.integrate
-  loaded then; its error estimate joins the rule pairs'.
+  a spread growing like ``r^theta``.  A point whose pair disagrees (a
+  spread that keeps oscillating beyond ``R``) keeps the pair's value, with
+  a bound on the whole far tail as its error.
 
 Both fixed rules cut their panels where ``x +- r d`` crosses the sphere on
 which ``chi_Q`` is only C^2, so each panel integrates a smooth function. The
@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -292,27 +291,11 @@ LyapunovFn = Union[PolyNorm, PolyNormPlusOne, ExpNorm]
 # ---------------------------------------------------------------------------
 
 
-class GeneratorResult(tuple):
-    """(value, error) pair with named access: floats for a point, ``(m,)``
-    arrays for a batch.  ``far_qags`` says whether the jump integral's far
-    tail fell back to QAGS (a bool, or ``(m,)`` bools), and is None where
-    no quadrature far tail was computed."""
+class GeneratorResult(NamedTuple):
+    """(value, error): floats for a point, ``(m,)`` arrays for a batch."""
 
-    def __new__(cls, value, error, far_qags=None):
-        if np.ndim(value) == 0:
-            value, error = float(value), float(error)
-            far_qags = None if far_qags is None else bool(far_qags)
-        result = super().__new__(cls, (value, error))
-        result.far_qags = far_qags
-        return result
-
-    @property
-    def value(self):
-        return self[0]
-
-    @property
-    def error(self):
-        return self[1]
+    value: float | np.ndarray
+    error: float | np.ndarray
 
 
 def _check_growth(alpha: float, fn) -> None:
@@ -521,51 +504,31 @@ def _panel_part(spread, x, centre, kinks, alpha, blocks):
     return np.bincount(rows, value, minlength=n), np.bincount(rows, error, minlength=n)
 
 
-def _remainder(spread, x, centre, alpha, reach):
-    """``int_R^inf D(r) r^{-1-alpha} dr``, ``D = spread - centre``, for one point
-    ``x`` ``(1, n)`` by QAGS.  The centre integrates in closed form to
-    ``centre R^{-alpha} / alpha``; with ``r = R/u^2`` the spread's part is
-    ``2 R^{-alpha} int_0^1 spread(R/u^2) u^{2 alpha - 1} du``.  A spread that
-    grows like ``r^theta`` leaves an algebraic singularity ``u^{2(alpha -
-    theta) - 1}`` at 0, which QAGS extrapolates away."""
-    # imported on first use: only a far tail the Gauss–Jacobi pair leaves
-    # unresolved needs scipy.integrate
-    from scipy.integrate import IntegrationWarning, quad as qags
-
-    def integrand(u):
-        return float(spread(x, np.array([[reach / (u * u)]]))[0, 0]) * u ** (2.0 * alpha - 1.0)
-
-    with warnings.catch_warnings():
-        # an under-resolved remainder surfaces through the error estimate,
-        # which the caller reports
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v, e = qags(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    scale = reach**-alpha
-    return scale * (2.0 * v - centre / alpha), 2.0 * scale * e
-
-
-def quad(fn, x, d, signs, alpha, reach) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def quad(fn, x, d, signs, alpha, reach) -> tuple[np.ndarray, np.ndarray]:
     """The far tail ``int_R^inf D(r) r^{-1-alpha} dr``, ``D(r) = sum_s f(x + s r
-    d) - len(signs) f(x)``, its error and whether it fell back to QAGS, for
-    every point of ``x`` ``(m, n)`` with its ``R = reach`` ``(m,)``.
+    d) - len(signs) f(x)``, and its error, for every point of ``x`` ``(m, n)``
+    with its ``R = reach`` ``(m,)``.
 
     With ``r = R/w`` the tail is ``R^{-alpha} (int_0^1 S(R/w) w^{alpha-1} dw
     - C / alpha)``, where ``S`` is the spread less the family's constant
     term in each ``f`` and ``C`` the centre less the same; the constant
     cancels in ``D``.  A spread growing like ``r^theta`` (``fn.growth``,
-    ``theta < alpha``) makes ``S(R/w) w^theta`` smooth on [0, 1], so the
+    ``theta < alpha``) makes ``g = S(R/w) w^theta`` smooth on [0, 1], so the
     Gauss–Jacobi pair for the weight ``w^{alpha-theta-1}`` integrates it; no
     kink lies beyond ``R >= 4 (1 + |x|)``.  The error is the pair's
     difference plus a rounding allowance.  A point whose pair differs by
-    more than a doubling block's tolerance is redone by :func:`_remainder`,
-    one QAGS on ``spread - centre`` as given."""
+    more than a doubling block's tolerance (a spread that keeps oscillating)
+    keeps the pair's value, and its error is ``|value|`` plus a bound on the
+    whole tail, ``R^{-alpha} (max |g| / (alpha - theta) + |C| / alpha)``
+    with the maximum over the pair's nodes, since ``int_0^1
+    w^{alpha-theta-1} dw = 1 / (alpha - theta)``."""
     _, spread = _along(fn, d, signs)
     centre = len(signs) * fn.value(x)
     theta, constant = fn.growth[1], len(signs) * fn.offset
     t_n, w_n = _jacobi01(_FAR_NODES, alpha - theta - 1.0)
     t_2n, w_2n = _jacobi01(2 * _FAR_NODES, alpha - theta - 1.0)
     w = np.concatenate([t_n, t_2n])
-    value, error = np.empty(x.shape[0]), np.empty(x.shape[0])
+    value, error, bound = np.empty((3, x.shape[0]))
     chunk = max(1, _BATCH_ROWS // (len(signs) * w.size))
     for lo in range(0, x.shape[0], chunk):
         part = slice(lo, lo + chunk)
@@ -574,22 +537,21 @@ def quad(fn, x, d, signs, alpha, reach) -> tuple[np.ndarray, np.ndarray, np.ndar
         rest = (centre[part] - constant) / alpha
         value[part] = fine - rest
         error[part] = pair + rounding + _ROUNDING * np.abs(rest)
+        bound[part] = np.max(np.abs(g), axis=1) / (alpha - theta) + np.abs(rest)
     scale = reach**-alpha
     value, error = scale * value, scale * error
-    qags = ~(error <= np.maximum(_BLOCK_EPSABS, _BLOCK_EPSREL * np.abs(value)))
-    for i in np.flatnonzero(qags):
-        value[i], error[i] = _remainder(spread, x[i : i + 1], centre[i], alpha, reach[i])
-    return value, error, qags
+    unresolved = ~(error <= np.maximum(_BLOCK_EPSABS, _BLOCK_EPSREL * np.abs(value)))
+    error[unresolved] = (np.abs(value) + scale * bound)[unresolved]
+    return value, error
 
 
-def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray]:
     """``int_0^inf D(r) r^{-1-alpha} dr`` and its error, for every point of
     ``x`` ``(m, n)``, with ``D(r) = sum_s f(x + s r d) - len(signs) f(x)``:
     the Taylor-remainder tensor rule on ``(0, 1)``, Gauss–Legendre panels on
-    ``[1, R]`` and one :func:`quad` call for every point beyond ``R``, whose
-    mask of points that fell back to QAGS is returned too.  ``R`` depends on
-    the point alone, so a point's value does not depend on the rest of the
-    batch."""
+    ``[1, R]`` and one :func:`quad` call for every point beyond ``R``.
+    ``R`` depends on the point alone, so a point's value does not depend on
+    the rest of the batch."""
     curvature, spread = _along(fn, d, signs)
     centre = len(signs) * fn.value(x)
     kinks = fn.kinks(x, d)
@@ -604,20 +566,19 @@ def _split_quad(fn, x, d, signs, alpha) -> tuple[np.ndarray, np.ndarray, np.ndar
         near, near_err = _taylor_part(curvature, x[part], cuts[part], alpha)
         mid, mid_err = _panel_part(spread, x[part], centre[part], kinks[part], alpha, blocks[part])
         value[part], error[part] = near + mid, near_err + mid_err
-    far, far_err, qags = quad(fn, x, d, signs, alpha, 2.0**blocks)
-    return value + far, error + far_err, qags
+    far, far_err = quad(fn, x, d, signs, alpha, 2.0**blocks)
+    return value + far, error + far_err
 
 
 def _jump_stable_1d_axes(kind: SymmetricStable, fn, x):
     """Deterministic quadrature: 1-D measures along each coordinate axis."""
     c = kind.scale**kind.alpha * _c_alpha_1d(kind.alpha)
-    total, err, qags = 0.0, 0.0, False
+    total, err = 0.0, 0.0
     for d in np.eye(x.shape[1]):
-        v, ev, q = _split_quad(fn, x, d, (1.0, -1.0), kind.alpha)
+        v, ev = _split_quad(fn, x, d, (1.0, -1.0), kind.alpha)
         total = total + v
         err = err + ev
-        qags = qags | q
-    return c * total, c * err, qags
+    return c * total, c * err
 
 
 def _isotropic_stable_constant(alpha: float, n: int) -> float:
@@ -661,9 +622,9 @@ def _jump_subordinator(kind: StableSubordinatorMeasure, fn, x, grad):
     ``f'(x) int_0^1 r nu(dr) = f'(x) A / (1 - alpha)``, added back here."""
     alpha = kind.alpha
     a_const = alpha / math.gamma(1.0 - alpha)  # Laplace exponent u^alpha
-    integral, err, qags = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
+    integral, err = _split_quad(fn, x, np.ones(1), (1.0,), alpha)
     value = a_const * integral + a_const * grad[:, 0] / (1.0 - alpha)
-    return value, a_const * err, qags
+    return value, a_const * err
 
 
 def _isotropic_mc(kind, dim: int) -> bool:
@@ -672,19 +633,17 @@ def _isotropic_mc(kind, dim: int) -> bool:
 
 
 def _jump_part(kind, fn, x, grad, m, rng):
-    """The jump integral of ``fn``, its error and, where a quadrature far tail
-    was computed, the mask of rows whose far tail fell back to QAGS (else
-    None), at every row of ``x``, after checking that the integral is
-    defined for this kind."""
+    """The jump integral of ``fn`` and its error at every row of ``x``, after
+    checking that the integral is defined for this kind."""
     if isinstance(kind, NoJumps):
-        return np.zeros(x.shape[0]), np.zeros(x.shape[0]), None
+        return np.zeros(x.shape[0]), np.zeros(x.shape[0])
     if isinstance(kind, CompoundPoisson):
         # finite measure, bounded jumps: every growth integrates
-        return *_jump_cp_discrete(kind, fn, x), None
+        return _jump_cp_discrete(kind, fn, x)
     _check_growth(kind.alpha, fn)
     if isinstance(kind, SymmetricStable):
         if _isotropic_mc(kind, x.shape[1]):
-            return *_jump_stable_isotropic_mc(kind, fn, x, m, rng), None
+            return _jump_stable_isotropic_mc(kind, fn, x, m, rng)
         return _jump_stable_1d_axes(kind, fn, x)
     if isinstance(kind, StableSubordinatorMeasure):
         return _jump_subordinator(kind, fn, x, grad)
@@ -722,8 +681,9 @@ def generator_apply(
 
     The error is zero for exact finite sums. For the deterministic 1-D jump
     integrals it is the difference of each fixed rule pair (n against 2n
-    nodes) with a rounding allowance; a far tail that fell back to QAGS
-    (``far_qags``) adds QAGS's error estimate instead of its pair's.
+    nodes) with a rounding allowance; where the far tail's pair disagrees,
+    the far tail's error is its value's size plus a bound on the whole far
+    tail (see :func:`quad`).
     Otherwise it is a Monte Carlo standard error; row ``i`` draws from the
     RNG keyed on ``(seed, point_index + i)``, so its draws do not depend on
     the batch.
@@ -747,13 +707,13 @@ def generator_apply(
         a_total = levy.a_L if a_total is None else a_total + levy.a_L
     if a_total is not None and np.any(a_total):
         value += 0.5 * np.sum(a_total * np.swapaxes(fn.hess(xb), 1, 2), axis=(1, 2))
-    jump, error, qags = _jump_part(
+    jump, error = _jump_part(
         levy.kind, fn, xb, grad, jump_mc_samples, lambda i: _block_rng(seed, point_index + i)
     )
     value = value + jump
     if single:
-        return GeneratorResult(value[0], error[0], None if qags is None else qags[0])
-    return GeneratorResult(value, error, qags)
+        return GeneratorResult(float(value[0]), float(error[0]))
+    return GeneratorResult(value, error)
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +729,7 @@ class DriftReport:
     computed as ``b 1_ball - (phi(V) + L V)``; ``b`` is the smallest constant
     making the margin nonnegative at every grid point inside the closed ball
     of radius ``ball_radius``. ``errors`` holds the error estimate of each
-    ``L V`` (see :func:`generator_apply`).  ``far_qags`` counts the grid
-    points whose jump integral's far tail fell back to QAGS, and is None
-    where no quadrature far tail was computed.
+    ``L V`` (see :func:`generator_apply`).
     """
 
     grid: np.ndarray
@@ -784,7 +742,6 @@ class DriftReport:
     ball_radius: float
     b: float
     worst_margin: float
-    far_qags: int | None = None
 
 
 def drift_check(
@@ -811,8 +768,7 @@ def drift_check(
     if not np.all(np.isfinite(v_vals)):
         i = np.argmin(np.isfinite(v_vals))
         raise DomainError(f"V = {v_vals[i]} is not finite at grid point {grid[i].tolist()}")
-    res = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
-    lhs, errs = res
+    lhs, errs = generator_apply(spec, fn, grid, jump_mc_samples=jump_mc_samples, seed=seed)
     phi_vals = np.array([phi_eval(phi, v) for v in v_vals])
     finite = np.isfinite(lhs) & np.isfinite(phi_vals)
     if not np.all(finite):
@@ -839,5 +795,4 @@ def drift_check(
         ball_radius=float(ball_radius),
         b=b,
         worst_margin=float(np.min(margin)),
-        far_qags=None if res.far_qags is None else int(np.sum(res.far_qags)),
     )

@@ -1256,17 +1256,17 @@ def _langevin_blend(alpha: float, u):
     return q, (-k + kk * (u - 1.0)) / q
 
 
-@functools.lru_cache(maxsize=32)
 def _langevin_norm_const(spec: LangevinTempered) -> float:
-    # imported on first use, so a run without a Langevin constant starts without scipy.integrate
-    from scipy.integrate import quad
-
+    """``1 / int pi``: the tail ``omega_n int_1^inf r^{n-1-1/alpha} dr`` and the
+    interior ``omega_n int_0^1 q(r^2) r^{n-1} dr``, where the blend
+    ``q(u) = A + B u + C u^2`` integrates to ``A/n + B/(n+2) + C/(n+4)``."""
     n = spec.dim
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     i_ext = omega / (1.0 / spec.alpha - n)
-    i_int, _ = quad(
-        lambda r: _langevin_blend(spec.alpha, r * r)[0] * r ** (n - 1), 0.0, 1.0, epsrel=1e-12
-    )
+    k = 1.0 / (2.0 * spec.alpha)
+    kk = k * (k + 1.0)
+    a, b, c = 1.0 + k + 0.5 * kk, -k - kk, 0.5 * kk
+    i_int = a / n + b / (n + 2) + c / (n + 4)
     return 1.0 / (i_ext + omega * i_int)
 
 

@@ -449,9 +449,9 @@ def test_far_tail_pair_within_its_error_of_an_mpmath_oracle(alpha, signs, dim):
         for d in np.eye(dim):
             exact = [_far_tail_oracle(PolyNorm(qf, theta), xi, d, signs, alpha) for xi in x]
             for fn in (PolyNorm(qf, theta), PolyNormPlusOne(qf, theta)):
-                value, error, qags = lyapunov.quad(
-                    fn, x, d, signs, alpha, np.full(len(x), _FAR_REACH))
-                assert not np.any(qags)
+                value, error = lyapunov.quad(fn, x, d, signs, alpha, np.full(len(x), _FAR_REACH))
+                # the pair agrees, so no point falls back to the far tail's bound
+                assert np.all(error <= np.maximum(1e-12, 1e-10 * np.abs(value)))
                 assert np.all(np.abs(value - exact) <= error)
 
 
@@ -483,30 +483,39 @@ def test_jacobi_rules_match_eigenvectors_and_integrate_moments(beta, n):
     assert float(w @ np.cos(3.0 * t)) == pytest.approx(float(exact), rel=1e-13)
 
 
-def test_certify_far_tails_need_no_qags():
-    # the certify workload's 17-point drift check
+def test_certify_far_tails_resolve_by_their_pair(monkeypatch):
+    # the certify workload's 17-point drift check: every far tail's pair
+    # agrees, so none takes the far tail's bound
+    far_quad, tails = lyapunov.quad, []
+
+    def recorded(*args):
+        tails.append(far_quad(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(lyapunov, "quad", recorded)
     spec = OUJump(H=[[-1.0]], levy=LevyMeasureSpec(kind=SymmetricStable(alpha=1.5)))
     grid = np.linspace(-20.0, 20.0, 17)
     report = drift_check(spec, _CERTIFY_V, LinearPhi(c_hat=0.2), grid, ball_radius=3.0)
-    assert report.far_qags == 0
+    [(value, error)] = tails
+    assert value.shape == (17,)
+    assert np.all(error <= np.maximum(1e-12, 1e-10 * np.abs(value)))
     assert report.worst_margin == 0.0
 
 
-def test_oscillating_far_tail_falls_back_to_qags_unchanged():
-    # cos(u x) keeps oscillating beyond R, so the pair disagrees and each
-    # point is integrated by QAGS as before, bit for bit
-    x = np.array([[0.5]])
-    before = {0.7: (-7.184900236955781e-09, 8.498637013075657e-10),
-              1.3: (-5.836185344721802e-09, 1.3797501189636823e-09)}
-    for u, (value, error) in before.items():
-        far = lyapunov.quad(cosine_fn([u]), x, np.ones(1), (1.0, -1.0), 1.7, np.array([2.0**16]))
-        assert far[2].tolist() == [True]
-        assert (far[0][0], far[1][0]) == (value, error)
-    spec = levy_only(kind=SymmetricStable(alpha=1.7, scale=0.8))
-    res = generator_apply(spec, cosine_fn([0.7]), np.array([[0.5], [1.5]]))
-    assert res.far_qags.tolist() == [True, True]
-    # no far tail is computed without stable jumps
-    assert generator_apply(levy_only(a_L=[[1.0]]), _CERTIFY_V, [0.5]).far_qags is None
+def test_oscillating_far_tail_within_its_bound_of_an_exact_oracle():
+    # cos(u x) keeps oscillating beyond R, so the pair disagrees (at u = 0.7
+    # by less than it misses) and the error bounds the whole tail.  Exactly,
+    # the tail is 2 cos(u x) (Re[(-iu)^alpha Gamma(-alpha, -iuR)] - R^-alpha / alpha)
+    alpha, reach, x = 1.7, 2.0**16, 0.5
+    for u in (0.7, 1.3):
+        with mp.workdps(40):
+            a, uu, rr = mp.mpf(alpha), mp.mpf(u), mp.mpf(reach)
+            spread = mp.re((-1j * uu) ** a * mp.gammainc(-a, -1j * uu * rr))
+            exact = float(2 * mp.cos(uu * mp.mpf(x)) * (spread - rr**-a / a))
+        value, error = lyapunov.quad(
+            cosine_fn([u]), np.array([[x]]), np.ones(1), (1.0, -1.0), alpha, np.array([reach])
+        )
+        assert abs(value[0] - exact) <= error[0], u
 
 
 def test_generator_integrability_gates():

@@ -403,13 +403,22 @@ def test_piecewise_ou_drift_global_lipschitz():
 # ---------------------------------------------------------------------------
 
 
-def test_langevin_density_normalized_1d():
-    spec = LangevinTempered(alpha=0.25, beta=0.0, dim=1)
-    total, _ = quad(lambda r: langevin_density(spec, [[r]])[0], -30.0, 30.0, limit=400)
-    # tail beyond 30: 2c * int_30^inf r^-4 dr
-    c = langevin_density(spec, [[1.0]])[0]
-    tail = 2 * c * 30.0 ** (-3) / 3.0
-    assert total + tail == pytest.approx(1.0, abs=1e-6)
+@pytest.mark.parametrize("alpha, n", [(0.25, 1), (0.3, 2), (0.3, 3)], ids=["1d", "2d", "3d"])
+def test_langevin_density_normalized(alpha, n):
+    # the radial mass omega_n int_0^inf pi(r e_1) r^(n-1) dr, by mpmath on the
+    # density's values; beyond r = 1, r = v^-k with k = 1 / (1/alpha - n)
+    # makes the integrand c k, so the tail is integrated on [0, 1] too
+    spec = LangevinTempered(alpha=alpha, beta=0.0, dim=n)
+    e1 = np.eye(n)[0]
+
+    def radial(r):
+        return float(langevin_density(spec, [float(r) * e1])[0]) * r ** (n - 1)
+
+    k = 1 / (1 / mpmath.mpf(alpha) - n)
+    inner = mpmath.quad(radial, [0, 1])
+    outer = mpmath.quad(lambda v: radial(v**-k) * k * v ** (-k - 1), [0, 1])
+    omega = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+    assert float(omega * (inner + outer)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_langevin_drift_zero_at_beta_half():

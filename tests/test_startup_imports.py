@@ -1,13 +1,13 @@
 """A run starts on numpy alone.
 
-No ``ergolab`` module imports scipy at module level.  The few paths that need
-it (an OU exponential of a matrix larger than 1 x 1, the Langevin constant's
-``quad``, a far tail that escalates to QAGS, and ``exact_lp``'s ``linprog``)
-import it on first use.  The numpy submodules that numpy loads lazily
-(``numpy.random``, ``numpy.ma``, ``numpy.polynomial``) are loaded when
-``ergolab`` is imported, not midway through a run.  A stray top-level import,
-or a new lazy load inside a workload's steps, would undo that without failing
-anything else, so a fresh interpreter checks it here."""
+No ``ergolab`` module imports scipy at module level.  The two paths that need
+it (an OU exponential of a matrix larger than 1 x 1, and ``exact_lp``'s
+``linprog``) import it on first use; none imports ``scipy.integrate``.  The
+numpy submodules that numpy loads lazily (``numpy.random``, ``numpy.ma``,
+``numpy.polynomial``) are loaded when ``ergolab`` is imported, not midway
+through a run.  A stray top-level import, or a new lazy load inside a
+workload's steps, would undo that without failing anything else, so a fresh
+interpreter checks it here."""
 
 import json
 import subprocess
@@ -35,6 +35,11 @@ _SUBORDINATE = {
     "t": [0.5, 1.0, 2.0],
     "n_mc": 2000,
     "seed": 1,
+}
+# a Langevin walk, whose density constant is in closed form
+_LANGEVIN = {
+    "process": {"family": "langevin", "alpha": 0.3, "beta": 0.25, "dim": 2},
+    "x0": [1.0, -0.5], "t_grid": [0.0, 0.5, 1.0], "n_paths": 8, "seed": 1, "max_step": 0.05,
 }
 _CHAIN = {"family": "backward_recurrence", "alpha": 3.0, "i0": 5}
 
@@ -81,7 +86,7 @@ for name in {modules}:
     __import__("ergolab." + name)
 print(json.dumps(sorted(m for m in {deferred} if m in sys.modules)))
 import ergolab.cli
-for command in ("driftcheck", "subordinate"):
+for command in ("driftcheck", "subordinate", "simulate"):
     argv = [command, "--config", sys.argv[1] + "/" + command + ".json", "--out-dir", sys.argv[1]]
     assert ergolab.cli.main(argv) == 0
 print(json.dumps(sorted(m for m in {deferred} if m in sys.modules)))
@@ -112,14 +117,14 @@ print(json.dumps({{"scipy": sorted(m for m in loaded if m.startswith("scipy")), 
 def test_runs_start_and_certify_without_integrate_or_optimize(tmp_path, src_env):
     (tmp_path / "driftcheck.json").write_text(json.dumps(_DRIFTCHECK))
     (tmp_path / "subordinate.json").write_text(json.dumps(_SUBORDINATE))
+    (tmp_path / "simulate.json").write_text(json.dumps(_LANGEVIN))
     script = _SCRIPT.format(modules=MODULES, deferred=DEFERRED)
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert json.loads(lines[0]) == []  # nothing deferred is loaded at start
-    assert "far tail: 0 of 5 points by QAGS" in lines
-    # the drift check's far tail needed no QAGS, so nothing deferred loaded
+    # neither the drift check's far tail nor the Langevin walk loads anything deferred
     assert json.loads(lines[-1]) == []
 
 
