@@ -87,7 +87,6 @@ from .processes import (
     QUANTILE_MAX_POINTS,
     STEP_TABLE_MAX_VALUES,
     SymmetricStable,
-    _normal_quantile,
     invariant_exact,
     simulate,
     step_plan,
@@ -196,17 +195,15 @@ class Sinkhorn:
 # and ``redraw(cfg, ref)``, an independent sample of it.  The distance between
 # the two is the noise floor: the value at which a perfectly converged curve
 # bottoms out.  ``atoms(cfg)`` is the size of the measure, known when the
-# config is read; ``sim_grid`` the time grid each of the two simulates, or None.
+# config is read; it refuses a config whose measure it cannot build in budget.
 
 
 @dataclass(frozen=True)
 class ExactInvariant:
-    """The exact invariant law: the chain's tabulated law, or a quantile-midpoint
-    discretization of the invariant Gaussian of a scalar linear diffusion."""
+    """The process's exact invariant law as :func:`invariant_exact` builds it:
+    the chain's table, or ``quantile_points`` Gaussian quantile midpoints."""
 
     quantile_points: int = 65536
-    needs_invariant: ClassVar[bool] = True
-    sim_grid: ClassVar[None] = None
 
     def __post_init__(self):
         if not (isinstance(self.quantile_points, int) and self.quantile_points >= 2):
@@ -216,19 +213,18 @@ class ExactInvariant:
         _within(self.quantile_points, QUANTILE_MAX_POINTS, "reference.quantile_points")
 
     def atoms(self, cfg: ExperimentConfig) -> int:
-        if cfg.process.exact_invariant() != "chain":
-            return self.quantile_points
-        atoms = cfg.process.table_truncation() + 1
-        _within(atoms, QUANTILE_MAX_POINTS, "the chain's reference table")
+        if cfg.process.invariant is None:
+            raise ConfigError(
+                "reference 'exact_invariant' requires a process with a known invariant "
+                "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
+                "use 'long_run_empirical' instead"
+            )
+        atoms = cfg.process.invariant.size(self.quantile_points)
+        _within(atoms, QUANTILE_MAX_POINTS, "the reference table")
         return atoms
 
     def measure(self, cfg: ExperimentConfig) -> EmpiricalMeasure:
-        if cfg.process.exact_invariant() == "chain":
-            return invariant_exact(cfg.process, cfg.process.table_truncation())
-        # midpoint quantiles of the centred Gaussian invariant law
-        k = self.quantile_points
-        quantiles = _normal_quantile((np.arange(k) + 0.5) / k) * cfg.process.invariant_sd()
-        return EmpiricalMeasure(points=quantiles[:, None], weights=np.full(k, 1.0 / k))
+        return invariant_exact(cfg.process, self.quantile_points)
 
     def redraw(self, cfg: ExperimentConfig, ref: EmpiricalMeasure) -> EmpiricalMeasure:
         """An ``n_paths``-sample draw from the law itself."""
@@ -242,24 +238,20 @@ class LongRunEmpirical:
     """The terminal empirical measure of an independent simulation run to ``t_burn``."""
 
     t_burn: float
-    needs_invariant: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.t_burn > 0:
             raise DomainError(f"t_burn must be positive, got {self.t_burn}")
 
     def atoms(self, cfg: ExperimentConfig) -> int:
+        _within_plan(cfg.process, (0.0, self.t_burn), cfg.max_step, cfg.n_paths)
         return cfg.n_paths
-
-    @property
-    def sim_grid(self) -> tuple:
-        return (0.0, self.t_burn)
 
     def measure(self, cfg: ExperimentConfig, tag: str = "reference") -> EmpiricalMeasure:
         batch = simulate(
             cfg.process,
             np.array(cfg.x0),
-            np.array(self.sim_grid),
+            np.array([0.0, self.t_burn]),
             cfg.n_paths,
             _derive_seed(cfg.seed, tag),
             max_step=cfg.max_step,
@@ -306,12 +298,6 @@ class ExperimentConfig:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not self.p >= 1.0:
             raise DomainError(f"p must be >= 1, got {self.p}")
-        if self.reference.needs_invariant and self.process.exact_invariant() is None:
-            raise ConfigError(
-                "reference 'exact_invariant' requires a process with a known invariant "
-                "law (backward recurrence chain, or scalar Gaussian linear diffusion); "
-                "use 'long_run_empirical' instead"
-            )
         # the simulated block also holds t = 0 when the grid starts later
         _within(
             self.n_paths * (len(t_grid) + 1) * self.process.dim, PATH_MAX_VALUES, "the path block"
@@ -322,14 +308,12 @@ class ExperimentConfig:
                 f"distance {_to_json(self.distance)['kind']!r} compares measures of dimension "
                 f"at most {max_dim}, but the process has dimension {self.process.dim}"
             )
+        if not self.max_step > 0:
+            raise DomainError(f"max_step must be positive, got {self.max_step}")
         atoms = self.reference.atoms(self)
         if self.distance.max_cells is not None:
             _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
-        if not self.max_step > 0:
-            raise DomainError(f"max_step must be positive, got {self.max_step}")
         _within_plan(self.process, _curve_grid(t_grid), self.max_step, self.n_paths)
-        if self.reference.sim_grid is not None:
-            _within_plan(self.process, self.reference.sim_grid, self.max_step, self.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -972,12 +956,12 @@ def _cmd_couple(cfg, out: Path) -> int:
 
 def _cmd_lower(cfg, out: Path) -> int:
     spec = cfg.process
-    if spec.tail is None:
+    if spec.invariant is None or spec.invariant.tail is None:
         raise ConfigError("the lower-bound construction applies to backward_recurrence")
     spec.check_start(cfg.x0)
     theta_v = cfg.params.theta if cfg.lyapunov_exponent is None else cfg.lyapunov_exponent
     inst = LowerBoundInstance(
-        tail=spec.tail,
+        tail=spec.invariant.tail,
         lip=1.0,  # the observable is X itself, 1-Lipschitz
         v0=1.0 + abs(float(cfg.x0[0])) ** theta_v,  # V(x) = 1 + |x|^theta_v at the start
         c=cfg.c, b=cfg.b, params=cfg.params,

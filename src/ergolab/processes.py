@@ -6,16 +6,16 @@ The module couples two layers:
   (:class:`LevyMeasureSpec`: drift, Gaussian part, jump measure kind) and of a
   process (:class:`LangevinTempered`, :class:`OUJump`, :class:`PiecewiseOU`,
   :class:`BackwardRecurrence`), each a :class:`ProcessSpec` that states the
-  facts its callers need (``BackwardRecurrence`` also its invariant masses
-  and tails in closed form) and refuses, when it is built, a part sized for
-  another dimension;
+  facts its callers need, its exact invariant law among them (None, a
+  :class:`GaussianLaw`, or the chain, whose masses and tails are in closed
+  form), and refuses, when it is built, a part sized for another dimension;
 * numerics — :func:`simulate` (one block loop over the family's
   ``walker``: Euler–Maruyama with exact-in-law noise increments per step,
   stable increments by Chambers–Mallows–Stuck; exact recursion for the
   discrete-time chain), :func:`step_plan` (the steps a path takes, which
-  the walkers follow and the config budgets), :func:`invariant_exact` (the
-  chain's closed-form law tabulated), :func:`ou_exact_transition` (Gaussian
-  marginal of a linear SDE) and :func:`langevin_coeffs`.
+  the walkers follow and the config budgets), :func:`invariant_exact` (an
+  invariant law as a reference measure), :func:`ou_exact_transition`
+  (Gaussian marginal of a linear SDE) and :func:`langevin_coeffs`.
 
 Conventions
 -----------
@@ -80,6 +80,7 @@ __all__ = [
     "PiecewiseOU",
     "BackwardRecurrence",
     "ProcessSpec",
+    "GaussianLaw",
     "TrajectoryBatch",
     "simulate",
     "step_plan",
@@ -91,8 +92,6 @@ __all__ = [
 ]
 
 _BLOWUP_GUARD = 1e12
-# Tail mass a tabulated chain law may leave out (see :func:`invariant_exact`).
-TABLE_TAIL = 1e-12
 _BLOCK_SIZE = 16384
 # A walk's draws are made on a worker thread at most this many substeps (the
 # chain: chunks of at most _CHUNK_VALUES raw words) ahead of its arithmetic.
@@ -305,26 +304,24 @@ class ProcessSpec:
     callable), and :meth:`coeffs`, the form of the two that both
     :meth:`advance`'s substep and :func:`ergolab.lyapunov.generator_apply`'s
     generator evaluate, so the generator a drift check certifies is built
-    from the functions the walk steps; and
-    ``exact_invariant()``: ``"chain"`` (see :func:`invariant_exact`),
-    ``"gaussian"`` (centred, ``invariant_sd()``) or None; and ``tail(s)``,
-    the invariant tail ``pi(X > s)`` in closed form at every real level, or
-    None where none is known.  A family refuses,
+    from the functions the walk steps; and ``invariant``, the exact
+    invariant law or None.  A law states ``tail(s)``, ``pi(X > s)`` in
+    closed form at every real level (or None), and the reference measure
+    :func:`invariant_exact` builds from it: ``size(points)`` atoms,
+    ``atoms(points)`` its ``(k, 1)`` points and weights (``points`` is the
+    quantile count a continuous law is cut into).  A family refuses,
     when it is built, a part sized for another dimension, the Lévy part
     through :meth:`LevyMeasureSpec.check_dim`.
     """
 
     discrete_time: ClassVar[bool] = False
-    tail = None
+    invariant = None
 
     def check_start(self, x0) -> None:
         if np.size(x0) != self.dim:
             raise ConfigError(
                 f"x0 has {np.size(x0)} coordinates but the process has dimension {self.dim}"
             )
-
-    def exact_invariant(self) -> str | None:
-        return None
 
     def walker(self, x0, times, max_step):
         """Continuous time: the :func:`step_plan`'s equal substeps per grid
@@ -499,21 +496,34 @@ class OUJump(ProcessSpec):
 
         return draw, lambda shape: step
 
-    def invariant_sd(self) -> float | None:
-        """Standard deviation of the invariant law when it is a centred scalar Gaussian."""
+    @property
+    def invariant(self) -> GaussianLaw | None:
+        """The centred Gaussian invariant law of a scalar diffusion without
+        jumps or drift offset that is stable, else None."""
         levy = self.levy
-        if self.H.shape != (1, 1) or levy.kind != NoJumps() or levy.a_L is None:
+        scalar = self.H.shape == (1, 1) and levy.kind == NoJumps() and levy.a_L is not None
+        if not scalar or (levy.b_L is not None and np.any(levy.b_L != 0.0)):
             return None
-        if levy.b_L is not None and np.any(levy.b_L != 0.0):
-            return None
-        h = float(self.H[0, 0])
-        a = float(levy.a_L[0, 0])
-        if h >= 0 or a <= 0:
-            return None
-        return math.sqrt(a / (2.0 * -h))
+        h, a = float(self.H[0, 0]), float(levy.a_L[0, 0])
+        return GaussianLaw(math.sqrt(a / (2.0 * -h))) if h < 0 < a else None
 
-    def exact_invariant(self) -> str | None:
-        return None if self.invariant_sd() is None else "gaussian"
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """The centred scalar Gaussian law with standard deviation ``sd``, whose
+    reference is its ``points`` quantile midpoints ``(i + 1/2) / points``,
+    equally weighted.  No closed-form tail is stated."""
+
+    tail: ClassVar[None] = None
+
+    sd: float
+
+    def size(self, points: int) -> int:
+        return points
+
+    def atoms(self, points: int):
+        quantiles = _normal_quantile((np.arange(points) + 0.5) / points) * self.sd
+        return quantiles[:, None], np.full(points, 1.0 / points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,7 +620,9 @@ def _gamma_ratio(x, m: float) -> np.ndarray:
     rest = (x - 0.5) * np.log1p(m / x) - m
     for k, c in enumerate(_STIRLING, start=1):
         rest += c * (y ** (1 - 2 * k) - x ** (1 - 2 * k))
-    return factor * y**m * np.exp(rest)
+    # past about 1e308^(1/m) the ratio is inf, and its reciprocal an honest 0
+    with np.errstate(over="ignore"):
+        return factor * y**m * np.exp(rest)
 
 
 # Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), numerator and
@@ -720,14 +732,25 @@ class BackwardRecurrence(ProcessSpec):
         """``pi(X > s)`` at every real level ``s``."""
         return self._upper(np.floor(s) + 1.0) / self._upper(0.0)
 
-    def table_truncation(self) -> int:
-        """The last state of the reference table: the first ``1024 * 2^k``
-        whose tail is at most ``TABLE_TAIL``.  The tail falls like
-        ``s^{-alpha}`` with ``alpha > 1``, so the doubling ends."""
+    # the chain states its own invariant law: ``tail``, ``size`` and ``atoms``
+    invariant = property(lambda self: self)
+
+    def size(self, points=None) -> int:
+        """The atom count of the reference table, states ``0 .. n``: ``n`` is
+        the first ``1024 * 2^k`` whose tail is at most 1e-12, whatever the
+        ``points``.  The tail falls like ``s^{-alpha}`` with ``alpha > 1``,
+        so the doubling ends."""
         n = 1024
-        while self.tail(n) > TABLE_TAIL:
+        while self.tail(n) > 1e-12:
             n *= 2
-        return n
+        return n + 1
+
+    def atoms(self, points=None):
+        """The states of the reference table and their masses, renormalized."""
+        states = np.arange(self.size(points), dtype=float)[:, None]
+        masses = self.mass(states[:, 0])
+        masses /= masses.sum()
+        return states, masses
 
     def _scale(self) -> float:
         # u_k Gamma(k) / Gamma(k-1-alpha) for k >= i0
@@ -794,9 +817,6 @@ class BackwardRecurrence(ProcessSpec):
                 chunks.close()
 
         return walk
-
-    def exact_invariant(self) -> str | None:
-        return "chain"
 
 
 def _up_thresholds(p: np.ndarray) -> np.ndarray:
@@ -1170,26 +1190,16 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def invariant_exact(spec: BackwardRecurrence, truncation: int):
-    """The chain's invariant law tabulated on {0, ..., truncation}, renormalized.
-
-    Raises :class:`ConfigError` when the tail ``pi(X > truncation)`` left out
-    exceeds ``TABLE_TAIL``.
-    """
+def invariant_exact(spec: ProcessSpec, points: int):
+    """``spec.invariant`` as a reference measure of ``spec.invariant.size(points)``
+    atoms: the chain's law tabulated, or a Gaussian's quantile midpoints."""
     from .wasserstein import EmpiricalMeasure
 
-    if truncation < 2:
-        raise ConfigError("truncation must be at least 2")
-    tail = spec.tail(truncation)
-    if tail > TABLE_TAIL:
-        raise ConfigError(f"truncation {truncation} leaves tail mass ~{tail:.2e} > {TABLE_TAIL}")
-    points = np.arange(truncation + 1, dtype=float)[:, None]
-    masses = spec.mass(points[:, 0])
-    masses /= masses.sum()
+    support, weights = spec.invariant.atoms(points)
     # frozen here, the measure shares both arrays instead of copying them
-    masses.flags.writeable = False
-    points.flags.writeable = False
-    return EmpiricalMeasure(points=points, weights=masses)
+    support.flags.writeable = False
+    weights.flags.writeable = False
+    return EmpiricalMeasure(points=support, weights=weights)
 
 
 def _ou_covariance(h: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:

@@ -310,7 +310,8 @@ def fit_rate(times, values, model) -> RateFit:
         raise DomainError("values must be strictly positive")
     if np.any(np.diff(t) <= 0):
         raise DomainError("times must be strictly increasing")
-    span = float(v.max() / v.min())
+    with np.errstate(over="ignore"):  # values wider than the float range span inf
+        span = float(v.max() / v.min())
     if model == "polynomial":
         if np.any(t <= 0):
             raise DomainError("polynomial fits need strictly positive times")

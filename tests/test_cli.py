@@ -439,13 +439,17 @@ def test_kinds_state_their_facts():
     res = sinkhorn_annealed(mu, nu, 2.0, 0.05, max_iter=20000, tol=2e-4)
     assert Sinkhorn(epsilon=0.05).distance(mu, nu, 2.0) == float(res.cost ** 0.5)
 
-    # reference kinds: the measure and its independent redraw
+    # reference kinds: the atom count, the measure and its independent redraw
+    for kind in (ExactInvariant, LongRunEmpirical):
+        fields = {field.name for field in dataclasses.fields(kind)}
+        public = {name for name in vars(kind) if not name.startswith("_")} - fields
+        assert public == {"atoms", "measure", "redraw"}
     cfg = parse_experiment_config(
         _ou_config(n_paths=12, reference={"kind": "exact_invariant", "quantile_points": 64})
     )
-    assert isinstance(cfg.reference, ExactInvariant) and cfg.reference.needs_invariant
+    assert isinstance(cfg.reference, ExactInvariant) and cfg.reference.atoms(cfg) == 64
     ref = cfg.reference.measure(cfg)
-    quantiles = _normal_quantile((np.arange(64) + 0.5) / 64) * cfg.process.invariant_sd()
+    quantiles = _normal_quantile((np.arange(64) + 0.5) / 64) * cfg.process.invariant.sd
     np.testing.assert_array_equal(ref.points[:, 0], quantiles)
     idx = np.random.default_rng(_derive_seed(cfg.seed, "noise-floor")).choice(
         64, size=12, p=ref.weights
@@ -454,7 +458,7 @@ def test_kinds_state_their_facts():
     cfg = parse_experiment_config(
         _ou_config(n_paths=12, reference={"kind": "long_run_empirical", "t_burn": 1.0})
     )
-    assert isinstance(cfg.reference, LongRunEmpirical) and not cfg.reference.needs_invariant
+    assert isinstance(cfg.reference, LongRunEmpirical) and cfg.reference.atoms(cfg) == 12
     ref = cfg.reference.measure(cfg)
     for got, tag in ((ref, "reference"), (cfg.reference.redraw(cfg, ref), "noise-floor")):
         seed = _derive_seed(cfg.seed, tag)
@@ -606,6 +610,21 @@ def test_cli_ratefit_huge_times_fit_without_overflow(tmp_path, capsys):
     result = json.loads((tmp_path / "ratefit.json").read_text())
     assert result["rate"] == pytest.approx(200.0 * math.log(10.0) / 3e200, rel=1e-12)
     assert result["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_ratefit_values_wider_than_the_float_range_fit_without_overflow(tmp_path, capsys):
+    # the largest value over the smallest is past the float range: the span
+    # is inf, which passes the decade check, and the fit is a line in log-log
+    times = [1.0, 2.0, 4.0, 8.0]
+    values = [1e308, 1e300, 1e200, 1e-300]
+    cfg = _write(tmp_path / "fit.json", {"times": times, "values": values, "model": "polynomial"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ratefit", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads((tmp_path / "ratefit.json").read_text())
+    slope, _ = np.polyfit(np.log(times), np.log(values), 1)
+    assert result["rate"] == pytest.approx(slope, rel=1e-12)
 
 
 def test_cli_exit_codes(tmp_path):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from ergolab.processes import (
     BackwardRecurrence,
     CompoundPoisson,
     DiscreteJumps,
+    GaussianLaw,
     LangevinTempered,
     LevyMeasureSpec,
     NoJumps,
@@ -37,7 +39,6 @@ from ergolab.processes import (
     _in_chunks,
     _normal_quantile,
     _up_thresholds,
-    invariant_exact,
     langevin_coeffs,
     langevin_density,
     ou_exact_transition,
@@ -71,14 +72,13 @@ def test_levy_measure_validation():
 
 def test_process_specs_state_their_facts():
     ou = OUJump(H=[[-2.0]], levy=LevyMeasureSpec(a_L=[[1.0]]))
-    assert (ou.dim, ou.discrete_time, ou.exact_invariant()) == (1, False, "gaussian")
-    assert ou.invariant_sd() == 0.5
+    assert (ou.dim, ou.discrete_time, ou.invariant) == (1, False, GaussianLaw(0.5))
     jumpy = OUJump(H=[[-2.0]], levy=LevyMeasureSpec(kind=SymmetricStable(1.5), a_L=[[1.0]]))
-    assert jumpy.exact_invariant() is None
+    assert jumpy.invariant is None
     chain = BackwardRecurrence(alpha=3.0, i0=5)
-    assert (chain.dim, chain.discrete_time, chain.exact_invariant()) == (1, True, "chain")
+    assert (chain.dim, chain.discrete_time, chain.invariant) == (1, True, chain)
     lang = LangevinTempered(alpha=0.2, beta=0.1, dim=2)
-    assert (lang.dim, lang.discrete_time, lang.exact_invariant()) == (2, False, None)
+    assert (lang.dim, lang.discrete_time, lang.invariant) == (2, False, None)
     x = np.array([[2.0, 0.5], [0.1, -0.2]])
     b, sig = langevin_coeffs(lang, x)
     assert np.array_equal(lang.drift(x), b) and np.array_equal(lang.sigma(x), sig)
@@ -89,11 +89,11 @@ def test_process_specs_state_their_facts():
     assert pw.dim == 2
     assert np.array_equal(pw.drift(x), [pw.drift(row) for row in x])
     assert np.allclose(ou.drift(np.array([[3.0]])), [[-6.0]])
-    # only the chain states its invariant tail in closed form
-    assert chain.tail(np.array([-1.0, 4.5])) == pytest.approx(
+    # only the chain's law states its tail in closed form
+    assert chain.invariant.tail(np.array([-1.0, 4.5])) == pytest.approx(
         [1.0, chain.mass(np.arange(5, 100_000)).sum()], rel=1e-4
     )
-    assert ou.tail is None and jumpy.tail is None and lang.tail is None and pw.tail is None
+    assert ou.invariant.tail is None and pw.invariant is None
 
 
 def test_piecewise_ou_validation():
@@ -209,8 +209,7 @@ def test_invariant_exact_frozen_values():
     # normalizer c = 15/16, so pi(0) = pi(1) = 16/47, pi(2) = 8/47,
     # pi(3) = 4/47, pi(4) = 2/47, pi(5) = 1/94
     spec = BackwardRecurrence(alpha=2.0, i0=4)
-    mu = invariant_exact(spec, truncation=600_000)
-    w = mu.weights
+    states, w = spec.invariant.atoms()
     assert w[0] == pytest.approx(16 / 47, abs=1e-12)
     assert w[1] == pytest.approx(16 / 47, abs=1e-12)
     assert w[2] == pytest.approx(8 / 47, abs=1e-12)
@@ -219,13 +218,20 @@ def test_invariant_exact_frozen_values():
     assert w[5] == pytest.approx(1 / 94, abs=1e-12)
     assert abs(w.sum() - 1.0) <= 1e-12
     assert w[1] / w[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.array_equal(mu.points[:3, 0], [0.0, 1.0, 2.0])
+    assert np.array_equal(states[:3, 0], [0.0, 1.0, 2.0])
 
 
-def test_invariant_exact_tail_gate():
-    spec = BackwardRecurrence(alpha=2.0, i0=4)
-    with pytest.raises(ConfigError):
-        invariant_exact(spec, truncation=100)
+def test_chain_table_ends_where_its_tail_falls_below_1e12():
+    # the table holds states 0 .. n, n the first 1024 * 2^k whose tail is at
+    # most 1e-12, whatever quantile count it is asked for
+    for alpha, i0 in [(3.0, 5), (2.0, 4), (1.5, 3)]:
+        law = BackwardRecurrence(alpha=alpha, i0=i0).invariant
+        n = law.size(64) - 1
+        assert n > 1024 and n == 1024 * 2 ** round(math.log2(n / 1024))
+        assert law.tail(n) <= 1e-12 < law.tail(n // 2)
+        assert law.size() == law.size(2**20) == n + 1
+    states, w = BackwardRecurrence(alpha=3.0, i0=5).invariant.atoms()
+    assert states.shape == (8193, 1) and states[-1, 0] == 8192.0 and w.shape == (8193,)
 
 
 @pytest.mark.parametrize("alpha, i0", [(3.0, 5), (2.5, 4), (2.0, 4), (1.5, 3)])
@@ -262,6 +268,17 @@ def test_backward_recurrence_closed_form_matches_mpmath(alpha, i0):
         for s, got in zip(levels, spec.tail(np.array(levels))):
             want = upper(math.floor(s) + 1) / z
             assert abs(got - want) <= 1e-13 * want
+
+
+def test_backward_recurrence_far_levels_are_zero_without_overflow_warnings():
+    # past ~1e77 the Gamma ratio overflows to inf, and the mass and tail it
+    # divides (both below 1e-600 at alpha = 3) come out an honest 0
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e200, 1e308):
+            assert spec.tail(s) == 0.0 and spec.mass(s) == 0.0
+        assert np.array_equal(spec.tail(np.array([1e200, 1e308])), [0.0, 0.0])
 
 
 def test_backward_recurrence_tail_constant():
@@ -1107,8 +1124,8 @@ def test_backward_recurrence_occupation_matches_invariant():
     n_paths, burn, horizon = 400, 200, 5200
     batch = simulate(spec, [0.0], list(range(0, horizon + 1)), n_paths=n_paths, seed=77)
     states = batch.paths[:, burn:, 0].ravel().astype(int)
-    mu = invariant_exact(spec, truncation=600_000)
-    counts = np.bincount(states, minlength=mu.weights.shape[0])
+    _, w = spec.invariant.atoms()
+    counts = np.bincount(states, minlength=w.shape[0])
     emp = counts / counts.sum()
-    tv = 0.5 * np.sum(np.abs(emp[: mu.weights.shape[0]] - mu.weights))
+    tv = 0.5 * np.sum(np.abs(emp[: w.shape[0]] - w))
     assert tv < 0.01
