@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -843,6 +844,31 @@ def _cms_draws(rng: np.random.Generator, size):
     return rng.uniform(-math.pi / 2.0, math.pi / 2.0, size), rng.exponential(1.0, size)
 
 
+def _cms_streams(rng: np.random.Generator, n: int):
+    """``take(k)``, the next ``k`` angles and ``k`` exponentials of
+    ``_cms_draws(rng, n)``, for a PCG64 ``rng``.
+
+    Each angle spends one raw word, so the exponentials start ``n`` words
+    on: a copy of ``rng`` jumped ahead that far makes them beside the angles.
+    Takes of ``n`` values in all concatenate to the whole draws bit for bit,
+    and the last leaves ``rng`` where the whole draws leave it.
+    """
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    exps = np.random.Generator(bits.advance(n))
+    left = n
+
+    def take(k):
+        nonlocal left
+        drawn = rng.uniform(-math.pi / 2.0, math.pi / 2.0, k), exps.exponential(1.0, k)
+        left -= k
+        if left == 0:
+            rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
+        return drawn
+
+    return take
+
+
 def _cms_transform(alpha: float, skew: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The CMS map of the angles ``u`` and exponentials ``w``, elementwise."""
     if alpha == 1.0:
@@ -913,8 +939,8 @@ PATH_MAX_VALUES = 50_000_000  # experiment path block: paths x grid times x dime
 BOOT_MAX_VALUES = 10_000_000  # couple bootstrap table: n_boot x grid times
 LEVEL_MAX_POINTS = 1_000_000  # lower s_grid levels
 QUANTILE_MAX_POINTS = 10_000_000  # experiment exact-invariant reference atoms
-# subordinate n_mc, clock samples per time; one estimate peaks near 24 B a
-# sample (stable clock; 16 B gamma or drift only), about 240 MB at the budget
+# subordinate n_mc, clock samples per time; one estimate holds about 8 B a
+# sample (any clock) plus fixed chunk buffers, about 80 MB at the budget
 CLOCK_MAX_SAMPLES = 10_000_000
 DRIFT_MAX_NODES = 50_000_000  # driftcheck grid points x (1 + jump nodes per point)
 JUMP_MC_MAX_VALUES = 4_000_000  # driftcheck jump_mc_samples x dimension^2, one point's batch
@@ -983,50 +1009,60 @@ def _drawn_ahead(draws):
         worker.shutdown(cancel_futures=True)
 
 
-def _in_chunks(n: int, fill) -> None:
-    """Call ``fill(lo, hi)`` once for each chunk ``[lo, hi)`` of ``range(n)``,
-    ``_PASS_CHUNK`` long but the last.
+def _in_chunks(n: int, take, fill) -> None:
+    """Call ``fill(lo, hi, take(hi - lo))`` once for each chunk ``[lo, hi)``
+    of ``range(n)``, ``_PASS_CHUNK`` long but the last, with the takes made
+    in chunk order: ``take(k)`` gives a chunk's draws, the next ``k`` of
+    each stream.
 
     ``n`` up to one chunk runs inline, with no thread.  A longer range is
-    shared by the calling thread and ``_PASS_HELPERS`` helper threads, each
-    taking the next chunk when it is done with one; numpy lets go of the
-    GIL in its elementwise loops, so the chunks are computed side by side.
-    A ``fill`` that writes only its chunk's slice, from values computed
-    elementwise, gives the same bits whoever runs it; every chunk runs
-    under the caller's numpy error handling.  When this returns
-    or raises, every helper has stopped and been joined; an exception
-    raised in a helper's chunk is raised here, and no chunk is begun after
-    one has raised.
+    shared by the calling thread and ``_PASS_HELPERS`` helper threads.  Each
+    thread takes the next chunk and its draws under one lock and fills it
+    outside the lock; numpy lets go of the GIL in its draws and elementwise
+    loops, so one thread's draws run beside another's fill.  A ``fill``
+    that writes only its chunk's slice, from values computed elementwise,
+    gives the same bits whoever runs it; every take and fill runs under the
+    caller's numpy error handling.  When this returns or raises, every
+    helper has stopped and been joined; the first exception a take or fill
+    raised is raised here, and no chunk is begun after it.
     """
     if n <= _PASS_CHUNK:
-        fill(0, n)
+        fill(0, n, take(n))
         return
+    lock = threading.Lock()
+    starts = iter(range(0, n, _PASS_CHUNK))
     failed = []
     errors = np.geterr()  # a new thread starts from numpy's default error handling
 
-    def run(lo):
-        if failed:
-            return
-        try:
-            with np.errstate(**errors):
-                fill(lo, min(lo + _PASS_CHUNK, n))
-        except BaseException:
-            failed.append(lo)
-            raise
+    def run():
+        with np.errstate(**errors):
+            while True:
+                with lock:
+                    lo = None if failed else next(starts, None)
+                    if lo is None:
+                        return
+                    hi = min(lo + _PASS_CHUNK, n)
+                    try:
+                        drawn = take(hi - lo)
+                    except BaseException as exc:  # raised in the caller, below
+                        failed.append(exc)  # before another chunk is taken
+                        return
+                try:
+                    fill(lo, hi, drawn)
+                except BaseException as exc:
+                    failed.append(exc)
+                    return
 
     helpers = ThreadPoolExecutor(_PASS_HELPERS, thread_name_prefix="ergolab-pass")
     try:
-        chunks = {lo: helpers.submit(run, lo) for lo in range(0, n, _PASS_CHUNK)}
-        # a chunk can be cancelled only before a helper begins it, so whoever
-        # cancels it runs it
-        for lo, chunk in chunks.items():
-            if chunk.cancel():
-                run(lo)
+        shared = [helpers.submit(run) for _ in range(_PASS_HELPERS)]
+        run()
     finally:
-        helpers.shutdown(cancel_futures=True)
-    for chunk in chunks.values():
-        if not chunk.cancelled():
-            chunk.result()
+        helpers.shutdown()
+    for helper in shared:
+        helper.result()
+    if failed:
+        raise failed[0]
 
 
 def _psd_sqrt_matrix(a: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .processes import _cms_draws, _in_chunks, _one_sided_transform
+from .processes import _cms_streams, _in_chunks, _one_sided_transform
 
 __all__ = [
     "DriftOnly",
@@ -49,12 +49,16 @@ __all__ = [
 class _ClockKind:
     """A kind states the jump part of its clock: ``laplace_exponent(u)``, and
     an exact-in-law ``increment(dt, rng, n)`` over ``dt > 0`` as two steps.
-    ``draws(dt, rng, n)`` makes every random draw whole, in stream order, as
-    a tuple of ``(n,)`` arrays; ``transform(dt, *draws)`` maps them
-    elementwise, so it may be applied to any slice of them alike."""
+    ``streams(dt, rng, n)`` states the random draws of ``n`` increments as
+    ordered streams: it returns ``take``, and ``take(k)`` gives the next
+    ``k`` values of each draw as a tuple of ``(k,)`` arrays.  Takes of ``n``
+    values in all concatenate to the whole draws, in stream order, bit for
+    bit, and leave ``rng`` where the whole draws leave it.
+    ``transform(dt, *drawn)`` maps them elementwise, so it may be applied
+    to each take alike."""
 
     def increment(self, dt: float, rng, n: int) -> np.ndarray:
-        return self.transform(dt, *self.draws(dt, rng, n))
+        return self.transform(dt, *self.streams(dt, rng, n)(n))
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ class StableSub(_ClockKind):
     def laplace_exponent(self, u):
         return u**self.alpha
 
-    def draws(self, dt: float, rng, n: int):
-        return _cms_draws(rng, n)
+    def streams(self, dt: float, rng, n: int):
+        return _cms_streams(rng, n)
 
     def transform(self, dt: float, u, w) -> np.ndarray:
         return dt ** (1.0 / self.alpha) * _one_sided_transform(self.alpha, u, w)
@@ -91,8 +95,8 @@ class GammaSub(_ClockKind):
     def laplace_exponent(self, u):
         return self.a * np.log1p(u / self.b_hat)
 
-    def draws(self, dt: float, rng, n: int):
-        return (rng.gamma(self.a * dt, 1.0 / self.b_hat, n),)
+    def streams(self, dt: float, rng, n: int):
+        return lambda k: (rng.gamma(self.a * dt, 1.0 / self.b_hat, k),)
 
     def transform(self, dt: float, g) -> np.ndarray:
         return g
@@ -105,8 +109,8 @@ class DriftOnly(_ClockKind):
     def laplace_exponent(self, u):
         return 0.0
 
-    def draws(self, dt: float, rng, n: int):
-        return (np.zeros(n),)
+    def streams(self, dt: float, rng, n: int):
+        return lambda k: (np.zeros(k),)
 
     def transform(self, dt: float, z) -> np.ndarray:
         return z
@@ -229,38 +233,36 @@ def subordinate_rate(
     """Estimate ``r_psi(t) = (E[r(S(t))^p])^{1/p}`` by Monte Carlo.
 
     The clock's draws are those of :func:`sample_subordinator` with the same
-    seed, made whole; each chunk of them is taken to ``r(S(t))^p`` in one
-    pass on two threads (see :func:`ergolab.processes._in_chunks`), which
-    gives the bits of the whole-array computation.  Raises NumericalError
-    when a clock sample is NaN, as a stable clock of very small ``alpha``
-    gives when both factors of its transform leave the float range.
+    seed.  Each chunk of them is made where it is used, in stream order,
+    and taken to ``r(S(t))^p`` in one pass on two threads (see
+    :func:`ergolab.processes._in_chunks`), which gives the bits of the
+    whole-array computation; the moments are then taken in place, so one
+    estimate holds about 8 B a sample.  Raises NumericalError when a clock
+    sample is NaN, as a stable clock of very small ``alpha`` gives when both
+    factors of its transform leave the float range.
     """
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if n_mc < 2:
         raise DomainError("need at least two Monte Carlo samples")
     _check_clock(t, n_mc)
-    t, kind = float(t), spec.kind
-    if t == 0.0:
-        draws = (np.full(n_mc, 0.0),)
-    else:
-        draws = kind.draws(t, np.random.default_rng(seed), n_mc)
-    # each chunk's values are written over its first draws, which nothing reads again
-    vals = draws[0]
+    t = float(t)
+    clock = DriftOnly() if t == 0.0 else spec.kind  # S(0) = 0
+    shift = spec.b_S * t
+    vals = np.empty(n_mc)
 
-    def fill(lo, hi):
-        chunk = [d[lo:hi] for d in draws]
-        samples = chunk[0] if t == 0.0 else spec.b_S * t + kind.transform(t, *chunk)
+    def fill(lo, hi, drawn):
+        samples = shift + clock.transform(t, *drawn)
         vals[lo:hi] = np.asarray(rate_value(r, samples), dtype=float) ** p
 
-    _in_chunks(n_mc, fill)
+    _in_chunks(n_mc, clock.streams(t, np.random.default_rng(seed), n_mc), fill)
     mean = float(np.mean(vals))
     if math.isnan(mean):  # the values are >= 0, so only a NaN sample makes it NaN
         raise NumericalError(
             f"{int(np.count_nonzero(np.isnan(vals)))} of {n_mc} samples of the "
-            f"{kind} clock at t = {t:g} are NaN: its draws left the float range"
+            f"{spec.kind} clock at t = {t:g} are NaN: its draws left the float range"
         )
-    se = 0.0 if np.ptp(vals) == 0.0 else float(np.std(vals, ddof=1) / math.sqrt(n_mc))
+    se = _sd_in_place(vals, mean) / math.sqrt(n_mc)
     lo = max(mean - 1.96 * se, 0.0)
     hi = mean + 1.96 * se
     return SubordinatedRate(
@@ -270,3 +272,14 @@ def subordinate_rate(
         se=se,
         n_mc=n_mc,
     )
+
+
+def _sd_in_place(x: np.ndarray, mean: float) -> float:
+    """``np.std(x, ddof=1)`` of a 1-D float ``x`` of mean ``mean``, or 0 where
+    ``x`` is constant; taken by ``np.std``'s own steps, and so with its bits,
+    over ``x`` in place instead of a copy of it."""
+    if np.ptp(x) == 0.0:
+        return 0.0
+    x -= mean
+    np.square(x, out=x)
+    return math.sqrt(float(np.sum(x)) / (x.size - 1))

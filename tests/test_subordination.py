@@ -10,6 +10,7 @@ Closed-form oracles:
 * pure drift: ``S(t) = b_S t`` deterministically, so every transfer is exact.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -30,6 +31,9 @@ from ergolab.subordination import (
     sample_subordinator,
     subordinate_rate,
 )
+from ergolab.subordination import _sd_in_place
+
+_C = processes._PASS_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +191,86 @@ def test_subordinate_rate_at_a_small_alpha_is_finite():
 
 
 @pytest.mark.parametrize(
-    "kind, parent_bytes",
-    [(StableSub(alpha=0.5), 40.0), (GammaSub(a=1.2, b_hat=3.0), 24.0), (DriftOnly(), 24.0)],
+    "r, p, spec",
+    [
+        (Exponential(gamma=0.5), 2.0, SubordinatorSpec(kind=StableSub(alpha=0.5))),
+        (Polynomial(exponent=1.5), 3.0, SubordinatorSpec(kind=GammaSub(a=1.2, b_hat=3.0), b_S=0.25)),
+        (Polynomial(exponent=1.5), 3.0, SubordinatorSpec(kind=DriftOnly(), b_S=0.25)),
+    ],
     ids=["stable", "gamma", "drift_only"],
 )
-def test_subordinate_rate_memory_per_sample(kind, parent_bytes):
-    # the traced peak of one estimate, per clock sample, stays within what
-    # the whole-array computation took (stable clock: 40 B at 500,000)
-    spec = SubordinatorSpec(kind=kind, b_S=0.25)
-    r = Polynomial(exponent=1.5)
-    n_mc = 200_000
-    subordinate_rate(r, 3.0, spec, 1.0, n_mc=1000, seed=1)
+def test_subordinate_rate_memory_per_sample(r, p, spec):
+    # the traced peak of one estimate holds its values, 8 B a sample, and
+    # fixed chunk buffers: the clock is drawn a chunk at a time and the
+    # moments are taken in place (the stable case is the certify workload's
+    # clock and profile; drawn whole, it took 24 B a sample, and gamma 16)
+    n_mc = 2**20
+    subordinate_rate(r, p, spec, 1.0, n_mc=1000, seed=1)
     tracemalloc.start()
     try:
-        subordinate_rate(r, 3.0, spec, 1.0, n_mc=n_mc, seed=1)
+        subordinate_rate(r, p, spec, 1.0, n_mc=n_mc, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n_mc <= parent_bytes
+    assert peak <= 8 * n_mc + 4 * 2**20
+
+
+def _uneven_takes(take, n):
+    """The draws of takes of ``n`` values in all, in uneven pieces, joined."""
+    pieces, left = [], n
+    for k in itertools.cycle((3, 1, _C + 5, 17, _C - 2, 2 * _C + 1)):
+        if not left:
+            return [np.concatenate(stream) for stream in zip(*pieces)]
+        pieces.append(take(min(k, left)))
+        left -= min(k, left)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        StableSub(alpha=0.01),
+        StableSub(alpha=0.3),
+        StableSub(alpha=0.5),
+        StableSub(alpha=0.95),
+        GammaSub(a=0.4, b_hat=2.0),
+        GammaSub(a=3.0, b_hat=2.0),
+        DriftOnly(),
+    ],
+    ids=["stable-0.01", "stable-0.3", "stable-0.5", "stable-0.95", "gamma-0.28", "gamma-2.1", "drift_only"],
+)
+@pytest.mark.parametrize("n", [1, 7, _C - 1, _C, _C + 1, 3 * _C + 7])
+def test_clock_streams_join_to_the_whole_draws(kind, n):
+    # a clock's takes, in uneven pieces, join to its draws made whole, bit
+    # for bit, and leave the generator where the whole draws leave it
+    dt = 0.7
+    rng, whole = np.random.default_rng(11), np.random.default_rng(11)
+    got = _uneven_takes(kind.streams(dt, rng, n), n)
+    if isinstance(kind, StableSub):
+        want = processes._cms_draws(whole, n)
+    elif isinstance(kind, GammaSub):
+        want = (whole.gamma(kind.a * dt, 1.0 / kind.b_hat, n),)
+    else:
+        want = (np.zeros(n),)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def test_sd_in_place_keeps_the_bits_of_np_std():
+    # 240 seeded arrays of 2 to 2^18 values spanning many decades, squares
+    # beyond the float range among them, and constant arrays (whose np.std
+    # need not be 0, as their mean may round) through the constant branch
+    rng = np.random.default_rng(29)
+    for i in range(240):
+        n = int(2 ** rng.uniform(1.0, 18.0)) if i % 40 else 2**18
+        if i % 8 == 0:
+            x = np.full(n, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-300, 300))
+        else:
+            span = (5.0, 100.0, 300.0)[i % 3]
+            x = rng.uniform(0.0, 1.0, n) * 10 ** rng.uniform(-span, span, n)
+        mean = float(np.mean(x))
+        with np.errstate(over="ignore"):
+            want = 0.0 if np.ptp(x) == 0.0 else float(np.std(x, ddof=1))
+            got = _sd_in_place(x.copy(), mean)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (i, n, got, want)
