@@ -104,12 +104,11 @@ from .subordination import (
     subordinate_rate,
 )
 from .wasserstein import (
-    _LP_SIZE_GUARD,
-    _SINKHORN_SIZE_GUARD,
+    _COST_MAX_CELLS,
     EmpiricalMeasure,
     sinkhorn_annealed,
     w_1d,
-    w_exact_lp,
+    w_assignment,
 )
 
 __all__ = [
@@ -148,8 +147,9 @@ def _within_plan(spec, times, max_step: float, n_paths: int, starts: int = 1) ->
 
 
 # A distance kind states ``max_cells``, the largest cost matrix (support
-# sizes multiplied) it accepts, or None when it forms none, and ``max_dim``,
-# the largest dimension of the measures it compares, or None for any.
+# sizes multiplied) it accepts, or None when it forms none, ``max_dim``, the
+# largest dimension of the measures it compares, or None for any, and
+# ``equal_sizes``, whether it pairs only measures of equal size.
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,7 @@ class W1D:
 
     max_cells: ClassVar[int | None] = None
     max_dim: ClassVar[int | None] = 1
+    equal_sizes: ClassVar[bool] = False
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
         return w_1d(mu, nu, p)
@@ -165,13 +166,14 @@ class W1D:
 
 @dataclass(frozen=True)
 class ExactLP:
-    """Exact ``W_p`` from the transport linear program."""
+    """Exact ``W_p`` between uniform measures of equal size, by assignment."""
 
-    max_cells: ClassVar[int | None] = _LP_SIZE_GUARD
+    max_cells: ClassVar[int | None] = _COST_MAX_CELLS
     max_dim: ClassVar[int | None] = None
+    equal_sizes: ClassVar[bool] = True
 
     def distance(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
-        return w_exact_lp(mu, nu, p).distance
+        return w_assignment(mu, nu, p)
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,9 @@ class Sinkhorn:
     """Annealed entropic ``W_p`` down to the regularization ``epsilon``."""
 
     epsilon: float
-    max_cells: ClassVar[int | None] = _SINKHORN_SIZE_GUARD
+    max_cells: ClassVar[int | None] = _COST_MAX_CELLS
     max_dim: ClassVar[int | None] = None
+    equal_sizes: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
@@ -311,6 +314,11 @@ class ExperimentConfig:
         if not self.max_step > 0:
             raise DomainError(f"max_step must be positive, got {self.max_step}")
         atoms = self.reference.atoms(self)
+        if self.distance.equal_sizes and atoms != self.n_paths:
+            raise ConfigError(
+                f"distance {_to_json(self.distance)['kind']!r} pairs measures of equal size, "
+                f"but n_paths is {self.n_paths} and the reference has {atoms} atoms"
+            )
         if self.distance.max_cells is not None:
             _within(self.n_paths * atoms, self.distance.max_cells, "the cost matrix")
         _within_plan(self.process, _curve_grid(t_grid), self.max_step, self.n_paths)

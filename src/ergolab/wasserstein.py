@@ -4,8 +4,9 @@ Three independent routes to the same number are kept deliberately separate:
 
 * :func:`w_1d` — exact 1-D distance by quantile coupling on the merged CDF
   breakpoints (no optimization, pure order statistics);
-* :func:`w_exact_lp` — exact optimal plan on the bipartite transport polytope
-  (simplex on the flattened LP), desk-scale guarded;
+* :func:`w_assignment` — exact distance between two uniform measures of
+  equal size, whose optimal plans include a permutation (Birkhoff–von
+  Neumann), found on the cost matrix by ``linear_sum_assignment``;
 * :func:`sinkhorn` — entropic regularization by the stabilized scaling
   iteration (Schmitzer 2019): two matrix-vector products an iteration on a
   kernel that absorbs the log potentials, with a half-step redone in the log
@@ -36,22 +37,19 @@ from .errors import DomainError, NonConvergenceError, NumericalError, SizeError
 
 __all__ = [
     "EmpiricalMeasure",
-    "TransportPlan",
     "SinkhornResult",
     "w_1d",
-    "w_exact_lp",
+    "w_assignment",
     "sinkhorn",
     "sinkhorn_annealed",
     "w2_gaussian",
 ]
 
 _WEIGHT_TOL = 1e-12
-_MARGINAL_TOL = 1e-9
-# cost-matrix cells (support sizes k1 x k2) each solver accepts: the LP holds
-# a dense (k1 + k2 - 1) x k1 k2 constraint matrix, Sinkhorn a few k1 x k2
-# float arrays (about 40 bytes a cell at the peak of a kernel rebuild)
-_LP_SIZE_GUARD = 10_000
-_SINKHORN_SIZE_GUARD = 2**22
+# cost-matrix cells (support sizes k1 x k2) both solvers accept, 2,048 points
+# a side: Sinkhorn holds a few k1 x k2 float arrays (about 40 bytes a cell at
+# the peak of a kernel rebuild), the assignment the cost matrix
+_COST_MAX_CELLS = 2**22
 # annealing schedule of sinkhorn_annealed: epsilon times 3^k, ..., 3, 1, with
 # epsilon 3^k the smallest at or above the largest cost and k < _N_STAGES
 _N_STAGES = 10
@@ -125,33 +123,15 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(points=self.points[keep], weights=self.weights[keep])
 
 
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """Optimal coupling between two empirical measures for cost ``d^p``."""
+def _check_p(p: float) -> None:
+    """Refuse an exponent that is not ``>= 1`` (NaN included)."""
+    if not p >= 1.0:
+        raise DomainError(f"p must be >= 1, got {p}")
 
-    source: EmpiricalMeasure
-    target: EmpiricalMeasure
-    plan: np.ndarray
-    cost: float
-    p: float
 
-    def __post_init__(self):
-        plan = np.asarray(self.plan, dtype=float)
-        if np.any(plan < -_MARGINAL_TOL):
-            raise NumericalError("transport plan has negative entries")
-        if not np.allclose(plan.sum(axis=1), self.source.weights, atol=_MARGINAL_TOL):
-            raise NumericalError("row marginals do not match the source weights")
-        if not np.allclose(plan.sum(axis=0), self.target.weights, atol=_MARGINAL_TOL):
-            raise NumericalError("column marginals do not match the target weights")
-        expected = float(np.sum(plan * _cost_matrix(self.source, self.target, self.p)))
-        if not math.isclose(expected, self.cost, rel_tol=1e-9, abs_tol=1e-12):
-            raise NumericalError("stored cost disagrees with plan * d^p")
-        plan.flags.writeable = False
-        object.__setattr__(self, "plan", plan)
-
-    @property
-    def distance(self) -> float:
-        return max(self.cost, 0.0) ** (1.0 / self.p)
+def _within_cost_budget(k1: int, k2: int) -> None:
+    if k1 * k2 > _COST_MAX_CELLS:
+        raise SizeError(f"instance size {k1}x{k2} exceeds the guard {_COST_MAX_CELLS}")
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
@@ -169,8 +149,7 @@ def w_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
     """Exact 1-D W_p by quantile coupling on the merged CDF breakpoints."""
     if mu.dim != 1 or nu.dim != 1:
         raise DomainError("w_1d requires one-dimensional measures")
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
+    _check_p(p)
     mu, nu = mu.pruned(), nu.pruned()
     ox = np.argsort(mu.points[:, 0], kind="stable")
     oy = np.argsort(nu.points[:, 0], kind="stable")
@@ -190,41 +169,29 @@ def w_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
     return float(np.sum(lengths * gaps**p) ** (1.0 / p))
 
 
-def w_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> TransportPlan:
-    """Exact optimal transport plan for cost ``d^p`` (size-guarded LP)."""
-    # imported on first use, so a run without exact_lp starts without scipy.optimize
-    from scipy.optimize import linprog
+def w_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
+    """Exact W_p between two uniform measures of equal size ``n``.
 
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    mu_p, nu_p = mu.pruned(), nu.pruned()
-    k1, k2 = mu_p.size, nu_p.size
-    if k1 * k2 > _LP_SIZE_GUARD:
-        raise SizeError(f"instance size {k1}x{k2} exceeds the guard {_LP_SIZE_GUARD}")
-    cost = _cost_matrix(mu_p, nu_p, p)
-    # equality constraints: row sums and column sums (one column constraint is
-    # redundant and dropped for numerical rank)
-    a_rows = np.zeros((k1, k1 * k2))
-    for i in range(k1):
-        a_rows[i, i * k2 : (i + 1) * k2] = 1.0
-    a_cols = np.zeros((k2 - 1, k1 * k2))
-    for j in range(k2 - 1):
-        a_cols[j, j::k2] = 1.0
-    a_eq = np.vstack([a_rows, a_cols])
-    b_eq = np.concatenate([mu_p.weights, nu_p.weights[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    if not res.success:
-        raise NumericalError(f"transport LP failed: {res.message}")
-    plan_small = np.clip(res.x.reshape(k1, k2), 0.0, None)
-    # renormalize away solver round-off so marginals match to tolerance
-    plan_small *= 1.0 / plan_small.sum() if plan_small.sum() > 0 else 1.0
-    total_cost = float(np.sum(plan_small * cost))
-    # re-embed into the original (unpruned) index sets
-    plan = np.zeros((mu.size, nu.size))
-    idx_mu = np.flatnonzero(mu.weights > 0.0)
-    idx_nu = np.flatnonzero(nu.weights > 0.0)
-    plan[np.ix_(idx_mu, idx_nu)] = plan_small
-    return TransportPlan(source=mu, target=nu, plan=plan, cost=total_cost, p=p)
+    Some optimal plan between them is a permutation matrix over ``n``
+    (Birkhoff–von Neumann), so ``W_p^p`` is the mean cost of an optimal
+    assignment, which ``linear_sum_assignment`` finds on the cost matrix
+    (Crouse, IEEE TAES 2016).  Measures of unequal size or unequal weights
+    are refused."""
+    # imported on first use, so a run without exact_lp starts without scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
+    _check_p(p)
+    if mu.size != nu.size:
+        raise DomainError(
+            f"the assignment pairs measures of equal size, got {mu.size} and {nu.size}"
+        )
+    for m in (mu, nu):
+        if m.weights.min() != m.weights.max():
+            raise DomainError("the assignment pairs uniform measures, got unequal weights")
+    _within_cost_budget(mu.size, nu.size)
+    cost = _cost_matrix(mu, nu, p)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean() ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +345,7 @@ def sinkhorn(
     :class:`NonConvergenceError` after ``max_iter`` with the partial result
     attached as ``report``.
     """
-    mu_p, nu_p = _sinkhorn_supports(mu, nu, epsilon)
+    mu_p, nu_p = _sinkhorn_supports(mu, nu, p, epsilon)
     cost = _cost_matrix(mu_p, nu_p, p)
     loga = np.log(mu_p.weights)
     logb = np.log(nu_p.weights)
@@ -406,15 +373,13 @@ def sinkhorn(
     return result
 
 
-def _sinkhorn_supports(mu, nu, epsilon):
-    """The pruned measures, once epsilon and the instance size are accepted."""
+def _sinkhorn_supports(mu, nu, p, epsilon):
+    """The pruned measures, once p, epsilon and the instance size are accepted."""
+    _check_p(p)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     mu_p, nu_p = mu.pruned(), nu.pruned()
-    if mu_p.size * nu_p.size > _SINKHORN_SIZE_GUARD:
-        raise SizeError(
-            f"instance size {mu_p.size}x{nu_p.size} exceeds the guard {_SINKHORN_SIZE_GUARD}"
-        )
+    _within_cost_budget(mu_p.size, nu_p.size)
     return mu_p, nu_p
 
 
@@ -450,7 +415,7 @@ def sinkhorn_annealed(
     call of :func:`sinkhorn`, on one cost matrix built for all of them, and
     only the final stage's plan is rounded.
     """
-    mu, nu = _sinkhorn_supports(mu, nu, epsilon)
+    mu, nu = _sinkhorn_supports(mu, nu, p, epsilon)
     cost = _cost_matrix(mu, nu, p)
     top = float(cost.max())
     k = 0

@@ -66,8 +66,9 @@ from ergolab.wasserstein import (
     EmpiricalMeasure,
     sinkhorn_annealed,
     w_1d,
-    w_exact_lp,
+    w_assignment,
 )
+from lp_oracle import w_exact_lp
 from user_callables import CustomFn
 
 
@@ -119,16 +120,21 @@ def test_criterion_01_ot_correctness():
     # the solver certifies optimality on the cost; a p-th root would amplify
     # its ~1e-9 residual into the milli-range on degenerate self instances
     assert worst_identity <= 1e-8
-    worst_sink = 0.0
+    # uniform clouds of equal size: the library's assignment against the LP
+    # oracle, and Sinkhorn against the assignment
+    worst_sink = worst_assign = 0.0
     for _ in range(3):
         mu = _uniform_cloud(rng, 32)
         nu = _uniform_cloud(rng, 32, loc=0.7)
-        exact = w_exact_lp(mu, nu, 2.0)
+        exact_cost = w_assignment(mu, nu, 2.0) ** 2
+        oracle_cost = w_exact_lp(mu, nu, 2.0).cost
+        worst_assign = max(worst_assign, abs(exact_cost - oracle_cost) / oracle_cost)
         scale2 = float(
             np.mean(np.sum((mu.points[:, None, :] - nu.points[None, :, :]) ** 2, axis=-1))
         )
         res = sinkhorn_annealed(mu, nu, p=2.0, epsilon=1e-3 * scale2, max_iter=20000, tol=2e-4)
-        worst_sink = max(worst_sink, abs(res.cost - exact.cost) / exact.cost)
+        worst_sink = max(worst_sink, abs(res.cost - exact_cost) / exact_cost)
+    assert worst_assign <= 1e-9
     assert worst_sink < 0.01
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -136,8 +142,9 @@ def test_criterion_01_ot_correctness():
         1,
         "OT correctness",
         f"200 instances: |w_1d - LP| <= {worst_pair:.2e}, symmetry/triangle defect <= "
-        f"{worst_axiom:.2e}, self-cost <= {worst_identity:.2e}; sinkhorn vs LP rel err "
-        f"<= {worst_sink:.2%}; {elapsed:.1f}s",
+        f"{worst_axiom:.2e}, self-cost <= {worst_identity:.2e}; assignment vs LP rel err "
+        f"<= {worst_assign:.2e}; sinkhorn vs assignment rel err <= {worst_sink:.2%}; "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -398,7 +398,7 @@ def test_kinds_state_their_facts():
     from ergolab.processes import _normal_quantile, simulate, standard_one_sided_stable
     from ergolab.rates import LinearPhi, PowerPhi
     from ergolab.subordination import DriftOnly, Exponential, GammaSub, Polynomial, StableSub
-    from ergolab.wasserstein import sinkhorn_annealed, w_1d, w_exact_lp
+    from ergolab.wasserstein import sinkhorn_annealed, w_1d, w_assignment
 
     # phi families: value, Phi, and Phi^-1 in closed form
     lin, power = LinearPhi(c_hat=0.5), PowerPhi(kappa=0.5, prefactor=2.0)
@@ -435,7 +435,8 @@ def test_kinds_state_their_facts():
     mu = EmpiricalMeasure.from_samples(rng.normal(0.0, 1.0, 16))
     nu = EmpiricalMeasure.from_samples(rng.normal(0.5, 1.0, 16))
     assert W1D().distance(mu, nu, 2.0) == w_1d(mu, nu, 2.0)
-    assert ExactLP().distance(mu, nu, 2.0) == w_exact_lp(mu, nu, 2.0).distance
+    assert ExactLP().distance(mu, nu, 2.0) == w_assignment(mu, nu, 2.0)
+    assert [kind.equal_sizes for kind in (W1D, ExactLP, Sinkhorn)] == [False, True, False]
     res = sinkhorn_annealed(mu, nu, 2.0, 0.05, max_iter=20000, tol=2e-4)
     assert Sinkhorn(epsilon=0.05).distance(mu, nu, 2.0) == float(res.cost ** 0.5)
 
@@ -782,10 +783,11 @@ MALFORMED = {
         _ou_config(distance={"kind": "sinkhorn", "epsilon": 0.1},
                    reference={"kind": "exact_invariant"}),
     ),
+    # 2,049 points a side against 2^22 cells
     "experiment-exact-lp-cost-matrix-too-large": (
         "experiment",
-        _ou_config(n_paths=200, distance={"kind": "exact_lp"},
-                   reference={"kind": "exact_invariant", "quantile_points": 64}),
+        _ou_config(n_paths=2049, distance={"kind": "exact_lp"},
+                   reference={"kind": "exact_invariant", "quantile_points": 2049}),
     ),
     "experiment-quantile-points-huge": (
         "experiment",
@@ -1043,23 +1045,24 @@ def test_null_selects_the_default_of_every_optional_key(command, tmp_path, capsy
 
 def test_config_refuses_a_cost_matrix_above_the_budget():
     # cells are n_paths x the reference's atoms: quantile_points, or n_paths
-    # for a long-run reference; the largest that fits still parses
-    cases = [
-        ({"kind": "sinkhorn", "epsilon": 0.1}, 2048,
-         {"kind": "exact_invariant", "quantile_points": 2048}),
-        ({"kind": "sinkhorn", "epsilon": 0.1}, 2048,
-         {"kind": "long_run_empirical", "t_burn": 1.0}),
-        ({"kind": "exact_lp"}, 100, {"kind": "exact_invariant", "quantile_points": 100}),
-        ({"kind": "exact_lp"}, 100, {"kind": "long_run_empirical", "t_burn": 1.0}),
-    ]
-    for distance, n_paths, reference in cases:
-        parse_experiment_config(
-            _ou_config(distance=distance, n_paths=n_paths, reference=reference)
-        )
-        with pytest.raises(SizeError):
-            parse_experiment_config(
-                _ou_config(distance=distance, n_paths=n_paths + 1, reference=reference)
-            )
+    # for a long-run reference; 2,048 points a side fits 2^22 cells and
+    # parses, 2,049 does not (exact_lp pairs equal sizes, so both grow)
+    sinkhorn, exact_lp = {"kind": "sinkhorn", "epsilon": 0.1}, {"kind": "exact_lp"}
+    for distance in (sinkhorn, exact_lp):
+        for n in (2048, 2049):
+            for reference in ({"kind": "exact_invariant", "quantile_points": n},
+                              {"kind": "long_run_empirical", "t_burn": 1.0}):
+                payload = _ou_config(distance=distance, n_paths=n, reference=reference)
+                if n == 2048:
+                    parse_experiment_config(payload)
+                else:
+                    with pytest.raises(SizeError):
+                        parse_experiment_config(payload)
+    with pytest.raises(SizeError):
+        parse_experiment_config(_ou_config(
+            distance=sinkhorn, n_paths=2049,
+            reference={"kind": "exact_invariant", "quantile_points": 2048},
+        ))
     # the chain's table holds 8,193 states at alpha = 3, i0 = 5: 511 x 8,193 <= 2^22
     sinkhorn = {"kind": "sinkhorn", "epsilon": 0.1}
     parse_experiment_config(_chain_config(distance=sinkhorn, n_paths=511))
@@ -1081,6 +1084,107 @@ def test_cli_chain_reference_above_budget_exits_2_before_simulating(tmp_path, ca
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "reference table" in capsys.readouterr().err
+
+
+def test_exact_lp_refuses_unequal_sizes_when_the_config_is_read(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("unequal sizes must be refused before anything is built")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    monkeypatch.setattr("ergolab.cli.invariant_exact", never)
+    payload = _ou_config(n_paths=16, distance={"kind": "exact_lp"},
+                         reference={"kind": "exact_invariant", "quantile_points": 32})
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "pairs measures of equal size" in err and "16" in err and "32" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_exact_lp_refuses_a_weighted_chain_reference_before_walking(tmp_path, capsys, monkeypatch):
+    # alpha = 4, i0 = 6 tabulates 1,025 states, so 1,025 paths match its size
+    # but not its weights; the noise floor meets them first, before any walk
+    def never(*args, **kwargs):
+        raise AssertionError("a weighted reference must be refused before any path is walked")
+
+    monkeypatch.setattr("ergolab.cli.simulate", never)
+    chain = {"family": "backward_recurrence", "alpha": 4.0, "i0": 6}
+    payload = _chain_config(process=chain, n_paths=1025, distance={"kind": "exact_lp"})
+    parsed = parse_experiment_config(payload)
+    assert parsed.reference.atoms(parsed) == 1025
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "uniform" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# the tiny ou-sinkhorn workload: 16 paths on 16 Gaussian quantiles, seed 1
+_OU_TINY = _ou_config(
+    t_grid=np.linspace(0.5, 3.0, 6).tolist(), n_paths=16, seed=1,
+    reference={"kind": "exact_invariant", "quantile_points": 16}, max_step=0.5,
+)
+
+
+def test_sinkhorn_never_undercuts_exact_lp_on_the_same_samples(tmp_path, capsys):
+    # Sinkhorn's value is the cost of a feasible plan, so it bounds the
+    # exact distance of the same samples from above, at every grid time and
+    # for the noise floor
+    runs = {}
+    for name, distance in (("sinkhorn", {"kind": "sinkhorn", "epsilon": 0.1}),
+                           ("exact", {"kind": "exact_lp"})):
+        out = tmp_path / name
+        cfg = _write(tmp_path / f"{name}.json", {**_OU_TINY, "distance": distance})
+        assert main(["experiment", "--config", cfg, "--out-dir", str(out)]) == 0
+        rows = np.loadtxt(out / "distances.csv", delimiter=",", skiprows=1)
+        floor = json.loads((out / "summary.json").read_text())["noise_floor"]
+        runs[name] = np.append(rows[:, 1], floor)
+    capsys.readouterr()
+    exact = runs["exact"]
+    assert exact.size == 7 and np.all(exact > 0.0)
+    assert np.all(runs["sinkhorn"] >= exact - 1e-9 * np.maximum(1.0, exact))
+
+
+# a 2-D piecewise OU network measured by the assignment against a long run
+_PIECEWISE_EXPERIMENT = {
+    "process": _PIECEWISE_2D,
+    "x0": [2.0, -1.0],
+    "t_grid": [0.5, 1.0, 2.0, 4.0],
+    "seed": 5,
+    "distance": {"kind": "exact_lp"},
+    "p": 2.0,
+    "reference": {"kind": "long_run_empirical", "t_burn": 8.0},
+    "max_step": 0.05,
+}
+
+
+def test_two_dimensional_exact_lp_experiment_runs_at_512_paths(tmp_path, capsys):
+    # 512^2 cost-matrix cells, above the 10^4 the dense LP took
+    cfg = _write(tmp_path / "cfg.json", {**_PIECEWISE_EXPERIMENT, "n_paths": 512})
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "distances.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (4, 2) and np.all(np.isfinite(rows[:, 1]))
+    # the curve falls from the start towards the long run
+    assert rows[0, 1] > rows[-1, 1]
+    assert "noise floor" in capsys.readouterr().out
+
+
+def test_two_dimensional_exact_lp_experiment_matches_the_lp_oracle(tmp_path, monkeypatch):
+    from lp_oracle import w_exact_lp
+
+    solve, pairs = cli.w_assignment, []
+
+    def recorded(mu, nu, p):
+        value = solve(mu, nu, p)
+        pairs.append((value, w_exact_lp(mu, nu, p).distance))
+        return value
+
+    monkeypatch.setattr("ergolab.cli.w_assignment", recorded)
+    cfg = parse_experiment_config({**_PIECEWISE_EXPERIMENT, "n_paths": 64})
+    run_experiment(cfg, tmp_path)
+    # the noise floor and one distance a grid time
+    assert len(pairs) == 5
+    for got, oracle in pairs:
+        assert abs(got - oracle) <= 1e-9 * oracle
 
 
 def test_cli_simulate_writes_deterministic_csv(tmp_path):

@@ -2,7 +2,8 @@
 
 No ``ergolab`` module imports scipy at module level.  The two paths that need
 it (an OU exponential of a matrix larger than 1 x 1, and ``exact_lp``'s
-``linprog``) import it on first use; none imports ``scipy.integrate``.  The
+``linear_sum_assignment``) import it on first use; none imports
+``scipy.integrate``.  The
 numpy submodules that numpy loads lazily (``numpy.random``, ``numpy.ma``,
 ``numpy.polynomial``) are loaded when ``ergolab`` is imported, not midway
 through a run.  A stray top-level import, or a new lazy load inside a

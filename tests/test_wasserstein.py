@@ -2,7 +2,8 @@
 
 Derived expected values come from enumeration oracles (all couplings of
 two-point measures, both permutation matchings) and from using one route as
-the oracle for another (w_1d vs the exact LP vs Sinkhorn).
+the oracle for another (w_1d vs the assignment vs Sinkhorn, and all of them
+vs the dense transport LP of ``lp_oracle``).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from ergolab.wasserstein import (
     sinkhorn_annealed,
     w2_gaussian,
     w_1d,
-    w_exact_lp,
+    w_assignment,
 )
+from lp_oracle import w_exact_lp
 
 
 def dirac(x):
@@ -119,7 +121,7 @@ def test_w1d_requires_one_dimension():
 
 
 # ---------------------------------------------------------------------------
-# w_exact_lp
+# the LP oracle, lp_oracle.w_exact_lp
 # ---------------------------------------------------------------------------
 
 
@@ -181,6 +183,68 @@ def test_exact_lp_prunes_zero_weights():
     )
     nu = dirac(1.0)
     assert w_exact_lp(mu, nu, 1.0).distance == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# w_assignment
+# ---------------------------------------------------------------------------
+
+
+def test_assignment_matches_the_lp_oracle_and_w1d():
+    # 200 seeded pairs of uniform clouds of equal size, a fifth of them with
+    # runs of duplicate points; in 1-D the quantile coupling is exact too
+    rng = np.random.default_rng(30)
+    worst_lp = worst_1d = 0.0
+    for i in range(200):
+        dim, p, n = 1 + i % 3, (1.0, 1.5, 2.0, 3.0)[i % 4], int(rng.integers(2, 101))
+        x = rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0)
+        y = rng.normal(loc=0.5, size=(n, dim))
+        if i % 5 == 0:
+            x[: n // 2] = x[0]
+            y[n // 3 :] = y[-1]
+        mu, nu = uniform_on(x), uniform_on(y)
+        got = w_assignment(mu, nu, p)
+        oracle = w_exact_lp(mu, nu, p).distance
+        worst_lp = max(worst_lp, abs(got - oracle) / oracle)
+        if dim == 1:
+            worst_1d = max(worst_1d, abs(got - w_1d(mu, nu, p)))
+    assert worst_lp <= 1e-9
+    assert worst_1d <= 1e-12
+
+
+def test_assignment_self_distance_and_two_matchings():
+    mu = uniform_on([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    assert w_assignment(mu, mu, 2.0) == 0.0
+    # the two permutation matchings cost 1 and sqrt(2) a pair
+    xs = uniform_on([[0.0, 0.0], [1.0, 0.0]])
+    ys = uniform_on([[0.0, 1.0], [1.0, 1.0]])
+    assert w_assignment(xs, ys, 1.0) == 1.0
+
+
+def test_assignment_refuses_unequal_sizes_weights_and_the_budget():
+    three, two = uniform_on([0.0, 1.0, 2.0]), uniform_on([0.0, 1.0])
+    with pytest.raises(DomainError, match="equal size"):
+        w_assignment(three, two, 1.0)
+    weighted = EmpiricalMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.25, 0.75]))
+    for mu, nu in ((weighted, two), (two, weighted)):
+        with pytest.raises(DomainError, match="uniform"):
+            w_assignment(mu, nu, 1.0)
+    # 2,049 points a side is above the 2^22 cells the cost matrix may hold
+    wide = uniform_on(np.zeros(2049))
+    with pytest.raises(SizeError):
+        w_assignment(wide, wide, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("estimator", ["w_1d", "sinkhorn_annealed", "w_assignment"])
+def test_estimators_refuse_p_below_one_or_nan(estimator, p):
+    # before, w_1d returned nan at p = nan, and sinkhorn_annealed returned a
+    # number at p = 0.5 and ran out its iterations at p = nan
+    rng = np.random.default_rng(8)
+    mu, nu = uniform_on(rng.normal(size=8)), uniform_on(rng.normal(size=8))
+    args = (0.1,) if estimator == "sinkhorn_annealed" else ()
+    with pytest.raises(DomainError, match="p must be >= 1"):
+        getattr(wasserstein, estimator)(mu, nu, p, *args)
 
 
 # ---------------------------------------------------------------------------
