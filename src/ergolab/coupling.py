@@ -79,8 +79,19 @@ class CoupledBatch:
         return self.first.dim
 
     def separations(self) -> np.ndarray:
-        """Euclidean distance between the components, shape (n_paths, n_times)."""
-        return np.linalg.norm(self.first.paths - self.second.paths, axis=2)
+        """Euclidean distance between the components, shape (n_paths, n_times).
+
+        Built one grid time at a time through one reused ``(n_paths, dim)``
+        difference, so no temporary the size of a path block is made; the
+        result is the transpose of a contiguous ``(n_times, n_paths)`` table.
+        """
+        first, second = self.first.paths, self.second.paths
+        table = np.empty((first.shape[1], first.shape[0]))
+        diff = np.empty((first.shape[0], first.shape[2]))
+        for k, row in enumerate(table):
+            np.subtract(first[:, k], second[:, k], out=diff)
+            row[:] = np.linalg.norm(diff, axis=1)
+        return table.T
 
 
 def synchronous_pair_sim(
@@ -267,9 +278,10 @@ def contraction_estimate(
     n = pairs.n_paths
     check_estimate(p, n_boot, n)
     times = pairs.times
-    separations = pairs.separations()
-    # (n_times, n): each grid time's distances one contiguous row
-    dist_p = separations.T.copy()
+    # (n_times, n): each grid time's distances one contiguous row, raised to
+    # p in place, so the pair's paths and this one table are all it holds
+    dist_p = pairs.separations().T
+    sep0 = float(dist_p[0, 0])
     dist_p **= p
     moment = np.mean(dist_p, axis=1) ** (1.0 / p)
 
@@ -295,7 +307,6 @@ def contraction_estimate(
     envelope = None
     violations = 0
     if params is not None:
-        sep0 = float(separations[0, 0])
         envelope = params.envelope(times, sep0)
         slack = 3.0 * se + 1e-12 * np.maximum(envelope, 1.0)
         violations = int(np.count_nonzero(moment > envelope + slack))

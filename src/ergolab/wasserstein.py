@@ -140,9 +140,20 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.nda
         return memo[3]
     if mu.dim != nu.dim:
         raise DomainError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    return d**p
+    x, y = mu.points, nu.points
+    cost = np.empty((x.shape[0], y.shape[0]))
+    # a block of rows at a time, each block's (rows, k2, dim) differences at
+    # most a quarter of the result: with the next block's made before the last
+    # one is freed, the peak is 1.5 times the result.  Each cell is numpy's
+    # own sum over its dim coordinates, so its bits do not depend on the blocks.
+    rows = max(1, x.shape[0] // (4 * mu.dim))
+    for start in range(0, x.shape[0], rows):
+        diff = x[start:start + rows, None, :] - y[None, :, :]
+        diff *= diff
+        np.sum(diff, axis=-1, out=cost[start:start + rows])
+    np.sqrt(cost, out=cost)
+    cost **= p
+    return cost
 
 
 def w_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
@@ -376,7 +387,7 @@ def sinkhorn(
 def _sinkhorn_supports(mu, nu, p, epsilon):
     """The pruned measures, once p, epsilon and the instance size are accepted."""
     _check_p(p)
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     mu_p, nu_p = mu.pruned(), nu.pruned()
     _within_cost_budget(mu_p.size, nu_p.size)

@@ -14,6 +14,7 @@ Hand-derived oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from ergolab.processes import (
     OUJump,
     PiecewiseOU,
     SymmetricStable,
+    TrajectoryBatch,
     simulate,
 )
 from ergolab.rates import FIT_MIN_POINTS, fit_rate
@@ -275,6 +277,98 @@ def test_coupled_batch_validates_alignment():
     b = simulate(_ou_1d(), np.array([1.0]), grid[:-1], 16, seed=1)
     with pytest.raises(ConfigError):
         CoupledBatch(first=a, second=b)
+
+
+# ---------------------------------------------------------------------------
+# separations
+# ---------------------------------------------------------------------------
+
+
+def _random_pair(n_paths, n_times, dim, seed):
+    """A coupled pair of seeded Gaussian path blocks, both views of one
+    ``(2, n_paths, n_times, dim)`` block as :func:`simulate` returns them."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((2, n_paths, n_times, dim))
+    times = np.linspace(0.0, 3.0, n_times)
+    return CoupledBatch(TrajectoryBatch(times, block[0]), TrajectoryBatch(times, block[1]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_separations_match_the_whole_block_norm_bit_for_bit(dim):
+    pair = _random_pair(500, 7, dim, seed=dim)
+    table = pair.separations()
+    whole_block = np.linalg.norm(pair.first.paths - pair.second.paths, axis=2)
+    assert table.shape == (500, 7)
+    assert np.array_equal(table, whole_block)
+    # each grid time's distances are one contiguous row of the transpose
+    assert table.T.flags.c_contiguous
+
+
+def _whole_block_estimate(pairs, p, params, n_boot, seed):
+    """:func:`contraction_estimate` as it read a copy of the whole-block norm."""
+    n, times = pairs.n_paths, pairs.times
+    separations = np.linalg.norm(pairs.first.paths - pairs.second.paths, axis=2)
+    dist_p = separations.T.copy()
+    dist_p **= p
+    moment = np.mean(dist_p, axis=1) ** (1.0 / p)
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, times.shape[0]))
+    for b in range(n_boot):
+        counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        boot[b] = (np.einsum("i,ti->t", counts, dist_p) / n) ** (1.0 / p)
+    se = boot.std(axis=0, ddof=1)
+    usable = moment > 10.0 * se
+    fitted_rate = math.nan
+    if usable.sum() >= FIT_MIN_POINTS:
+        fitted_rate = fit_rate(times[usable], moment[usable], "exponential").rate
+    envelope = params.envelope(times, float(separations[0, 0]))
+    slack = 3.0 * se + 1e-12 * np.maximum(envelope, 1.0)
+    return {
+        "moment_curve": moment,
+        "ci_lo": np.percentile(boot, 2.5, axis=0),
+        "ci_hi": np.percentile(boot, 97.5, axis=0),
+        "boot_se": se,
+        "fitted_rate": fitted_rate,
+        "envelope": envelope,
+        "violations": int(np.count_nonzero(moment > envelope + slack)),
+    }
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_contraction_estimate_matches_the_whole_block_estimate(p):
+    jumps = DiscreteJumps(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]),
+                          np.array([0.4, 0.4, 0.2]))
+    spec = PiecewiseOU(
+        l=np.zeros(2), M=np.eye(2), Gamma=0.5 * np.eye(2), v=np.array([0.6, 0.4]),
+        sigma=0.5 * np.eye(2), levy=LevyMeasureSpec(kind=CompoundPoisson(1.0, jumps)),
+    )
+    grid = np.linspace(0.0, 3.0, 13)
+    pair = synchronous_pair_sim(spec, np.array([3.0, 1.0]), np.array([-1.0, -2.0]), grid, 400,
+                                seed=1, max_step=0.05)
+    q = find_q(spec)
+    params = DissipativityParams(q=q, p=p, c_p=prop35_cp(spec, q, 0.0, p))
+    report = contraction_estimate(pair, p, params=params, n_boot=60, seed=5)
+    expected = _whole_block_estimate(pair, p, params, n_boot=60, seed=5)
+    assert np.array_equal(report.times, grid)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(report, name), value, equal_nan=True), name
+
+
+def test_contraction_estimate_holds_one_separation_table():
+    # traced peak of one estimate on a 2-D pair of 50,000 paths x 13 grid
+    # times, against the 5.2 MB table: the table and the bootstrap's per-draw
+    # index and count vectors (6.0 times the table when the whole-block norm
+    # made three block-sized temporaries and the estimate copied its result)
+    pair = _random_pair(50_000, 13, 2, seed=4)
+    table_bytes = 50_000 * 13 * 8
+    tracemalloc.start()
+    try:
+        report = contraction_estimate(pair, 2.0, n_boot=20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.moment_curve.shape == (13,)
+    assert peak <= 2 * table_bytes
 
 
 # ---------------------------------------------------------------------------
