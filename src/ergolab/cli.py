@@ -717,8 +717,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 _CSV_ROWS = 2**14  # rows of a CSV formatted per call
-# the cell format of a numpy column, by dtype kind; any other column is "%s" of _cell
-_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+# the cell format of a numpy column, by dtype kind (a string column is its own
+# text); any other column is "%s" of _cell
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def _cell(value) -> str:
@@ -734,8 +735,9 @@ def _write_csv(path: Path, header, columns) -> None:
     sequences or flat iterators, ``_CSV_ROWS`` rows at a time.  Every line
     ends in ``\\n``; a float is spelled ``%.17g``, which reads back to the
     same double, an integer as itself and None as an empty cell.  A block of
-    a float or integer numpy column is formatted by one ``%`` with the rest
-    of its rows, every other value cell by cell (see :func:`_cell`)."""
+    a float, integer or string numpy column is formatted by one ``%`` with
+    the rest of its rows (a string cell passes through as it is), every
+    other value cell by cell (see :func:`_cell`)."""
     columns = list(columns)
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
@@ -860,13 +862,15 @@ def _cmd_simulate(cfg, out: Path) -> int:
     _within_plan(spec, grid, cfg.max_step, cfg.n_paths)
     batch = simulate(spec, cfg.x0, grid, cfg.n_paths, cfg.seed, max_step=cfg.max_step)
     dest = out / "trajectories.csv"
-    # one row per path and grid time, path-major, read off views: no column is copied
+    # one row per path and grid time, path-major, read off views: no column is
+    # copied, and each grid time is spelled once, as the writer spells a float
     shape = batch.paths.shape[:2]
+    times = np.array(["%.17g" % t for t in batch.times.tolist()])
     _write_csv(
         dest,
         ["path", "time"] + [f"x{i + 1}" for i in range(spec.dim)],
         [np.broadcast_to(np.arange(cfg.n_paths)[:, None], shape).flat,
-         np.broadcast_to(batch.times, shape).flat]
+         np.broadcast_to(times, shape).flat]
         + [batch.paths[:, :, i].flat for i in range(spec.dim)],
     )
     print(f"simulated {cfg.n_paths} paths at {grid.size} grid times -> {dest}")
@@ -925,7 +929,8 @@ def _cmd_couple(cfg, out: Path) -> int:
     if grid[0] != 0.0:
         raise ConfigError(f"couple's t_grid must start at 0, got {grid[0]:g}")
     check_estimate(p, cfg.n_boot, cfg.n_paths)
-    _within(2 * cfg.n_paths * grid.size * spec.dim, PATH_MAX_VALUES, "the coupled path blocks")
+    # the pair's separation table, and the estimate's table of their p-th powers
+    _within(2 * cfg.n_paths * grid.size, PATH_MAX_VALUES, "the two separation tables")
     _within_plan(spec, grid, cfg.max_step, cfg.n_paths, starts=2)
     _within(cfg.n_boot * grid.size, BOOT_MAX_VALUES, "the bootstrap table")
     params = None

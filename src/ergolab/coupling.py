@@ -33,7 +33,7 @@ from .errors import (
     ConfigError, DegenerateDataError, DomainError, InsufficientPathsError, NotDissipativeError
 )
 from .lyapunov import QuadForm
-from .processes import PiecewiseOU, TrajectoryBatch, simulate
+from .processes import PiecewiseOU, simulate
 from .rates import FIT_MIN_POINTS, fit_rate
 
 __all__ = [
@@ -49,49 +49,37 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Paired trajectories
+# Coupled pairs
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class CoupledBatch:
-    """Two trajectory batches driven by the same noise, path by path."""
+    """The separations of two paths driven by the same noise, path by path:
+    ``table[k, i]`` is ``|X^x_t - X^y_t|`` of path ``i`` at ``t = times[k]``.
+    The table is contiguous and read-only, one grid time a row."""
 
-    first: TrajectoryBatch
-    second: TrajectoryBatch
+    times: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        if self.first.paths.shape != self.second.paths.shape:
-            raise ConfigError("coupled batches must have identical shapes")
-        if not np.array_equal(self.first.times, self.second.times):
-            raise ConfigError("coupled batches must share the same time grid")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.first.times
+        t = np.asarray(self.times, dtype=float)
+        table = np.ascontiguousarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != t.shape[0]:
+            raise ConfigError("the separation table must be (n_times, n_paths) matching times")
+        t.flags.writeable = False
+        table.flags.writeable = False
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "table", table)
 
     @property
     def n_paths(self) -> int:
-        return self.first.n_paths
-
-    @property
-    def dim(self) -> int:
-        return self.first.dim
+        return self.table.shape[1]
 
     def separations(self) -> np.ndarray:
-        """Euclidean distance between the components, shape (n_paths, n_times).
-
-        Built one grid time at a time through one reused ``(n_paths, dim)``
-        difference, so no temporary the size of a path block is made; the
-        result is the transpose of a contiguous ``(n_times, n_paths)`` table.
-        """
-        first, second = self.first.paths, self.second.paths
-        table = np.empty((first.shape[1], first.shape[0]))
-        diff = np.empty((first.shape[0], first.shape[2]))
-        for k, row in enumerate(table):
-            np.subtract(first[:, k], second[:, k], out=diff)
-            row[:] = np.linalg.norm(diff, axis=1)
-        return table.T
+        """Euclidean distance between the components, shape (n_paths, n_times):
+        the transpose of the contiguous table."""
+        return self.table.T
 
 
 def synchronous_pair_sim(
@@ -102,16 +90,18 @@ def synchronous_pair_sim(
     One :func:`simulate` call walks the stack of the two starts as one
     ``(2, m, dim)`` state: every per-path draw (Brownian increment, jump
     count and marks, stable draw, chain word) is made once and applied
-    to both components.  Each row of the state is computed alone, so each
-    marginal is bit for bit the :func:`simulate` output from its own start
-    with the same seed, provided the spec's callables compute each row
-    alone, as the built-in families do.
+    to both components.  The call keeps only each path's separation at
+    each grid time, never the paths.  Each row of the state is computed
+    alone, so each marginal is bit for bit the :func:`simulate` output from
+    its own start with the same seed, provided the spec's callables compute
+    each row alone, as the built-in families do, and the table is the norm
+    of those outputs' difference.
     """
     for start in (x, y):
         spec.check_start(start)
     starts = np.stack([np.asarray(start, dtype=float).ravel() for start in (x, y)])
-    first, second = simulate(spec, starts, t_grid, n_paths, seed, max_step=max_step)
-    return CoupledBatch(first=first, second=second)
+    table = simulate(spec, starts, t_grid, n_paths, seed, max_step=max_step, separation=True)
+    return CoupledBatch(times=t_grid, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +269,10 @@ def contraction_estimate(
     check_estimate(p, n_boot, n)
     times = pairs.times
     # (n_times, n): each grid time's distances one contiguous row, raised to
-    # p in place, so the pair's paths and this one table are all it holds
+    # p in a table of its own, so a second estimate reads the same pair
     dist_p = pairs.separations().T
     sep0 = float(dist_p[0, 0])
-    dist_p **= p
+    dist_p = dist_p ** p
     moment = np.mean(dist_p, axis=1) ** (1.0 / p)
 
     # a draw's resample mean is its per-path counts against each row of

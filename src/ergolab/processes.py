@@ -12,7 +12,8 @@ The module couples two layers:
 * numerics — :func:`simulate` (one block loop over the family's
   ``walker``: Euler–Maruyama with exact-in-law noise increments per step,
   stable increments by Chambers–Mallows–Stuck; exact recursion for the
-  discrete-time chain), :func:`step_plan` (the steps a path takes, which
+  discrete-time chain; it keeps each grid time's states, or a coupled
+  pair's separations), :func:`step_plan` (the steps a path takes, which
   the walkers follow and the config budgets), :func:`invariant_exact` (an
   invariant law as a reference measure), :func:`ou_exact_transition`
   (Gaussian marginal of a linear SDE) and :func:`langevin_coeffs`.
@@ -1181,7 +1182,9 @@ def simulate(
     n_paths: int,
     seed: int,
     max_step: float = 0.01,
-) -> TrajectoryBatch:
+    *,
+    separation: bool = False,
+):
     """Simulate ``n_paths`` trajectories observed on ``t_grid``.
 
     Continuous kinds use Euler–Maruyama with exact-in-law noise increments per
@@ -1194,6 +1197,13 @@ def simulate(
     stack of starts ``(k, dim)``, which gives a tuple of ``k`` batches
     walked as one block: one noise stream drives every start, path by path,
     and each batch is bit for bit the one-start call's.
+
+    With ``separation``, ``x0`` is a stack of two starts, and the call
+    returns, in place of their batches, the ``(n_times, n_paths)`` table of
+    each path's Euclidean distance between the two at each grid time: bit
+    for bit ``np.linalg.norm(a.paths - b.paths, axis=2).T`` of the batches
+    ``a, b`` the stacked call gives.  Each grid time's state goes straight
+    into its row, so no path block is made.
 
     Each block's draws are made on one worker thread, a few steps ahead of
     the arithmetic that uses them and in the same order, so the paths are
@@ -1212,11 +1222,25 @@ def simulate(
         spec.check_start(start)
     starts = np.stack([np.asarray(start, dtype=float).ravel() for start in starts])
     walk = spec.walker(starts, t, max_step)
-    paths = np.empty((len(starts), n_paths, t.size, spec.dim))
+    if separation:
+        if len(starts) != 2:
+            raise ConfigError(f"a separation table needs two starts, got {len(starts)}")
+        table = np.empty((t.size, n_paths))
+
+        def keep(k, lo, hi, x):
+            table[k, lo:hi] = np.linalg.norm(np.subtract(x[0], x[1], dtype=float), axis=1)
+    else:
+        paths = np.empty((len(starts), n_paths, t.size, spec.dim))
+
+        def keep(k, lo, hi, x):
+            paths[:, lo:hi, k] = x
+
     for block, lo in enumerate(range(0, n_paths, _BLOCK_SIZE)):
         hi = min(lo + _BLOCK_SIZE, n_paths)
         for k, x in enumerate(walk(hi - lo, _block_rng(seed, block))):
-            paths[:, lo:hi, k] = x
+            keep(k, lo, hi, x)
+    if separation:
+        return table
     batches = tuple(TrajectoryBatch(times=t, paths=p) for p in paths)
     return batches if stacked else batches[0]
 

@@ -1072,6 +1072,31 @@ def test_config_refuses_a_cost_matrix_above_the_budget():
     parse_experiment_config(_ou_config(n_paths=10**5, reference={"kind": "exact_invariant"}))
 
 
+def test_couple_budgets_its_two_separation_tables_whatever_the_dimension(
+    tmp_path, capsys, monkeypatch
+):
+    # the pair holds an n_paths x grid-times table of separations and the
+    # estimate a second, of their p-th powers, in any dimension: 2 x 13 x
+    # 1,923,076 values fit the 50,000,000-value budget (a 2-D pair's path
+    # blocks would hold twice that), and one path more, a table of
+    # 25,000,001 values, exits 2 before anything is simulated
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr("ergolab.coupling.simulate", reached)
+    payload = {**_COUPLE, "process": _PIECEWISE_2D, "x": [1.0, 0.0], "y": [0.0, 1.0],
+               "t_grid": [0.25 * k for k in range(13)], "max_step": 0.25}
+    cfg = _write(tmp_path / "at.json", {**payload, "n_paths": 1_923_076})
+    with pytest.raises(Reached):
+        main(["couple", "--config", cfg, "--out-dir", str(tmp_path)])
+    cfg = _write(tmp_path / "over.json", {**payload, "n_paths": 1_923_077})
+    assert main(["couple", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "the two separation tables would hold 50,000,002 elements" in capsys.readouterr().err
+
+
 def test_cli_chain_reference_above_budget_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
     # at alpha = 1.5 the tail falls below 1e-12 only past 1.6e7 states, above
     # the 10^7 reference atoms; the table size is known when the config is read
@@ -1793,6 +1818,28 @@ def test_write_csv_formats_whole_columns_to_the_row_by_row_bytes(tmp_path, n):
     cli._write_csv(tmp_path / "whole.csv", header, columns)
     _write_csv_row_by_row(tmp_path / "cells.csv", header, columns)
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_trajectories_csv_is_the_row_by_row_bytes_across_blocks(tmp_path, monkeypatch):
+    # 150 paths x 120 grid times in 2-D, 18,000 rows over two row blocks, on a
+    # grid whose times need all 17 digits: the grid times spelled once give
+    # the bytes of the writer that formats every cell
+    calls, original = [], cli.simulate
+
+    def record(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "simulate", record)
+    grid = np.linspace(0.0, 7.0, 120) / 3.0
+    payload = {**_SIMULATE, "process": _OU_2D, "x0": [1.0, -0.5], "t_grid": grid.tolist(),
+               "n_paths": 150, "max_step": 0.1}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    header, columns = _traj_columns(calls)
+    assert len(columns[0]) == 18_000 > cli._CSV_ROWS
+    _write_csv_row_by_row(tmp_path / "cells.csv", header, columns)
+    assert (tmp_path / "trajectories.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 _CLOCKS_MULTI_CHUNK = {

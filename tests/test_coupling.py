@@ -46,7 +46,6 @@ from ergolab.processes import (
     OUJump,
     PiecewiseOU,
     SymmetricStable,
-    TrajectoryBatch,
     simulate,
 )
 from ergolab.rates import FIT_MIN_POINTS, fit_rate
@@ -185,27 +184,38 @@ def test_certificates_refuse_another_family(dim):
 # ---------------------------------------------------------------------------
 
 
+def _stacked(spec, x, y, grid, n_paths, seed, max_step=0.01):
+    """The two marginals of the synchronous coupling from ``x`` and ``y``:
+    the batches one stacked :func:`simulate` call walks."""
+    return simulate(spec, np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]),
+                    grid, n_paths, seed, max_step=max_step)
+
+
 def test_pair_sim_equal_starts_bit_exact():
     grid = np.linspace(0.0, 1.0, 5)
+    a, b = _stacked(_ou_1d(), [1.0], [1.0], grid, 64, seed=3)
+    assert np.array_equal(a.paths, b.paths)
     pair = synchronous_pair_sim(_ou_1d(), np.array([1.0]), np.array([1.0]), grid, 64, seed=3)
-    assert np.array_equal(pair.first.paths, pair.second.paths)
+    assert np.all(pair.table == 0.0)
 
 
 def test_pair_sim_ou_difference_is_deterministic_decay():
     grid = np.linspace(0.0, 3.0, 13)
-    pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 128, seed=7)
-    diff = pair.first.paths[:, :, 0] - pair.second.paths[:, :, 0]
+    a, b = _stacked(_ou_1d(), [2.0], [-1.0], grid, 128, seed=7)
+    diff = a.paths[:, :, 0] - b.paths[:, :, 0]
     expected = 3.0 * np.exp(-grid)
     assert np.allclose(diff, expected[None, :], rtol=1e-9, atol=1e-11)
+    pair = synchronous_pair_sim(_ou_1d(), np.array([2.0]), np.array([-1.0]), grid, 128, seed=7)
+    assert np.array_equal(pair.table, np.abs(diff).T)
 
 
 def test_pair_sim_marginals_match_simulate_in_law():
     grid = np.array([0.0, 1.0])
     x, y = np.array([2.0]), np.array([-1.0])
-    pair = synchronous_pair_sim(_ou_1d(), x, y, grid, 4000, seed=11)
+    pair = _stacked(_ou_1d(), x, y, grid, 4000, seed=11)
     ind_x = simulate(_ou_1d(), x, grid, 4000, seed=77)
     ind_y = simulate(_ou_1d(), y, grid, 4000, seed=78)
-    for got, ref in ((pair.first, ind_x), (pair.second, ind_y)):
+    for got, ref in zip(pair, (ind_x, ind_y)):
         p_val = stats.ks_2samp(got.paths[:, 1, :].ravel(), ref.paths[:, 1, :].ravel()).pvalue
         assert p_val > 0.001
 
@@ -249,13 +259,17 @@ _MARGINAL_CASES = {
 
 @pytest.mark.parametrize("case", list(_MARGINAL_CASES))
 def test_pair_sim_marginals_are_simulate_outputs_bit_for_bit(case):
+    # the stacked walk the pair runs gives each start's one-start paths, and
+    # the pair's table is the norm of their difference
     spec, x, y, grid, n_paths = _MARGINAL_CASES[case]
-    pair = synchronous_pair_sim(spec, x, y, grid, n_paths, seed=13)
+    a, b = _stacked(spec, x, y, grid, n_paths, seed=13)
     alone_x = simulate(spec, x, grid, n_paths, seed=13)
     alone_y = simulate(spec, y, grid, n_paths, seed=13)
-    assert np.array_equal(pair.first.paths, alone_x.paths)
-    assert np.array_equal(pair.second.paths, alone_y.paths)
-    assert not np.array_equal(pair.first.paths[:, 1], pair.second.paths[:, 1])
+    assert np.array_equal(a.paths, alone_x.paths)
+    assert np.array_equal(b.paths, alone_y.paths)
+    assert not np.array_equal(a.paths[:, 1], b.paths[:, 1])
+    pair = synchronous_pair_sim(spec, x, y, grid, n_paths, seed=13)
+    assert np.array_equal(pair.table, np.linalg.norm(a.paths - b.paths, axis=2).T)
 
 
 def test_pair_sim_queue_difference_deterministic_given_shared_jumps():
@@ -264,8 +278,8 @@ def test_pair_sim_queue_difference_deterministic_given_shared_jumps():
     # shared Brownian increments and compound-Poisson jumps.
     spec = _scalar_queue()
     grid = np.array([0.0, 0.5, 1.0])
-    pair = synchronous_pair_sim(spec, np.array([1.8]), np.array([0.3]), grid, 300, seed=5)
-    diff = pair.first.paths[:, :, 0] - pair.second.paths[:, :, 0]
+    a, b = _stacked(spec, [1.8], [0.3], grid, 300, seed=5)
+    diff = a.paths[:, :, 0] - b.paths[:, :, 0]
     assert np.ptp(diff, axis=0).max() < 1e-11
     expected = 1.5 * (1.0 - 0.01) ** np.array([0.0, 50.0, 100.0])
     assert np.allclose(diff[0], expected, rtol=1e-11)
@@ -273,10 +287,22 @@ def test_pair_sim_queue_difference_deterministic_given_shared_jumps():
 
 def test_coupled_batch_validates_alignment():
     grid = np.linspace(0.0, 1.0, 5)
-    a = simulate(_ou_1d(), np.array([1.0]), grid, 16, seed=1)
-    b = simulate(_ou_1d(), np.array([1.0]), grid[:-1], 16, seed=1)
+    pair = synchronous_pair_sim(_ou_1d(), np.array([1.0]), np.array([0.0]), grid, 16, seed=1)
     with pytest.raises(ConfigError):
-        CoupledBatch(first=a, second=b)
+        CoupledBatch(times=grid[:-1], table=pair.table)
+    with pytest.raises(ConfigError):
+        CoupledBatch(times=grid, table=pair.table[:, 0])
+    # the table is read-only, so an estimate cannot change what the next reads
+    with pytest.raises(ValueError):
+        pair.table[0, 0] = 1.0
+    assert pair.n_paths == 16
+
+
+def test_separation_table_needs_exactly_two_starts():
+    grid = np.linspace(0.0, 1.0, 3)
+    for x0 in ([1.0], [[1.0]], [[1.0], [0.0], [2.0]]):
+        with pytest.raises(ConfigError, match="two starts"):
+            simulate(_ou_1d(), x0, grid, 8, seed=1, separation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +310,33 @@ def test_coupled_batch_validates_alignment():
 # ---------------------------------------------------------------------------
 
 
-def _random_pair(n_paths, n_times, dim, seed):
-    """A coupled pair of seeded Gaussian path blocks, both views of one
-    ``(2, n_paths, n_times, dim)`` block as :func:`simulate` returns them."""
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((2, n_paths, n_times, dim))
-    times = np.linspace(0.0, 3.0, n_times)
-    return CoupledBatch(TrajectoryBatch(times, block[0]), TrajectoryBatch(times, block[1]))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 9])
-def test_separations_match_the_whole_block_norm_bit_for_bit(dim):
-    pair = _random_pair(500, 7, dim, seed=dim)
+@pytest.mark.parametrize(
+    "dim, n_paths", [(1, 500), (2, 500), (3, 500), (9, 500), (2, _BLOCK_SIZE + 100)],
+    ids=["1", "2", "3", "9", "2-across-blocks"],
+)
+def test_separations_match_the_whole_block_norm_bit_for_bit(dim, n_paths):
+    # the pair's table, made a grid time and a block at a time, against the
+    # norm of the whole difference of the stacked call's two path blocks
+    # a state-dependent sigma, so the separations differ path by path
+    spec = GenericIto(b=lambda x: -x, sigma=lambda x: 0.3 * np.tanh(x), levy=LevyMeasureSpec(),
+                      dim=dim)
+    rng = np.random.default_rng(dim)
+    x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    grid = np.linspace(0.0, 0.3, 7)
+    pair = synchronous_pair_sim(spec, x, y, grid, n_paths, seed=dim, max_step=0.05)
+    a, b = _stacked(spec, x, y, grid, n_paths, seed=dim, max_step=0.05)
+    whole_block = np.linalg.norm(a.paths - b.paths, axis=2)
     table = pair.separations()
-    whole_block = np.linalg.norm(pair.first.paths - pair.second.paths, axis=2)
-    assert table.shape == (500, 7)
+    assert table.shape == (n_paths, 7)
     assert np.array_equal(table, whole_block)
     # each grid time's distances are one contiguous row of the transpose
     assert table.T.flags.c_contiguous
+    assert np.unique(table[:, -1]).size > 1
 
 
-def _whole_block_estimate(pairs, p, params, n_boot, seed):
+def _whole_block_estimate(separations, times, p, params, n_boot, seed):
     """:func:`contraction_estimate` as it read a copy of the whole-block norm."""
-    n, times = pairs.n_paths, pairs.times
-    separations = np.linalg.norm(pairs.first.paths - pairs.second.paths, axis=2)
+    n = separations.shape[0]
     dist_p = separations.T.copy()
     dist_p **= p
     moment = np.mean(dist_p, axis=1) ** (1.0 / p)
@@ -334,41 +363,59 @@ def _whole_block_estimate(pairs, p, params, n_boot, seed):
     }
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_contraction_estimate_matches_the_whole_block_estimate(p):
+def _couple_2d_like():
     jumps = DiscreteJumps(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]),
                           np.array([0.4, 0.4, 0.2]))
-    spec = PiecewiseOU(
+    return PiecewiseOU(
         l=np.zeros(2), M=np.eye(2), Gamma=0.5 * np.eye(2), v=np.array([0.6, 0.4]),
         sigma=0.5 * np.eye(2), levy=LevyMeasureSpec(kind=CompoundPoisson(1.0, jumps)),
     )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_contraction_estimate_matches_the_whole_block_estimate(p):
+    spec = _couple_2d_like()
     grid = np.linspace(0.0, 3.0, 13)
-    pair = synchronous_pair_sim(spec, np.array([3.0, 1.0]), np.array([-1.0, -2.0]), grid, 400,
-                                seed=1, max_step=0.05)
+    x, y = np.array([3.0, 1.0]), np.array([-1.0, -2.0])
+    pair = synchronous_pair_sim(spec, x, y, grid, 400, seed=1, max_step=0.05)
+    a, b = _stacked(spec, x, y, grid, 400, seed=1, max_step=0.05)
     q = find_q(spec)
     params = DissipativityParams(q=q, p=p, c_p=prop35_cp(spec, q, 0.0, p))
     report = contraction_estimate(pair, p, params=params, n_boot=60, seed=5)
-    expected = _whole_block_estimate(pair, p, params, n_boot=60, seed=5)
+    expected = _whole_block_estimate(np.linalg.norm(a.paths - b.paths, axis=2), grid, p,
+                                     params, n_boot=60, seed=5)
     assert np.array_equal(report.times, grid)
     for name, value in expected.items():
         assert np.array_equal(getattr(report, name), value, equal_nan=True), name
 
 
 def test_contraction_estimate_holds_one_separation_table():
-    # traced peak of one estimate on a 2-D pair of 50,000 paths x 13 grid
-    # times, against the 5.2 MB table: the table and the bootstrap's per-draw
-    # index and count vectors (6.0 times the table when the whole-block norm
-    # made three block-sized temporaries and the estimate copied its result)
-    pair = _random_pair(50_000, 13, 2, seed=4)
+    # traced peaks on a 2-D pair of 50,000 paths x 13 grid times, against the
+    # 5.2 MB table.  The whole pair, walk and estimate: the pair's table, one
+    # block's walk, then the estimate's table of p-th powers and the
+    # bootstrap's per-draw index and count vectors (5.5 times the table when
+    # the pair kept both path blocks).  The estimate alone, on that pair: its
+    # table of p-th powers and the bootstrap's vectors (6.0 times when the
+    # whole-block norm made three block-sized temporaries)
+    grid = np.linspace(0.0, 3.0, 13)
     table_bytes = 50_000 * 13 * 8
     tracemalloc.start()
     try:
+        pair = synchronous_pair_sim(_couple_2d_like(), np.array([3.0, 1.0]),
+                                    np.array([-1.0, -2.0]), grid, 50_000, seed=4,
+                                    max_step=0.25)
         report = contraction_estimate(pair, 2.0, n_boot=20, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        whole = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = contraction_estimate(pair, 2.0, n_boot=20, seed=1)
+        alone = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert report.moment_curve.shape == (13,)
-    assert peak <= 2 * table_bytes
+    assert np.array_equal(again.moment_curve, report.moment_curve)
+    assert whole <= 2.5 * table_bytes
+    assert alone <= 2 * table_bytes
 
 
 # ---------------------------------------------------------------------------
