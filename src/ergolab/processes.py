@@ -29,7 +29,9 @@ Conventions
   paths follow (the generator :mod:`ergolab.lyapunov` certifies is this one).
 * ``simulate`` is deterministic given (spec, seed, grid, n_paths): paths are
   sharded into fixed-size blocks, each driven by its own PCG64 stream
-  seeded by (master seed, block index).  A walk's draws read no
+  seeded by (master seed, block index), ``_block_rng``; each chunk of a
+  clock's Monte Carlo (:mod:`ergolab.subordination`) is drawn from the
+  stream of (master seed, chunk index) the same way.  A walk's draws read no
   state, so one worker thread per block makes them, in the order a walk
   that drew as it went would, a few steps ahead of the arithmetic, which
   (with every drift, ``sigma`` and user callable) stays on the calling
@@ -99,9 +101,9 @@ _BLOCK_SIZE = 16384
 # chain: chunks of at most _CHUNK_VALUES raw words) ahead of its arithmetic.
 _DRAW_DEPTH = 2
 _CHUNK_VALUES = 2**15
-# An elementwise pass over more values than _PASS_CHUNK (a clock's Monte
-# Carlo) runs in chunks of that many, on the calling thread and
-# _PASS_HELPERS helper threads (see _in_chunks).
+# A clock's Monte Carlo runs in chunks of _PASS_CHUNK values, each drawn
+# from its own stream, on the calling thread and _PASS_HELPERS helper
+# threads (see _in_chunks).
 _PASS_CHUNK = 2**15
 _PASS_HELPERS = 1
 
@@ -839,47 +841,10 @@ def _up_thresholds(p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cms_draws(rng: np.random.Generator, size):
-    """The draws of :func:`_cms`, in stream order: every uniform angle,
-    then every standard exponential."""
-    return rng.uniform(-math.pi / 2.0, math.pi / 2.0, size), rng.exponential(1.0, size)
-
-
-def _cms_streams(rng: np.random.Generator, n: int):
-    """``take(k)``, the next ``k`` angles and ``k`` exponentials of
-    ``_cms_draws(rng, n)``, for a PCG64 ``rng``.
-
-    Each angle spends one raw word, so the exponentials start ``n`` words
-    on: a copy of ``rng`` jumped ahead that far makes them beside the angles.
-    Takes of ``n`` values in all concatenate to the whole draws bit for bit,
-    and the last leaves ``rng`` where the whole draws leave it.
-    """
-    bits = np.random.PCG64()
-    bits.state = rng.bit_generator.state
-    exps = np.random.Generator(bits.advance(n))
-    left = n
-
-    def take(k):
-        nonlocal left
-        drawn = rng.uniform(-math.pi / 2.0, math.pi / 2.0, k), exps.exponential(1.0, k)
-        left -= k
-        if left == 0:
-            rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
-        return drawn
-
-    return take
-
-
 def _cms_transform(alpha: float, skew: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The CMS map of the angles ``u`` and exponentials ``w``, elementwise."""
-    if alpha == 1.0:
-        if skew == 0.0:
-            return np.tan(u)
-        half_pi = math.pi / 2.0
-        return (2.0 / math.pi) * (
-            (half_pi + skew * u) * np.tan(u)
-            - skew * np.log((half_pi * w * np.cos(u)) / (half_pi + skew * u))
-        )
+    if alpha == 1.0:  # every skewed caller has alpha < 1: this is the symmetric (Cauchy) case
+        return np.tan(u)
     t = math.tan(math.pi * alpha / 2.0)
     b = math.atan(skew * t) / alpha
     s = (1.0 + skew * skew * t * t) ** (1.0 / (2.0 * alpha))
@@ -907,13 +872,11 @@ def _cms_transform(alpha: float, skew: float, u: np.ndarray, w: np.ndarray) -> n
     return angle
 
 
-def _one_sided_transform(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`standard_one_sided_stable` of the draws :func:`_cms_draws` made."""
-    return math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha) * _cms_transform(alpha, 1.0, u, w)
-
-
 def _cms(alpha: float, skew: float, rng: np.random.Generator, size) -> np.ndarray:
-    return _cms_transform(alpha, skew, *_cms_draws(rng, size))
+    """Standard stable samples: every uniform angle is drawn, then every
+    standard exponential, and the two are mapped by :func:`_cms_transform`."""
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    return _cms_transform(alpha, skew, u, rng.exponential(1.0, size))
 
 
 def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -925,7 +888,7 @@ def standard_one_sided_stable(alpha: float, rng: np.random.Generator, size) -> n
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    return _one_sided_transform(alpha, *_cms_draws(rng, size))
+    return math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha) * _cms(alpha, 1.0, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,28 +973,24 @@ def _drawn_ahead(draws):
         worker.shutdown(cancel_futures=True)
 
 
-def _in_chunks(n: int, take, fill) -> None:
-    """Call ``fill(lo, hi, take(hi - lo))`` once for each chunk ``[lo, hi)``
-    of ``range(n)``, ``_PASS_CHUNK`` long but the last, with the takes made
-    in chunk order: ``take(k)`` gives a chunk's draws, the next ``k`` of
-    each stream.
+def _in_chunks(n: int, fill) -> None:
+    """Call ``fill(chunk, lo, hi)`` once for each chunk ``[lo, hi)`` of
+    ``range(n)``, numbered from 0 and ``_PASS_CHUNK`` long but the last.
 
-    ``n`` up to one chunk runs inline, with no thread.  A longer range is
-    shared by the calling thread and ``_PASS_HELPERS`` helper threads.  Each
-    thread takes the next chunk and its draws under one lock and fills it
-    outside the lock; numpy lets go of the GIL in its draws and elementwise
-    loops, so one thread's draws run beside another's fill.  A ``fill``
-    that writes only its chunk's slice, from values computed elementwise,
-    gives the same bits whoever runs it; every take and fill runs under the
-    caller's numpy error handling.  When this returns or raises, every
-    helper has stopped and been joined; the first exception a take or fill
-    raised is raised here, and no chunk is begun after it.
+    The calling thread and up to ``_PASS_HELPERS`` helper threads, one
+    fewer than the chunks (so one chunk runs with no thread), share the
+    chunks in any order: each thread takes the next chunk number under a
+    lock and fills that chunk outside it, and numpy lets go of the GIL in
+    its draws and elementwise loops.  A ``fill`` that draws from its
+    chunk's own stream and writes only its chunk's slice gives the same
+    bits whoever runs it; every fill runs under the caller's numpy error
+    handling.  When this returns or raises, every helper has stopped and
+    been joined; the first exception a fill raised is raised here, and no
+    chunk is begun after it.
     """
-    if n <= _PASS_CHUNK:
-        fill(0, n, take(n))
-        return
+    n_chunks = -(-n // _PASS_CHUNK)
     lock = threading.Lock()
-    starts = iter(range(0, n, _PASS_CHUNK))
+    chunks = iter(range(n_chunks))
     failed = []
     errors = np.geterr()  # a new thread starts from numpy's default error handling
 
@@ -1039,24 +998,20 @@ def _in_chunks(n: int, take, fill) -> None:
         with np.errstate(**errors):
             while True:
                 with lock:
-                    lo = None if failed else next(starts, None)
-                    if lo is None:
-                        return
-                    hi = min(lo + _PASS_CHUNK, n)
-                    try:
-                        drawn = take(hi - lo)
-                    except BaseException as exc:  # raised in the caller, below
-                        failed.append(exc)  # before another chunk is taken
-                        return
+                    chunk = None if failed else next(chunks, None)
+                if chunk is None:
+                    return
+                lo = chunk * _PASS_CHUNK
                 try:
-                    fill(lo, hi, drawn)
-                except BaseException as exc:
+                    fill(chunk, lo, min(lo + _PASS_CHUNK, n))
+                except BaseException as exc:  # raised in the caller, below
                     failed.append(exc)
                     return
 
-    helpers = ThreadPoolExecutor(_PASS_HELPERS, thread_name_prefix="ergolab-pass")
+    # no worker thread starts before a submit, so a pool of one serves none
+    helpers = ThreadPoolExecutor(max(_PASS_HELPERS, 1), thread_name_prefix="ergolab-pass")
     try:
-        shared = [helpers.submit(run) for _ in range(_PASS_HELPERS)]
+        shared = [helpers.submit(run) for _ in range(min(_PASS_HELPERS, n_chunks - 1))]
         run()
     finally:
         helpers.shutdown()

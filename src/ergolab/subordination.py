@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .processes import _cms_streams, _in_chunks, _one_sided_transform
+from .processes import _block_rng, _in_chunks, standard_one_sided_stable
 
 __all__ = [
     "DriftOnly",
@@ -46,23 +46,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _ClockKind:
-    """A kind states the jump part of its clock: ``laplace_exponent(u)``, and
-    an exact-in-law ``increment(dt, rng, n)`` over ``dt > 0`` as two steps.
-    ``streams(dt, rng, n)`` states the random draws of ``n`` increments as
-    ordered streams: it returns ``take``, and ``take(k)`` gives the next
-    ``k`` values of each draw as a tuple of ``(k,)`` arrays.  Takes of ``n``
-    values in all concatenate to the whole draws, in stream order, bit for
-    bit, and leave ``rng`` where the whole draws leave it.
-    ``transform(dt, *drawn)`` maps them elementwise, so it may be applied
-    to each take alike."""
-
-    def increment(self, dt: float, rng, n: int) -> np.ndarray:
-        return self.transform(dt, *self.streams(dt, rng, n)(n))
-
-
 @dataclass(frozen=True)
-class StableSub(_ClockKind):
+class StableSub:
     """One-sided stable subordinator, Laplace exponent ``u^alpha``."""
 
     alpha: float
@@ -74,15 +59,12 @@ class StableSub(_ClockKind):
     def laplace_exponent(self, u):
         return u**self.alpha
 
-    def streams(self, dt: float, rng, n: int):
-        return _cms_streams(rng, n)
-
-    def transform(self, dt: float, u, w) -> np.ndarray:
-        return dt ** (1.0 / self.alpha) * _one_sided_transform(self.alpha, u, w)
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return dt ** (1.0 / self.alpha) * standard_one_sided_stable(self.alpha, rng, n)
 
 
 @dataclass(frozen=True)
-class GammaSub(_ClockKind):
+class GammaSub:
     """Gamma subordinator, Laplace exponent ``a log(1 + u/b_hat)``."""
 
     a: float
@@ -95,27 +77,23 @@ class GammaSub(_ClockKind):
     def laplace_exponent(self, u):
         return self.a * np.log1p(u / self.b_hat)
 
-    def streams(self, dt: float, rng, n: int):
-        return lambda k: (rng.gamma(self.a * dt, 1.0 / self.b_hat, k),)
-
-    def transform(self, dt: float, g) -> np.ndarray:
-        return g
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return rng.gamma(self.a * dt, 1.0 / self.b_hat, n)
 
 
 @dataclass(frozen=True)
-class DriftOnly(_ClockKind):
+class DriftOnly:
     """Deterministic clock ``S(t) = b_S t`` (drift supplied by the spec)."""
 
     def laplace_exponent(self, u):
         return 0.0
 
-    def streams(self, dt: float, rng, n: int):
-        return lambda k: (np.zeros(k),)
-
-    def transform(self, dt: float, z) -> np.ndarray:
-        return z
+    def increment(self, dt: float, rng, n: int) -> np.ndarray:
+        return np.zeros(n)
 
 
+# a clock kind states the jump part of its clock, ``laplace_exponent(u)``, and
+# ``increment(dt, rng, n)``, ``n`` exact-in-law increments over ``dt > 0``
 SubordinatorKind = Union[StableSub, GammaSub, DriftOnly]
 
 
@@ -197,13 +175,27 @@ def _check_clock(t: float, n: int) -> None:
         raise DomainError(f"sample count must be positive, got {n}")
 
 
+def _clock_values(spec: SubordinatorSpec, t: float, n: int, seed: int, value) -> np.ndarray:
+    """The elementwise ``value(s)`` of ``n`` samples ``s`` of ``S(t)``, a
+    chunk at a time: chunk ``i`` (see :func:`ergolab.processes._in_chunks`)
+    is drawn from its own stream ``_block_rng(seed, i)`` and written into
+    its slice of the result, so the values do not depend on which thread
+    draws which chunk.  Chunk 0's stream is ``default_rng(seed)``'s."""
+    clock = DriftOnly() if t == 0.0 else spec.kind  # S(0) = 0
+    shift = spec.b_S * t
+    out = np.empty(n)
+
+    def fill(chunk, lo, hi):
+        out[lo:hi] = value(shift + clock.increment(t, _block_rng(seed, chunk), hi - lo))
+
+    _in_chunks(n, fill)
+    return out
+
+
 def sample_subordinator(spec: SubordinatorSpec, t: float, n: int, seed: int) -> np.ndarray:
     """``n`` exact-in-law samples of ``S(t)``; always ``>= b_S t``."""
     _check_clock(t, n)
-    t = float(t)
-    if t == 0.0:
-        return np.full(n, 0.0)
-    return spec.b_S * t + spec.kind.increment(t, np.random.default_rng(seed), n)
+    return _clock_values(spec, float(t), n, seed, lambda s: s)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +225,9 @@ def subordinate_rate(
     """Estimate ``r_psi(t) = (E[r(S(t))^p])^{1/p}`` by Monte Carlo.
 
     The clock's draws are those of :func:`sample_subordinator` with the same
-    seed.  Each chunk of them is made where it is used, in stream order,
-    and taken to ``r(S(t))^p`` in one pass on two threads (see
-    :func:`ergolab.processes._in_chunks`), which gives the bits of the
-    whole-array computation; the moments are then taken in place, so one
+    seed, bit for bit: each chunk of them is drawn from its own stream where
+    it is used and taken to ``r(S(t))^p`` on two threads (see
+    :func:`_clock_values`), and the moments are then taken in place, so one
     estimate holds about 8 B a sample.  Raises NumericalError when a clock
     sample is NaN, as a stable clock of very small ``alpha`` gives when both
     factors of its transform leave the float range.
@@ -247,15 +238,7 @@ def subordinate_rate(
         raise DomainError("need at least two Monte Carlo samples")
     _check_clock(t, n_mc)
     t = float(t)
-    clock = DriftOnly() if t == 0.0 else spec.kind  # S(0) = 0
-    shift = spec.b_S * t
-    vals = np.empty(n_mc)
-
-    def fill(lo, hi, drawn):
-        samples = shift + clock.transform(t, *drawn)
-        vals[lo:hi] = np.asarray(rate_value(r, samples), dtype=float) ** p
-
-    _in_chunks(n_mc, clock.streams(t, np.random.default_rng(seed), n_mc), fill)
+    vals = _clock_values(spec, t, n_mc, seed, lambda s: r.value(s) ** p)
     mean = float(np.mean(vals))
     if math.isnan(mean):  # the values are >= 0, so only a NaN sample makes it NaN
         raise NumericalError(

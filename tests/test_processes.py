@@ -32,8 +32,6 @@ from ergolab.processes import (
     _PASS_CHUNK,
     _block_rng,
     _cms,
-    _cms_draws,
-    _cms_streams,
     _cms_transform,
     _drawn_ahead,
     _expm,
@@ -877,13 +875,7 @@ def _cms_one_expression(alpha, skew, rng, size):
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.exponential(1.0, size)
     if alpha == 1.0:
-        if skew == 0.0:
-            return np.tan(u)
-        half_pi = math.pi / 2.0
-        return (2.0 / math.pi) * (
-            (half_pi + skew * u) * np.tan(u)
-            - skew * np.log((half_pi * w * np.cos(u)) / (half_pi + skew * u))
-        )
+        return np.tan(u)
     t = math.tan(math.pi * alpha / 2.0)
     b = math.atan(skew * t) / alpha
     s = (1.0 + skew * skew * t * t) ** (1.0 / (2.0 * alpha))
@@ -898,48 +890,48 @@ def _cms_one_expression(alpha, skew, rng, size):
     )
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
-@pytest.mark.parametrize("skew", [0.0, 1.0])
+# every skewed caller has alpha < 1, so alpha = 1 is drawn only symmetric
+@pytest.mark.parametrize(
+    "skew, alpha",
+    [(s, a) for s in (0.0, 1.0) for a in (0.3, 0.5, 0.8, 1.0) if (s, a) != (1.0, 1.0)],
+)
 def test_stable_draws_split_into_draws_and_chunked_transform_keep_their_bits(alpha, skew):
     # the split sampler, and its transform run chunk by chunk on two
-    # threads from draws streamed chunk by chunk, give the one-expression
-    # sampler's bits at every chunk edge
+    # threads over the whole draws, give the one-expression sampler's bits
+    # at every chunk edge
     for n in (1, 7, _PASS_CHUNK - 1, _PASS_CHUNK, _PASS_CHUNK + 1, 3 * _PASS_CHUNK + 7):
         for shape in ((n,), (n, 1), (n, 3)):
             want = _cms_one_expression(alpha, skew, _block_rng(n, 1), shape).view(np.int64)
             assert np.array_equal(_cms(alpha, skew, _block_rng(n, 1), shape).view(np.int64), want)
-            size = math.prod(shape)
-            got = np.empty(size)
+            rng = _block_rng(n, 1)
+            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, math.prod(shape))
+            w = rng.exponential(1.0, u.size)
+            got = np.empty(u.size)
 
-            def fill(lo, hi, drawn):
-                got[lo:hi] = _cms_transform(alpha, skew, *drawn)
+            def fill(chunk, lo, hi):
+                got[lo:hi] = _cms_transform(alpha, skew, u[lo:hi], w[lo:hi])
 
-            _in_chunks(size, _cms_streams(_block_rng(n, 1), size), fill)
+            _in_chunks(u.size, fill)
             assert np.array_equal(got.reshape(shape).view(np.int64), want)
-
-
-def _no_draws(k):
-    return ()
 
 
 def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
     before = threading.active_count()
     n = 3 * _PASS_CHUNK + 7
     seen = []
-    assert _in_chunks(n, _no_draws, lambda lo, hi, drawn: seen.append((lo, hi))) is None
-    assert sorted(seen) == [(lo, min(lo + _PASS_CHUNK, n)) for lo in range(0, n, _PASS_CHUNK)]
+    assert _in_chunks(n, lambda chunk, lo, hi: seen.append((chunk, lo, hi))) is None
+    assert sorted(seen) == [(i, lo, min(lo + _PASS_CHUNK, n))
+                            for i, lo in enumerate(range(0, n, _PASS_CHUNK))]
     assert threading.active_count() == before
     # every chunk, the helper's too, runs under the caller's numpy error handling
     states = []
     with np.errstate(over="raise"):
-        _in_chunks(n, lambda k: states.append(np.geterr()["over"]),
-                   lambda lo, hi, drawn: states.append(np.geterr()["over"]))
-    assert states == ["raise"] * 8
+        _in_chunks(n, lambda chunk, lo, hi: states.append(np.geterr()["over"]))
+    assert states == ["raise"] * 4
     # one chunk runs inline, on the calling thread
     inline = []
-    _in_chunks(_PASS_CHUNK, lambda k: inline.append(threading.current_thread()),
-               lambda lo, hi, drawn: inline.append(threading.current_thread()))
-    assert inline == [threading.current_thread()] * 2
+    _in_chunks(_PASS_CHUNK, lambda chunk, lo, hi: inline.append(threading.current_thread()))
+    assert inline == [threading.current_thread()]
 
     class Refused(RuntimeError):
         pass
@@ -947,7 +939,7 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
     # the caller holds its first chunk until the helper has failed on one
     helper_failed = threading.Event()
 
-    def fill(lo, hi, drawn):
+    def fill(chunk, lo, hi):
         if threading.current_thread() is threading.main_thread():
             assert helper_failed.wait(timeout=30.0)
             return
@@ -955,7 +947,7 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
         raise Refused(f"chunk at {lo}")
 
     with pytest.raises(Refused, match="chunk at"):
-        _in_chunks(n, _no_draws, fill)
+        _in_chunks(n, fill)
     assert threading.active_count() == before
 
     # a chunk failing on the calling thread stops and joins the helper too;
@@ -963,7 +955,7 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
     caller_failed = threading.Event()
     helper_chunks = []
 
-    def fill_main_fails(lo, hi, drawn):
+    def fill_main_fails(chunk, lo, hi):
         if threading.current_thread() is threading.main_thread():
             caller_failed.set()
             raise Refused("caller's chunk")
@@ -971,7 +963,7 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
         assert caller_failed.wait(timeout=30.0)
 
     with pytest.raises(Refused, match="caller's chunk"):
-        _in_chunks(n, _no_draws, fill_main_fails)
+        _in_chunks(n, fill_main_fails)
     assert threading.active_count() == before
     assert len(helper_chunks) <= 1  # no chunk is begun after one has raised
 
@@ -981,7 +973,7 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
     caller_began, helper_raised = threading.Event(), threading.Event()
     begun = []
 
-    def fill_helper_fails(lo, hi, drawn):
+    def fill_helper_fails(chunk, lo, hi):
         begun.append(lo)
         if threading.current_thread() is threading.main_thread():
             caller_began.set()
@@ -993,17 +985,44 @@ def test_chunked_pass_raises_what_a_chunk_raised_and_leaves_no_thread():
         raise Refused("helper's chunk")
 
     with pytest.raises(Refused, match="helper's chunk"):
-        _in_chunks(n, _no_draws, fill_helper_fails)
+        _in_chunks(n, fill_helper_fails)
     assert threading.active_count() == before
     assert len(begun) == 2  # one chunk each; none is begun after one has raised
 
 
+def test_chunked_pass_raises_what_a_fill_raised_and_begins_no_later_chunk(monkeypatch):
+    # with no helper the caller fills the chunks in order: a fill failing on
+    # the third chunk fails the pass with its own exception, no later chunk
+    # is begun, and no thread is left
+    import ergolab.processes as processes
+
+    class Exhausted(RuntimeError):
+        pass
+
+    def fill(chunk, lo, hi):
+        begun.append(chunk)
+        if chunk == 2:
+            raise Exhausted("third chunk")
+
+    monkeypatch.setattr(processes, "_PASS_HELPERS", 0)
+    before = threading.active_count()
+    begun = []
+    with pytest.raises(Exhausted, match="third chunk"):
+        _in_chunks(5 * _PASS_CHUNK + 3, fill)
+    assert begun == [0, 1, 2]
+    assert threading.active_count() == before
+
+
 def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
     # four callers (two cores) each run a pass with its own helper, with
-    # thread switches forced often: every chunk is taken exactly once and
-    # every pass keeps the bits of the whole-array transform
+    # thread switches forced often: every chunk is filled exactly once, from
+    # its own stream, and every pass keeps the bits of the chunks drawn one
+    # after another
     n = 5 * _PASS_CHUNK + 3
-    want = _cms_transform(0.7, 1.0, *_cms_draws(_block_rng(21, 0), n)).view(np.int64)
+    want = np.concatenate([
+        _cms(0.7, 1.0, _block_rng(21, i), min(_PASS_CHUNK, n - lo))
+        for i, lo in enumerate(range(0, n, _PASS_CHUNK))
+    ]).view(np.int64)
     before = threading.active_count()
     results, errors = [], []
 
@@ -1011,13 +1030,13 @@ def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
         try:
             got, taken = np.empty(n), []
 
-            def fill(lo, hi, drawn):
-                taken.append(lo)
-                got[lo:hi] = _cms_transform(0.7, 1.0, *drawn)
+            def fill(chunk, lo, hi):
+                taken.append(chunk)
+                got[lo:hi] = _cms(0.7, 1.0, _block_rng(21, chunk), hi - lo)
 
             for _ in range(3):
                 taken.clear()
-                _in_chunks(n, _cms_streams(_block_rng(21, 0), n), fill)
+                _in_chunks(n, fill)
                 results.append((sorted(taken), np.array_equal(got.view(np.int64), want)))
         except Exception as exc:  # failed by the assert below
             errors.append(exc)
@@ -1035,87 +1054,7 @@ def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
     assert errors == []
-    assert results == [(list(range(0, n, _PASS_CHUNK)), True)] * 12
-    assert threading.active_count() == before
-
-
-def test_chunked_pass_raises_what_a_take_raised_and_takes_no_later_chunk():
-    # a take failing on the third chunk fails the pass with its own
-    # exception and lets go of the lock, so the pass returns (on a thread
-    # joined with a timeout); no later chunk is taken, and no thread is left
-    class Exhausted(RuntimeError):
-        pass
-
-    n = 5 * _PASS_CHUNK + 3
-    before = threading.active_count()
-    takes, filled, raised = [], [], []
-
-    def take(k):
-        takes.append(k)
-        if len(takes) == 3:
-            raise Exhausted("third take")
-        return ()
-
-    def call():
-        try:
-            _in_chunks(n, take, lambda lo, hi, drawn: filled.append(lo))
-        except Exhausted as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=call, daemon=True)
-    thread.start()
-    thread.join(timeout=60.0)
-    assert not thread.is_alive()
-    assert [str(exc) for exc in raised] == ["third take"]
-    assert takes == [_PASS_CHUNK] * 3
-    assert sorted(filled) == [0, _PASS_CHUNK]
-    assert threading.active_count() == before
-
-
-def test_chunked_passes_side_by_side_take_their_own_chunks_in_order():
-    # four callers (two cores) of four lengths, each drawing from its own
-    # stream of indices, with thread switches forced often: each caller's
-    # takes come in chunk order and each chunk is filled with its own draws
-    lengths = (2 * _PASS_CHUNK + 1, 3 * _PASS_CHUNK + 7, 4 * _PASS_CHUNK, 5 * _PASS_CHUNK + 3)
-    before = threading.active_count()
-    results, errors = {}, []
-
-    def caller(n):
-        try:
-            taken, got = [], np.empty(n, dtype=np.int64)
-
-            def take(k):
-                start = sum(taken)
-                taken.append(k)
-                return (np.arange(start, start + k),)
-
-            def fill(lo, hi, drawn):
-                got[lo:hi] = drawn[0]
-
-            for _ in range(3):
-                taken.clear()
-                got[:] = -1
-                _in_chunks(n, take, fill)
-                results.setdefault(n, []).append((list(taken), np.array_equal(got, np.arange(n))))
-        except Exception as exc:  # failed by the assert below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=caller, args=(n,), daemon=True) for n in lengths]
-        for thread in callers:
-            thread.start()
-        deadline = time.monotonic() + 60.0
-        for thread in callers:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in callers)
-    assert errors == []
-    for n in lengths:
-        sizes = [min(_PASS_CHUNK, n - lo) for lo in range(0, n, _PASS_CHUNK)]
-        assert results[n] == [(sizes, True)] * 3
+    assert results == [(list(range(6)), True)] * 12
     assert threading.active_count() == before
 
 

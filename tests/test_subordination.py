@@ -10,8 +10,10 @@ Closed-form oracles:
 * pure drift: ``S(t) = b_S t`` deterministically, so every transfer is exact.
 """
 
-import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -215,16 +217,6 @@ def test_subordinate_rate_memory_per_sample(r, p, spec):
     assert peak <= 8 * n_mc + 4 * 2**20
 
 
-def _uneven_takes(take, n):
-    """The draws of takes of ``n`` values in all, in uneven pieces, joined."""
-    pieces, left = [], n
-    for k in itertools.cycle((3, 1, _C + 5, 17, _C - 2, 2 * _C + 1)):
-        if not left:
-            return [np.concatenate(stream) for stream in zip(*pieces)]
-        pieces.append(take(min(k, left)))
-        left -= min(k, left)
-
-
 @pytest.mark.parametrize(
     "kind",
     [
@@ -240,21 +232,81 @@ def _uneven_takes(take, n):
 )
 @pytest.mark.parametrize("n", [1, 7, _C - 1, _C, _C + 1, 3 * _C + 7])
 def test_clock_streams_join_to_the_whole_draws(kind, n):
-    # a clock's takes, in uneven pieces, join to its draws made whole, bit
-    # for bit, and leave the generator where the whole draws leave it
-    dt = 0.7
-    rng, whole = np.random.default_rng(11), np.random.default_rng(11)
-    got = _uneven_takes(kind.streams(dt, rng, n), n)
-    if isinstance(kind, StableSub):
-        want = processes._cms_draws(whole, n)
-    elif isinstance(kind, GammaSub):
-        want = (whole.gamma(kind.a * dt, 1.0 / kind.b_hat, n),)
-    else:
-        want = (np.zeros(n),)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.view(np.int64), w.view(np.int64))
-    assert rng.bit_generator.state == whole.bit_generator.state
+    # each chunk of a clock is drawn from its own stream, _block_rng(seed,
+    # chunk), and the chunks join to sample_subordinator's draws bit for
+    # bit; chunk 0's stream is default_rng(seed)'s, so a clock of one chunk
+    # keeps the bits of one whole draw
+    dt, seed = 0.7, 11
+    got = sample_subordinator(SubordinatorSpec(kind=kind, b_S=0.25), dt, n, seed)
+    want = np.concatenate([
+        0.25 * dt + kind.increment(dt, processes._block_rng(seed, i), min(_C, n - lo))
+        for i, lo in enumerate(range(0, n, _C))
+    ])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    head = 0.25 * dt + kind.increment(dt, np.random.default_rng(seed), min(_C, n))
+    assert np.array_equal(got[:_C].view(np.int64), head.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "r, p, spec",
+    [
+        (Exponential(gamma=0.5), 2.0, SubordinatorSpec(kind=StableSub(alpha=0.5))),
+        (Polynomial(exponent=1.5), 3.0, SubordinatorSpec(kind=GammaSub(a=1.2, b_hat=3.0), b_S=0.25)),
+        (Polynomial(exponent=1.5), 3.0, SubordinatorSpec(kind=DriftOnly(), b_S=0.25)),
+    ],
+    ids=["stable", "gamma", "drift_only"],
+)
+@pytest.mark.parametrize("n", [2, _C, 3 * _C + 7])  # the estimate takes n >= 2
+def test_subordinate_rate_is_the_rate_of_sample_subordinator(r, p, spec, n):
+    # the estimate's draws are sample_subordinator's, bit for bit, across
+    # chunk edges: its value and standard error are those of r(S_t)^p
+    est = subordinate_rate(r, p, spec, 1.5, n_mc=n, seed=5)
+    vals = rate_value(r, sample_subordinator(spec, 1.5, n, seed=5)) ** p
+    mean = float(np.mean(vals))
+    se = 0.0 if np.ptp(vals) == 0.0 else float(np.std(vals, ddof=1)) / math.sqrt(n)
+    assert np.float64(est.value).tobytes() == np.float64(mean ** (1.0 / p)).tobytes()
+    assert np.float64(est.se).tobytes() == np.float64(se).tobytes()
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 2])
+def test_subordinate_rate_does_not_depend_on_scheduling(monkeypatch, helpers):
+    # four callers (two cores), thread switches forced often, each run
+    # three clocks of many chunks with 0, 1 or 2 helper threads: every
+    # estimate has the bits of one run alone on the calling thread
+    n = 5 * _C + 3
+    clocks = [
+        (Exponential(gamma=0.5), 2.0, SubordinatorSpec(kind=StableSub(alpha=0.5))),
+        (Polynomial(exponent=1.5), 3.0, SubordinatorSpec(kind=StableSub(alpha=0.3), b_S=0.25)),
+        (Exponential(gamma=0.8), 2.0, SubordinatorSpec(kind=GammaSub(a=1.2, b_hat=3.0))),
+    ]
+    monkeypatch.setattr(processes, "_PASS_HELPERS", 0)
+    want = [subordinate_rate(r, p, spec, 1.0, n_mc=n, seed=3) for r, p, spec in clocks]
+    monkeypatch.setattr(processes, "_PASS_HELPERS", helpers)
+    before = threading.active_count()
+    results, errors = [], []
+
+    def caller():
+        try:
+            results.append([subordinate_rate(r, p, spec, 1.0, n_mc=n, seed=3)
+                            for r, p, spec in clocks])
+        except Exception as exc:  # failed by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        deadline = time.monotonic() + 60.0
+        for thread in callers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert errors == []
+    assert results == [want] * 4  # SubordinatedRate compares its floats exactly
+    assert threading.active_count() == before
 
 
 def test_sd_in_place_keeps_the_bits_of_np_std():
