@@ -33,19 +33,19 @@ Conventions
   clock's Monte Carlo (:mod:`ergolab.subordination`) is drawn from the
   stream of (master seed, chunk index) the same way.  A walk's draws read no
   state, so one worker thread per block makes them, in the order a walk
-  that drew as it went would, a few steps ahead of the arithmetic, which
-  (with every drift, ``sigma`` and user callable) stays on the calling
-  thread.
+  that drew as it went would, one item (a substep's draws, or a chunk of
+  the chain's uniforms) ahead of the arithmetic, which (with every drift,
+  ``sigma`` and user callable) stays on the calling thread.
 * ``x0`` is one start ``(dim,)`` or a stack of starts ``(k, dim)``, and a walk
   moves the stack as one ``(k, m, dim)`` state.  Every draw is made once per
-  path, as ``(m, dim)`` (``(m,)`` for the chain's raw words), and applied to
+  path, as ``(m, dim)`` (``(m,)`` for the chain's uniforms), and applied to
   all ``k`` starts, so the stack is a synchronous coupling.  A row of the state
   is computed alone (matrix products are summed left to right over the
   columns, not by BLAS), so each start's paths are bit for bit those of a
   one-start :func:`simulate` with the same seed.
 * A discrete-time family's walk holds whatever state suits it
-  (``BackwardRecurrence``: an integer index into a table of thresholds,
-  which each step's raw 64-bit draw is tested against) and
+  (``BackwardRecurrence``: an integer index into a table of
+  up-probabilities, which each step's uniform is tested against) and
   hands back float states only at the grid's step counts.
 * ``OUJump`` integrates the linear drift and the Gaussian part exactly per
   step (the marginal law of the continuous part is exact on the grid); jump
@@ -62,8 +62,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import queue
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Literal, Union
@@ -97,10 +97,11 @@ __all__ = [
 
 _BLOWUP_GUARD = 1e12
 _BLOCK_SIZE = 16384
-# A walk's draws are made on a worker thread at most this many substeps (the
-# chain: chunks of at most _CHUNK_VALUES raw words) ahead of its arithmetic.
-_DRAW_DEPTH = 2
-_CHUNK_VALUES = 2**15
+# A walk's draws are made on a worker thread, at most _DRAW_SLOTS items alive
+# at once: the one the walk uses and the next (a substep's draws; the chain:
+# a chunk of at most _CHUNK_VALUES uniforms, one of _DRAW_SLOTS reused slots).
+_DRAW_SLOTS = 2
+_CHUNK_VALUES = 2**17
 # A clock's Monte Carlo runs in chunks of _PASS_CHUNK values, each drawn
 # from its own stream, on the calling thread and _PASS_HELPERS helper
 # threads (see _in_chunks).
@@ -333,9 +334,9 @@ class ProcessSpec:
         increment, added to the paths that jump only, with the blow-up
         guard after every substep.  A substep's
         draws (its :meth:`advance` noise, then the jump increment, which
-        reads no state) are made on one worker thread, ahead of the
-        arithmetic (see :func:`_drawn_ahead`); the state is updated in place,
-        so a yielded state holds until the next is asked for."""
+        reads no state) are made on one worker thread, one substep ahead of
+        the arithmetic (see :func:`_drawn_ahead`); the state is updated in
+        place, so a yielded state holds until the next is asked for."""
         counts = step_plan(self, times, max_step)[1:]
         plans = [(int(n_sub), span / n_sub) for n_sub, span in zip(counts, np.diff(times))]
         draw, stepper = self.advance({dt for _, dt in plans})
@@ -778,42 +779,44 @@ class BackwardRecurrence(ProcessSpec):
             raise ConfigError(f"the chain starts at a nonnegative integer state, got x0 = {x!r}")
 
     def walker(self, x0, times, max_step):
-        """Integer walk over a table of up-thresholds, ``n`` the horizon:
+        """Integer walk over a table of up-probabilities, ``n`` the horizon:
         index ``i <= n`` is state ``i`` (reached after a reset), and index
         ``(j + 1)(n + 1) + i`` is state ``x0[j] + i`` (start ``j``, no reset
-        yet).  One raw 64-bit PCG64 word ``r`` per path and step, shared by
-        all starts, drawn on one worker thread ahead of the walk (see
-        :func:`_drawn_ahead`); the path goes up when ``r <= table[k]``.
-        numpy's uniform is ``u = (r >> 11) 2^-53``, and ``u < p`` exactly
-        when ``r <= ceil(p 2^53) 2^11 - 1``, the table's entry (see
-        :func:`_up_thresholds`), so the paths are those of a walk that
-        draws ``rng.random`` and tests ``u < p``.  The table is built one
-        start's stretch at a time, so no float table of its size is made."""
+        yet).  One uniform ``u`` per path and step, shared by all starts;
+        the path goes up when ``u < table[k]``.  The uniforms are drawn on
+        one worker thread ahead of the walk (see :func:`_drawn_ahead`), in
+        chunks of whole steps of at most ``_CHUNK_VALUES`` values, written
+        in turn into ``_DRAW_SLOTS`` slots made once per walk.  The table is
+        built one start's stretch at a time, so no temporary of its size is
+        made."""
         counts = [int(c) for c in step_plan(self, times, max_step)]
         n = sum(counts)
         starts = x0[:, 0].astype(np.int64)
         base = (n + 1) * np.arange(1, starts.size + 1)
-        table = np.empty((starts.size + 1, n + 1), dtype=np.uint64)
+        table = np.empty((starts.size + 1, n + 1))
         for row, start in zip(table, itertools.chain([0], starts)):
-            row[:] = _up_thresholds(self.up_prob(np.arange(start, start + n + 1.0)))
+            row[:] = self.up_prob(np.arange(start, start + n + 1.0))
         table = table.ravel()
         shift = (starts - base)[:, None]
 
         def draws(m, rng):
-            # the n words of each path, drawn in chunks of whole steps: a
+            # the n uniforms of each path, in chunks of whole steps: a
             # (rows, m) draw is the stream of rows (m,) draws
-            rows = max(1, _CHUNK_VALUES // m)
-            for done in range(0, n, rows):
-                yield rng.bit_generator.random_raw((min(rows, n - done), m))
+            rows = max(1, min(_CHUNK_VALUES // m, n))
+            slots = np.empty((_DRAW_SLOTS, rows, m))
+            for i, done in enumerate(range(0, n, rows)):
+                slot = slots[i % _DRAW_SLOTS, : n - done]
+                rng.random(out=slot)
+                yield slot
 
         def walk(m, rng):
             k = np.repeat(base[:, None], m, axis=1)
             chunks = _drawn_ahead(draws(m, rng))
-            words = itertools.chain.from_iterable(chunks)
+            uniforms = itertools.chain.from_iterable(chunks)
             try:
                 for count in counts:
-                    for r in itertools.islice(words, count):
-                        up = r <= table[k]
+                    for u in itertools.islice(uniforms, count):
+                        up = u < table[k]
                         k += 1
                         k *= up
                     yield np.where(k > n, k + shift, k)[..., None]
@@ -821,19 +824,6 @@ class BackwardRecurrence(ProcessSpec):
                 chunks.close()
 
         return walk
-
-
-def _up_thresholds(p: np.ndarray) -> np.ndarray:
-    """``ceil(p 2^53) 2^11 - 1`` as ``uint64``, for up-probabilities ``p`` in
-    ``(0, 1]``: the largest raw PCG64 word whose uniform ``(r >> 11)
-    2^-53`` is below ``p`` (``2^64 - 1`` at ``p = 1``, always up).  Scaling
-    by ``2^53`` and taking ``ceil`` are exact, and ``p > 0`` keeps the
-    ceiling at least 1, so the shift does not wrap."""
-    words = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
-    words -= np.uint64(1)
-    words <<= np.uint64(11)
-    words |= np.uint64(2**11 - 1)
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -952,25 +942,44 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _drawn_ahead(draws):
-    """Yield the items of the generator ``draws``, none of them None, run on
-    one worker thread up to ``_DRAW_DEPTH`` items ahead of the caller.
+    """Yield the items of the generator ``draws``, none of them None, made
+    on one worker thread with at most ``_DRAW_SLOTS`` items alive.
 
     A walk's draws read no state, so its worker makes them while the caller
     does the arithmetic that uses them; only the worker touches the block's
     ``Generator``, and the draws come out in the order they were made, so
-    the paths are those of a walk that draws as it goes.  When this
-    generator ends, is closed or raises, the worker stops and is joined;
-    an exception raised on the worker is raised here.
+    the paths are those of a walk that draws as it goes.  The worker begins
+    item ``i`` only once the caller has asked for item ``i - 1``, and so is
+    done with item ``i - 2``: ``draws`` may cycle ``_DRAW_SLOTS`` buffers.
+    When this generator ends, is closed or raises, the worker begins no
+    further item and is joined; an exception raised on the worker is raised
+    here.
     """
-    worker = ThreadPoolExecutor(1, thread_name_prefix="ergolab-draws")
+    free = threading.Semaphore(_DRAW_SLOTS)  # slots no live item holds
+    made = queue.SimpleQueue()
+    closed = False
+
+    def run():
+        try:
+            while free.acquire() and not closed:
+                made.put(item := next(draws, None))
+                if item is None:
+                    return
+        except BaseException as exc:  # raised in the caller, below
+            made.put(exc)
+
+    worker = threading.Thread(target=run, name="ergolab-draws", daemon=True)
+    worker.start()
     try:
-        # one worker runs the calls in the order they were submitted
-        pending = deque(worker.submit(next, draws, None) for _ in range(_DRAW_DEPTH))
-        while (item := pending.popleft().result()) is not None:
-            pending.append(worker.submit(next, draws, None))
+        while (item := made.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
             yield item
+            free.release()  # the caller asks for the next item: this one is done
     finally:
-        worker.shutdown(cancel_futures=True)
+        closed = True
+        free.release()  # wakes a worker that waits for a slot
+        worker.join()
 
 
 def _in_chunks(n: int, fill) -> None:
@@ -1160,11 +1169,12 @@ def simulate(
     ``a, b`` the stacked call gives.  Each grid time's state goes straight
     into its row, so no path block is made.
 
-    Each block's draws are made on one worker thread, a few steps ahead of
-    the arithmetic that uses them and in the same order, so the paths are
-    those of a walk that draws as it goes.  The worker is joined before
-    the block's walk returns or raises (:class:`BlowUpError` included),
-    and an error raised while drawing reaches the caller with its own type.
+    Each block's draws are made on one worker thread, one item (a substep,
+    or a chunk of the chain's steps) ahead of the arithmetic that uses them
+    and in the same order, so the paths are those of a walk that draws as
+    it goes.  The worker is joined before the block's walk returns or raises
+    (:class:`BlowUpError` included), and an error raised while drawing
+    reaches the caller with its own type.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):

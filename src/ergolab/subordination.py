@@ -99,7 +99,7 @@ SubordinatorKind = Union[StableSub, GammaSub, DriftOnly]
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """A subordinator kind plus a nonnegative deterministic drift ``b_S``."""
+    """A subordinator kind plus a finite, nonnegative deterministic drift ``b_S``."""
 
     kind: SubordinatorKind
     b_S: float = 0.0
@@ -107,8 +107,8 @@ class SubordinatorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, (StableSub, GammaSub, DriftOnly)):
             raise ConfigError(f"unknown subordinator kind {self.kind!r}")
-        if self.b_S < 0:
-            raise DomainError(f"subordinator drift must be nonnegative, got {self.b_S}")
+        if not (0.0 <= self.b_S < math.inf):
+            raise DomainError(f"subordinator drift must be finite and nonnegative, got {self.b_S}")
 
 
 def laplace_exponent(spec: SubordinatorSpec, u) -> float | np.ndarray:

@@ -28,7 +28,9 @@ from ergolab.processes import (
     PiecewiseOU,
     StableSubordinatorMeasure,
     SymmetricStable,
-    _DRAW_DEPTH,
+    _BLOCK_SIZE,
+    _CHUNK_VALUES,
+    _DRAW_SLOTS,
     _PASS_CHUNK,
     _block_rng,
     _cms,
@@ -37,7 +39,6 @@ from ergolab.processes import (
     _expm,
     _in_chunks,
     _normal_quantile,
-    _up_thresholds,
     langevin_coeffs,
     langevin_density,
     ou_exact_transition,
@@ -786,9 +787,10 @@ def test_simulate_leaves_no_thread_behind(monkeypatch):
     assert threading.main_thread() not in drawn
 
 
-def test_draws_run_at_most_the_draw_depth_ahead_of_the_walk():
+def test_draws_keep_at_most_the_draw_slots_alive():
     # a slow consumer gives the worker time to run as far ahead as it may:
-    # it never has more than _DRAW_DEPTH items beyond the one being used
+    # while the caller holds item i (and is done with i - 1), the worker has
+    # begun no item past i + 1, so _DRAW_SLOTS items are alive at most
     made = []
 
     def draws():
@@ -801,12 +803,35 @@ def test_draws_run_at_most_the_draw_depth_ahead_of_the_walk():
     for i, item in enumerate(drawn):
         time.sleep(0.005)
         assert item == i
-        assert len(made) <= i + 1 + _DRAW_DEPTH
+        assert len(made) <= i + _DRAW_SLOTS
         if i == 20:
             break
     drawn.close()
     assert threading.active_count() == before
-    assert len(made) <= 21 + _DRAW_DEPTH  # nothing is drawn after the close
+    assert len(made) <= 20 + _DRAW_SLOTS
+    after_close = len(made)
+    time.sleep(0.02)
+    assert len(made) == after_close  # nothing is drawn after the close
+
+
+@pytest.mark.parametrize("chunk_values", [3 * _BLOCK_SIZE + 5, 7000])
+def test_chain_walk_in_small_chunks_keeps_its_pinned_paths(monkeypatch, chunk_values):
+    # the pinned chain (40 steps, blocks of 16,384 and 300 paths) in many
+    # chunks: 3 steps of the first block a chunk (the last one partial), or
+    # 1 step of the first and 23 of the second (7,000 not a multiple of 300,
+    # the last chunk partial); a slot refilled while the walk still read it
+    # would change the paths
+    import ergolab.processes as processes
+
+    monkeypatch.setattr(processes, "_CHUNK_VALUES", chunk_values)
+    spec, x0, grid, n_paths, seed, max_step, digest = _pinned_walks()["chain"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        out = simulate(spec, x0, grid, n_paths=n_paths, seed=seed, max_step=max_step)
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashlib.sha256(b"".join(b.paths.tobytes() for b in out)).hexdigest() == digest
 
 
 def test_walks_closed_early_or_run_side_by_side_keep_their_streams():
@@ -821,7 +846,7 @@ def test_walks_closed_early_or_run_side_by_side_keep_their_streams():
     def caller(index):
         try:
             # many more draws than the handoff holds, so a closed walk's
-            # worker is mostly blocked on a full queue
+            # worker is mostly blocked waiting for a free slot
             walks = [chain.walker(np.array([[0.0]]), np.arange(0.0, 200.0), 0.01),
                      spec.walker(np.array(x0), np.array(grid), 0.001)]
             for round_ in range(3):
@@ -1062,8 +1087,7 @@ def test_chunked_passes_run_side_by_side_cover_every_chunk_once():
 @pytest.mark.parametrize("n", [1, 7, 1000, 2**15 + 1])
 def test_random_is_the_raw_philox_word_shifted_and_scaled(seed, n):
     # numpy forms random() from one raw 64-bit word the same way for every
-    # bit generator, so the chain walk's thresholds do not depend on the
-    # family its blocks draw from: Philox here, PCG64 in the test below
+    # bit generator: Philox here, PCG64 in the test below
     uniforms = np.random.Generator(np.random.Philox(seed)).random(n)
     words = np.random.Philox(seed).random_raw(n)
     assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
@@ -1072,51 +1096,66 @@ def test_random_is_the_raw_philox_word_shifted_and_scaled(seed, n):
 @pytest.mark.parametrize("seed, block", [(0, 0), (3, 1), (2**40 + 3, 7)])
 @pytest.mark.parametrize("n", [1, 7, 2**15 + 1])
 def test_random_is_the_raw_block_word_shifted_and_scaled(seed, block, n):
-    # the chain walk compares raw words against thresholds because numpy's
-    # random() is (r >> 11) 2^-53 of one 64-bit word of the block generator
+    # numpy's random() is (r >> 11) 2^-53 of one 64-bit word of the block
+    # generator, so the chain walk's test u < p is the test
+    # r <= ceil(p 2^53) 2^11 - 1 on that word
     uniforms = _block_rng(seed, block).random(n)
     words = _block_rng(seed, block).bit_generator.random_raw(n)
     assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
 
 
-def test_up_thresholds_agree_with_the_uniform_test_at_the_boundary():
-    # every distinct up-probability of a few chains up to state i0 + 2, the
-    # largest probabilities, and the floats beside each: the words on either
-    # side of the threshold go up exactly when their uniform is below p
-    ps = {1.0, 1.0 - 2.0**-53}
-    for alpha, i0 in [(3.0, 5), (2.0, 4), (1.5, 3), (2.5, 8), (1.01, 3)]:
-        ps.update(BackwardRecurrence(alpha=alpha, i0=i0).up_prob(np.arange(i0 + 3.0)).tolist())
-    ps |= {float(np.nextafter(p, toward)) for p in ps for toward in (0.0, 2.0)}
-    ps = np.array(sorted(p for p in ps if 0.0 < p <= 1.0))
-    thresholds = _up_thresholds(ps)
-    assert thresholds.dtype == np.uint64
-    for p, threshold in zip(ps.tolist(), thresholds.tolist()):
-        for r in (0, threshold, threshold + 1):
-            if r < 2**64:  # at p = 1 the threshold is the largest word
-                assert (np.uint64(r) <= np.uint64(threshold)) == ((r >> 11) * 2.0**-53 < p), (p, r)
-    assert _up_thresholds(np.array([1.0])).tolist() == [2**64 - 1]
+class _Uniforms:
+    """A stand-in block stream whose every draw gives path ``j`` the
+    uniform ``values[j]``."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, out):
+        out[...] = self.values
 
 
-def test_chain_walk_goes_up_on_the_threshold_word_and_resets_above_it():
-    # every draw of path 0 is the threshold of p = 1/2 (uniform just below
-    # 1/2), and of path 1 the word above it (uniform 1/2): path 0 climbs
-    # through the p = 1/2 states and resets at i0 = 5 (p = 0.2), path 1
-    # resets at every state past 0
-    threshold = int(_up_thresholds(np.array([0.5]))[0])
-    words = np.array([threshold, threshold + 1], dtype=np.uint64)
-
-    class Words:
-        def random_raw(self, size):
-            return np.broadcast_to(words, size).copy()
-
-    class Stream:
-        bit_generator = Words()
-
+def test_chain_walk_goes_up_below_the_up_probability_and_resets_at_it():
+    # path 0 draws the float just below p = 1/2 at every step and path 1
+    # draws 1/2 itself: path 0 climbs through the p = 1/2 states and resets
+    # at i0 = 5 (p = 0.2), path 1 resets at every state past 0
     spec = BackwardRecurrence(alpha=3.0, i0=5)
-    walk = spec.walker(np.array([[0.0]]), np.arange(13.0), 0.01)(2, Stream())
+    walk = spec.walker(np.array([[0.0]]), np.arange(13.0), 0.01)(
+        2, _Uniforms([np.nextafter(0.5, 0.0), 0.5])
+    )
     states = np.array([next(walk)[0, :, 0] for _ in range(13)])
     assert states[:, 0].tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0]
     assert states[:, 1].tolist() == [0, 1] * 6 + [0]
+    # past i0 the up-probability is 1 - (1 + alpha)/i: one step from state
+    # i goes up on the float below it and resets on the value itself
+    for alpha, i0, i in [(3.0, 5, 5), (3.0, 5, 1000), (1.01, 3, 7), (2.5, 8, 2.0**40)]:
+        spec = BackwardRecurrence(alpha=alpha, i0=i0)
+        p = 1.0 - (1.0 + alpha) / i
+        assert spec.up_prob(i) == p
+        walk = spec.walker(np.array([[i]]), np.array([0.0, 1.0]), 0.01)(
+            2, _Uniforms([np.nextafter(p, 0.0), p])
+        )
+        next(walk)
+        assert next(walk)[0, :, 0].tolist() == [i + 1, 0], (alpha, i0, i)
+
+
+def test_chain_walk_memory_is_its_draw_slots_and_state():
+    # the traced peak of a 4,096-path walk over 10^4 steps, table included:
+    # the _DRAW_SLOTS slots of _CHUNK_VALUES uniforms, the table of 10^4 + 1
+    # up-probabilities a row, and a few (m,) arrays of state; a third slot,
+    # or a chunk the worker made fresh each time, would show here
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    m, times = 4096, np.array([0.0, 10.0, 100.0, 1000.0, 10_000.0])
+    tracemalloc.start()
+    try:
+        for _ in spec.walker(np.array([[0.0]]), times, 0.01)(m, _block_rng(1, 0)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = _DRAW_SLOTS * _CHUNK_VALUES * 8
+    table = 2 * (10_000 + 1) * 8
+    assert peak <= slots + table + 8 * m * 8
 
 
 def test_chain_walker_table_memory_per_value():

@@ -52,8 +52,11 @@ def test_subordinator_spec_validation():
         GammaSub(a=0.0, b_hat=1.0)
     with pytest.raises(DomainError):
         GammaSub(a=1.0, b_hat=-2.0)
-    with pytest.raises(DomainError):
-        SubordinatorSpec(kind=DriftOnly(), b_S=-0.5)
+    # NaN < 0 is False, so a NaN drift needs its own refusal: let through,
+    # it would surface as a NumericalError about the clock's draws
+    for b_S in (-0.5, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            SubordinatorSpec(kind=DriftOnly(), b_S=b_S)
 
 
 def test_rate_function_validation():
