@@ -1139,6 +1139,63 @@ def test_chain_walk_goes_up_below_the_up_probability_and_resets_at_it():
         assert next(walk)[0, :, 0].tolist() == [i + 1, 0], (alpha, i0, i)
 
 
+def _word_threshold(p):
+    """``ceil(p 2^53) 2^11 - 1`` as ``uint64``: the largest raw 64-bit word
+    whose uniform ``(r >> 11) 2^-53`` is below the up-probability ``p`` in
+    ``(0, 1]`` (``2^64 - 1`` at ``p = 1``), the word test the chain walk's
+    paths have always been decided by."""
+    words = np.ceil(np.ldexp(np.asarray(p, dtype=float), 53)).astype(np.uint64)
+    words -= np.uint64(1)
+    words <<= np.uint64(11)
+    words |= np.uint64(2**11 - 1)
+    return words
+
+
+def test_up_thresholds_agree_with_the_uniform_test_at_the_boundary():
+    # every distinct up-probability of a few chains up to state i0 + 2, the
+    # largest probabilities, and the floats beside each: the words on either
+    # side of the threshold give a uniform below p (the walk's test) exactly
+    # when they are at most the threshold, so the walk keeps its paths' bits
+    ps = {1.0, 1.0 - 2.0**-53}
+    for alpha, i0 in [(3.0, 5), (2.0, 4), (1.5, 3), (2.5, 8), (1.01, 3)]:
+        ps.update(BackwardRecurrence(alpha=alpha, i0=i0).up_prob(np.arange(i0 + 3.0)).tolist())
+    ps |= {float(np.nextafter(p, toward)) for p in ps for toward in (0.0, 2.0)}
+    ps = np.array(sorted(p for p in ps if 0.0 < p <= 1.0))
+    thresholds = _word_threshold(ps)
+    assert thresholds.dtype == np.uint64
+    for p, threshold in zip(ps.tolist(), thresholds.tolist()):
+        for r in (0, threshold, threshold + 1):
+            if r < 2**64:  # at p = 1 the threshold is the largest word
+                assert (np.uint64(r) <= np.uint64(threshold)) == ((r >> 11) * 2.0**-53 < p), (p, r)
+    assert _word_threshold(np.array([1.0])).tolist() == [2**64 - 1]
+
+
+class _Words:
+    """A stand-in block stream whose every draw gives path ``j`` the
+    uniform numpy forms from the raw word ``words[j]``."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random(self, out):
+        out[...] = (self.words >> np.uint64(11)) * 2.0**-53
+
+
+def test_chain_walk_goes_up_on_the_threshold_word_and_resets_above_it():
+    # every draw of path 0 is the threshold word of p = 1/2 (uniform just
+    # below 1/2), and of path 1 the word above it (uniform 1/2): path 0
+    # climbs through the p = 1/2 states and resets at i0 = 5 (p = 0.2),
+    # path 1 resets at every state past 0
+    threshold = int(_word_threshold(np.array([0.5]))[0])
+    spec = BackwardRecurrence(alpha=3.0, i0=5)
+    walk = spec.walker(np.array([[0.0]]), np.arange(13.0), 0.01)(
+        2, _Words([threshold, threshold + 1])
+    )
+    states = np.array([next(walk)[0, :, 0] for _ in range(13)])
+    assert states[:, 0].tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0]
+    assert states[:, 1].tolist() == [0, 1] * 6 + [0]
+
+
 def test_chain_walk_memory_is_its_draw_slots_and_state():
     # the traced peak of a 4,096-path walk over 10^4 steps, table included:
     # the _DRAW_SLOTS slots of _CHUNK_VALUES uniforms, the table of 10^4 + 1
